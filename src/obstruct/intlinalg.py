@@ -1,17 +1,28 @@
 """Exact integer linear algebra.
 
-Arbitrary-precision matrices over Z, Smith normal form with recorded
-unimodular transforms, integer kernels, exact linear solves and column
-lattice arithmetic.  Everything runs on plain Python ints, so no overflow
-can occur at any intermediate step.
+Arbitrary-precision matrices over Z, Smith normal form with the unimodular
+transforms U, V and the inverse U^-1 (V^-1 is not computed), integer
+kernels, exact linear solves, matrix powers and column lattice arithmetic.
+Everything runs on plain Python ints, so no overflow can occur at any
+intermediate step.
 
 Conventions:
   * matrices act on column vectors; the column span of a matrix is called
     its (column) lattice;
-  * vectors are plain lists/tuples of ints.
+  * vectors are plain lists/tuples of ints;
+  * inside `smith_normal_form`, U^-1 and V are accumulated transposed, so
+    each elementary operation rewrites whole rows; the returned matrices
+    are in the usual orientation.
 """
 
 from __future__ import annotations
+
+from operator import mul
+
+
+class ExactArithmeticError(ArithmeticError):
+    """An exact computation broke an identity that holds by construction,
+    such as a division that must be exact or a witness that must verify."""
 
 
 class IntMatrix:
@@ -34,6 +45,19 @@ class IntMatrix:
         self.data = [list(map(int, r)) for r in data]
 
     @classmethod
+    def _wrap(cls, rows, cols, data):
+        """Adopt freshly built lists of int rows without checking or copying.
+
+        Only for lists that the caller has just built from ints and that no
+        one else holds.
+        """
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
+    @classmethod
     def from_rows(cls, data):
         rows = len(data)
         cols = len(data[0]) if rows else 0
@@ -41,11 +65,11 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._wrap(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._wrap(n, n, _identity_rows(n))
 
     @classmethod
     def diagonal(cls, entries, rows=None, cols=None):
@@ -86,9 +110,6 @@ class IntMatrix:
     def is_zero(self):
         return all(all(e == 0 for e in r) for r in self.data)
 
-    def is_identity(self):
-        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
-
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -96,10 +117,8 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self):
-        return IntMatrix(
-            self.cols, self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        data = [list(c) for c in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)]
+        return IntMatrix._wrap(self.cols, self.rows, data)
 
     def __add__(self, other):
         self._shape_check(other)
@@ -128,18 +147,15 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        bt = other.transpose().data
-        out = [
-            [sum(a * b for a, b in zip(row, col)) for col in bt]
-            for row in self.data
-        ]
-        return IntMatrix(self.rows, other.cols, out)
+        bt = list(zip(*other.data)) if other.rows else [()] * other.cols
+        out = [[sum(map(mul, row, col)) for col in bt] for row in self.data]
+        return IntMatrix._wrap(self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != cols {self.cols}")
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.data]
+        return [sum(map(mul, row, vec)) for row in self.data]
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -192,9 +208,6 @@ class IntMatrix:
             [[self.data[i][j] for j in col_idx] for i in row_idx],
         )
 
-    def max_abs(self):
-        return max((abs(e) for r in self.data for e in r), default=0)
-
     def to_text(self):
         """Shared matrix text format: `rows cols` then the entry rows."""
         lines = [f"{self.rows} {self.cols}"]
@@ -225,19 +238,19 @@ class IntMatrix:
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular, D diagonal with d_i | d_{i+1} >= 0.
 
-    Also carries the inverses of U and V, so both changes of coordinates
-    are available without further solving.
+    Also carries U^-1, so lattice bases in the original coordinates are
+    available without further solving.  V^-1 is not kept: no caller needs
+    coordinates with respect to the columns of V.
     """
 
-    __slots__ = ("matrix", "U", "D", "V", "Uinv", "Vinv", "diag", "rank")
+    __slots__ = ("matrix", "U", "D", "V", "Uinv", "diag", "rank")
 
-    def __init__(self, matrix, U, D, V, Uinv, Vinv):
+    def __init__(self, matrix, U, D, V, Uinv):
         self.matrix = matrix
         self.U = U
         self.D = D
         self.V = V
         self.Uinv = Uinv
-        self.Vinv = Vinv
         k = min(D.rows, D.cols)
         self.diag = [D.data[i][i] for i in range(k)]
         self.rank = sum(1 for d in self.diag if d != 0)
@@ -247,135 +260,124 @@ class SmithDecomposition:
         return [self.diag[i] if i < len(self.diag) else 0 for i in range(n)]
 
 
+def _identity_rows(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _find_pivot(block):
+    """(i, j) of the first entry of least nonzero |value|, or None."""
+    best = None
+    least = 0
+    for i, row in enumerate(block):
+        for j, e in enumerate(row):
+            if e:
+                v = e if e > 0 else -e
+                if best is None or v < least:
+                    if v == 1:
+                        return i, j
+                    best, least = (i, j), v
+    return best
+
+
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with minimal-absolute-value pivoting.
 
     Pivot choice: smallest |entry| among the remaining block, ties broken by
     lowest row then lowest column.  This keeps intermediate entries small and
     makes the output deterministic for a fixed input.
+
+    Storage: D is held only as its active block (rows and columns >= t at
+    step t), since everything outside it is already zero; U^-1 and V are
+    held transposed, so every elementary operation on them, like every one
+    on U, rewrites whole rows.
     """
     m, n = a.rows, a.cols
-    D = [row[:] for row in a.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_sub(r, s, q):
-        # row_r -= q * row_s on D and U; inverse column op on Uinv
-        Dr, Ds = D[r], D[s]
-        for j in range(n):
-            Dr[j] -= q * Ds[j]
-        Ur, Us = U[r], U[s]
-        for j in range(m):
-            Ur[j] -= q * Us[j]
-        for i in range(m):
-            Uinv[i][s] += q * Uinv[i][r]
-
-    def col_sub(c, d, q):
-        # col_c -= q * col_d on D and V; inverse row op on Vinv
-        for i in range(m):
-            D[i][c] -= q * D[i][d]
-        for i in range(n):
-            V[i][c] -= q * V[i][d]
-        Vd, Vc = Vinv[d], Vinv[c]
-        for j in range(n):
-            Vd[j] += q * Vc[j]
-
-    def row_swap(r, s):
-        D[r], D[s] = D[s], D[r]
-        U[r], U[s] = U[s], U[r]
-        for i in range(m):
-            Uinv[i][r], Uinv[i][s] = Uinv[i][s], Uinv[i][r]
-
-    def col_swap(c, d):
-        for i in range(m):
-            D[i][c], D[i][d] = D[i][d], D[i][c]
-        for i in range(n):
-            V[i][c], V[i][d] = V[i][d], V[i][c]
-        Vinv[c], Vinv[d] = Vinv[d], Vinv[c]
-
-    def row_negate(r):
-        D[r] = [-x for x in D[r]]
-        U[r] = [-x for x in U[r]]
-        for i in range(m):
-            Uinv[i][r] = -Uinv[i][r]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, m):
-            Di = D[i]
-            for j in range(t, n):
-                e = Di[j]
-                if e != 0:
-                    v = abs(e)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-                        if v == 1:
-                            return best
-        return best
-
+    block = [row[:] for row in a.data]
+    U = _identity_rows(m)
+    Uinv_t = _identity_rows(m)  # row i is column i of U^-1
+    V_t = _identity_rows(n)  # row j is column j of V
+    diag = []
     t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = find_pivot(t)
+
+    # Block indices i, j are relative to t; transforms use absolute ones.
+    def row_sub(i, k, q):
+        # row_i -= q * row_k on the block and U; inverse column op on U^-1
+        block[i] = [x - q * y for x, y in zip(block[i], block[k])]
+        r, s = t + i, t + k
+        U[r] = [x - q * y for x, y in zip(U[r], U[s])]
+        Uinv_t[s] = [x + q * y for x, y in zip(Uinv_t[s], Uinv_t[r])]
+
+    def col_sub(j, q):
+        # col_j -= q * col_0 on the block and V
+        for row in block:
+            row[j] -= q * row[0]
+        c, d = t + j, t
+        V_t[c] = [x - q * y for x, y in zip(V_t[c], V_t[d])]
+
+    def move_pivot(pi, pj):
+        if pi:
+            block[0], block[pi] = block[pi], block[0]
+            r = t + pi
+            U[t], U[r] = U[r], U[t]
+            Uinv_t[t], Uinv_t[r] = Uinv_t[r], Uinv_t[t]
+        if pj:
+            for row in block:
+                row[0], row[pj] = row[pj], row[0]
+            c = t + pj
+            V_t[t], V_t[c] = V_t[c], V_t[t]
+        if block[0][0] < 0:
+            block[0] = [-x for x in block[0]]
+            U[t] = [-x for x in U[t]]
+            Uinv_t[t] = [-x for x in Uinv_t[t]]
+
+    while block and block[0]:
+        piv = _find_pivot(block)
         if piv is None:
             break
-        _, pi, pj = piv
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        if D[t][t] < 0:
-            row_negate(t)
+        move_pivot(*piv)
         while True:
-            # clear column t then row t; remainders may create smaller pivots
-            p = D[t][t]
+            # clear column 0 then row 0; remainders may create smaller pivots
+            p = block[0][0]
             dirty = False
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    q = D[i][t] // p
-                    row_sub(i, t, q)
-                    if D[i][t] != 0:
+            for i in range(1, len(block)):
+                if block[i][0] != 0:
+                    row_sub(i, 0, block[i][0] // p)
+                    if block[i][0] != 0:
                         dirty = True
-            for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    q = D[t][j] // p
-                    col_sub(j, t, q)
-                    if D[t][j] != 0:
+            top = block[0]
+            for j in range(1, len(top)):
+                if top[j] != 0:
+                    col_sub(j, top[j] // p)
+                    if top[j] != 0:
                         dirty = True
             if dirty:
-                piv = find_pivot(t)
-                _, pi, pj = piv
-                if pi != t or pj != t:
-                    if pi != t:
-                        row_swap(t, pi)
-                    if pj != t:
-                        col_swap(t, pj)
-                if D[t][t] < 0:
-                    row_negate(t)
+                move_pivot(*_find_pivot(block))
                 continue
-            # column and row are clean; enforce divisibility of the block
-
-            p = D[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                Di = D[i]
-                for j in range(t + 1, n):
-                    if Di[j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # column and row are clean; enforce divisibility of the block,
+            # which holds trivially for p == 1
+            if p == 1:
+                break
+            offender = next((i for i, row in enumerate(block) if any(x % p for x in row)), None)
             if offender is None:
                 break
-            row_sub(t, offender, -1)  # row_t += row_offender
+            row_sub(0, offender, -1)  # row_0 += row_offender
+        diag.append(block[0][0])
+        block = [row[1:] for row in block[1:]]
         t += 1
 
-    um = IntMatrix(m, m, U)
-    vm = IntMatrix(n, n, V)
-    dm = IntMatrix(m, n, D)
-    return SmithDecomposition(a, um, dm, vm, IntMatrix(m, m, Uinv), IntMatrix(n, n, Vinv))
+    D = [[0] * n for _ in range(m)]
+    for i, d in enumerate(diag):
+        D[i][i] = d
+    return SmithDecomposition(
+        a,
+        IntMatrix._wrap(m, m, U),
+        IntMatrix._wrap(m, n, D),
+        IntMatrix._wrap(n, n, [list(c) for c in zip(*V_t)]),
+        IntMatrix._wrap(m, m, [list(c) for c in zip(*Uinv_t)]),
+    )
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -415,10 +417,6 @@ class ColumnLattice:
     def __init__(self, gens: IntMatrix):
         self.gens = gens
         self.snf = smith_normal_form(gens)
-
-    @property
-    def ambient_dim(self):
-        return self.gens.rows
 
     def contains(self, v) -> bool:
         y = self.snf.U.apply(v)
@@ -479,7 +477,8 @@ def is_unimodular(a: IntMatrix) -> bool:
 def charpoly(a: IntMatrix):
     """Coefficients [c_0, ..., c_n] of det(x*I - A) = sum c_k x^k, c_n = 1.
 
-    Faddeev-LeVerrier; every division is exact over Z (asserted).
+    Faddeev-LeVerrier; every division is exact over Z, and an inexact one
+    raises ExactArithmeticError.
     """
     n = a.rows
     if a.cols != n:
@@ -490,11 +489,24 @@ def charpoly(a: IntMatrix):
     for k in range(1, n + 1):
         AM = a @ M
         tr = sum(AM.data[i][i] for i in range(n))
-        assert tr % k == 0, "Faddeev-LeVerrier division must be exact"
+        if tr % k:
+            raise ExactArithmeticError("Faddeev-LeVerrier division must be exact")
         c = -(tr // k)
         coeffs[n - k] = c
         M = AM + IntMatrix.identity(n).scaled(c)
     return coeffs
+
+
+def matrix_power(a: IntMatrix, k: int) -> IntMatrix:
+    """a**k for a square matrix and k >= 0, by repeated squaring."""
+    out = IntMatrix.identity(a.rows)
+    base = a
+    while k:
+        if k & 1:
+            out = out @ base
+        base = base @ base
+        k >>= 1
+    return out
 
 
 def poly_eval_matrix(coeffs, a: IntMatrix) -> IntMatrix:

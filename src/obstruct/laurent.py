@@ -44,6 +44,7 @@ from .intlinalg import (
     is_unimodular,
     kernel_basis,
     lattice_basis,
+    matrix_power,
     smith_normal_form,
     solve,
 )
@@ -517,17 +518,6 @@ def _pres_operator_on_fg(t: IntMatrix, w: RModuleFg):
     return GroupMorphism(wn, wn, op, trusted=True)
 
 
-def _matrix_power(a: IntMatrix, k: int) -> IntMatrix:
-    out = IntMatrix.identity(a.rows)
-    base = a
-    while k:
-        if k & 1:
-            out = out @ base
-        base = base @ base
-        k >>= 1
-    return out
-
-
 def ext_r_pres(m: RModulePres, w):
     """(Hom_R, Ext^1_R, Ext^2_R) for a canonical presentation source.
 
@@ -552,7 +542,7 @@ def ext_r_pres(m: RModulePres, w):
         theta = a1 - b1
         dim = n * ssize
         # Hom: colimit of the stable kernel of theta under the level shift a1
-        stable = _matrix_power(a1, dim) @ theta
+        stable = matrix_power(a1, dim) @ theta
         kb = kernel_basis(stable)
         klat = ColumnLattice(kb)
         cols = []

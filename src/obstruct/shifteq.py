@@ -7,6 +7,16 @@ and S R = A^l.  The decision procedure is tri-state:
   no       a named invariant of the associated gauge modules differs;
   unknown  the bounded search space is exhausted.
 
+The witness search runs over the intertwiners R A = B R.  Their lattice has
+a Z-basis R_1..R_q (an integer kernel, hence saturated), and candidates R
+are its integer combinations by increasing L1 norm of the coefficients, up
+to a budget.  The S side is parametrized the same way, once per call: every
+integer S with S B = A S is an integer combination of a basis S_1..S_p of
+that saturated lattice.  So for each candidate R the remaining equations
+R S = B^l and S R = A^l are linear in the p coefficients, with one system
+matrix [vec(R S_k); vec(S_k R)] for all lags; one Smith normal form of it
+decides every lag l by an exact solve.
+
 The "no" invariants are genuine invariants of the module coker(x*I - A^t):
 the characteristic polynomial away from zero, and for each battery
 polynomial p the colimit of coker(p(A^t)) along the shift, compared through
@@ -21,9 +31,11 @@ from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GroupMorphism, eventual_image, torsion_subgroup
 from .intlinalg import (
+    ExactArithmeticError,
     IntMatrix,
     charpoly,
     kernel_basis,
+    matrix_power,
     matrix_rank,
     poly_eval_matrix,
     smith_normal_form,
@@ -66,20 +78,9 @@ def verify_shift_equivalence(a, b, r, s, lag):
     return (
         r @ a == b @ r
         and s @ b == a @ s
-        and r @ s == _power(b, lag)
-        and s @ r == _power(a, lag)
+        and r @ s == matrix_power(b, lag)
+        and s @ r == matrix_power(a, lag)
     )
-
-
-def _power(m, k):
-    out = IntMatrix.identity(m.rows)
-    base = m
-    while k:
-        if k & 1:
-            out = out @ base
-        base = base @ base
-        k >>= 1
-    return out
 
 
 def charpoly_away_from_zero(a: IntMatrix):
@@ -104,13 +105,14 @@ def _eventual_invariant(a: IntMatrix, poly):
     cols = []
     for j in range(tors.ngens):
         z = solve(stacked, shift.matrix.apply(embed.matrix.column(j)), snf=ssnf)
-        assert z is not None, "shift must preserve torsion"
+        if z is None:
+            raise ExactArithmeticError("shift must preserve torsion")
         cols.append(z[: tors.ngens])
     shift_t = GroupMorphism(tors, tors, IntMatrix.from_columns(cols, rows=tors.ngens))
     ev, _, _ = eventual_image(shift_t)
     # eventual rational rank: rank of shift^dim on C tensor Q
     dim = n - matrix_rank(pa)
-    power = _power(at, max(dim, 1))
+    power = matrix_power(at, max(dim, 1))
     rk = matrix_rank(power.hstack(pa)) - matrix_rank(pa)
     return ev.invariant_factors, rk
 
@@ -156,19 +158,30 @@ def _vec(m):
     return out
 
 
-def _solve_for_s(a, b, r, lag):
-    """Solve the linear system S B = A S, R S = B^lag, S R = A^lag over Z."""
-    n, m = a.rows, b.rows
-    # unknowns vec(S), S is n x m
-    eq1 = b.transpose().kron(IntMatrix.identity(n)) - IntMatrix.identity(m).kron(a)
-    eq2 = IntMatrix.identity(m).kron(r)  # vec(R S) = (I kron R) vec(S)
-    eq3 = r.transpose().kron(IntMatrix.identity(n))  # vec(S R)
-    lhs = eq1.vstack(eq2).vstack(eq3)
-    rhs = [0] * (m * n) + _vec(_power(b, lag)) + _vec(_power(a, lag))
-    x = solve(lhs, rhs)
-    if x is None:
-        return None
-    return _unvec(x, n, m)
+def _solve_for_s(r, s_basis, targets):
+    """Yield (lag, S or None) for lag = 1, 2, ...: an integer S with
+    S B = A S, R S = B^lag and S R = A^lag, or None if there is none.
+
+    s_basis is a Z-basis S_1..S_p of {S : S B = A S}; targets[lag - 1] is
+    vec(B^lag) followed by vec(A^lag).  S = sum c_k S_k, and the c solve one
+    system [vec(R S_k); vec(S_k R)] whose Smith normal form serves every lag.
+    """
+    m, n = r.rows, r.cols
+    system = IntMatrix.from_columns(
+        [_vec(r @ sk) + _vec(sk @ r) for sk in s_basis], rows=m * m + n * n)
+    snf = smith_normal_form(system)
+    for lag, rhs in enumerate(targets, start=1):
+        c = solve(system, rhs, snf=snf)
+        yield lag, None if c is None else _combination(c, s_basis, n, m)
+
+
+def _combination(coeffs, basis, rows, cols):
+    """sum c_k * basis_k as a rows x cols matrix."""
+    out = IntMatrix.zeros(rows, cols)
+    for c, mat in zip(coeffs, basis):
+        if c:
+            out = out + mat.scaled(c)
+    return out
 
 
 def _l1_sphere(count, weight, cap):
@@ -216,23 +229,24 @@ def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=
     if a == b:
         r = IntMatrix.identity(a.rows)
         res = ShiftEqResult("yes", r=r, s=a.copy(), lag=1)
-        assert verify_shift_equivalence(a, b, res.r, res.s, res.lag)
+        if not verify_shift_equivalence(a, b, res.r, res.s, res.lag):
+            raise ExactArithmeticError("(I, A, 1) must be a shift equivalence of A with itself")
         return res
 
     inv = distinguishing_invariant(a, b, kmax=max_entry)
     if inv is not None:
         return ShiftEqResult("no", invariant=inv)
 
-    basis = _intertwiner_basis(a, b)
-    for coeffs in _coefficient_vectors(len(basis), max_entry, budget):
-        r = IntMatrix.zeros(b.rows, a.rows)
-        for c, mat in zip(coeffs, basis):
-            if c:
-                r = r + mat.scaled(c)
+    n, m = a.rows, b.rows
+    r_basis = _intertwiner_basis(a, b)  # R A = B R, R is m x n
+    s_basis = _intertwiner_basis(b, a)  # S B = A S, S is n x m
+    targets = [_vec(matrix_power(b, lag)) + _vec(matrix_power(a, lag))
+               for lag in range(1, max_lag + 1)]
+    for coeffs in _coefficient_vectors(len(r_basis), max_entry, budget):
+        r = _combination(coeffs, r_basis, m, n)
         if r.is_zero():
             continue
-        for lag in range(1, max_lag + 1):
-            s = _solve_for_s(a, b, r, lag)
+        for lag, s in _solve_for_s(r, s_basis, targets):
             if s is not None and verify_shift_equivalence(a, b, r, s, lag):
                 return ShiftEqResult("yes", r=r, s=s, lag=lag)
     return ShiftEqResult("unknown")

