@@ -18,11 +18,14 @@ from dataclasses import dataclass
 
 from .intlinalg import (
     ColumnLattice,
+    ExactArithmeticError,
     IntMatrix,
     kernel_basis,
     lattice_basis,
     smith_normal_form,
     solve,
+    unvec,
+    vec,
 )
 
 
@@ -267,7 +270,8 @@ class GroupMorphism:
         rel_cols = []
         for j in range(self.source.relations.cols):
             c = blat.solve(self.source.relations.column(j))
-            assert c is not None, "source relations must lie in the kernel lattice"
+            if c is None:
+                raise ExactArithmeticError("source relations must lie in the kernel lattice")
             rel_cols.append(c)
         k = FgAbGroup(b.cols, IntMatrix.from_columns(rel_cols, rows=b.cols))
         incl = GroupMorphism(k, self.source, b, trusted=True)
@@ -383,7 +387,7 @@ def homology_at(f: GroupMorphism | None, g: GroupMorphism | None, middle=None) -
     """Homology ker(g)/im(f) of a two-step complex of presented groups.
 
     Either map may be None (treated as zero).  Requires g(f(x)) = 0 in C for
-    all x, which is asserted.
+    all x, and raises ExactArithmeticError otherwise.
     """
     if middle is not None:
         mid = middle
@@ -395,7 +399,8 @@ def homology_at(f: GroupMorphism | None, g: GroupMorphism | None, middle=None) -
         raise ValueError("need at least one map or an explicit middle group")
     if g is not None:
         if f is not None:
-            assert (g @ f).is_zero(), "not a complex: g∘f != 0"
+            if not (g @ f).is_zero():
+                raise ExactArithmeticError("not a complex: g∘f != 0")
         b = g.preimage_lattice_basis()
     else:
         b = IntMatrix.identity(mid.ngens)
@@ -404,11 +409,13 @@ def homology_at(f: GroupMorphism | None, g: GroupMorphism | None, middle=None) -
     if f is not None:
         for j in range(f.matrix.cols):
             c = blat.solve(f.matrix.column(j))
-            assert c is not None, "image of f must lie in the kernel lattice of g"
+            if c is None:
+                raise ExactArithmeticError("image of f must lie in the kernel lattice of g")
             rel_cols.append(c)
     for j in range(mid.relations.cols):
         c = blat.solve(mid.relations.column(j))
-        assert c is not None, "middle relations must lie in the kernel lattice of g"
+        if c is None:
+            raise ExactArithmeticError("middle relations must lie in the kernel lattice of g")
         rel_cols.append(c)
     group = FgAbGroup(b.cols, IntMatrix.from_columns(rel_cols, rows=b.cols))
     return SubquotientData(group, mid, b, blat)
@@ -423,19 +430,6 @@ def _power_group(w: FgAbGroup, copies: int) -> FgAbGroup:
     """W^copies with block-diagonal relations; generators grouped per copy."""
     rel = IntMatrix.identity(copies).kron(w.relations)
     return FgAbGroup(copies * w.ngens, rel)
-
-
-def _flatten(matrix: IntMatrix):
-    """Column-stacked vector of a matrix (vec), matching kron identities."""
-    out = []
-    for j in range(matrix.cols):
-        out.extend(matrix.column(j))
-    return out
-
-
-def _unflatten(vec, rows, cols):
-    data = [[vec[j * rows + i] for j in range(cols)] for i in range(rows)]
-    return IntMatrix(rows, cols, data)
 
 
 class HomGroup:
@@ -458,17 +452,17 @@ class HomGroup:
     @property
     def basis(self):
         return [
-            GroupMorphism(self.source, self.target, _unflatten(v, self.target.ngens, self.source.ngens), trusted=True)
+            GroupMorphism(self.source, self.target, unvec(v, self.target.ngens, self.source.ngens), trusted=True)
             for v in self.data.basis_reps
         ]
 
     def coords(self, f: GroupMorphism):
-        return self.data.coords(_flatten(f.matrix))
+        return self.data.coords(vec(f.matrix))
 
     def from_coords(self, coords) -> GroupMorphism:
         v = self.data.rep_of(coords)
         return GroupMorphism(
-            self.source, self.target, _unflatten(v, self.target.ngens, self.source.ngens), trusted=True
+            self.source, self.target, unvec(v, self.target.ngens, self.source.ngens), trusted=True
         )
 
     def elements(self):
@@ -501,13 +495,13 @@ class Ext1Group:
 
     @property
     def basis(self):
-        return [_unflatten(v, self.target.ngens, self.res.cols) for v in self.data.basis_reps]
+        return [unvec(v, self.target.ngens, self.res.cols) for v in self.data.basis_reps]
 
     def coords(self, cocycle: IntMatrix):
-        return self.data.coords(_flatten(cocycle))
+        return self.data.coords(vec(cocycle))
 
     def from_coords(self, coords) -> IntMatrix:
-        return _unflatten(self.data.rep_of(coords), self.target.ngens, self.res.cols)
+        return unvec(self.data.rep_of(coords), self.target.ngens, self.res.cols)
 
 
 def hom_z(v: FgAbGroup, w: FgAbGroup) -> HomGroup:
@@ -529,7 +523,8 @@ def resolution_lift(f: GroupMorphism, res_src: IntMatrix, res_tgt: IntMatrix) ->
     cols = []
     for j in range(rhs.cols):
         c = solve(res_tgt, rhs.column(j), snf=s)
-        assert c is not None, "resolution lift must exist for a well-defined morphism"
+        if c is None:
+            raise ExactArithmeticError("resolution lift must exist for a well-defined morphism")
         cols.append(c)
     return IntMatrix.from_columns(cols, rows=res_tgt.cols)
 
@@ -670,7 +665,8 @@ def eventual_image(phi: GroupMorphism):
     for j in range(h.ngens):
         rhs = phi.matrix.apply(embed.matrix.column(j))
         z = solve(stacked, rhs, snf=s)
-        assert z is not None, "endomorphism must preserve its eventual image"
+        if z is None:
+            raise ExactArithmeticError("endomorphism must preserve its eventual image")
         cols.append(z[: h.ngens])
     tau = GroupMorphism(h, h, IntMatrix.from_columns(cols, rows=h.ngens))
     return h, embed, tau
@@ -683,7 +679,8 @@ def torsion_subgroup(g: FgAbGroup):
     rel_cols = []
     for j in range(g.relations.cols):
         c = blat.solve(g.relations.column(j))
-        assert c is not None
+        if c is None:
+            raise ExactArithmeticError("relations must lie in their saturation")
         rel_cols.append(c)
     t = FgAbGroup(sat.cols, IntMatrix.from_columns(rel_cols, rows=sat.cols))
     embed = GroupMorphism(t, g, sat, trusted=True)

@@ -6,10 +6,16 @@ kernels, exact linear solves, matrix powers and column lattice arithmetic.
 Everything runs on plain Python ints, so no overflow can occur at any
 intermediate step.
 
+Where only the invariant factors are needed (`matrix_rank`,
+`is_unimodular`, the shift-equivalence battery), `smith_diagonal` runs the
+same elimination on the matrix alone and builds no transform.
+
 Conventions:
   * matrices act on column vectors; the column span of a matrix is called
     its (column) lattice;
   * vectors are plain lists/tuples of ints;
+  * `vec` stacks the columns of a matrix into one vector (column-major), the
+    order in which vec(X A) = (A^t kron I) vec(X); `unvec` inverts it;
   * inside `smith_normal_form`, U^-1 and V are accumulated transposed, so
     each elementary operation rewrites whole rows; the returned matrices
     are in the usual orientation.
@@ -380,6 +386,60 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     )
 
 
+def smith_diagonal(a: IntMatrix) -> list:
+    """The diagonal of `smith_normal_form(a)`, without building U, V or U^-1.
+
+    Same elimination and pivot rule, applied to the active block alone.
+    """
+    block = [row[:] for row in a.data]
+    diag = []
+
+    def move_pivot(pi, pj):
+        if pi:
+            block[0], block[pi] = block[pi], block[0]
+        if pj:
+            for row in block:
+                row[0], row[pj] = row[pj], row[0]
+        if block[0][0] < 0:
+            block[0] = [-x for x in block[0]]
+
+    while block and block[0]:
+        piv = _find_pivot(block)
+        if piv is None:
+            break
+        move_pivot(*piv)
+        while True:
+            p = block[0][0]
+            dirty = False
+            top = block[0]
+            for i in range(1, len(block)):
+                row = block[i]
+                if row[0] != 0:
+                    q = row[0] // p
+                    block[i] = row = [x - q * y for x, y in zip(row, top)]
+                    if row[0] != 0:
+                        dirty = True
+            for j in range(1, len(top)):
+                if top[j] != 0:
+                    q = top[j] // p
+                    for row in block:
+                        row[j] -= q * row[0]
+                    if top[j] != 0:
+                        dirty = True
+            if dirty:
+                move_pivot(*_find_pivot(block))
+                continue
+            if p == 1:
+                break
+            offender = next((row for row in block if any(x % p for x in row)), None)
+            if offender is None:
+                break
+            block[0] = [x + y for x, y in zip(block[0], offender)]
+        diag.append(block[0][0])
+        block = [row[1:] for row in block[1:]]
+    return diag + [0] * (min(a.rows, a.cols) - len(diag))
+
+
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : a @ x = 0}, as matrix columns.
 
@@ -464,14 +524,24 @@ def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
 
 
 def matrix_rank(a: IntMatrix) -> int:
-    return smith_normal_form(a).rank
+    return sum(1 for d in smith_diagonal(a) if d != 0)
 
 
 def is_unimodular(a: IntMatrix) -> bool:
     if a.rows != a.cols:
         return False
-    s = smith_normal_form(a)
-    return all(d == 1 for d in s.diag) and len(s.diag) == a.rows
+    diag = smith_diagonal(a)
+    return all(d == 1 for d in diag) and len(diag) == a.rows
+
+
+def vec(m: IntMatrix) -> list:
+    """The columns of m stacked into one vector (column-major)."""
+    return [e for col in zip(*m.data) for e in col]
+
+
+def unvec(v, rows, cols) -> IntMatrix:
+    """The rows x cols matrix whose vec is the first rows * cols entries of v."""
+    return IntMatrix(rows, cols, [v[i:rows * cols:rows] for i in range(rows)])
 
 
 def charpoly(a: IntMatrix):

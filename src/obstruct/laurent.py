@@ -27,9 +27,7 @@ from .abelian import (
     HomGroup,
     SubquotientData,
     _canonical_group,
-    _flatten,
     _power_group,
-    _unflatten,
     direct_sum,
     eventual_image,
     ext1_z,
@@ -47,6 +45,8 @@ from .intlinalg import (
     matrix_power,
     smith_normal_form,
     solve,
+    unvec,
+    vec,
 )
 
 
@@ -460,7 +460,7 @@ def six_term_maps(t: ExtRTriple):
     # connecting Hom_Z -> Ext^1_R: phi |-> class of (phi, 0) in H^1
     cols = []
     for b in t.hom_h.basis:
-        amb = _flatten(b.matrix) + [0] * (r * m)
+        amb = vec(b.matrix) + [0] * (r * m)
         cols.append(list(t.ext1_r_data.coords(amb)))
     k = len(t.ext1_r.invariant_factors)
     conn = GroupMorphism(
@@ -474,7 +474,7 @@ def six_term_maps(t: ExtRTriple):
     for j in range(k):
         coords = tuple(1 if i == j else 0 for i in range(k))
         amb = t.ext1_r_data.rep_of(coords)
-        chi = _unflatten(amb[n * m:], m, r)
+        chi = unvec(amb[n * m:], m, r)
         cols.append(list(t.ext_e.coords(chi)))
     ke = len(ecan.invariant_factors)
     res = GroupMorphism(

@@ -23,11 +23,22 @@ polynomial p the colimit of coker(p(A^t)) along the shift, compared through
 its eventual torsion and its eventual rational rank.  Comparing raw
 invariant factors of p(A^t) would not be sound for p with non-unit constant
 term, so the stabilized form is used throughout.
+
+For the linear battery entries p = x - k the colimit has a closed form.  On
+C = coker(A^t - kI) the shift A^t acts as multiplication by k, so
+colim(C, A^t) = C tensor Z[1/k], which is 0 when k = 0.  Hence its torsion
+is given by the invariant factors d not in {0, 1} of A - kI, each with every
+prime factor of k divided out (those that become 1 are dropped), and its
+rational rank is n - rank(A - kI) for k != 0 and 0 for k = 0.  Both come
+from the diagonal of one Smith normal form.  The general route (torsion
+subgroup, restricted shift, eventual image, ranks) still serves the
+characteristic-polynomial entries, and tests compare the two routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .abelian import FgAbGroup, GroupMorphism, eventual_image, torsion_subgroup
 from .intlinalg import (
@@ -38,8 +49,11 @@ from .intlinalg import (
     matrix_power,
     matrix_rank,
     poly_eval_matrix,
+    smith_diagonal,
     smith_normal_form,
     solve,
+    unvec,
+    vec,
 )
 
 
@@ -85,7 +99,10 @@ def verify_shift_equivalence(a, b, r, s, lag):
 
 def charpoly_away_from_zero(a: IntMatrix):
     """Coefficients of det(xI - A) with all factors of x divided out."""
-    coeffs = charpoly(a)
+    return _away_from_zero(charpoly(a))
+
+
+def _away_from_zero(coeffs):
     first = next((i for i, c in enumerate(coeffs) if c != 0), len(coeffs) - 1)
     return coeffs[first:]
 
@@ -93,6 +110,31 @@ def charpoly_away_from_zero(a: IntMatrix):
 def _eventual_invariant(a: IntMatrix, poly):
     """(eventual torsion invariant factors, eventual rank) of
     colim(coker p(A^t), A^t), an isomorphism invariant of the gauge module."""
+    if len(poly) == 2 and poly[1] == 1:
+        return _eventual_invariant_linear(a, -poly[0])
+    return _eventual_invariant_general(a, poly)
+
+
+def _eventual_invariant_linear(a: IntMatrix, k):
+    """_eventual_invariant for p = x - k, in closed form (module docstring)."""
+    if k == 0:
+        return [], 0
+    diag = smith_diagonal(a - IntMatrix.identity(a.rows).scaled(k))
+    torsion = []
+    for d in diag:
+        if d > 1:
+            g = gcd(d, k)
+            while g != 1:  # divide every prime factor of k out of d
+                d //= g
+                g = gcd(d, g)
+            if d != 1:
+                torsion.append(d)
+    return torsion, diag.count(0)
+
+
+def _eventual_invariant_general(a: IntMatrix, poly):
+    """_eventual_invariant for any p, through the torsion subgroup of
+    coker p(A^t), the shift restricted to it and its eventual image."""
     at = a.transpose()
     pa = poly_eval_matrix(poly, at)
     n = a.rows
@@ -117,23 +159,23 @@ def _eventual_invariant(a: IntMatrix, poly):
     return ev.invariant_factors, rk
 
 
-def battery(a: IntMatrix, b: IntMatrix, kmax=8):
-    """Named battery of gauge-module invariants evaluated for both inputs."""
+def battery(ca, cb, kmax=8):
+    """Named battery of polynomials for the gauge-module invariants, given
+    the characteristic polynomials ca of A and cb of B."""
     ks = sorted(range(-kmax, kmax + 1), key=lambda k: (abs(k), k < 0))
     polys = [(f"x - {k}" if k >= 0 else f"x + {-k}", [-k, 1]) for k in ks]
-    polys.append(("charpoly(A)", charpoly(a)))
-    cb = charpoly(b)
-    if cb != charpoly(a):
+    polys.append(("charpoly(A)", ca))
+    if cb != ca:
         polys.append(("charpoly(B)", cb))
     return polys
 
 
 def distinguishing_invariant(a: IntMatrix, b: IntMatrix, kmax=8):
     """Name of an invariant separating the two gauge modules, or None."""
-    ca, cb = charpoly_away_from_zero(a), charpoly_away_from_zero(b)
-    if ca != cb:
+    ca, cb = charpoly(a), charpoly(b)
+    if _away_from_zero(ca) != _away_from_zero(cb):
         return "characteristic polynomial away from zero"
-    for name, poly in battery(a, b, kmax):
+    for name, poly in battery(ca, cb, kmax):
         if _eventual_invariant(a, poly) != _eventual_invariant(b, poly):
             return f"colimit of coker(p(A^t)) for p = {name}"
     return None
@@ -144,18 +186,7 @@ def _intertwiner_basis(a: IntMatrix, b: IntMatrix):
     n, m = a.rows, b.rows
     op = a.transpose().kron(IntMatrix.identity(m)) - IntMatrix.identity(n).kron(b)
     kb = kernel_basis(op)
-    return [_unvec(kb.column(j), m, n) for j in range(kb.cols)]
-
-
-def _unvec(vec, rows, cols):
-    return IntMatrix(rows, cols, [[vec[j * rows + i] for j in range(cols)] for i in range(rows)])
-
-
-def _vec(m):
-    out = []
-    for j in range(m.cols):
-        out.extend(m.column(j))
-    return out
+    return [unvec(kb.column(j), m, n) for j in range(kb.cols)]
 
 
 def _solve_for_s(r, s_basis, targets):
@@ -168,7 +199,7 @@ def _solve_for_s(r, s_basis, targets):
     """
     m, n = r.rows, r.cols
     system = IntMatrix.from_columns(
-        [_vec(r @ sk) + _vec(sk @ r) for sk in s_basis], rows=m * m + n * n)
+        [vec(r @ sk) + vec(sk @ r) for sk in s_basis], rows=m * m + n * n)
     snf = smith_normal_form(system)
     for lag, rhs in enumerate(targets, start=1):
         c = solve(system, rhs, snf=snf)
@@ -240,7 +271,7 @@ def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=
     n, m = a.rows, b.rows
     r_basis = _intertwiner_basis(a, b)  # R A = B R, R is m x n
     s_basis = _intertwiner_basis(b, a)  # S B = A S, S is n x m
-    targets = [_vec(matrix_power(b, lag)) + _vec(matrix_power(a, lag))
+    targets = [vec(matrix_power(b, lag)) + vec(matrix_power(a, lag))
                for lag in range(1, max_lag + 1)]
     for coeffs in _coefficient_vectors(len(r_basis), max_entry, budget):
         r = _combination(coeffs, r_basis, m, n)

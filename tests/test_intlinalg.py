@@ -14,13 +14,17 @@ from obstruct.intlinalg import (
     matrix_power,
     matrix_rank,
     poly_eval_matrix,
+    smith_diagonal,
     smith_normal_form,
     solve,
+    unvec,
+    vec,
 )
 
 
 def check_snf(a):
     s = smith_normal_form(a)
+    assert smith_diagonal(a) == s.diag
     assert s.U @ a @ s.V == s.D
     assert is_unimodular(s.U)
     assert is_unimodular(s.V)
@@ -235,3 +239,15 @@ def test_kron():
     a = IntMatrix.from_rows([[1, 2]])
     b = IntMatrix.from_rows([[3], [4]])
     assert a.kron(b) == IntMatrix.from_rows([[3, 6], [4, 8]])
+
+
+def test_vec_unvec():
+    x = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    a = IntMatrix.from_rows([[1, -1], [0, 2], [3, 1]])
+    assert vec(x) == [1, 4, 2, 5, 3, 6]
+    assert unvec(vec(x), 2, 3) == x
+    # column-major is the order in which vec(X A) = (A^t kron I) vec(X)
+    assert vec(x @ a) == a.transpose().kron(IntMatrix.identity(2)).apply(vec(x))
+    for r, c in [(0, 0), (0, 3), (3, 0)]:
+        assert vec(IntMatrix.zeros(r, c)) == []
+        assert unvec([], r, c) == IntMatrix.zeros(r, c)

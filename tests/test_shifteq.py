@@ -1,14 +1,22 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from math import gcd
 
 import pytest
 
-from obstruct.intlinalg import IntMatrix, charpoly, matrix_power, solve
+from obstruct import shifteq
+from obstruct.intlinalg import IntMatrix, charpoly, matrix_power, smith_diagonal, solve, vec
 from obstruct.shifteq import (
     _coefficient_vectors,
     _combination,
+    _eventual_invariant_general,
+    _eventual_invariant_linear,
     _intertwiner_basis,
     _solve_for_s,
-    _vec,
     charpoly_away_from_zero,
     distinguishing_invariant,
     shift_equivalent,
@@ -144,7 +152,7 @@ def kronecker_s_system(a, b, r, lag):
     eq1 = b.transpose().kron(IntMatrix.identity(n)) - IntMatrix.identity(m).kron(a)
     eq2 = IntMatrix.identity(m).kron(r)  # vec(R S)
     eq3 = r.transpose().kron(IntMatrix.identity(n))  # vec(S R)
-    rhs = [0] * (m * n) + _vec(matrix_power(b, lag)) + _vec(matrix_power(a, lag))
+    rhs = [0] * (m * n) + vec(matrix_power(b, lag)) + vec(matrix_power(a, lag))
     return eq1.vstack(eq2).vstack(eq3), rhs
 
 
@@ -178,7 +186,7 @@ def test_s_system_matches_kronecker_oracle():
     for a, b in pairs:
         n, m = a.rows, b.rows
         r_basis, s_basis = _intertwiner_basis(a, b), _intertwiner_basis(b, a)
-        targets = [_vec(matrix_power(b, lag)) + _vec(matrix_power(a, lag))
+        targets = [vec(matrix_power(b, lag)) + vec(matrix_power(a, lag))
                    for lag in range(1, max_lag + 1)]
         for coeffs in _coefficient_vectors(len(r_basis), 2, 12):
             r = _combination(coeffs, r_basis, m, n)
@@ -192,3 +200,81 @@ def test_s_system_matches_kronecker_oracle():
                     solvable += 1
                     assert verify_shift_equivalence(a, b, r, s, lag)
     assert checked >= 100 and solvable >= 4
+
+
+def test_linear_invariant_closed_form_matches_general_route():
+    # For p = x - k the colimit of coker(A^t - kI) is coker tensor Z[1/k]; the
+    # closed form must agree with the general route on every integer matrix,
+    # including zero rows and singular A - kI.
+    rng = random.Random(31)
+    singular = reduced = 0
+    for trial in range(30):
+        n = 1 + trial % 5
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 1:
+            rows[rng.randrange(n)] = [0] * n
+        elif trial % 3 == 2:
+            # triangular, so every diagonal entry is an eigenvalue k
+            for i in range(n):
+                rows[i][:i] = [0] * i
+                rows[i][i] = rng.randint(-8, 8)
+        a = IntMatrix(n, n, rows)
+        for k in range(-8, 9):
+            closed = _eventual_invariant_linear(a, k)
+            assert closed == _eventual_invariant_general(a, [-k, 1]), (a, k)
+            diag = smith_diagonal(a - IntMatrix.identity(n).scaled(k))
+            singular += 0 in diag
+            reduced += k != 0 and any(d > 1 and gcd(d, k) > 1 for d in diag)
+    assert singular >= 30 and reduced >= 100
+
+
+def test_same_charpoly_pair_named_invariant():
+    # both have charpoly x^2 - 4x - 1; coker(A - I) = Z/4, coker(B - I) = (Z/2)^2
+    a = IntMatrix.from_rows([[0, 1], [1, 4]])
+    b = IntMatrix.from_rows([[1, 2], [2, 3]])
+    assert charpoly(a) == charpoly(b)
+    name = "colimit of coker(p(A^t)) for p = x - 1"
+    assert distinguishing_invariant(a, b) == name
+    assert shift_equivalent(a, b).invariant == name
+
+
+def test_charpolys_computed_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return charpoly(m)
+
+    monkeypatch.setattr(shifteq, "charpoly", counting)
+    a = IntMatrix.from_rows([[1, 1], [1, 0]])
+    b = IntMatrix.from_rows([[0, 1], [1, 1]])
+    assert shift_equivalent(a, b).verdict == "yes"  # runs the whole battery
+    assert len(calls) == 2
+
+
+def test_verdicts_under_python_O():
+    # python -O strips assert statements, so every check a verdict rests on
+    # must raise a real error.  The yes pair runs the whole battery (the
+    # charpoly entry through the general route) and the witness search; the
+    # no pair is separated by p = x - 1, where the general route must agree.
+    script = textwrap.dedent("""
+        import json, sys
+        from obstruct.intlinalg import IntMatrix
+        from obstruct.shifteq import _eventual_invariant_general, shift_equivalent
+        if not sys.flags.optimize:
+            raise SystemExit("not running under -O")
+        yes = shift_equivalent(IntMatrix.from_rows([[1, 1], [1, 0]]), IntMatrix.from_rows([[0, 1], [1, 1]]))
+        a, b = IntMatrix.from_rows([[0, 1], [1, 4]]), IntMatrix.from_rows([[1, 2], [2, 3]])
+        no = shift_equivalent(a, b)
+        general = [_eventual_invariant_general(m, [-1, 1]) for m in (a, b)]
+        print(json.dumps([yes.verdict, yes.lag, no.verdict, no.invariant, general]))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    yes, lag, no, invariant, general = json.loads(out.stdout)
+    assert (yes, lag) == ("yes", 1)
+    assert (no, invariant) == ("no", "colimit of coker(p(A^t)) for p = x - 1")
+    assert general == [[[4], 0], [[2, 2], 0]]
