@@ -114,10 +114,6 @@ class FgAbGroup:
     def rank(self):
         return sum(1 for d in self.invariant_factors if d == 0)
 
-    @property
-    def torsion_factors(self):
-        return [d for d in self.invariant_factors if d != 0]
-
     def is_trivial(self):
         return not self.invariant_factors
 

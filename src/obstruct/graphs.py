@@ -16,22 +16,43 @@ obstruction class of the four-term sequence
 as a degree-two class against a projective resolution of XK0; and the class
 of the unit (the all-ones vertex vector) in the colimit recovering K0 of the
 whole algebra.
+
+`compare_graph_invariants` and `unit_compare` decide whether two invariants
+are isomorphic (`unit_compare` also asks that the unit class be preserved).
+Both run one bounded search per isomorphism sigma of the ideal posets, over
+arrow-compatible families of pointwise isomorphisms of XK0 and XK1 read
+through sigma, and the verdict is tri-state:
+
+  yes      a poset isomorphism and a graded module isomorphism (f0, f1) over
+           it with f1_* delta = f0^* delta' (and f0 carrying the unit class to
+           the unit class, for unit_compare), checked by exact arithmetic;
+  no       layer 'poset': the primitive ideal posets are not isomorphic;
+           layer 'module': for every sigma an exhaustive search found no
+           arrow-compatible family of pointwise isomorphisms;
+           layer 'class': some family exists, but for every sigma an
+           exhaustive search found none that matches the obstruction classes
+           (and the units);
+  unknown  for some sigma the search was not exhaustive: a group with a free
+           part, whose automorphisms the bounded entries cannot all cover,
+           or the budget ran out.
+
+A module or class `no` thus always rests on an exhaustive search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FgAbGroup, GroupMorphism, iso_groups
-from .intlinalg import ColumnLattice, IntMatrix, lattice_basis, lattices_equal, solve
+from .abelian import FgAbGroup, GroupMorphism
+from .intlinalg import ExactArithmeticError, IntMatrix, solve
 from .posets import FinitePoset
 from .quiver import (
     Ext2Class,
-    ExtPosetGroup,
+    ExactnessError,
     QuiverRep,
     RepMorphism,
-    RepSearchOutcome,
     TwoExtension,
+    ext2_compatible,
     rep_cokernel,
     rep_iso_bounded_multi,
     rep_kernel,
@@ -67,6 +88,8 @@ class DirectedGraph:
                 raise ValueError("negative edge multiplicity")
             adj[self.index[u]][self.index[w]] += m
         self.adjacency = IntMatrix.from_rows(adj) if n else IntMatrix.zeros(0, 0)
+        self._targets = {v: [w for j, w in enumerate(self.vertices) if adj[i][j] > 0]
+                         for i, v in enumerate(self.vertices)}
 
     @classmethod
     def from_adjacency(cls, a: IntMatrix, labels=None):
@@ -82,8 +105,7 @@ class DirectedGraph:
         return sum(self.adjacency.data[self.index[v]])
 
     def targets(self, v):
-        i = self.index[v]
-        return [w for w in self.vertices if self.adjacency.data[i][self.index[w]] > 0]
+        return self._targets[v]
 
     def reachable_from(self, v):
         seen = {v}
@@ -205,18 +227,11 @@ def _is_saturated(e: DirectedGraph, subset):
 
 @dataclass
 class IdealPoset:
-    """Lattice of hereditary saturated sets and the primitive ideal space."""
+    """The primitive ideal space: join-irreducible hereditary saturated sets."""
 
     graph: DirectedGraph
-    lattice: list  # frozensets, sorted deterministically
     poset: FinitePoset  # points are labels "H0", "H1", ... for join-irreducibles
     vertex_sets: dict  # point label -> frozenset of vertices
-
-    def point_of(self, subset):
-        for label, h in self.vertex_sets.items():
-            if h == subset:
-                return label
-        return None
 
 
 def hereditary_saturated(e: DirectedGraph) -> IdealPoset:
@@ -253,7 +268,7 @@ def hereditary_saturated(e: DirectedGraph) -> IdealPoset:
                 leq_pairs.append((labels[h1], labels[h2]))
     poset = FinitePoset([labels[h] for h in irreducibles], leq_pairs)
     vertex_sets = {labels[h]: h for h in irreducibles}
-    return IdealPoset(e, sets, poset, vertex_sets)
+    return IdealPoset(e, poset, vertex_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +309,8 @@ def _pv_differential_block(e: DirectedGraph, h):
     for j, v in enumerate(verts):
         col_total = sum(abs(at.data[i][e.index[v]]) for i in range(at.rows))
         block_total = sum(abs(block.data[i][j]) for i in range(len(verts)))
-        assert col_total == block_total, "hereditary set must be A^t-invariant"
+        if col_total != block_total:
+            raise ExactArithmeticError("hereditary set must be A^t-invariant")
     return IntMatrix.identity(len(verts)) - block
 
 
@@ -325,8 +341,8 @@ def xk_invariant(e: DirectedGraph, with_delta=True) -> XKInvariant:
     seq = TwoExtension(xk1, q, q, xk0, incl, d, proj)
     try:
         seq.verify_exact()
-    except Exception as exc:  # construction guarantees exactness
-        raise AssertionError(f"internal exactness failure: {exc}") from exc
+    except ExactnessError as exc:  # construction guarantees exactness
+        raise ExactArithmeticError(f"internal exactness failure: {exc}") from exc
 
     delta = yoneda_class(seq) if with_delta else None
 
@@ -374,6 +390,8 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     of XK0 over the ideal poset maps onto it isomorphically (real rank zero
     from Condition (K)), and the unit is pulled back through that map.
     """
+    if not xk0.poset.points:
+        raise ExactArithmeticError("empty primitive ideal space")
     n = len(e.vertices)
     colim, structure, offsets = _colimit_of_rep(xk0)
     # natural map colim -> K0(whole) = coker(I - A^t): on the x-block it is
@@ -386,14 +404,13 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     nat = blocks[0]
     for b in blocks[1:]:
         nat = nat.hstack(b)
-    if not xk0.poset.points:
-        raise AssertionError("empty primitive ideal space")
     natural = GroupMorphism(colim, k0_whole, nat)
     ones = [1] * n
     # solve natural(xi) = [1...1] in K0(whole)
     stacked = nat.hstack(k0_whole.relations)
     z = solve(stacked, ones)
-    assert z is not None, "unit must lift through the colimit comparison"
+    if z is None:
+        raise ExactArithmeticError("unit must lift through the colimit comparison")
     xi = z[: colim.ngens]
     return colim, colim.canon_coords(xi)
 
@@ -432,182 +449,70 @@ class CompareOutcome:
     reason: str = ""
 
 
-def _transport_invariant(inv: XKInvariant, sigma_inv, target_poset) -> tuple:
-    """Pull back XK data of inv along a poset isomorphism (target -> source
-    given by sigma_inv), producing representations over target_poset."""
+def _transport_invariant(inv: XKInvariant, sigma, poset) -> TwoExtension:
+    """The sequence 0 -> XK1 -> Q -> Q -> XK0 -> 0 of inv read over `poset`
+    through the poset isomorphism sigma: poset -> inv's ideal poset."""
 
     def pull(rep):
-        groups = {p: rep.groups[sigma_inv[p]] for p in target_poset.points}
-        arrows = {}
-        for y, x in target_poset.hasse_arrows:
-            arrows[(y, x)] = rep.arrow_map(sigma_inv[y], sigma_inv[x])
-        return QuiverRep(target_poset, groups, arrows, check=False)
+        groups = {p: rep.groups[sigma[p]] for p in poset.points}
+        arrows = {(y, x): rep.arrow_map(sigma[y], sigma[x]) for y, x in poset.hasse_arrows}
+        return QuiverRep(poset, groups, arrows, check=False)
 
     def pull_mor(mor, src, tgt):
-        return RepMorphism(src, tgt, {p: mor.maps[sigma_inv[p]] for p in target_poset.points},
-                           trusted=True)
+        return RepMorphism(src, tgt, {p: mor.maps[sigma[p]] for p in poset.points}, trusted=True)
 
-    xk1 = pull(inv.sequence.m1)
-    q = pull(inv.sequence.q1)
-    xk0 = pull(inv.sequence.m0)
-    seq = TwoExtension(
-        xk1, q, pull(inv.sequence.q0), xk0,
-        pull_mor(inv.sequence.d2, xk1, q),
-        pull_mor(inv.sequence.d1, q, pull(inv.sequence.q0)),
-        pull_mor(inv.sequence.eps, pull(inv.sequence.q0), xk0),
-    )
-    return xk0, xk1, seq
+    seq = inv.sequence
+    m1, q1, q0, m0 = (pull(r) for r in (seq.m1, seq.q1, seq.q0, seq.m0))
+    return TwoExtension(m1, q1, q0, m0, pull_mor(seq.d2, m1, q1), pull_mor(seq.d1, q1, q0),
+                        pull_mor(seq.eps, q0, m0))
 
 
 def compare_graph_invariants(e1: DirectedGraph, e2: DirectedGraph,
                              bound=8, budget=20000,
                              inv1: XKInvariant = None, inv2: XKInvariant = None) -> CompareOutcome:
     """Decide isomorphism of the two invariants, cheapest layer first:
-    poset, then pointwise groups, then arrow-commuting graded isomorphism,
-    then obstruction-class compatibility."""
+    poset, then arrow-commuting graded isomorphism, then obstruction-class
+    compatibility (verdict rules in the module docstring)."""
     inv1 = inv1 if inv1 is not None else xk_invariant(e1)
     inv2 = inv2 if inv2 is not None else xk_invariant(e2)
-    isos = inv1.ideals.poset.isomorphisms(inv2.ideals.poset)
-    if not isos:
-        return CompareOutcome("no", layer="poset",
-                              reason="primitive ideal posets are not isomorphic")
-    any_unknown = False
-    module_layer_hit = False
-    for sigma in isos:
-        sigma_inv = {v: k for k, v in sigma.items()}
-        xk0_2, xk1_2, seq2 = _transport_invariant(inv2, sigma, inv1.ideals.poset)
-        out = rep_iso_bounded_multi([inv1.xk0, inv1.xk1], [xk0_2, xk1_2], bound, budget)
-        if out.verdict == "unknown":
-            any_unknown = True
-            continue
-        if out.verdict == "no":
-            continue
-        module_layer_hit = True
-        f0, f1 = out.witness
-        # class compatibility: f1_* delta1 = f0^* delta2 in Ext^2(XK0_1, XK1_2)
-        delta1 = inv1.delta if inv1.delta is not None else yoneda_class(inv1.sequence)
-        delta2_t = yoneda_class(seq2)
-        from .quiver import ext2_compatible
-
-        if ext2_compatible(f0, delta1, delta2_t, f1):
-            return CompareOutcome("yes", poset_iso=dict(sigma), module_iso=(f0, f1))
-        # search other module isomorphisms under the same sigma
-        found = _search_class_compatible(inv1, xk0_2, xk1_2, delta1, delta2_t,
-                                         bound, budget)
-        if found is not None:
-            return CompareOutcome("yes", poset_iso=dict(sigma), module_iso=found)
-        # exhaustiveness of that deeper search decides no vs unknown below
-        any_unknown = any_unknown or not _modules_finite(inv1)
-    if any_unknown:
-        return CompareOutcome("unknown", reason="search bounds exhausted")
-    if module_layer_hit:
-        return CompareOutcome("no", layer="class",
-                              reason="no module isomorphism matches the obstruction classes")
-    return CompareOutcome("no", layer="module",
-                          reason="graded modules are not isomorphic over any poset isomorphism")
-
-
-def _modules_finite(inv: XKInvariant):
-    return all(g.order() is not None for g in inv.xk0.groups.values()) and all(
-        g.order() is not None for g in inv.xk1.groups.values()
-    )
-
-
-def _search_class_compatible(inv1, xk0_2, xk1_2, delta1, delta2_t, bound, budget):
-    """Enumerate graded module isomorphisms and test class compatibility."""
-    from .quiver import ext2_compatible
-    from .quiver import rep_iso_bounded_multi as _search
-
-    # enumerate by re-running the bounded search over permuted candidate
-    # orders is unreliable; instead enumerate all families directly
-    from itertools import product as _product
-
-    poset = inv1.xk0.poset
-    per_point = {}
-    for p in poset.points:
-        from .quiver import _group_iso_candidates
-
-        c0, done0 = _group_iso_candidates(inv1.xk0.groups[p], xk0_2.groups[p], bound,
-                                          max(64, budget // (len(poset.points) + 1)))
-        c1, done1 = _group_iso_candidates(inv1.xk1.groups[p], xk1_2.groups[p], bound,
-                                          max(64, budget // (len(poset.points) + 1)))
-        if not c0 or not c1:
-            return None
-        per_point[p] = [(a, b) for a in c0 for b in c1]
-    points = list(poset.points)
-    count = 0
-    for combo in _product(*[per_point[p] for p in points]):
-        count += 1
-        if count > budget:
-            return None
-        maps0 = {p: combo[i][0] for i, p in enumerate(points)}
-        maps1 = {p: combo[i][1] for i, p in enumerate(points)}
-        try:
-            f0 = RepMorphism(inv1.xk0, xk0_2, maps0)
-            f1 = RepMorphism(inv1.xk1, xk1_2, maps1)
-        except ValueError:
-            continue
-        if ext2_compatible(f0, delta1, delta2_t, f1):
-            return (f0, f1)
-    return None
+    return _compare(inv1, inv2, bound, budget, unit=False)
 
 
 def unit_compare(e1: DirectedGraph, e2: DirectedGraph, bound=8, budget=20000) -> CompareOutcome:
-    """Refine a yes-comparison by demanding the witness preserve units."""
-    inv1 = xk_invariant(e1)
-    inv2 = xk_invariant(e2)
-    base = compare_graph_invariants(e1, e2, bound, budget, inv1=inv1, inv2=inv2)
-    if base.verdict != "yes":
-        return base
-    isos = inv1.ideals.poset.isomorphisms(inv2.ideals.poset)
-    from .quiver import ext2_compatible
+    """compare_graph_invariants, with witnesses that also preserve the unit class."""
+    return _compare(xk_invariant(e1), xk_invariant(e2), bound, budget, unit=True)
 
+
+def _compare(inv1: XKInvariant, inv2: XKInvariant, bound, budget, unit) -> CompareOutcome:
+    poset = inv1.ideals.poset
+    isos = poset.isomorphisms(inv2.ideals.poset)
+    if not isos:
+        return CompareOutcome("no", layer="poset",
+                              reason="primitive ideal posets are not isomorphic")
+    delta1 = inv1.delta if inv1.delta is not None else yoneda_class(inv1.sequence)
+    class_layer = unknown = False
     for sigma in isos:
-        xk0_2, xk1_2, seq2 = _transport_invariant(inv2, sigma, inv1.ideals.poset)
-        delta1 = inv1.delta
-        delta2_t = yoneda_class(seq2)
-        found = _search_unit_compatible(inv1, inv2, sigma, xk0_2, xk1_2,
-                                        delta1, delta2_t, bound, budget)
-        if found is not None:
-            return CompareOutcome("yes", poset_iso=dict(sigma), module_iso=found)
-    if _modules_finite(inv1):
-        return CompareOutcome("no", layer="class",
-                              reason="no unit-preserving isomorphism of invariants")
-    return CompareOutcome("unknown", reason="no unit-preserving witness within bounds")
+        seq2 = _transport_invariant(inv2, sigma, poset)
+        delta2 = None
 
+        def accept(family):
+            nonlocal class_layer, delta2
+            class_layer = True
+            if delta2 is None:
+                delta2 = yoneda_class(seq2)
+            f0, f1 = family
+            return ext2_compatible(f0, delta1, delta2, f1) and (
+                not unit or unit_image_under(family, inv1, inv2, sigma) == inv2.unit)
 
-def _search_unit_compatible(inv1, inv2, sigma, xk0_2, xk1_2, delta1, delta2_t,
-                            bound, budget):
-    from itertools import product as _product
-
-    from .quiver import _group_iso_candidates, ext2_compatible
-
-    poset = inv1.xk0.poset
-    per_point = {}
-    for p in poset.points:
-        c0, _ = _group_iso_candidates(inv1.xk0.groups[p], xk0_2.groups[p], bound,
-                                      max(64, budget // (len(poset.points) + 1)))
-        c1, _ = _group_iso_candidates(inv1.xk1.groups[p], xk1_2.groups[p], bound,
-                                      max(64, budget // (len(poset.points) + 1)))
-        if not c0 or not c1:
-            return None
-        per_point[p] = [(a, b) for a in c0 for b in c1]
-    points = list(poset.points)
-    count = 0
-    for combo in _product(*[per_point[p] for p in points]):
-        count += 1
-        if count > budget:
-            return None
-        maps0 = {p: combo[i][0] for i, p in enumerate(points)}
-        maps1 = {p: combo[i][1] for i, p in enumerate(points)}
-        try:
-            f0 = RepMorphism(inv1.xk0, xk0_2, maps0)
-            f1 = RepMorphism(inv1.xk1, xk1_2, maps1)
-        except ValueError:
-            continue
-        if not ext2_compatible(f0, delta1, delta2_t, f1):
-            continue
-        image = unit_image_under((f0, f1), inv1, inv2, sigma)
-        if image == inv2.unit:
-            return (f0, f1)
-    return None
+        out = rep_iso_bounded_multi([inv1.xk0, inv1.xk1], [seq2.m0, seq2.m1], bound, budget,
+                                    accept)
+        if out.verdict == "yes":
+            return CompareOutcome("yes", poset_iso=dict(sigma), module_iso=tuple(out.witness))
+        unknown = unknown or out.verdict == "unknown"
+    if unknown:
+        return CompareOutcome("unknown", reason="search bounds exhausted")
+    if class_layer:
+        what = "the obstruction and unit classes" if unit else "the obstruction classes"
+        return CompareOutcome("no", layer="class", reason=f"no module isomorphism matches {what}")
+    return CompareOutcome("no", layer="module",
+                          reason="graded modules are not isomorphic over any poset isomorphism")

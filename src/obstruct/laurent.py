@@ -63,10 +63,6 @@ def lp_normalize(d):
     return {int(k): int(v) for k, v in d.items() if v != 0}
 
 
-def lp_x_minus(c):
-    return lp_normalize({1: 1, 0: -c})
-
-
 def lp_constant(c):
     return lp_normalize({0: c})
 
@@ -176,10 +172,6 @@ class RModuleFg:
         g = FgAbGroup.trivial()
         return cls(g, GroupMorphism.identity(g))
 
-    @classmethod
-    def with_identity_action(cls, group):
-        return cls(group, GroupMorphism.identity(group))
-
     def is_zero(self):
         return self.group.is_trivial()
 
@@ -253,14 +245,6 @@ class GradedRModule:
 
     def parity_split(self):
         return self.even, self.odd
-
-
-def suspend(m: GradedRModule) -> GradedRModule:
-    return m.suspend()
-
-
-def parity_split(m: GradedRModule):
-    return m.parity_split()
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +398,6 @@ class ExtRTriple:
     @property
     def ext2_r(self):
         return self.ext2.group
-
-    def hom_r_basis(self):
-        """R-linear morphisms V -> W representing the Hom_R generators."""
-        k = len(self.hom_r.invariant_factors)
-        return [
-            self.hom_r_element(tuple(1 if i == j else 0 for i in range(k)))
-            for j in range(k)
-        ]
 
     def hom_r_element(self, coords) -> GroupMorphism:
         hcoords = self.hom_r_incl.matrix.apply(self.hom_r.from_canon(coords))

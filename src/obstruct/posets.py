@@ -53,11 +53,6 @@ class FinitePoset:
         self._leq = rel
         self._hasse = self._compute_hasse()
 
-    @classmethod
-    def from_covers(cls, points, covers):
-        """covers: pairs (y, x) meaning y covers x (arrow y -> x, so x <= y)."""
-        return cls(points, [(x, y) for y, x in covers])
-
     def _compute_hasse(self):
         n = len(self.points)
         arrows = []

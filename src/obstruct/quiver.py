@@ -61,9 +61,6 @@ class QuiverRep:
             if witness is not None:
                 raise ValueError(f"chain composites disagree between {witness}")
 
-    def group_at(self, p) -> FgAbGroup:
-        return self.groups[p]
-
     def arrow_map(self, y, x) -> GroupMorphism:
         return self.arrows[(y, x)]
 
@@ -132,9 +129,6 @@ class RepMorphism:
             if not lhs.equals(rhs):
                 return (y, x)
         return None
-
-    def map_at(self, p) -> GroupMorphism:
-        return self.maps[p]
 
     @classmethod
     def identity(cls, rep):
@@ -321,15 +315,6 @@ class ProjIntoRep:
             t = self.target.transport(self.source.gen_points[i], z)
             cols.append(t.matrix.apply(self.vectors[i]))
         return IntMatrix.from_columns(cols, rows=tgt.ngens)
-
-    def as_rep_morphism(self) -> RepMorphism:
-        src = self.source.as_rep()
-        maps = {
-            p: GroupMorphism(src.groups[p], self.target.groups[p], self.point_matrix(p),
-                             trusted=True)
-            for p in self.source.poset.points
-        }
-        return RepMorphism(src, self.target, maps, trusted=True)
 
     def is_surjective(self):
         for p in self.source.poset.points:
@@ -665,11 +650,6 @@ def sierpinski_ext2(phi: GroupMorphism, psi: GroupMorphism) -> FgAbGroup:
 # ---------------------------------------------------------------------------
 # UPS oracle: total complex of the bimodule resolution
 # ---------------------------------------------------------------------------
-
-
-def _free_presentation(g: FgAbGroup):
-    """(rank0, basis) with 0 -> Z^r --basis--> Z^rank0 -> G -> 0."""
-    return g.ngens, lattice_basis(g.relations)
 
 
 def ext_poset_ups_oracle(v: QuiverRep, w: QuiverRep):
@@ -1199,9 +1179,16 @@ def _group_iso_candidates(src: FgAbGroup, tgt: FgAbGroup, bound, cap):
     return out, exhausted
 
 
-def rep_iso_bounded_multi(sources, targets, bound=8, budget=20000) -> RepSearchOutcome:
+def rep_iso_bounded_multi(sources, targets, bound=8, budget=20000, accept=None) -> RepSearchOutcome:
     """Simultaneous isomorphism search for parallel representations over one
-    poset (used for graded representations); sound, bounded-complete."""
+    poset (used for graded representations); sound, bounded-complete.
+
+    Each arrow-compatible family of pointwise isomorphisms (one RepMorphism
+    per source) is passed to `accept`; the search answers yes with the first
+    family it approves (any family when accept is None) and otherwise keeps
+    going.  It answers no only when every candidate list was exhausted and
+    the budget never hit, so no family passes the predicate.
+    """
     poset = sources[0].poset
     per_point = {}
     all_exhausted = True
@@ -1237,10 +1224,16 @@ def rep_iso_bounded_multi(sources, targets, bound=8, budget=20000) -> RepSearchO
                     return False
         return True
 
+    def family():
+        return [
+            RepMorphism(v, w, {p: assignment[p][k] for p in poset.points}, trusted=True)
+            for k, (v, w) in enumerate(zip(sources, targets))
+        ]
+
     def backtrack(i):
         nonlocal steps
         if i == len(order):
-            return True
+            return accept is None or accept(family())
         p = order[i]
         for combo in per_point[p]:
             steps += 1
@@ -1258,14 +1251,10 @@ def rep_iso_bounded_multi(sources, targets, bound=8, budget=20000) -> RepSearchO
 
     found = backtrack(0)
     if found:
-        witnesses = [
-            RepMorphism(v, w, {p: assignment[p][k] for p in poset.points}, trusted=True)
-            for k, (v, w) in enumerate(zip(sources, targets))
-        ]
-        return RepSearchOutcome("yes", witness=witnesses)
+        return RepSearchOutcome("yes", witness=family())
     if found is None or not all_exhausted:
         return RepSearchOutcome("unknown", reason="search budget exhausted")
-    return RepSearchOutcome("no", reason="no arrow-compatible family of pointwise isomorphisms")
+    return RepSearchOutcome("no", reason="no accepted arrow-compatible family of pointwise isomorphisms")
 
 
 def rep_iso_bounded(v: QuiverRep, w: QuiverRep, bound=8, budget=20000) -> RepSearchOutcome:

@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from math import gcd
 
 import pytest
 
 from obstruct.graphs import DirectedGraph, unit_compare, xk_invariant
+from obstruct.intlinalg import ExactArithmeticError, IntMatrix
 
 
 def cuntz_graph(n):
@@ -30,3 +36,46 @@ def test_cuntz_invariant(n):
 def test_cuntz_unit_compare():
     assert unit_compare(cuntz_graph(4), cuntz_graph(4)).verdict == "yes"
     assert unit_compare(cuntz_graph(4), cuntz_graph(3)).verdict == "no"
+
+
+def graph(rows):
+    return DirectedGraph.from_adjacency(IntMatrix.from_rows(rows))
+
+
+def test_unit_compare_no_needs_exhaustive_search():
+    # K0 = Z/4 on both sides, unit classes 3 (O_5) and 1 (E): the automorphism
+    # x -> -x carries one to the other, but it is the second candidate, so a
+    # budget of one step proves nothing
+    o5, e = cuntz_graph(5), graph([[0, 2], [1, 3]])
+    assert unit_compare(o5, e, budget=1).verdict == "unknown"
+    assert unit_compare(o5, e, budget=2).verdict == "yes"
+    assert unit_compare(o5, e).verdict == "yes"
+    # unit class 2 is no generator, so it is in no automorphism orbit of 3
+    out = unit_compare(o5, graph([[0, 1], [2, 3]]))
+    assert (out.verdict, out.layer) == ("no", "class")
+
+
+def test_empty_graph_is_a_named_error():
+    with pytest.raises(ExactArithmeticError, match="empty primitive ideal space"):
+        xk_invariant(DirectedGraph([], []))
+
+
+def test_unit_compare_under_python_O():
+    # python -O strips assert statements, so every check a graph verdict
+    # rests on must raise a real error
+    script = textwrap.dedent("""
+        import json, sys
+        from obstruct.graphs import DirectedGraph, unit_compare
+        from obstruct.intlinalg import ExactArithmeticError, IntMatrix
+        if not sys.flags.optimize:
+            raise SystemExit("not running under -O")
+        o5 = DirectedGraph(["v"], [("v", "v", 5)])
+        e = DirectedGraph.from_adjacency(IntMatrix.from_rows([[0, 2], [1, 3]]))
+        print(json.dumps([unit_compare(o5, e, budget=b).verdict for b in (1, 2)]))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == ["unknown", "yes"]

@@ -25,9 +25,7 @@ from obstruct.laurent import (
     lp_format,
     lp_parse,
     pair_iso,
-    parity_split,
     six_term_maps,
-    suspend,
 )
 
 from test_abelian import random_group, randomized_equivalent_presentation
@@ -69,9 +67,9 @@ def test_canonical_shape_detection():
 
 def test_suspend_and_parity():
     m = GradedRModule(even=fg(zmod(2)), odd=RModuleFg.zero())
-    s = suspend(m)
+    s = m.suspend()
     assert s.even.is_zero() and s.odd.group.invariant_factors == [2]
-    assert parity_split(suspend(s)) == (m.even, m.odd)
+    assert s.suspend().parity_split() == (m.even, m.odd)
 
 
 # --- ext over R, fg case -------------------------------------------------------

@@ -31,6 +31,7 @@ from obstruct.quiver import (
     rep_direct_sum,
     rep_is_exact_at,
     rep_iso_bounded,
+    rep_iso_bounded_multi,
     rep_kernel,
     resolve_projective,
     sierpinski_ext2,
@@ -427,3 +428,32 @@ def test_rep_iso_bounded_genuinely_different():
     # impossible for the bounded search, so 'unknown' is also acceptable,
     # but it must never say yes
     assert out.verdict in ("no", "unknown")
+
+
+def test_rep_iso_accept_predicate():
+    # Z/5 -> Z/5 by the identity: the arrow-compatible families are the four
+    # units u acting at both points
+    v = sierpinski_rep(zmod(5), zmod(5), IntMatrix.from_rows([[1]]))
+    seen = []
+
+    def reject_first(family):
+        seen.append(family)
+        return len(seen) > 1
+
+    out = rep_iso_bounded_multi([v], [v], accept=reject_first)
+    assert out.verdict == "yes" and len(seen) == 2
+    (f,) = out.witness
+    assert f.is_iso() and f.equals(seen[1][0]) and not f.equals(seen[0][0])
+
+    seen.clear()
+    out = rep_iso_bounded_multi([v], [v], accept=lambda family: seen.append(family) or False)
+    assert out.verdict == "no" and len(seen) == 4
+
+
+def test_rep_iso_rejecting_accept_is_unknown_with_free_part():
+    # automorphisms of Z are covered, but the bounded entries of a free
+    # coordinate are no exhaustive search, so rejecting them all is no proof
+    z = FgAbGroup.free(1)
+    v = sierpinski_rep(z, z, IntMatrix.from_rows([[1]]))
+    assert rep_iso_bounded_multi([v], [v], bound=2).verdict == "yes"
+    assert rep_iso_bounded_multi([v], [v], bound=2, accept=lambda family: False).verdict == "unknown"

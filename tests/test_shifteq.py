@@ -13,8 +13,8 @@ from obstruct.intlinalg import IntMatrix, charpoly, matrix_power, smith_diagonal
 from obstruct.shifteq import (
     _coefficient_vectors,
     _combination,
+    _eventual_invariant,
     _eventual_invariant_general,
-    _eventual_invariant_linear,
     _intertwiner_basis,
     _solve_for_s,
     charpoly_away_from_zero,
@@ -220,7 +220,7 @@ def test_linear_invariant_closed_form_matches_general_route():
                 rows[i][i] = rng.randint(-8, 8)
         a = IntMatrix(n, n, rows)
         for k in range(-8, 9):
-            closed = _eventual_invariant_linear(a, k)
+            closed = _eventual_invariant(a, k)
             assert closed == _eventual_invariant_general(a, [-k, 1]), (a, k)
             diag = smith_diagonal(a - IntMatrix.identity(n).scaled(k))
             singular += 0 in diag
@@ -254,9 +254,9 @@ def test_charpolys_computed_once_per_call(monkeypatch):
 
 def test_verdicts_under_python_O():
     # python -O strips assert statements, so every check a verdict rests on
-    # must raise a real error.  The yes pair runs the whole battery (the
-    # charpoly entry through the general route) and the witness search; the
-    # no pair is separated by p = x - 1, where the general route must agree.
+    # must raise a real error.  The yes pair runs the whole battery and the
+    # witness search; the no pair is separated by p = x - 1, where the general
+    # route, the reference for the closed form, must agree.
     script = textwrap.dedent("""
         import json, sys
         from obstruct.intlinalg import IntMatrix
