@@ -20,10 +20,10 @@ from .intlinalg import (
     ColumnLattice,
     ExactArithmeticError,
     IntMatrix,
+    factor_through,
     kernel_basis,
     lattice_basis,
     smith_normal_form,
-    solve,
     unvec,
     vec,
 )
@@ -262,14 +262,10 @@ class GroupMorphism:
     def kernel(self):
         """(K, incl) with K presented on a basis of the preimage lattice."""
         b = self.preimage_lattice_basis()
-        blat = ColumnLattice(b)
-        rel_cols = []
-        for j in range(self.source.relations.cols):
-            c = blat.solve(self.source.relations.column(j))
-            if c is None:
-                raise ExactArithmeticError("source relations must lie in the kernel lattice")
-            rel_cols.append(c)
-        k = FgAbGroup(b.cols, IntMatrix.from_columns(rel_cols, rows=b.cols))
+        rel = factor_through(b, self.source.relations)
+        if rel is None:
+            raise ExactArithmeticError("source relations must lie in the kernel lattice")
+        k = FgAbGroup(b.cols, rel)
         incl = GroupMorphism(k, self.source, b, trusted=True)
         return k, incl
 
@@ -288,17 +284,11 @@ class GroupMorphism:
 
     def inverse(self):
         """Two-sided inverse morphism; raises if not an isomorphism."""
-        stacked = self.matrix.hstack(self.target.relations)
-        s = smith_normal_form(stacked)
-        cols = []
-        n = self.source.ngens
-        for j in range(self.target.ngens):
-            e = [1 if i == j else 0 for i in range(self.target.ngens)]
-            z = solve(stacked, e, snf=s)
-            if z is None:
-                raise ValueError("morphism is not surjective")
-            cols.append(z[:n])
-        inv = GroupMorphism(self.target, self.source, IntMatrix.from_columns(cols, rows=n))
+        mat = factor_through(self.matrix, IntMatrix.identity(self.target.ngens),
+                             self.target.relations)
+        if mat is None:
+            raise ValueError("morphism is not surjective")
+        inv = GroupMorphism(self.target, self.source, mat)
         if not (inv @ self).equals(GroupMorphism.identity(self.source)):
             raise ValueError("morphism is not injective")
         return inv
@@ -401,19 +391,13 @@ def homology_at(f: GroupMorphism | None, g: GroupMorphism | None, middle=None) -
     else:
         b = IntMatrix.identity(mid.ngens)
     blat = ColumnLattice(b)
-    rel_cols = []
-    if f is not None:
-        for j in range(f.matrix.cols):
-            c = blat.solve(f.matrix.column(j))
-            if c is None:
-                raise ExactArithmeticError("image of f must lie in the kernel lattice of g")
-            rel_cols.append(c)
-    for j in range(mid.relations.cols):
-        c = blat.solve(mid.relations.column(j))
-        if c is None:
-            raise ExactArithmeticError("middle relations must lie in the kernel lattice of g")
-        rel_cols.append(c)
-    group = FgAbGroup(b.cols, IntMatrix.from_columns(rel_cols, rows=b.cols))
+    image = blat.factor(f.matrix) if f is not None else IntMatrix.zeros(b.cols, 0)
+    if image is None:
+        raise ExactArithmeticError("image of f must lie in the kernel lattice of g")
+    rel = blat.factor(mid.relations)
+    if rel is None:
+        raise ExactArithmeticError("middle relations must lie in the kernel lattice of g")
+    group = FgAbGroup(b.cols, image.hstack(rel))
     return SubquotientData(group, mid, b, blat)
 
 
@@ -514,15 +498,10 @@ def resolution_lift(f: GroupMorphism, res_src: IntMatrix, res_tgt: IntMatrix) ->
     Solves res_tgt @ f1 = f.matrix @ res_src column by column; unique since
     res_tgt is injective, hence strictly functorial.
     """
-    rhs = f.matrix @ res_src
-    s = smith_normal_form(res_tgt)
-    cols = []
-    for j in range(rhs.cols):
-        c = solve(res_tgt, rhs.column(j), snf=s)
-        if c is None:
-            raise ExactArithmeticError("resolution lift must exist for a well-defined morphism")
-        cols.append(c)
-    return IntMatrix.from_columns(cols, rows=res_tgt.cols)
+    lift = factor_through(res_tgt, f.matrix @ res_src)
+    if lift is None:
+        raise ExactArithmeticError("resolution lift must exist for a well-defined morphism")
+    return lift
 
 
 def _canonical_group(factors):
@@ -655,29 +634,19 @@ def eventual_image(phi: GroupMorphism):
             break
         h, embed, prev = h2, embed2, h2.order()
     # induced map on H: solve embed∘tau = phi∘embed
-    stacked = embed.matrix.hstack(phi.target.relations)
-    s = smith_normal_form(stacked)
-    cols = []
-    for j in range(h.ngens):
-        rhs = phi.matrix.apply(embed.matrix.column(j))
-        z = solve(stacked, rhs, snf=s)
-        if z is None:
-            raise ExactArithmeticError("endomorphism must preserve its eventual image")
-        cols.append(z[: h.ngens])
-    tau = GroupMorphism(h, h, IntMatrix.from_columns(cols, rows=h.ngens))
+    mat = factor_through(embed.matrix, phi.matrix @ embed.matrix, phi.target.relations)
+    if mat is None:
+        raise ExactArithmeticError("endomorphism must preserve its eventual image")
+    tau = GroupMorphism(h, h, mat)
     return h, embed, tau
 
 
 def torsion_subgroup(g: FgAbGroup):
     """(T, embed) for the torsion subgroup of g."""
     sat = ColumnLattice(g.relations).saturation_basis()
-    blat = ColumnLattice(sat)
-    rel_cols = []
-    for j in range(g.relations.cols):
-        c = blat.solve(g.relations.column(j))
-        if c is None:
-            raise ExactArithmeticError("relations must lie in their saturation")
-        rel_cols.append(c)
-    t = FgAbGroup(sat.cols, IntMatrix.from_columns(rel_cols, rows=sat.cols))
+    rel = factor_through(sat, g.relations)
+    if rel is None:
+        raise ExactArithmeticError("relations must lie in their saturation")
+    t = FgAbGroup(sat.cols, rel)
     embed = GroupMorphism(t, g, sat, trusted=True)
     return t, embed

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GroupMorphism
-from .intlinalg import ExactArithmeticError, IntMatrix, solve
+from .intlinalg import ExactArithmeticError, IntMatrix, factor_through
 from .posets import FinitePoset
 from .quiver import (
     Ext2Class,
@@ -283,7 +283,7 @@ class XKInvariant:
     xk0: QuiverRep
     xk1: QuiverRep
     sequence: TwoExtension  # 0 -> XK1 -> Q -> Q -> XK0 -> 0
-    delta: Ext2Class | None
+    delta: Ext2Class
     unit_group: FgAbGroup  # colimit recovering K0 of the whole algebra
     unit: tuple  # canonical coordinates of the unit class
 
@@ -314,7 +314,7 @@ def _pv_differential_block(e: DirectedGraph, h):
     return IntMatrix.identity(len(verts)) - block
 
 
-def xk_invariant(e: DirectedGraph, with_delta=True) -> XKInvariant:
+def xk_invariant(e: DirectedGraph) -> XKInvariant:
     """The complete invariant of an admissible graph."""
     ideals = hereditary_saturated(e)
     poset = ideals.poset
@@ -340,11 +340,9 @@ def xk_invariant(e: DirectedGraph, with_delta=True) -> XKInvariant:
     xk0, proj = rep_cokernel(d)
     seq = TwoExtension(xk1, q, q, xk0, incl, d, proj)
     try:
-        seq.verify_exact()
+        delta = yoneda_class(seq)  # checks exactness first
     except ExactnessError as exc:  # construction guarantees exactness
         raise ExactArithmeticError(f"internal exactness failure: {exc}") from exc
-
-    delta = yoneda_class(seq) if with_delta else None
 
     unit_group, unit = _unit_class(e, ideals, xk0)
     return XKInvariant(e, ideals, xk0, xk1, seq, delta, unit_group, unit)
@@ -405,14 +403,11 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     for b in blocks[1:]:
         nat = nat.hstack(b)
     natural = GroupMorphism(colim, k0_whole, nat)
-    ones = [1] * n
     # solve natural(xi) = [1...1] in K0(whole)
-    stacked = nat.hstack(k0_whole.relations)
-    z = solve(stacked, ones)
-    if z is None:
+    xi = factor_through(nat, IntMatrix.from_columns([[1] * n]), k0_whole.relations)
+    if xi is None:
         raise ExactArithmeticError("unit must lift through the colimit comparison")
-    xi = z[: colim.ngens]
-    return colim, colim.canon_coords(xi)
+    return colim, colim.canon_coords(xi.column(0))
 
 
 def unit_image_under(witnesses, inv1: XKInvariant, inv2: XKInvariant, sigma):
@@ -489,7 +484,6 @@ def _compare(inv1: XKInvariant, inv2: XKInvariant, bound, budget, unit) -> Compa
     if not isos:
         return CompareOutcome("no", layer="poset",
                               reason="primitive ideal posets are not isomorphic")
-    delta1 = inv1.delta if inv1.delta is not None else yoneda_class(inv1.sequence)
     class_layer = unknown = False
     for sigma in isos:
         seq2 = _transport_invariant(inv2, sigma, poset)
@@ -501,7 +495,7 @@ def _compare(inv1: XKInvariant, inv2: XKInvariant, bound, budget, unit) -> Compa
             if delta2 is None:
                 delta2 = yoneda_class(seq2)
             f0, f1 = family
-            return ext2_compatible(f0, delta1, delta2, f1) and (
+            return ext2_compatible(f0, inv1.delta, delta2, f1) and (
                 not unit or unit_image_under(family, inv1, inv2, sigma) == inv2.unit)
 
         out = rep_iso_bounded_multi([inv1.xk0, inv1.xk1], [seq2.m0, seq2.m1], bound, budget,

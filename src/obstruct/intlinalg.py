@@ -6,6 +6,14 @@ kernels, exact linear solves, matrix powers and column lattice arithmetic.
 Everything runs on plain Python ints, so no overflow can occur at any
 intermediate step.
 
+Every exact solve goes through one loop, `_factor`: with U a V = D it
+solves U b = D x' entry by entry on the diagonal, one column b at a time,
+and x = V x' solves a x = b.  Callers reach it as
+`factor_through(a, b, relations)`, which factors a map b through a modulo
+the column lattice of `relations` (the idiom of kernels, lifts and
+corestrictions), as `ColumnLattice.factor` against a lattice whose Smith
+normal form is already at hand, and as `solve` for a single vector.
+
 Where only the invariant factors are needed (`matrix_rank`,
 `is_unimodular`, the shift-equivalence battery), `smith_diagonal` runs the
 same elimination on the matrix alone and builds no transform.
@@ -451,22 +459,44 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=a.cols)
 
 
+def _factor(s: SmithDecomposition, columns):
+    """Per right-hand side b, the x' with D x' == U b, so that x = V x'
+    solves s.matrix @ x == b; None if some b lies outside the column lattice
+    of s.matrix."""
+    n = s.matrix.cols
+    diag = s.diag
+    out = []
+    for b in columns:
+        xprime = [0] * n
+        for i, e in enumerate(s.U.apply(b)):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if e:
+                    return None
+            elif e % d:
+                return None
+            else:
+                xprime[i] = e // d
+        out.append(xprime)
+    return out
+
+
 def solve(a: IntMatrix, b, snf=None):
     """One integer solution x of a @ x = b, or None if none exists."""
     s = snf if snf is not None else smith_normal_form(a)
-    y = s.U.apply(b)
-    xprime = [0] * a.cols
-    for i in range(a.rows):
-        d = s.diag[i] if i < len(s.diag) else 0
-        if d == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % d != 0:
-                return None
-            if i < a.cols:
-                xprime[i] = y[i] // d
-    return s.V.apply(xprime)
+    x = _factor(s, [b])
+    return None if x is None else s.V.apply(x[0])
+
+
+def factor_through(a: IntMatrix, b: IntMatrix, relations: IntMatrix = None):
+    """X with a @ X == b modulo the column lattice of `relations`, or None.
+
+    Solves [a | relations] @ Y == b and keeps the first a.cols rows of Y;
+    None when some column of b does not factor.
+    """
+    stacked = a if relations is None else a.hstack(relations)
+    x = ColumnLattice(stacked).factor(b)
+    return None if x is None else IntMatrix._wrap(a.cols, b.cols, x.data[:a.cols])
 
 
 class ColumnLattice:
@@ -479,18 +509,18 @@ class ColumnLattice:
         self.snf = smith_normal_form(gens)
 
     def contains(self, v) -> bool:
-        y = self.snf.U.apply(v)
-        for i in range(self.gens.rows):
-            d = self.snf.diag[i] if i < len(self.snf.diag) else 0
-            if d == 0:
-                if y[i] != 0:
-                    return False
-            elif y[i] % d != 0:
-                return False
-        return True
+        return _factor(self.snf, [v]) is not None
 
     def solve(self, v):
         return solve(self.gens, v, snf=self.snf)
+
+    def factor(self, b: IntMatrix):
+        """X with gens @ X == b, or None if some column of b is outside."""
+        xs = _factor(self.snf, b.transpose().data)
+        if xs is None:
+            return None
+        rows = [[sum(map(mul, v, x)) for x in xs] for v in self.snf.V.data]
+        return IntMatrix._wrap(self.gens.cols, b.cols, rows)
 
     def basis(self) -> IntMatrix:
         """A lattice basis: d_i * (Uinv column i) over the nonzero diagonal."""

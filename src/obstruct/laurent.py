@@ -28,23 +28,20 @@ from .abelian import (
     SubquotientData,
     _canonical_group,
     _power_group,
-    direct_sum,
     eventual_image,
     ext1_z,
     hom_z,
     homology_at,
-    iso_groups,
     resolution_lift,
 )
 from .intlinalg import (
-    ColumnLattice,
+    ExactArithmeticError,
     IntMatrix,
+    factor_through,
     is_unimodular,
     kernel_basis,
     lattice_basis,
     matrix_power,
-    smith_normal_form,
-    solve,
     unvec,
     vec,
 )
@@ -318,7 +315,8 @@ class TotalComplex:
         left = b.transpose().kron(eye_m)
         right = x1.transpose().kron(eye_m) - eye_r.kron(mxw)
         d1 = GroupMorphism(c1, c2, left.hstack(right), trusted=True)
-        assert (d1 @ d0).matrix.is_zero(), "total complex differentials must compose to zero"
+        if not (d1 @ d0).matrix.is_zero():
+            raise ExactArithmeticError("total complex differentials must compose to zero")
         return cls(v, w, b, c0, c1, c2, d0, d1)
 
     def cohomology(self):
@@ -520,13 +518,9 @@ def ext_r_pres(m: RModulePres, w):
         # Hom: colimit of the stable kernel of theta under the level shift a1
         stable = matrix_power(a1, dim) @ theta
         kb = kernel_basis(stable)
-        klat = ColumnLattice(kb)
-        cols = []
-        for j in range(kb.cols):
-            c = klat.solve(a1.apply(kb.column(j)))
-            assert c is not None, "level shift must preserve the stable kernel"
-            cols.append(c)
-        shift = IntMatrix.from_columns(cols, rows=kb.cols) if cols else IntMatrix.zeros(0, 0)
+        shift = factor_through(kb, a1 @ kb)
+        if shift is None:
+            raise ExactArithmeticError("level shift must preserve the stable kernel")
         hom = RModulePres.from_shift_matrix(shift)
         # Ext^1: colimit of coker(theta) under the induced shift
         cgroup = FgAbGroup(dim, theta)
@@ -589,15 +583,10 @@ def ext2_block(p, q) -> Ext2Block:
         h, embed, tau = eventual_image(shift_endo)
         pull = ext1_induced(p.x, None, e, e)
         # restrict the x_P pullback to the eventual image
-        stacked = embed.matrix.hstack(shift_endo.source.relations)
-        ssnf = smith_normal_form(stacked)
-        cols = []
-        for j in range(h.ngens):
-            rhs = pull.matrix.apply(embed.matrix.column(j))
-            z = solve(stacked, rhs, snf=ssnf)
-            assert z is not None, "x-pullback must preserve the eventual image"
-            cols.append(z[: h.ngens])
-        pull_h = GroupMorphism(h, h, IntMatrix.from_columns(cols, rows=h.ngens))
+        mat = factor_through(embed.matrix, pull.matrix @ embed.matrix, shift_endo.source.relations)
+        if mat is None:
+            raise ExactArithmeticError("x-pullback must preserve the eventual image")
+        pull_h = GroupMorphism(h, h, mat)
         phi = tau - pull_h
         coker, _ = phi.cokernel()
         return Ext2Block("colimit", coker)

@@ -16,25 +16,23 @@ independent route through the bimodule resolution is available as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abelian import (
     FgAbGroup,
     GroupMorphism,
     SubquotientData,
-    _canonical_group,
     direct_sum,
     homology_at,
-    iso_groups,
+    resolution_lift,
 )
 from .intlinalg import (
-    ColumnLattice,
+    ExactArithmeticError,
     IntMatrix,
+    factor_through,
     kernel_basis,
     lattice_basis,
     lattices_equal,
-    smith_normal_form,
-    solve,
 )
 from .posets import FinitePoset, is_unique_path_space
 
@@ -177,17 +175,10 @@ def rep_kernel(f: RepMorphism):
         incls[p] = incl
     arrows = {}
     for y, x in poset.hasse_arrows:
-        lat = ColumnLattice(incls[x].matrix)
-        cols = []
-        for j in range(groups[y].ngens):
-            v = f.source.arrow_map(y, x).matrix.apply(incls[y].matrix.column(j))
-            c = lat.solve(v)
-            assert c is not None, "arrow must map kernel into kernel"
-            cols.append(c)
-        arrows[(y, x)] = GroupMorphism(
-            groups[y], groups[x],
-            IntMatrix.from_columns(cols, rows=groups[x].ngens),
-        )
+        mat = factor_through(incls[x].matrix, f.source.arrow_map(y, x).matrix @ incls[y].matrix)
+        if mat is None:
+            raise ExactArithmeticError("arrow must map kernel into kernel")
+        arrows[(y, x)] = GroupMorphism(groups[y], groups[x], mat)
     k = QuiverRep(poset, groups, arrows, check=False)
     incl = RepMorphism(k, f.source, incls, trusted=True)
     return k, incl
@@ -274,18 +265,23 @@ class ProjectiveRep:
     def is_zero(self):
         return not self.gen_points
 
+    def transport_matrix(self, y, x) -> IntMatrix:
+        """The map P(y) -> P(x) along x <= y: an inclusion of generator indices."""
+        rows = self.indices_at(x)
+        cols = self.indices_at(y)
+        m = IntMatrix.zeros(len(rows), len(cols))
+        pos = {g: i for i, g in enumerate(rows)}
+        for j, g in enumerate(cols):
+            m.data[pos[g]][j] = 1
+        return m
+
     def as_rep(self) -> QuiverRep:
         poset = self.poset
         groups = {p: FgAbGroup.free(self.rank_at(p)) for p in poset.points}
-        arrows = {}
-        for y, x in poset.hasse_arrows:
-            rows = self.indices_at(x)
-            cols = self.indices_at(y)
-            m = IntMatrix.zeros(len(rows), len(cols))
-            pos = {g: i for i, g in enumerate(rows)}
-            for j, g in enumerate(cols):
-                m.data[pos[g]][j] = 1
-            arrows[(y, x)] = GroupMorphism(groups[y], groups[x], m, trusted=True)
+        arrows = {
+            (y, x): GroupMorphism(groups[y], groups[x], self.transport_matrix(y, x), trusted=True)
+            for y, x in poset.hasse_arrows
+        }
         return QuiverRep(poset, groups, arrows, check=False)
 
     def point_matrix_of_coeffs(self, coeffs: IntMatrix, target: "ProjectiveRep", z):
@@ -351,7 +347,8 @@ def minimal_cover(v: QuiverRep, rng=None):
         rng.shuffle(gens)
     p = ProjectiveRep(poset, [g[0] for g in gens])
     phi = ProjIntoRep(p, v, [g[1] for g in gens])
-    assert phi.is_surjective(), "cover must be surjective"
+    if not phi.is_surjective():
+        raise ExactArithmeticError("cover must be surjective")
     return p, phi
 
 
@@ -371,25 +368,11 @@ class SubLatticeRep:
         groups = {p: FgAbGroup.free(self.bases[p].cols) for p in poset.points}
         arrows = {}
         for y, x in poset.hasse_arrows:
-            # ambient transport is an index inclusion: reuse indices
-            rows_x = self.ambient.indices_at(x)
-            cols_y = self.ambient.indices_at(y)
-            pos = {g: i for i, g in enumerate(rows_x)}
-            lat = ColumnLattice(self.bases[x])
-            cols = []
-            for j in range(self.bases[y].cols):
-                vec_y = self.bases[y].column(j)
-                vec_x = [0] * len(rows_x)
-                for jj, g in enumerate(cols_y):
-                    vec_x[pos[g]] += vec_y[jj]
-                c = lat.solve(vec_x)
-                assert c is not None, "transport must preserve the syzygy lattice"
-                cols.append(c)
-            arrows[(y, x)] = GroupMorphism(
-                groups[y], groups[x],
-                IntMatrix.from_columns(cols, rows=self.bases[x].cols),
-                trusted=True,
-            )
+            moved = self.ambient.transport_matrix(y, x) @ self.bases[y]
+            mat = factor_through(self.bases[x], moved)
+            if mat is None:
+                raise ExactArithmeticError("transport must preserve the syzygy lattice")
+            arrows[(y, x)] = GroupMorphism(groups[y], groups[x], mat, trusted=True)
         return QuiverRep(poset, groups, arrows, check=False)
 
 
@@ -568,7 +551,8 @@ class HomComplex:
             )
             diffs.append(GroupMorphism(groups[i], groups[i + 1], mat, trusted=True))
         for a, b in zip(diffs, diffs[1:]):
-            assert (b @ a).is_zero(), "hom complex differentials must square to zero"
+            if not (b @ a).is_zero():
+                raise ExactArithmeticError("hom complex differentials must square to zero")
         return cls(res, w, groups, diffs)
 
     def cohomology_at(self, n) -> SubquotientData:
@@ -599,7 +583,8 @@ class ExtPosetGroup:
     def _flatten(self, cochain):
         out = []
         for vec, x in zip(cochain, self.resolution.projective_at(self.n).gen_points):
-            assert len(vec) == self.w.groups[x].ngens
+            if len(vec) != self.w.groups[x].ngens:
+                raise ValueError(f"cochain entry {vec} does not live in the group at {x!r}")
             out.extend(vec)
         return out
 
@@ -666,19 +651,8 @@ def ext_poset_ups_oracle(v: QuiverRep, w: QuiverRep):
     arrows = poset.hasse_arrows
 
     # lifts of the arrow maps to the free resolutions
-    lift0 = {}
-    lift1 = {}
-    for y, x in arrows:
-        f = v.arrow_map(y, x)
-        lift0[(y, x)] = f.matrix
-        rhs = f.matrix @ basis[y]
-        s = smith_normal_form(basis[x])
-        cols = []
-        for j in range(rhs.cols):
-            c = solve(basis[x], rhs.column(j), snf=s)
-            assert c is not None
-            cols.append(c)
-        lift1[(y, x)] = IntMatrix.from_columns(cols, rows=basis[x].cols)
+    lift0 = {(y, x): v.arrow_map(y, x).matrix for y, x in arrows}
+    lift1 = {(y, x): resolution_lift(v.arrow_map(y, x), basis[y], basis[x]) for y, x in arrows}
 
     # total complex generator bookkeeping: T0 = sum_x P(x) x F0_x,
     # T1 = sum_x P(x) x F1_x  +  sum_{y->x} P(x) x F0_y,
@@ -732,7 +706,8 @@ def ext_poset_ups_oracle(v: QuiverRep, w: QuiverRep):
         for i in range(basis[y].cols):
             d2.data[idx1[("vert", y, i)]][j] += 1 if i == k else 0
 
-    assert (d1 @ d2).is_zero(), "total complex must be a complex"
+    if not (d1 @ d2).is_zero():
+        raise ExactArithmeticError("total complex must be a complex")
 
     # augmentation for sanity: generators of T0 map to the entry generators
     aug = ProjIntoRep(
@@ -793,13 +768,46 @@ class Ext2Class:
         return all(c == 0 for c in self.coords)
 
 
-def _solve_through(mor: GroupMorphism, target_vec):
-    """Some u with mor(u) = target_vec in the target group, or None."""
-    stacked = mor.matrix.hstack(mor.target.relations)
-    z = solve(stacked, target_vec)
-    if z is None:
-        return None
-    return z[: mor.source.ngens]
+def _factor_at_points(points, targets, through, what):
+    """One u_i per generator with a @ u_i == targets[i] modulo `relations`,
+    where (a, relations) = through(points[i]); generators at the same point
+    share one solve.  Raises ExactArithmeticError(what) if one has none."""
+    at = {}
+    for i, x in enumerate(points):
+        at.setdefault(x, []).append(i)
+    out = [None] * len(points)
+    for x, idx in at.items():
+        a, relations = through(x)
+        b = IntMatrix.from_columns([targets[i] for i in idx], rows=a.rows)
+        u = factor_through(a, b, relations)
+        if u is None:
+            raise ExactArithmeticError(what)
+        for k, i in enumerate(idx):
+            out[i] = u.column(k)
+    return out
+
+
+def _through(mor: RepMorphism):
+    """The `through` of _factor_at_points for lifting along mor."""
+    return lambda x: (mor.maps[x].matrix, mor.maps[x].target.relations)
+
+
+def _precompose(values, coeffs: IntMatrix, p_lo: ProjectiveRep, p_hi: ProjectiveRep,
+                rep: QuiverRep):
+    """values∘(P_hi -> P_lo): values holds one vector of rep per generator of
+    p_lo, at its point; the map has coefficient matrix coeffs.  One vector of
+    rep per generator of p_hi, at its point."""
+    out = []
+    for i, x in enumerate(p_hi.gen_points):
+        acc = [0] * rep.groups[x].ngens
+        for g, xg in enumerate(p_lo.gen_points):
+            c = coeffs.data[g][i]
+            if c == 0:
+                continue
+            moved = rep.transport(xg, x).matrix.apply(values[g])
+            acc = [a + c * b for a, b in zip(acc, moved)]
+        out.append(acc)
+    return out
 
 
 def _random_kernel_shift(mor: GroupMorphism, rng):
@@ -809,6 +817,12 @@ def _random_kernel_shift(mor: GroupMorphism, rng):
         return [0] * mor.source.ngens
     coeffs = [rng.randint(-2, 2) for _ in range(b.cols)]
     return b.apply(coeffs)
+
+
+def _shifted(lifts, points, mor: RepMorphism, rng):
+    """lifts moved by random kernel elements of mor, one per generator."""
+    return [[a + b for a, b in zip(u, _random_kernel_shift(mor.maps[x], rng))]
+            for u, x in zip(lifts, points)]
 
 
 def yoneda_class(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> Ext2Class:
@@ -825,46 +839,20 @@ def yoneda_class(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> 
     p0, p1, p2 = res.projective_at(0), res.projective_at(1), res.projective_at(2)
 
     # phi0: P0 -> Q0 lifting the augmentation through eps
-    phi0 = []
-    for i, x in enumerate(p0.gen_points):
-        target = res.aug.vectors[i]
-        u = _solve_through(ext.eps.maps[x], target)
-        assert u is not None, "augmentation must lift through a surjection"
-        if rng is not None:
-            u = [a + b for a, b in zip(u, _random_kernel_shift(ext.eps.maps[x], rng))]
-        phi0.append(u)
+    phi0 = _factor_at_points(p0.gen_points, res.aug.vectors, _through(ext.eps),
+                             "augmentation must lift through a surjection")
+    if rng is not None:
+        phi0 = _shifted(phi0, p0.gen_points, ext.eps, rng)
 
     # phi1: P1 -> Q1 with d1∘phi1 = phi0∘(P1 -> P0)
-    c1 = res.diff_coeffs(1)
-    phi1 = []
-    for i, x in enumerate(p1.gen_points):
-        target = [0] * ext.q0.groups[x].ngens
-        for g0, x0 in enumerate(p0.gen_points):
-            c = c1.data[g0][i]
-            if c == 0:
-                continue
-            moved = ext.q0.transport(x0, x).matrix.apply(phi0[g0])
-            target = [a + c * b for a, b in zip(target, moved)]
-        u = _solve_through(ext.d1.maps[x], target)
-        assert u is not None, "boundary must lift through the middle map"
-        if rng is not None:
-            u = [a + b for a, b in zip(u, _random_kernel_shift(ext.d1.maps[x], rng))]
-        phi1.append(u)
+    phi1 = _factor_at_points(p1.gen_points, _precompose(phi0, res.diff_coeffs(1), p0, p1, ext.q0),
+                             _through(ext.d1), "boundary must lift through the middle map")
+    if rng is not None:
+        phi1 = _shifted(phi1, p1.gen_points, ext.d1, rng)
 
     # phi2: P2 -> M1 with d2∘phi2 = phi1∘(P2 -> P1); unique mod relations
-    c2 = res.diff_coeffs(2)
-    phi2 = []
-    for i, x in enumerate(p2.gen_points):
-        target = [0] * ext.q1.groups[x].ngens
-        for g1, x1 in enumerate(p1.gen_points):
-            c = c2.data[g1][i]
-            if c == 0:
-                continue
-            moved = ext.q1.transport(x1, x).matrix.apply(phi1[g1])
-            target = [a + c * b for a, b in zip(target, moved)]
-        u = _solve_through(ext.d2.maps[x], target)
-        assert u is not None, "cocycle value must exist by exactness"
-        phi2.append(u)
+    phi2 = _factor_at_points(p2.gen_points, _precompose(phi1, res.diff_coeffs(2), p1, p2, ext.q1),
+                             _through(ext.d2), "cocycle value must exist by exactness")
 
     coords = ambient.class_of_cochain(phi2)
     return Ext2Class(ambient, coords, provenance=res.fingerprint())
@@ -877,20 +865,20 @@ def chain_lift(f: RepMorphism, res_src: ProjResolution, res_tgt: ProjResolution,
     for deg in range(degrees):
         p_s = res_src.projective_at(deg)
         p_t = res_tgt.projective_at(deg)
-        coeffs = IntMatrix.zeros(p_t.num_gens, p_s.num_gens)
-        for i, x in enumerate(p_s.gen_points):
-            if deg == 0:
-                target_vec = f.maps[x].matrix.apply(res_src.aug.vectors[i])
-                # solve aug_tgt(u) = target_vec at point x
-                m = res_tgt.aug.point_matrix(x)
-                stacked = m.hstack(f.target.groups[x].relations)
-                z = solve(stacked, target_vec)
-                assert z is not None, "chain lift in degree 0 must exist"
-                u = z[: m.cols]
-            else:
-                # target = prev ∘ d_src(gen i), a vector in P_tgt(deg-1) at x
-                d_s = res_src.diff_coeffs(deg)
-                pt_prev = res_tgt.projective_at(deg - 1)
+        if deg == 0:
+            # aug_tgt(u) = f(aug_src(gen i)) at its point x
+            targets = [f.maps[x].matrix.apply(v)
+                       for x, v in zip(p_s.gen_points, res_src.aug.vectors)]
+            us = _factor_at_points(
+                p_s.gen_points, targets,
+                lambda x: (res_tgt.aug.point_matrix(x), f.target.groups[x].relations),
+                "chain lift in degree 0 must exist")
+        else:
+            # d_tgt(u) = prev ∘ d_src(gen i), a vector in P_tgt(deg-1) at x
+            d_s = res_src.diff_coeffs(deg)
+            pt_prev = res_tgt.projective_at(deg - 1)
+            targets = []
+            for i, x in enumerate(p_s.gen_points):
                 acc = [0] * pt_prev.rank_at(x)
                 idx_prev = pt_prev.indices_at(x)
                 pos_prev = {g: t for t, g in enumerate(idx_prev)}
@@ -903,15 +891,15 @@ def chain_lift(f: RepMorphism, res_src: ProjResolution, res_tgt: ProjResolution,
                         val = prev.data[g_t][g_lo]
                         if val and pt_prev.poset.leq(x, pt_prev.gen_points[g_t]):
                             acc[pos_prev[g_t]] += c * val
-                d_t = pt_prev  # target's P_{deg-1}
-                m = res_tgt.projective_at(deg).point_matrix_of_coeffs(
-                    res_tgt.diff_coeffs(deg), d_t, x
-                )
-                z = solve(m, acc)
-                assert z is not None, "chain lift must exist by exactness"
-                u = z
-            idx = p_t.indices_at(x)
-            for pos, g in enumerate(idx):
+                targets.append(acc)
+            d_t = res_tgt.diff_coeffs(deg)
+            us = _factor_at_points(
+                p_s.gen_points, targets,
+                lambda x: (p_t.point_matrix_of_coeffs(d_t, pt_prev, x), None),
+                "chain lift must exist by exactness")
+        coeffs = IntMatrix.zeros(p_t.num_gens, p_s.num_gens)
+        for i, (x, u) in enumerate(zip(p_s.gen_points, us)):
+            for pos, g in enumerate(p_t.indices_at(x)):
                 coeffs.data[g][i] = u[pos]
         lifts.append(coeffs)
         prev = coeffs
@@ -929,20 +917,8 @@ def transport_class(cls: Ext2Class, ambient_tgt: ExtPosetGroup) -> tuple:
 def _pullback_cochain(cls: Ext2Class, ambient_tgt: ExtPosetGroup, lifts):
     """Pull a degree-2 cochain back along a chain map (lifts in coefficients)."""
     src_cochain = cls.ambient.cochain_of_class(cls.coords)
-    p_src2 = cls.ambient.resolution.projective_at(2)
-    p_tgt2 = ambient_tgt.resolution.projective_at(2)
-    psi2 = lifts[2]
-    w = ambient_tgt.w
-    out = []
-    for i, x in enumerate(p_tgt2.gen_points):
-        acc = [0] * w.groups[x].ngens
-        for g, xg in enumerate(p_src2.gen_points):
-            c = psi2.data[g][i]
-            if c == 0:
-                continue
-            moved = w.transport(xg, x).matrix.apply(src_cochain[g])
-            acc = [a + c * b for a, b in zip(acc, moved)]
-        out.append(acc)
+    out = _precompose(src_cochain, lifts[2], cls.ambient.resolution.projective_at(2),
+                      ambient_tgt.resolution.projective_at(2), ambient_tgt.w)
     return ambient_tgt.class_of_cochain(out)
 
 
@@ -983,17 +959,10 @@ def rep_corestrict(f: RepMorphism, incl: RepMorphism) -> RepMorphism:
     maps = {}
     for p in f.source.poset.points:
         m = incl.maps[p]
-        stacked = m.matrix.hstack(m.target.relations)
-        s = smith_normal_form(stacked)
-        cols = []
-        for j in range(f.source.groups[p].ngens):
-            z = solve(stacked, f.maps[p].matrix.column(j), snf=s)
-            assert z is not None, "corestriction must exist"
-            cols.append(z[: m.source.ngens])
-        maps[p] = GroupMorphism(
-            f.source.groups[p], incl.source.groups[p],
-            IntMatrix.from_columns(cols, rows=incl.source.groups[p].ngens),
-        )
+        mat = factor_through(m.matrix, f.maps[p].matrix, m.target.relations)
+        if mat is None:
+            raise ExactArithmeticError("corestriction must exist")
+        maps[p] = GroupMorphism(f.source.groups[p], incl.source.groups[p], mat)
     return RepMorphism(f.source, incl.source, maps, trusted=True)
 
 
@@ -1169,11 +1138,7 @@ def _group_iso_candidates(src: FgAbGroup, tgt: FgAbGroup, bound, cap):
                 val = flat[i * n + j]
                 if val:
                     e.data[tgt.canon_positions[j]][src.canon_positions[i]] = val
-        mat = tgt.snf.Uinv @ e @ src.snf.U
-        try:
-            f = GroupMorphism(src, tgt, mat)
-        except Exception:
-            continue
+        f = GroupMorphism(src, tgt, tgt.snf.Uinv @ e @ src.snf.U)
         if f.is_iso():
             out.append(f)
     return out, exhausted

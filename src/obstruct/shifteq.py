@@ -50,6 +50,7 @@ from .intlinalg import (
     ExactArithmeticError,
     IntMatrix,
     charpoly,
+    factor_through,
     kernel_basis,
     matrix_power,
     matrix_rank,
@@ -143,15 +144,10 @@ def _eventual_invariant_general(a: IntMatrix, poly):
     shift = GroupMorphism(c, c, at)  # A^t commutes with p(A^t)
     tors, embed = torsion_subgroup(c)
     # restrict the shift to the torsion subgroup
-    stacked = embed.matrix.hstack(c.relations)
-    ssnf = smith_normal_form(stacked)
-    cols = []
-    for j in range(tors.ngens):
-        z = solve(stacked, shift.matrix.apply(embed.matrix.column(j)), snf=ssnf)
-        if z is None:
-            raise ExactArithmeticError("shift must preserve torsion")
-        cols.append(z[: tors.ngens])
-    shift_t = GroupMorphism(tors, tors, IntMatrix.from_columns(cols, rows=tors.ngens))
+    mat = factor_through(embed.matrix, shift.matrix @ embed.matrix, c.relations)
+    if mat is None:
+        raise ExactArithmeticError("shift must preserve torsion")
+    shift_t = GroupMorphism(tors, tors, mat)
     ev, _, _ = eventual_image(shift_t)
     # eventual rational rank: rank of shift^dim on C tensor Q
     dim = n - matrix_rank(pa)

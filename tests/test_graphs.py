@@ -9,6 +9,7 @@ import pytest
 
 from obstruct.graphs import DirectedGraph, unit_compare, xk_invariant
 from obstruct.intlinalg import ExactArithmeticError, IntMatrix
+from obstruct.quiver import ExactnessError, TwoExtension
 
 
 def cuntz_graph(n):
@@ -79,3 +80,23 @@ def test_unit_compare_under_python_O():
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == ["unknown", "yes"]
+
+
+def test_xk_invariant_checks_exactness_once(monkeypatch):
+    calls = []
+    check = TwoExtension.verify_exact
+
+    def counted(seq):
+        calls.append(seq)
+        return check(seq)
+
+    monkeypatch.setattr(TwoExtension, "verify_exact", counted)
+    inv = xk_invariant(graph([[2, 1], [0, 3]]))
+    assert len(calls) == 1 and inv.delta is not None
+
+    def broken(seq):
+        raise ExactnessError("not exact at the inner node Q0")
+
+    monkeypatch.setattr(TwoExtension, "verify_exact", broken)
+    with pytest.raises(ExactArithmeticError, match="internal exactness failure"):
+        xk_invariant(cuntz_graph(3))

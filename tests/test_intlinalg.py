@@ -7,6 +7,7 @@ from obstruct.intlinalg import (
     ColumnLattice,
     IntMatrix,
     charpoly,
+    factor_through,
     is_unimodular,
     kernel_basis,
     lattice_basis,
@@ -168,6 +169,67 @@ def test_solve():
     assert solve(a, [1, 0]) is None
     assert solve(IntMatrix.zeros(2, 2), [0, 0]) == [0, 0]
     assert solve(IntMatrix.zeros(2, 2), [1, 0]) is None
+
+
+def _random_matrix(rng, rows, cols):
+    return IntMatrix(rows, cols, [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 10**6),
+)
+def test_factor_through_matches_column_solves(m, n, k, c, seed):
+    rng = random.Random(seed)
+    a = _random_matrix(rng, m, n)
+    rel = _random_matrix(rng, m, k)
+    # half the right-hand sides lie in the image, the rest are arbitrary
+    cols = []
+    for _ in range(c):
+        if rng.random() < 0.5:
+            cols.append(a.hstack(rel).apply([rng.randint(-3, 3) for _ in range(n + k)]))
+        else:
+            cols.append([rng.randint(-6, 6) for _ in range(m)])
+    b = IntMatrix.from_columns(cols, rows=m)
+    for relations in (None, rel):
+        stacked = a if relations is None else a.hstack(relations)
+        sols = [solve(stacked, col) for col in cols]
+        x = factor_through(a, b, relations)
+        if any(z is None for z in sols):
+            assert x is None
+            continue
+        assert x == IntMatrix.from_columns([z[:n] for z in sols], rows=n)
+        tail = IntMatrix.from_columns([z[n:] for z in sols], rows=stacked.cols - n)
+        assert stacked @ x.vstack(tail) == b
+
+
+def test_factor_through_one_failing_column():
+    a = IntMatrix.from_rows([[2, 0], [0, 3]])
+    b = IntMatrix.from_rows([[4, 2, 1], [3, 0, 0]])
+    assert factor_through(a, b) is None
+    assert factor_through(a, b.submatrix([0, 1], [0, 1])) == IntMatrix.from_rows([[2, 1], [1, 0]])
+    # modulo the relation e_1 the third column factors too
+    x = factor_through(a, b, IntMatrix.from_rows([[1], [0]]))
+    assert x is not None and x.rows == 2 and x.cols == 3
+    assert (a @ x).data[1] == b.data[1]
+
+
+def test_factor_through_empty_shapes():
+    a = IntMatrix.from_rows([[2, 0], [0, 3]])
+    assert factor_through(a, IntMatrix.zeros(2, 0)) == IntMatrix.zeros(2, 0)
+    assert factor_through(a, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 1)) == IntMatrix.zeros(2, 0)
+    # a with no columns: only zero columns factor
+    assert factor_through(IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 3)) == IntMatrix.zeros(0, 3)
+    assert factor_through(IntMatrix.zeros(2, 0), IntMatrix.from_rows([[0], [1]])) is None
+    # ... unless the relations absorb them
+    x = factor_through(IntMatrix.zeros(2, 0), IntMatrix.from_rows([[0], [1]]), IntMatrix.identity(2))
+    assert x == IntMatrix.zeros(0, 1)
+    # no rows: everything factors, through zero
+    assert factor_through(IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 2)) == IntMatrix.zeros(3, 2)
 
 
 def test_lattice_membership_and_basis():

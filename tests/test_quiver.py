@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from obstruct.posets import (
 )
 from obstruct.quiver import (
     ExactnessError,
+    _group_iso_candidates,
     Ext2Class,
     ExtPosetGroup,
     ProjectiveRep,
@@ -457,3 +459,42 @@ def test_rep_iso_rejecting_accept_is_unknown_with_free_part():
     v = sierpinski_rep(z, z, IntMatrix.from_rows([[1]]))
     assert rep_iso_bounded_multi([v], [v], bound=2).verdict == "yes"
     assert rep_iso_bounded_multi([v], [v], bound=2, accept=lambda family: False).verdict == "unknown"
+
+
+def _presented(relation_rows):
+    rel = IntMatrix.from_rows(relation_rows)
+    return FgAbGroup(rel.rows, rel)
+
+
+# (group, |Aut|): Z/n has phi(n) automorphisms, (Z/2)^2 has |GL_2(F_2)| = 6
+# and Z/2 + Z/4 has 8.  The presented groups are the same groups on other
+# generators: Z^2 modulo (2, 0), (0, 3) is Z/6, and P diag(2, 4) Q with
+# P = [[1, 1], [0, 1]], Q = [[1, 0], [1, 1]] presents Z/2 + Z/4.
+AUT_COUNTS = (
+    [(zmod(n), sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)) for n in range(1, 13)]
+    + [
+        (FgAbGroup.from_invariant_factors([2, 2]), 6),
+        (FgAbGroup.from_invariant_factors([2, 4]), 8),
+        (_presented([[2, 0], [0, 3]]), 2),
+        (_presented([[6, 4], [4, 4]]), 8),
+    ]
+)
+
+
+@pytest.mark.parametrize("group,count", AUT_COUNTS, ids=[g.describe() for g, _ in AUT_COUNTS])
+def test_group_iso_candidates_count_automorphisms(group, count):
+    canonical = FgAbGroup.from_invariant_factors(group.invariant_factors)
+    for src, tgt in [(group, group), (canonical, group), (group, canonical)]:
+        isos, exhausted = _group_iso_candidates(src, tgt, bound=2, cap=10**4)
+        assert exhausted
+        assert len(isos) == count
+        assert all(f.is_iso() for f in isos)
+        assert not any(f.equals(g) for i, f in enumerate(isos) for g in isos[:i])
+
+
+def test_cochain_of_wrong_shape_is_a_value_error():
+    v = sierpinski_rep(zmod(4), zmod(2), IntMatrix.from_rows([[1]]))
+    ext = ExtPosetGroup(v, v, 0)
+    cochain = ext.cochain_of_class(ext.zero_class())
+    with pytest.raises(ValueError, match="does not live in the group"):
+        ext.class_of_cochain([vec + [0] for vec in cochain])
