@@ -14,6 +14,7 @@ maps can be computed on the nose rather than up to isomorphism.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .intlinalg import (
@@ -23,6 +24,7 @@ from .intlinalg import (
     factor_through,
     kernel_basis,
     lattice_basis,
+    smith_diagonal,
     smith_normal_form,
     unvec,
     vec,
@@ -276,11 +278,13 @@ class GroupMorphism:
         return c, proj
 
     def is_iso(self):
-        k, _ = self.kernel()
-        if not k.is_trivial():
+        """Bijective?  Finitely generated abelian groups are Hopfian, so a
+        surjection onto a group with the same invariant factors is injective,
+        and one diagonal-only SNF of the cokernel relations decides."""
+        if self.source.invariant_factors != self.target.invariant_factors:
             return False
-        c, _ = self.cokernel()
-        return c.is_trivial()
+        diag = smith_diagonal(self.matrix.hstack(self.target.relations))
+        return len(diag) == self.target.ngens and all(d == 1 for d in diag)
 
     def inverse(self):
         """Two-sided inverse morphism; raises if not an isomorphism."""
@@ -444,10 +448,6 @@ class HomGroup:
         return GroupMorphism(
             self.source, self.target, unvec(v, self.target.ngens, self.source.ngens), trusted=True
         )
-
-    def elements(self):
-        """All morphisms (finite Hom groups only)."""
-        return (self.from_coords(c) for c in self.group.elements())
 
 
 class Ext1Group:
@@ -650,3 +650,141 @@ def torsion_subgroup(g: FgAbGroup):
     t = FgAbGroup(sat.cols, rel)
     embed = GroupMorphism(t, g, sat, trusted=True)
     return t, embed
+
+
+# ---------------------------------------------------------------------------
+# Hom groups of diagrams and the bounded isomorphism search
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SearchOutcome:
+    """Verdict of a bounded isomorphism search: 'yes' carries a witness, 'no'
+    rests on a proven invariant or an exhaustive search, else 'unknown'."""
+
+    verdict: str  # 'yes' | 'no' | 'unknown'
+    witness: object = None
+    reason: str = ""
+
+
+def _hom_slots(v: FgAbGroup, w: FgAbGroup):
+    """(row, col, step, order) per entry of a map V -> W in canonical
+    coordinates that can be nonzero.  Hom(Z/d, Z/h) is cyclic of order
+    gcd(d, h), spanned by the entry h / gcd(d, h); order 0 stands for
+    Hom(Z, Z) = Z, and Hom(Z/d, Z) = 0 for d != 0."""
+    out = []
+    for i, d in enumerate(v.invariant_factors):
+        for j, h in enumerate(w.invariant_factors):
+            g = math.gcd(d, h) if h else (0 if d == 0 else 1)
+            if g != 1:
+                out.append((j, i, h // g if h else 1, g))
+    return out
+
+
+def _canonical_matrix(f: GroupMorphism) -> IntMatrix:
+    """The matrix of f between the canonical cyclic decompositions."""
+    s, t = f.source, f.target
+    return (t.snf.U @ f.matrix @ s.snf.Uinv).submatrix(t.canon_positions, s.canon_positions)
+
+
+class DiagramHom:
+    """Hom(V, W) of two diagrams of groups of one shape, as one FgAbGroup.
+
+    `points` maps each point k to (V_k, W_k); `arrows` lists (k, l, a, b)
+    with a: V_k -> V_l and b: W_k -> W_l.  A morphism is a family of maps
+    f_k: V_k -> W_k with b f_k = f_l a on every arrow, so the group is the
+    kernel of  sum_k Hom(V_k, W_k) -> sum over arrows of Hom(V_k, W_l),
+    f |-> b f_k - f_l a, taken entry by entry in canonical coordinates
+    (`_hom_slots`), so one kernel computation gives the whole group.
+    """
+
+    def __init__(self, points, arrows):
+        self.points = dict(points)
+        self.slots = {k: _hom_slots(v, w) for k, (v, w) in self.points.items()}
+        source = [(k, slot) for k, slots in self.slots.items() for slot in slots]
+        rows, orders = [], []
+        for k, l, a, b in arrows:
+            amat, bmat = _canonical_matrix(a).data, _canonical_matrix(b).data
+            for j, i, step, g in _hom_slots(self.points[k][0], self.points[l][1]):
+                row = []
+                for p, (jj, ii, st, _) in source:
+                    e = (st * bmat[j][jj] if p == k and ii == i else 0) - (
+                        st * amat[ii][i] if p == l and jj == j else 0)
+                    if e % step:
+                        raise ExactArithmeticError("arrow maps must be well defined")
+                    row.append(e // step)
+                rows.append(row)
+                orders.append(g)
+        s = FgAbGroup.from_invariant_factors([slot[3] for _, slot in source])
+        t = FgAbGroup.from_invariant_factors(orders)
+        self.group, incl = GroupMorphism(s, t, IntMatrix(len(rows), len(source), rows),
+                                         trusted=True).kernel()
+        k = self.group
+        self._embed = (incl.matrix @ k.snf.Uinv).submatrix(range(s.ngens), k.canon_positions)
+
+    def _canonical_maps(self, coords):
+        """{k: f_k} for the element with canonical coordinates `coords`, each
+        f_k a matrix between the canonical decompositions of V_k and W_k."""
+        x = self._embed.apply(coords)
+        out = {}
+        pos = 0
+        for k, (v, w) in self.points.items():
+            f = IntMatrix.zeros(len(w.invariant_factors), len(v.invariant_factors))
+            for j, i, step, g in self.slots[k]:
+                f.data[j][i] = step * (x[pos] % g if g else x[pos])
+                pos += 1
+            out[k] = f
+        return out
+
+    def isomorphisms(self, bound, budget):
+        """The families {k: f_k} of isomorphisms among the first `budget`
+        elements in coordinate order, free coordinates in [-bound, bound]."""
+        ranges = [range(d) if d else range(-bound, bound + 1) for d in self.group.invariant_factors]
+        canon = {k: (_canonical_group(v.invariant_factors), _canonical_group(w.invariant_factors))
+                 for k, (v, w) in self.points.items()}
+        for coords in itertools.islice(itertools.product(*ranges), budget):
+            maps = self._canonical_maps(coords)
+            if all(GroupMorphism(*canon[k], f, trusted=True).is_iso() for k, f in maps.items()):
+                yield {k: self._morphism(k, f) for k, f in maps.items()}
+
+    def _morphism(self, k, f: IntMatrix) -> GroupMorphism:
+        v, w = self.points[k]
+        left = w.snf.Uinv.submatrix(range(w.ngens), w.canon_positions)
+        right = v.snf.U.submatrix(v.canon_positions, range(v.ngens))
+        return GroupMorphism(v, w, left @ f @ right, trusted=True)
+
+    def enumerable(self, budget) -> bool:
+        """Finite with at most `budget` elements, so enumerated whole."""
+        order = self.group.order()
+        return order is not None and order <= budget
+
+
+def iso_search(pieces, bound, budget, accept=None) -> SearchOutcome:
+    """Bounded search for an isomorphism of diagrams of groups.
+
+    `pieces` lists (points, arrows) diagrams as in DiagramHom, the graded
+    pieces of one object.  Each piece's Hom group is enumerated by its
+    canonical coordinates, free ones in [-bound, bound], at most `budget`
+    elements per piece.  A family with one element per piece, each an
+    isomorphism at every point, is passed to `accept` as a tuple of
+    {k: GroupMorphism}; the first one it approves (any, when accept is None)
+    is the witness of 'yes'.  'no' when the groups at some point have
+    different invariant factors, or when no family was approved and every
+    piece's Hom group is finite with at most `budget` elements, so it was
+    enumerated whole; otherwise 'unknown'.
+    """
+    for points, _ in pieces:
+        for k, (v, w) in points.items():
+            if v.invariant_factors != w.invariant_factors:
+                return SearchOutcome("no", reason=f"groups differ at point {k!r}")
+    homs = [DiagramHom(points, arrows) for points, arrows in pieces]
+    first, *rest = [h.isomorphisms(bound, budget) for h in homs]
+    rest = [list(isos) for isos in rest]
+    if all(rest):
+        for f in first:
+            for others in itertools.product(*rest):
+                if accept is None or accept((f, *others)):
+                    return SearchOutcome("yes", witness=(f, *others))
+    if all(h.enumerable(budget) for h in homs):
+        return SearchOutcome("no", reason="no accepted family of isomorphisms")
+    return SearchOutcome("unknown", reason="search bounds exhausted")

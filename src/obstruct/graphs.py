@@ -19,24 +19,29 @@ whole algebra.
 
 `compare_graph_invariants` and `unit_compare` decide whether two invariants
 are isomorphic (`unit_compare` also asks that the unit class be preserved).
-Both run one bounded search per isomorphism sigma of the ideal posets, over
-arrow-compatible families of pointwise isomorphisms of XK0 and XK1 read
-through sigma, and the verdict is tri-state:
+Both run one bounded search per isomorphism sigma of the ideal posets
+(`quiver.rep_iso_bounded_multi`): it computes Hom(XK0, XK0') and
+Hom(XK1, XK1') over the poset, read through sigma, as finitely generated
+abelian groups and enumerates their elements, at most `budget` per group;
+the elements that are isomorphisms at every point are the candidates.  The
+verdict is tri-state:
 
   yes      a poset isomorphism and a graded module isomorphism (f0, f1) over
            it with f1_* delta = f0^* delta' (and f0 carrying the unit class to
            the unit class, for unit_compare), checked by exact arithmetic;
   no       layer 'poset': the primitive ideal posets are not isomorphic;
-           layer 'module': for every sigma an exhaustive search found no
-           arrow-compatible family of pointwise isomorphisms;
-           layer 'class': some family exists, but for every sigma an
-           exhaustive search found none that matches the obstruction classes
-           (and the units);
-  unknown  for some sigma the search was not exhaustive: a group with a free
-           part, whose automorphisms the bounded entries cannot all cover,
-           or the budget ran out.
+           layer 'module': for every sigma the groups differ at some point,
+           or both Hom groups are finite, were enumerated whole and hold no
+           pair of isomorphisms;
+           layer 'class': as for 'module', except that for some sigma the
+           Hom groups hold pairs of isomorphisms, none of which matches the
+           obstruction classes (and the units);
+  unknown  for some sigma a Hom group has a free part (its free coordinates
+           are enumerated in [-bound, bound] only) or more than `budget`
+           elements.
 
-A module or class `no` thus always rests on an exhaustive search.
+A module or class `no` thus always means that finite Hom groups were
+enumerated whole.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from .abelian import (
     GroupMorphism,
     Ext1Group,
     HomGroup,
+    SearchOutcome,
     SubquotientData,
     _canonical_group,
     _power_group,
@@ -32,6 +33,7 @@ from .abelian import (
     ext1_z,
     hom_z,
     homology_at,
+    iso_search,
     resolution_lift,
 )
 from .intlinalg import (
@@ -397,10 +399,6 @@ class ExtRTriple:
     def ext2_r(self):
         return self.ext2.group
 
-    def hom_r_element(self, coords) -> GroupMorphism:
-        hcoords = self.hom_r_incl.matrix.apply(self.hom_r.from_canon(coords))
-        return self.hom_h.from_coords(tuple(hcoords))
-
 
 def ext_r_fg(v: RModuleFg, w: RModuleFg) -> ExtRTriple:
     """Hom_R, Ext^1_R, Ext^2_R for fg-over-Z modules with automorphisms."""
@@ -662,45 +660,6 @@ class PairDelta:
             raise ValueError("odd->even class has wrong coordinate length")
 
 
-@dataclass
-class SearchOutcome:
-    verdict: str  # 'yes' | 'no' | 'unknown'
-    witness: object = None
-    reason: str = ""
-
-
-def _iso_candidates(src: RModuleFg, tgt: RModuleFg, bound, budget):
-    """R-linear isomorphisms src -> tgt by bounded coordinate enumeration.
-
-    Returns (candidates, exhausted): exhausted means the whole Hom_R group
-    was enumerated, so a failed search is conclusive.
-    """
-    if src.group.invariant_factors != tgt.group.invariant_factors:
-        return [], True
-    triple = ext_r_fg(src, tgt)
-    facs = triple.hom_r.invariant_factors
-    ranges = []
-    exhausted = True
-    for d in facs:
-        if d == 0:
-            ranges.append(range(-bound, bound + 1))
-            exhausted = False
-        else:
-            ranges.append(range(d))
-    out = []
-    count = 0
-    import itertools
-
-    for coords in itertools.product(*ranges):
-        count += 1
-        if count > budget:
-            return out, False
-        f = triple.hom_r_element(coords)
-        if f.is_iso():
-            out.append(f)
-    return out, exhausted
-
-
 def _induced_class_coords(post: GroupMorphism | None, pre_map: GroupMorphism | None,
                           src_block: Ext2Block, tgt_block: Ext2Block, coords):
     """Transport a class along cocycle-level induced maps into tgt_block."""
@@ -719,8 +678,12 @@ def pair_iso(p1: PairDelta, p2: PairDelta, bound=8, budget=20000) -> SearchOutco
     """Isomorphism search in the pair category.
 
     yes(f) returns grading components (f_even, f_odd); no is only returned
-    in a complete regime (finite modules exhausted, or a class obstruction
-    independent of the choice of f); otherwise unknown.
+    in a complete regime (a class obstruction independent of the choice of
+    f, or finite Hom_R groups enumerated whole); otherwise unknown.  The
+    graded module isomorphisms come from `abelian.iso_search`, with one
+    point per parity and the action of x as its loop, so Hom_R(even) and
+    Hom_R(odd) are its two graded pieces; `budget` counts the Hom_R elements
+    enumerated per piece.
     """
     m1, m2 = p1.module, p2.module
     for part in (m1.even, m1.odd, m2.even, m2.odd):
@@ -737,26 +700,20 @@ def pair_iso(p1: PairDelta, p2: PairDelta, bound=8, budget=20000) -> SearchOutco
     if b1oe.class_is_zero(p1.delta_oe) != b2oe.class_is_zero(p2.delta_oe):
         return SearchOutcome("no", reason="class vanishing mismatch in odd->even block")
 
-    even_cands, even_done = _iso_candidates(m1.even, m2.even, bound, budget)
-    odd_cands, odd_done = _iso_candidates(m1.odd, m2.odd, bound, budget)
-    if not even_cands and even_done:
-        return SearchOutcome("no", reason="no graded module isomorphism (even part)")
-    if not odd_cands and odd_done:
-        return SearchOutcome("no", reason="no graded module isomorphism (odd part)")
-
     cross_eo = ext2_block(m1.even, m2.odd)
     cross_oe = ext2_block(m1.odd, m2.even)
-    for fe in even_cands:
-        for fo in odd_cands:
-            lhs = _induced_class_coords(fo, None, b1eo, cross_eo, p1.delta_eo)
-            rhs = _induced_class_coords(None, fe, b2eo, cross_eo, p2.delta_eo)
-            if lhs != rhs:
-                continue
-            lhs = _induced_class_coords(fe, None, b1oe, cross_oe, p1.delta_oe)
-            rhs = _induced_class_coords(None, fo, b2oe, cross_oe, p2.delta_oe)
-            if lhs != rhs:
-                continue
-            return SearchOutcome("yes", witness=(fe, fo))
-    if even_done and odd_done:
-        return SearchOutcome("no", reason="all graded isomorphisms fail class compatibility")
-    return SearchOutcome("unknown", reason="search bounds exhausted")
+
+    def accept(family):
+        fe, fo = family[0]["even"], family[1]["odd"]
+        return (_induced_class_coords(fo, None, b1eo, cross_eo, p1.delta_eo)
+                == _induced_class_coords(None, fe, b2eo, cross_eo, p2.delta_eo)
+                and _induced_class_coords(fe, None, b1oe, cross_oe, p1.delta_oe)
+                == _induced_class_coords(None, fo, b2oe, cross_oe, p2.delta_oe))
+
+    # one point per parity, with the action of x as its loop
+    pieces = [({part: (a.group, b.group)}, [(part, part, a.x, b.x)])
+              for part, a, b in (("even", m1.even, m2.even), ("odd", m1.odd, m2.odd))]
+    out = iso_search(pieces, bound, budget, accept)
+    if out.verdict == "yes":
+        out.witness = (out.witness[0]["even"], out.witness[1]["odd"])
+    return out

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from .abelian import (
     FgAbGroup,
     GroupMorphism,
+    SearchOutcome,
     SubquotientData,
     direct_sum,
     homology_at,
+    iso_search,
     resolution_lift,
 )
 from .intlinalg import (
@@ -1086,145 +1088,29 @@ def _glue_sum_map(f: GroupMorphism, g: GroupMorphism, source_group: FgAbGroup):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RepSearchOutcome:
-    verdict: str  # 'yes' | 'no' | 'unknown'
-    witness: object = None
-    reason: str = ""
-
-
-def _group_iso_candidates(src: FgAbGroup, tgt: FgAbGroup, bound, cap):
-    """(isos, exhausted): bounded enumeration of isomorphisms src -> tgt.
-
-    Candidates are matrices in canonical coordinates whose columns satisfy
-    the order constraints; free coordinates range over [-bound, bound].
-    """
-    import itertools
-    import math
-
-    if src.invariant_factors != tgt.invariant_factors:
-        return [], True
-    ds = src.invariant_factors
-    if not ds:
-        return [GroupMorphism.zero(src, tgt)], True
-    entry_ranges = []
-    for i, d in enumerate(ds):  # column index: generator of src
-        for j, h in enumerate(ds):  # row index: generator of tgt
-            if d == 0:
-                entry_ranges.append(range(-bound, bound + 1) if h == 0 else range(h))
-            elif h == 0:
-                entry_ranges.append(range(0, 1))
-            else:
-                step = h // math.gcd(h, d)
-                entry_ranges.append(range(0, h, step))
-    exhausted = all(d != 0 for d in ds)
-    total = 1
-    for r in entry_ranges:
-        total *= len(r)
-        if total > cap:
-            break
-    if total > cap:
-        exhausted = False
-    out = []
-    count = 0
-    n = len(ds)
-    for flat in itertools.product(*entry_ranges):
-        count += 1
-        if count > cap:
-            break
-        e = IntMatrix.zeros(tgt.ngens, src.ngens)
-        for i in range(n):  # src generator
-            for j in range(n):  # tgt generator
-                val = flat[i * n + j]
-                if val:
-                    e.data[tgt.canon_positions[j]][src.canon_positions[i]] = val
-        f = GroupMorphism(src, tgt, tgt.snf.Uinv @ e @ src.snf.U)
-        if f.is_iso():
-            out.append(f)
-    return out, exhausted
-
-
-def rep_iso_bounded_multi(sources, targets, bound=8, budget=20000, accept=None) -> RepSearchOutcome:
+def rep_iso_bounded_multi(sources, targets, bound=8, budget=20000, accept=None) -> SearchOutcome:
     """Simultaneous isomorphism search for parallel representations over one
-    poset (used for graded representations); sound, bounded-complete.
+    poset (the graded pieces of a graded representation); sound,
+    bounded-complete.
 
-    Each arrow-compatible family of pointwise isomorphisms (one RepMorphism
-    per source) is passed to `accept`; the search answers yes with the first
-    family it approves (any family when accept is None) and otherwise keeps
-    going.  It answers no only when every candidate list was exhausted and
-    the budget never hit, so no family passes the predicate.
+    A thin wrapper over `abelian.iso_search` with one diagram per piece over
+    the Hasse arrows, so every family is arrow-compatible by construction.
+    `budget` counts the elements of Hom(source, target) enumerated per
+    piece.  Each family of pointwise isomorphisms (one RepMorphism per
+    source) is passed to `accept`; the search answers yes with the first
+    family it approves (any family when accept is None).  It answers no only
+    when the groups at some point differ, or when every piece's Hom group is
+    finite and was enumerated whole, so no family passes the predicate.
     """
     poset = sources[0].poset
-    per_point = {}
-    all_exhausted = True
-    for p in poset.points:
-        lists = []
-        for v, w in zip(sources, targets):
-            cands, done = _group_iso_candidates(
-                v.groups[p], w.groups[p], bound, max(64, budget // (len(poset.points) + 1))
-            )
-            all_exhausted = all_exhausted and done
-            if not cands:
-                if done:
-                    return RepSearchOutcome("no", reason=f"groups differ at point {p!r}")
-                return RepSearchOutcome("unknown", reason=f"no candidates at point {p!r} within bounds")
-            lists.append(cands)
-        import itertools
+    pieces = [({p: (v.groups[p], w.groups[p]) for p in poset.points},
+               [(y, x, v.arrow_map(y, x), w.arrow_map(y, x)) for y, x in poset.hasse_arrows])
+              for v, w in zip(sources, targets)]
 
-        per_point[p] = [list(t) for t in itertools.product(*lists)]
-    order = sources[0].poset.linear_extension()
-    assignment = {}
-    steps = 0
+    def family(maps):
+        return [RepMorphism(v, w, m, trusted=True) for v, w, m in zip(sources, targets, maps)]
 
-    def compatible(p):
-        for k, (v, w) in enumerate(zip(sources, targets)):
-            for y, x in poset.hasse_arrows:
-                if y not in assignment or x not in assignment:
-                    continue
-                if y != p and x != p:
-                    continue
-                lhs = w.arrow_map(y, x) @ assignment[y][k]
-                rhs = assignment[x][k] @ v.arrow_map(y, x)
-                if not lhs.equals(rhs):
-                    return False
-        return True
-
-    def family():
-        return [
-            RepMorphism(v, w, {p: assignment[p][k] for p in poset.points}, trusted=True)
-            for k, (v, w) in enumerate(zip(sources, targets))
-        ]
-
-    def backtrack(i):
-        nonlocal steps
-        if i == len(order):
-            return accept is None or accept(family())
-        p = order[i]
-        for combo in per_point[p]:
-            steps += 1
-            if steps > budget:
-                return None
-            assignment[p] = combo
-            if compatible(p):
-                result = backtrack(i + 1)
-                if result:
-                    return True
-                if result is None:
-                    return None
-            del assignment[p]
-        return False
-
-    found = backtrack(0)
-    if found:
-        return RepSearchOutcome("yes", witness=family())
-    if found is None or not all_exhausted:
-        return RepSearchOutcome("unknown", reason="search budget exhausted")
-    return RepSearchOutcome("no", reason="no accepted arrow-compatible family of pointwise isomorphisms")
-
-
-def rep_iso_bounded(v: QuiverRep, w: QuiverRep, bound=8, budget=20000) -> RepSearchOutcome:
-    """Bounded search for an isomorphism of representations."""
-    out = rep_iso_bounded_multi([v], [w], bound, budget)
+    out = iso_search(pieces, bound, budget, accept and (lambda maps: accept(family(maps))))
     if out.verdict == "yes":
-        out = RepSearchOutcome("yes", witness=out.witness[0])
+        out.witness = family(out.witness)
     return out

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obstruct.abelian import (
     FgAbGroup,
@@ -416,3 +417,30 @@ def test_torsion_subgroup():
     t, embed = torsion_subgroup(g)
     assert t.invariant_factors == [4]
     assert embed._find_violation() is None
+
+
+def is_iso_by_definition(f):
+    """Bijective: a trivial kernel and a trivial cokernel."""
+    k, _ = f.kernel()
+    c, _ = f.cokernel()
+    return k.is_trivial() and c.is_trivial()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["equal", "unequal"]))
+def test_is_iso_matches_definition(seed, factors):
+    # equal invariant factors: a random map into an equivalent presentation
+    # of the source, or (every other draw) a composite with the witness
+    # isomorphism, so both isomorphisms and non-isomorphisms come up;
+    # unequal: a random map into an unrelated random group
+    rng = random.Random(seed)
+    v = random_group(rng)
+    if factors == "equal":
+        w = randomized_equivalent_presentation(rng, v)[0]
+        f = random_morphism(rng, v, w)
+        if rng.random() < 0.5:
+            f = iso_groups(v, w)[1] @ random_morphism(rng, v, v)
+    else:
+        w = random_group(rng)
+        f = random_morphism(rng, v, w)
+    assert f.is_iso() == is_iso_by_definition(f)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,9 +8,12 @@ from math import gcd
 
 import pytest
 
+from obstruct.abelian import DiagramHom
 from obstruct.graphs import DirectedGraph, unit_compare, xk_invariant
 from obstruct.intlinalg import ExactArithmeticError, IntMatrix
 from obstruct.quiver import ExactnessError, TwoExtension
+
+from test_quiver import rep_diagram
 
 
 def cuntz_graph(n):
@@ -45,11 +49,11 @@ def graph(rows):
 
 def test_unit_compare_no_needs_exhaustive_search():
     # K0 = Z/4 on both sides, unit classes 3 (O_5) and 1 (E): the automorphism
-    # x -> -x carries one to the other, but it is the second candidate, so a
-    # budget of one step proves nothing
+    # x -> -x carries one to the other, but it is the last of the four
+    # elements of Hom = End(Z/4), so a budget of three elements proves nothing
     o5, e = cuntz_graph(5), graph([[0, 2], [1, 3]])
-    assert unit_compare(o5, e, budget=1).verdict == "unknown"
-    assert unit_compare(o5, e, budget=2).verdict == "yes"
+    assert unit_compare(o5, e, budget=3).verdict == "unknown"
+    assert unit_compare(o5, e, budget=4).verdict == "yes"
     assert unit_compare(o5, e).verdict == "yes"
     # unit class 2 is no generator, so it is in no automorphism orbit of 3
     out = unit_compare(o5, graph([[0, 1], [2, 3]]))
@@ -72,7 +76,7 @@ def test_unit_compare_under_python_O():
             raise SystemExit("not running under -O")
         o5 = DirectedGraph(["v"], [("v", "v", 5)])
         e = DirectedGraph.from_adjacency(IntMatrix.from_rows([[0, 2], [1, 3]]))
-        print(json.dumps([unit_compare(o5, e, budget=b).verdict for b in (1, 2)]))
+        print(json.dumps([unit_compare(o5, e, budget=b).verdict for b in (3, 4)]))
     """)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -100,3 +104,32 @@ def test_xk_invariant_checks_exactness_once(monkeypatch):
     monkeypatch.setattr(TwoExtension, "verify_exact", broken)
     with pytest.raises(ExactArithmeticError, match="internal exactness failure"):
         xk_invariant(cuntz_graph(3))
+
+
+# Admissible graphs with finite K0: one to three ideals, cyclic and
+# non-cyclic torsion at a point
+TORSION_GRAPHS = [
+    [[1, 2], [2, 1]],
+    [[3, 0], [1, 4]],
+    [[2, 1, 0], [0, 2, 1], [1, 0, 2]],
+    [[3, 0, 0], [1, 3, 0], [1, 1, 5]],
+    [[3, 0, 0], [0, 3, 0], [1, 1, 3]],
+]
+
+
+@pytest.mark.parametrize("rows", TORSION_GRAPHS, ids=[str(r) for r in TORSION_GRAPHS])
+def test_relabel_is_never_no(rows):
+    # relabelling the vertices (P E P^t) preserves the invariant with the
+    # unit class; the Hom groups of the search are isomorphic to End(XK0) and
+    # End(XK1), so the search is exhaustive once they fit in the budget
+    e = graph(rows)
+    inv = xk_invariant(e)
+    orders = [DiagramHom(*rep_diagram(r, r)).group.order() for r in (inv.xk0, inv.xk1)]
+    n = len(rows)
+    for perm in itertools.permutations(range(n)):
+        h = graph([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+        for budget in (1, 3, 20000):
+            verdict = unit_compare(e, h, budget=budget).verdict
+            assert verdict != "no"
+            if all(o is not None and o <= budget for o in orders):
+                assert verdict == "yes"

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from obstruct.abelian import (
+    DiagramHom,
     FgAbGroup,
     GroupMorphism,
     is_exact_at,
@@ -343,6 +344,15 @@ def test_pair_iso_distinct_classes_trivial_automorphisms():
     p2 = PairDelta(m, (0,), (1,))
     out = pair_iso(p1, p2)
     assert out.verdict == "no"
+
+
+def test_diagram_hom_matches_hom_r():
+    # one point with the action of x as its loop: the Hom group is Hom_R
+    rng = random.Random(31)
+    for _ in range(30):
+        v, w = random_fg_module(rng), random_fg_module(rng)
+        hom = DiagramHom({0: (v.group, w.group)}, [(0, 0, v.x, w.x)])
+        assert hom.group.invariant_factors == ext_r_fg(v, w).hom_r.invariant_factors
 
 
 def test_pair_iso_unsupported_shape():

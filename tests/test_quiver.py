@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from obstruct.abelian import FgAbGroup, GroupMorphism, iso_groups
+from obstruct.abelian import DiagramHom, FgAbGroup, GroupMorphism, iso_groups, iso_search
 from obstruct.intlinalg import IntMatrix
 from obstruct.posets import (
     FinitePoset,
@@ -15,7 +15,6 @@ from obstruct.posets import (
 )
 from obstruct.quiver import (
     ExactnessError,
-    _group_iso_candidates,
     Ext2Class,
     ExtPosetGroup,
     ProjectiveRep,
@@ -32,7 +31,6 @@ from obstruct.quiver import (
     rep_cokernel,
     rep_direct_sum,
     rep_is_exact_at,
-    rep_iso_bounded,
     rep_iso_bounded_multi,
     rep_kernel,
     resolve_projective,
@@ -404,11 +402,11 @@ def test_ext2_compatible_zero_vs_nonzero():
 
 def test_rep_iso_bounded_identity_and_mismatch():
     v = sierpinski_rep(zmod(4), zmod(2), IntMatrix.from_rows([[1]]))
-    out = rep_iso_bounded(v, v)
+    out = rep_iso_bounded_multi([v], [v])
     assert out.verdict == "yes"
-    assert out.witness.is_iso()
+    assert out.witness[0].is_iso()
     w = sierpinski_rep(zmod(4), zmod(4), IntMatrix.from_rows([[1]]))
-    out = rep_iso_bounded(v, w)
+    out = rep_iso_bounded_multi([v], [w])
     assert out.verdict == "no"
 
 
@@ -416,16 +414,16 @@ def test_rep_iso_bounded_sign_absorption():
     z = FgAbGroup.free(1)
     v = sierpinski_rep(z, z, IntMatrix.from_rows([[1]]))
     w = sierpinski_rep(z, z, IntMatrix.from_rows([[-1]]))
-    out = rep_iso_bounded(v, w, bound=2)
+    out = rep_iso_bounded_multi([v], [w], bound=2)
     assert out.verdict == "yes"
-    assert out.witness.is_iso()
+    assert out.witness[0].is_iso()
 
 
 def test_rep_iso_bounded_genuinely_different():
     z = FgAbGroup.free(1)
     v = sierpinski_rep(z, z, IntMatrix.from_rows([[1]]))
     w = sierpinski_rep(z, z, IntMatrix.from_rows([[2]]))
-    out = rep_iso_bounded(v, w, bound=3, budget=5000)
+    out = rep_iso_bounded_multi([v], [w], bound=3, budget=5000)
     # x2 cannot be absorbed by units: provably no within the free regime is
     # impossible for the bounded search, so 'unknown' is also acceptable,
     # but it must never say yes
@@ -483,13 +481,47 @@ AUT_COUNTS = (
 
 @pytest.mark.parametrize("group,count", AUT_COUNTS, ids=[g.describe() for g, _ in AUT_COUNTS])
 def test_group_iso_candidates_count_automorphisms(group, count):
+    # on a one-point diagram without arrows the engine's Hom group is
+    # Hom(src, tgt); rejecting every family makes it enumerate the group
+    # whole, so the verdict is no and accept saw each isomorphism once
     canonical = FgAbGroup.from_invariant_factors(group.invariant_factors)
     for src, tgt in [(group, group), (canonical, group), (group, canonical)]:
-        isos, exhausted = _group_iso_candidates(src, tgt, bound=2, cap=10**4)
-        assert exhausted
+        isos = []
+        out = iso_search([({0: (src, tgt)}, [])], bound=2, budget=10**4,
+                         accept=lambda family: isos.append(family[0][0]) or False)
+        assert out.verdict == "no"
         assert len(isos) == count
-        assert all(f.is_iso() for f in isos)
+        assert all(GroupMorphism(src, tgt, f.matrix).is_iso() for f in isos)
         assert not any(f.equals(g) for i, f in enumerate(isos) for g in isos[:i])
+
+
+def rep_diagram(v, w):
+    """The diagram of groups whose Hom group is Hom(V, W): the point pairs
+    (V_p, W_p) and the arrow maps of V and W along the Hasse arrows."""
+    points = {p: (v.groups[p], w.groups[p]) for p in v.poset.points}
+    arrows = [(y, x, v.arrow_map(y, x), w.arrow_map(y, x)) for y, x in v.poset.hasse_arrows]
+    return points, arrows
+
+
+def test_diagram_hom_matches_resolution_route():
+    # Hom over the incidence algebra is Ext^0 of a projective resolution
+    rng = random.Random(21)
+    posets = [point_poset(), sierpinski_poset(), antichain_poset(2), chain_poset(3),
+              chain_poset(4), diamond_poset()]
+    free_parts = 0
+    for poset in posets:
+        for _ in range(5):
+            v, w = random_rep(rng, poset), random_rep(rng, poset)
+            free_parts += any(g.rank for g in list(v.groups.values()) + list(w.groups.values()))
+            for a, b in ((v, w), (v, v)):
+                hom = DiagramHom(*rep_diagram(a, b))
+                assert hom.group.invariant_factors == ext_poset(a, b, 0).group.invariant_factors
+                # the isomorphisms found are checked morphisms of representations
+                for maps in hom.isomorphisms(bound=1, budget=50):
+                    f = RepMorphism(a, b, {p: GroupMorphism(a.groups[p], b.groups[p], m.matrix)
+                                           for p, m in maps.items()})
+                    assert f.is_iso()
+    assert free_parts
 
 
 def test_cochain_of_wrong_shape_is_a_value_error():
