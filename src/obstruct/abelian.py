@@ -45,7 +45,7 @@ class IllDefinedMorphism(ValueError):
 class FgAbGroup:
     """Z^ngens modulo the column span of `relations` (ngens x k)."""
 
-    __slots__ = ("ngens", "relations", "_snf", "_canon_positions")
+    __slots__ = ("ngens", "relations", "_snf", "_canon_positions", "_invariant_factors")
 
     def __init__(self, ngens, relations=None):
         if relations is None:
@@ -56,6 +56,7 @@ class FgAbGroup:
         self.relations = relations
         self._snf = None
         self._canon_positions = None
+        self._invariant_factors = None
 
     @classmethod
     def free(cls, n):
@@ -74,7 +75,7 @@ class FgAbGroup:
             for i in range(n)
             if factors[i] != 0
         ]
-        return cls(n, IntMatrix.from_columns(cols, rows=n) if cols else None)
+        return cls(n, IntMatrix.from_columns(cols, rows=n))
 
     @classmethod
     def trivial(cls):
@@ -100,8 +101,10 @@ class FgAbGroup:
     @property
     def invariant_factors(self):
         """Nonunit invariant factors, divisibility chain first, 0 = free factor."""
-        diag = self._diag_padded()
-        return [diag[i] for i in self.canon_positions]
+        if self._invariant_factors is None:
+            diag = self._diag_padded()
+            self._invariant_factors = [diag[i] for i in self.canon_positions]
+        return self._invariant_factors
 
     def order(self):
         """Group order, or None if infinite."""
@@ -520,7 +523,7 @@ def hom_induced(pre: GroupMorphism | None, post: GroupMorphism | None,
             g = post @ g
         cols.append(list(htgt.coords(g)))
     n = len(htgt.group.invariant_factors)
-    mat = IntMatrix.from_columns(cols, rows=n) if cols else IntMatrix.zeros(n, 0)
+    mat = IntMatrix.from_columns(cols, rows=n)
     return GroupMorphism(
         _canonical_group(hsrc.group.invariant_factors),
         _canonical_group(htgt.group.invariant_factors),
@@ -543,7 +546,7 @@ def _ext1_induced_matrix(pre: GroupMorphism | None, post: GroupMorphism | None,
             m = post.matrix @ m
         cols.append(list(etgt.coords(m)))
     n = len(etgt.group.invariant_factors)
-    return IntMatrix.from_columns(cols, rows=n) if cols else IntMatrix.zeros(n, 0)
+    return IntMatrix.from_columns(cols, rows=n)
 
 
 def ext1_induced(pre: GroupMorphism | None, post: GroupMorphism | None,

@@ -4,7 +4,17 @@ Scope: finite directed graphs with no sinks satisfying Condition (K) (every
 vertex on a cycle lies on at least two distinct return paths).  These
 conditions make every ideal gauge-invariant, so the ideal lattice is the
 lattice of hereditary saturated vertex sets and the primitive ideal space is
-a finite T0-space read off from its join-irreducible elements.
+a finite T0-space read off from its join-irreducible elements (Bates, Hong,
+Raeburn and Szymanski, "The ideal structure of the C*-algebras of infinite
+graphs", 2002).  Neither is found by enumeration:
+
+  - Condition (K) fails exactly at a vertex on a cycle whose strongly
+    connected component is one bare cycle, i.e. has as many edges (counted
+    with multiplicity) as vertices;
+  - with cl(v) the saturation of the set of vertices reachable from v, every
+    hereditary saturated set is the saturation of a union of some cl(v), and
+    the join-irreducible ones are exactly the cl(v) that differ from the
+    saturation of the union of all cl(u) strictly inside cl(v).
 
 The invariant of a graph consists of: the primitive ideal poset X; the
 graded representation with even part coker(I - A^t) and odd part
@@ -54,6 +64,10 @@ from .posets import FinitePoset
 from .quiver import (
     Ext2Class,
     ExactnessError,
+    ExtPosetGroup,
+    ProjectiveRep,
+    ProjIntoRep,
+    ProjResolution,
     QuiverRep,
     RepMorphism,
     TwoExtension,
@@ -123,22 +137,6 @@ class DirectedGraph:
                     stack.append(w)
         return seen
 
-    def simple_cycles_through(self, v, cap=None):
-        """Vertex-simple cycles through v, as vertex tuples starting at v."""
-        out = []
-
-        def walk(cur, path):
-            if cap is not None and len(out) >= cap:
-                return
-            for w in self.targets(cur):
-                if w == v:
-                    out.append(tuple(path))
-                elif w not in path:
-                    walk(w, path + [w])
-
-        walk(v, [v])
-        return out
-
     def __repr__(self):
         return f"DirectedGraph({self.vertices}, edges={sum(sum(r) for r in self.adjacency.data)})"
 
@@ -147,7 +145,6 @@ class DirectedGraph:
 class AdmissibilityReport:
     sinks: list
     condition_k_witness: object  # None, or the unique return cycle at a vertex
-    unital: bool = True  # finite graphs always
 
     @property
     def has_sinks(self):
@@ -174,43 +171,25 @@ class AdmissibilityReport:
 def admissible(e: DirectedGraph) -> AdmissibilityReport:
     """Check the scope conditions: no sinks and Condition (K).
 
-    Condition (K) asks that no vertex has exactly one return path.  A unique
-    return path is automatically a vertex-simple cycle; when a vertex lies on
-    exactly one simple cycle, a second return path exists iff some cycle
-    vertex has an exit edge from which the base is reachable.
+    A vertex v on a cycle has exactly one return path iff its strongly
+    connected component is one bare cycle, i.e. has as many edges (with
+    multiplicity) as vertices.  The witness is that cycle, walked from the
+    first such vertex in vertex order.
     """
     sinks = [v for v in e.vertices if e.out_degree(v) == 0]
-    witness = None
+    reach = {v: e.reachable_from(v) for v in e.vertices}
     for v in e.vertices:
-        cycles = e.simple_cycles_through(v, cap=2)
-        if len(cycles) != 1:
-            continue
-        cycle = cycles[0]
-        # multiplicity >= 2 along the cycle gives parallel return paths
-        multi = False
-        for a, b in zip(cycle, cycle[1:] + (cycle[0],)):
-            if e.adjacency.data[e.index[a]][e.index[b]] >= 2:
-                multi = True
-                break
-        if multi:
-            continue
-        # an exit from the cycle that can come back to v gives a second path
-        second = False
-        cycle_set = set(cycle)
-        for k, a in enumerate(cycle):
-            nxt = cycle[(k + 1) % len(cycle)]
-            for w in e.targets(a):
-                if w == nxt:
-                    continue
-                if v == w or v in e.reachable_from(w):
-                    second = True
-                    break
-            if second:
-                break
-        if not second:
-            witness = cycle
-            break
-    return AdmissibilityReport(sinks=sinks, condition_k_witness=witness)
+        if not any(v in reach[w] for w in e.targets(v)):
+            continue  # v lies on no cycle
+        comp = {u for u in reach[v] if v in reach[u]}
+        edges = sum(e.adjacency.data[e.index[u]][e.index[w]] for u in comp for w in comp)
+        if edges == len(comp):
+            cycle = [v]
+            while len(cycle) < len(comp):
+                (nxt,) = [w for w in e.targets(cycle[-1]) if w in comp]
+                cycle.append(nxt)
+            return AdmissibilityReport(sinks=sinks, condition_k_witness=tuple(cycle))
+    return AdmissibilityReport(sinks=sinks, condition_k_witness=None)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +197,18 @@ def admissible(e: DirectedGraph) -> AdmissibilityReport:
 # ---------------------------------------------------------------------------
 
 
-def _is_hereditary(e: DirectedGraph, subset):
-    return all(w in subset for v in subset for w in e.targets(v))
-
-def _is_saturated(e: DirectedGraph, subset):
-    for v in e.vertices:
-        if v in subset or e.out_degree(v) == 0:
-            continue
-        if all(w in subset for w in e.targets(v)):
-            return False
-    return True
+def _saturation(e: DirectedGraph, h):
+    """The smallest saturated superset of h: adds every vertex that emits
+    edges and all of whose edges end in the set, until none is left."""
+    h = set(h)
+    grew = True
+    while grew:
+        grew = False
+        for v in e.vertices:
+            if v not in h and e.targets(v) and all(w in h for w in e.targets(v)):
+                h.add(v)
+                grew = True
+    return frozenset(h)
 
 
 @dataclass
@@ -240,40 +221,28 @@ class IdealPoset:
 
 
 def hereditary_saturated(e: DirectedGraph) -> IdealPoset:
-    """All hereditary saturated subsets; the primitive ideal space is read
-    off as the join-irreducible elements, ordered by reverse inclusion of
-    vertex sets (x <= y iff H_y is contained in H_x)."""
-    report = admissible(e)
-    report.ensure()
-    n = len(e.vertices)
-    if n > 20:
-        raise ValueError("ideal lattice enumeration limited to 20 vertices")
-    import itertools
+    """The join-irreducible hereditary saturated sets, ordered by reverse
+    inclusion of vertex sets (x <= y iff H_y is contained in H_x).
 
-    sets = []
-    for bits in itertools.product([0, 1], repeat=n):
-        subset = frozenset(v for v, b in zip(e.vertices, bits) if b)
-        if _is_hereditary(e, subset) and _is_saturated(e, subset):
-            sets.append(subset)
-    sets.sort(key=lambda s: (len(s), sorted(e.index[v] for v in s)))
+    With cl(v) the saturation of the vertices reachable from v, every
+    hereditary saturated set is the saturation of a union of some cl(v), so
+    the join-irreducibles are the cl(v) that differ from the saturation of
+    the union of all cl(u) strictly inside cl(v).  Labels H0, H1, ... follow
+    the order (size, sorted vertex indices).
+    """
+    admissible(e).ensure()
+    closures = {_saturation(e, e.reachable_from(v)) for v in e.vertices}
 
-    # join-irreducible = covers exactly one element of the lattice
-    def covers(h):
-        below = [k for k in sets if k < h]
-        return [k for k in below if not any(k < m < h for m in below)]
+    def join_below(h):
+        return _saturation(e, frozenset().union(*(k for k in closures if k < h)))
 
-    irreducibles = [h for h in sets if h and len(covers(h)) == 1]
-    labels = {}
-    for i, h in enumerate(irreducibles):
-        labels[h] = f"H{i}"
-    leq_pairs = []
-    for h1 in irreducibles:
-        for h2 in irreducibles:
-            if h2 <= h1:  # vertex-set containment: point of h1 <= point of h2
-                leq_pairs.append((labels[h1], labels[h2]))
+    irreducibles = sorted((h for h in closures if join_below(h) != h),
+                          key=lambda h: (len(h), sorted(e.index[v] for v in h)))
+    labels = {h: f"H{i}" for i, h in enumerate(irreducibles)}
+    leq_pairs = [(labels[h1], labels[h2]) for h1 in irreducibles for h2 in irreducibles
+                 if h2 <= h1]  # vertex-set containment: point of h1 <= point of h2
     poset = FinitePoset([labels[h] for h in irreducibles], leq_pairs)
-    vertex_sets = {labels[h]: h for h in irreducibles}
-    return IdealPoset(e, poset, vertex_sets)
+    return IdealPoset(e, poset, {labels[h]: h for h in irreducibles})
 
 
 # ---------------------------------------------------------------------------
@@ -449,22 +418,29 @@ class CompareOutcome:
     reason: str = ""
 
 
-def _transport_invariant(inv: XKInvariant, sigma, poset) -> TwoExtension:
-    """The sequence 0 -> XK1 -> Q -> Q -> XK0 -> 0 of inv read over `poset`
-    through the poset isomorphism sigma: poset -> inv's ideal poset."""
+def _pull_rep(rep: QuiverRep, sigma, poset) -> QuiverRep:
+    """rep read over `poset` through the poset isomorphism sigma: poset ->
+    rep's poset."""
+    groups = {p: rep.groups[sigma[p]] for p in poset.points}
+    arrows = {(y, x): rep.arrow_map(sigma[y], sigma[x]) for y, x in poset.hasse_arrows}
+    return QuiverRep(poset, groups, arrows, check=False)
 
-    def pull(rep):
-        groups = {p: rep.groups[sigma[p]] for p in poset.points}
-        arrows = {(y, x): rep.arrow_map(sigma[y], sigma[x]) for y, x in poset.hasse_arrows}
-        return QuiverRep(poset, groups, arrows, check=False)
 
-    def pull_mor(mor, src, tgt):
-        return RepMorphism(src, tgt, {p: mor.maps[sigma[p]] for p in poset.points}, trusted=True)
+def _pull_class(delta: Ext2Class, sigma, m0: QuiverRep, m1: QuiverRep) -> Ext2Class:
+    """delta read over m0 and m1, the pulls of its modules through sigma.
 
-    seq = inv.sequence
-    m1, q1, q0, m0 = (pull(r) for r in (seq.m1, seq.q1, seq.q0, seq.m0))
-    return TwoExtension(m1, q1, q0, m0, pull_mor(seq.d2, m1, q1), pull_mor(seq.d1, q1, q0),
-                        pull_mor(seq.eps, q0, m0))
+    The resolution keeps its diffs and augmentation vectors, with generator
+    points relabelled through sigma^-1.  The Hom complex then has the same
+    matrices (transports of M1 along different chains agree as matrices: XK1
+    has free groups), so the class keeps its coordinates."""
+    back = {q: p for p, q in sigma.items()}
+    res = delta.ambient.resolution
+    projectives = [ProjectiveRep(m0.poset, [back[x] for x in p.gen_points])
+                   for p in res.projectives]
+    aug = ProjIntoRep(projectives[0], m0, res.aug.vectors)
+    pulled = ProjResolution(m0, projectives, aug, res.diffs, res.complete)
+    return Ext2Class(ExtPosetGroup(m0, m1, 2, resolution=pulled), delta.coords,
+                     provenance=pulled.fingerprint())
 
 
 def compare_graph_invariants(e1: DirectedGraph, e2: DirectedGraph,
@@ -491,20 +467,19 @@ def _compare(inv1: XKInvariant, inv2: XKInvariant, bound, budget, unit) -> Compa
                               reason="primitive ideal posets are not isomorphic")
     class_layer = unknown = False
     for sigma in isos:
-        seq2 = _transport_invariant(inv2, sigma, poset)
+        xk0, xk1 = _pull_rep(inv2.xk0, sigma, poset), _pull_rep(inv2.xk1, sigma, poset)
         delta2 = None
 
         def accept(family):
             nonlocal class_layer, delta2
             class_layer = True
             if delta2 is None:
-                delta2 = yoneda_class(seq2)
+                delta2 = _pull_class(inv2.delta, sigma, xk0, xk1)
             f0, f1 = family
             return ext2_compatible(f0, inv1.delta, delta2, f1) and (
                 not unit or unit_image_under(family, inv1, inv2, sigma) == inv2.unit)
 
-        out = rep_iso_bounded_multi([inv1.xk0, inv1.xk1], [seq2.m0, seq2.m1], bound, budget,
-                                    accept)
+        out = rep_iso_bounded_multi([inv1.xk0, inv1.xk1], [xk0, xk1], bound, budget, accept)
         if out.verdict == "yes":
             return CompareOutcome("yes", poset_iso=dict(sigma), module_iso=tuple(out.witness))
         unknown = unknown or out.verdict == "unknown"

@@ -258,7 +258,7 @@ def _phi_on_hom(v: RModuleFg, w: RModuleFg, h: HomGroup) -> GroupMorphism:
         img = (w.x @ b) - (b @ v.x)
         cols.append(list(h.coords(img)))
     n = len(h.group.invariant_factors)
-    mat = IntMatrix.from_columns(cols, rows=n) if cols else IntMatrix.zeros(n, 0)
+    mat = IntMatrix.from_columns(cols, rows=n)
     g = _canonical_group(h.group.invariant_factors)
     return GroupMorphism(g, g, mat, trusted=True)
 
@@ -275,7 +275,7 @@ def _phi_on_ext(v: RModuleFg, w: RModuleFg, e: Ext1Group) -> GroupMorphism:
         img = w.x.matrix @ c - c @ x1
         cols.append(list(e.coords(img)))
     n = len(e.group.invariant_factors)
-    mat = IntMatrix.from_columns(cols, rows=n) if cols else IntMatrix.zeros(n, 0)
+    mat = IntMatrix.from_columns(cols, rows=n)
     g = _canonical_group(e.group.invariant_factors)
     return GroupMorphism(g, g, mat, trusted=True)
 
@@ -437,7 +437,7 @@ def six_term_maps(t: ExtRTriple):
     k = len(t.ext1_r.invariant_factors)
     conn = GroupMorphism(
         hcan, _canonical_group(t.ext1_r.invariant_factors),
-        IntMatrix.from_columns(cols, rows=k) if cols else IntMatrix.zeros(k, 0),
+        IntMatrix.from_columns(cols, rows=k),
         trusted=True,
     )
 
@@ -451,7 +451,7 @@ def six_term_maps(t: ExtRTriple):
     ke = len(ecan.invariant_factors)
     res = GroupMorphism(
         _canonical_group(t.ext1_r.invariant_factors), ecan,
-        IntMatrix.from_columns(cols, rows=ke) if cols else IntMatrix.zeros(ke, 0),
+        IntMatrix.from_columns(cols, rows=ke),
         trusted=True,
     )
 
@@ -463,7 +463,7 @@ def six_term_maps(t: ExtRTriple):
     k2 = len(t.ext2.group.invariant_factors)
     proj = GroupMorphism(
         ecan, _canonical_group(t.ext2.group.invariant_factors),
-        IntMatrix.from_columns(cols, rows=k2) if cols else IntMatrix.zeros(k2, 0),
+        IntMatrix.from_columns(cols, rows=k2),
         trusted=True,
     )
 
