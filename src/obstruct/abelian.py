@@ -9,6 +9,16 @@ the relations).
 Hom and Ext^1 carry explicit representing bases (morphisms, respectively
 cocycles against a fixed free resolution), so induced maps and connecting
 maps can be computed on the nose rather than up to isomorphism.
+
+Injective, surjective, bijective and exact are decided by one Hopfian test
+on invariant factors, never by building a kernel or cokernel group.  With
+f: Z^n/R -> Z^m/S, its image lattice I = im f + S and its preimage lattice
+P = {x : f x in S} (which contains R):
+  * f is surjective iff every cokernel factor of I is 1;
+  * f is injective iff P = R, iff Z^n/P and Z^n/R have the same invariant
+    factors (Z^n/R -> Z^n/P is onto, and the groups are Hopfian);
+  * f then g is exact iff g f = 0 (so I lies in P) and Z^m/I, Z^m/P have
+    the same invariant factors.
 """
 
 from __future__ import annotations
@@ -21,10 +31,10 @@ from .intlinalg import (
     ColumnLattice,
     ExactArithmeticError,
     IntMatrix,
+    cokernel_factors,
     factor_through,
     kernel_basis,
     lattice_basis,
-    smith_diagonal,
     smith_normal_form,
     unvec,
     vec,
@@ -254,15 +264,19 @@ class GroupMorphism:
             self.target.contains_relation(self.matrix.column(j)) for j in range(self.matrix.cols)
         )
 
-    def preimage_lattice_basis(self) -> IntMatrix:
-        """Basis of {x in Z^n_src : f(x) = 0 in target}, the kernel as a lattice.
+    def preimage_gens(self) -> IntMatrix:
+        """Generators (not a basis) of {x in Z^n_src : f(x) = 0 in target},
+        the kernel as a lattice: the kernel of [matrix | target relations],
+        projected to the source coordinates.
 
         Contains the source relation lattice whenever f is well defined.
         """
-        stacked = self.matrix.hstack(self.target.relations)
-        full = kernel_basis(stacked)
-        proj = full.submatrix(range(self.source.ngens), range(full.cols))
-        return lattice_basis(proj)
+        full = kernel_basis(self.matrix.hstack(self.target.relations))
+        return full.submatrix(range(self.source.ngens), range(full.cols))
+
+    def preimage_lattice_basis(self) -> IntMatrix:
+        """A basis of the lattice `preimage_gens` spans."""
+        return lattice_basis(self.preimage_gens())
 
     def kernel(self):
         """(K, incl) with K presented on a basis of the preimage lattice."""
@@ -280,14 +294,20 @@ class GroupMorphism:
         proj = GroupMorphism(self.target, c, IntMatrix.identity(self.target.ngens), trusted=True)
         return c, proj
 
+    def is_surjective(self):
+        """Every cokernel factor of the image lattice is 1."""
+        return all(d == 1 for d in cokernel_factors(self.matrix.hstack(self.target.relations)))
+
+    def is_injective(self):
+        """The preimage lattice has the source's invariant factors (Hopfian
+        test; assumes f well defined)."""
+        factors = [d for d in cokernel_factors(self.preimage_gens()) if d != 1]
+        return factors == self.source.invariant_factors
+
     def is_iso(self):
-        """Bijective?  Finitely generated abelian groups are Hopfian, so a
-        surjection onto a group with the same invariant factors is injective,
-        and one diagonal-only SNF of the cokernel relations decides."""
-        if self.source.invariant_factors != self.target.invariant_factors:
-            return False
-        diag = smith_diagonal(self.matrix.hstack(self.target.relations))
-        return len(diag) == self.target.ngens and all(d == 1 for d in diag)
+        """Bijective?  A surjection onto a group with the same invariant
+        factors is injective (Hopfian test)."""
+        return self.source.invariant_factors == self.target.invariant_factors and self.is_surjective()
 
     def inverse(self):
         """Two-sided inverse morphism; raises if not an isomorphism."""
@@ -313,15 +333,14 @@ def kernel_cokernel(f: GroupMorphism):
 
 
 def is_exact_at(f: GroupMorphism, g: GroupMorphism) -> bool:
-    """Is im(f) = ker(g) inside the middle group (as subgroups)?"""
+    """Is im(f) = ker(g) inside the middle group (as subgroups)?  Hopfian
+    test: g f = 0, and the image and preimage lattices have the same
+    cokernel factors."""
     if f.target is not g.source and f.target.ngens != g.source.ngens:
         raise ValueError("maps are not composable around a middle group")
-    mid = g.source
-    image_gens = f.matrix.hstack(mid.relations)
-    kernel_gens = g.preimage_lattice_basis()
-    from .intlinalg import lattices_equal
-
-    return lattices_equal(lattice_basis(image_gens), kernel_gens)
+    return ((g @ f).is_zero()
+            and cokernel_factors(f.matrix.hstack(g.source.relations))
+            == cokernel_factors(g.preimage_gens()))
 
 
 def iso_groups(v: FgAbGroup, w: FgAbGroup):
@@ -511,42 +530,31 @@ def _canonical_group(factors):
     return FgAbGroup.from_invariant_factors(list(factors))
 
 
+def canonical_morphism(source: FgAbGroup, target: FgAbGroup, images) -> GroupMorphism:
+    """The map between the canonical decompositions of source and target
+    that sends canonical generator j of source to the canonical coordinates
+    images[j] in target; an endomorphism keeps one group for both ends."""
+    src = _canonical_group(source.invariant_factors)
+    tgt = src if target is source else _canonical_group(target.invariant_factors)
+    return GroupMorphism(
+        src, tgt,
+        IntMatrix.from_columns([list(c) for c in images], rows=tgt.ngens),
+        trusted=True,
+    )
+
+
 def hom_induced(pre: GroupMorphism | None, post: GroupMorphism | None,
                 hsrc: HomGroup, htgt: HomGroup) -> GroupMorphism:
     """Map Hom(V,W) -> Hom(V',W') sending b to post∘b∘pre, in canonical coords."""
-    cols = []
+    images = []
     for b in hsrc.basis:
         g = b
         if pre is not None:
             g = g @ pre
         if post is not None:
             g = post @ g
-        cols.append(list(htgt.coords(g)))
-    n = len(htgt.group.invariant_factors)
-    mat = IntMatrix.from_columns(cols, rows=n)
-    return GroupMorphism(
-        _canonical_group(hsrc.group.invariant_factors),
-        _canonical_group(htgt.group.invariant_factors),
-        mat,
-        trusted=True,
-    )
-
-
-def _ext1_induced_matrix(pre: GroupMorphism | None, post: GroupMorphism | None,
-                         esrc: Ext1Group, etgt: Ext1Group):
-    lift = None
-    if pre is not None:
-        lift = resolution_lift(pre, etgt.res, esrc.res)
-    cols = []
-    for c in esrc.basis:
-        m = c
-        if lift is not None:
-            m = m @ lift
-        if post is not None:
-            m = post.matrix @ m
-        cols.append(list(etgt.coords(m)))
-    n = len(etgt.group.invariant_factors)
-    return IntMatrix.from_columns(cols, rows=n)
+        images.append(htgt.coords(g))
+    return canonical_morphism(hsrc.group, htgt.group, images)
 
 
 def ext1_induced(pre: GroupMorphism | None, post: GroupMorphism | None,
@@ -555,13 +563,18 @@ def ext1_induced(pre: GroupMorphism | None, post: GroupMorphism | None,
 
     pre must be a morphism V' -> V (contravariant slot), post W -> W'.
     """
-    mat = _ext1_induced_matrix(pre, post, esrc, etgt)
-    return GroupMorphism(
-        _canonical_group(esrc.group.invariant_factors),
-        _canonical_group(etgt.group.invariant_factors),
-        mat,
-        trusted=True,
-    )
+    lift = None
+    if pre is not None:
+        lift = resolution_lift(pre, etgt.res, esrc.res)
+    images = []
+    for c in esrc.basis:
+        m = c
+        if lift is not None:
+            m = m @ lift
+        if post is not None:
+            m = post.matrix @ m
+        images.append(etgt.coords(m))
+    return canonical_morphism(esrc.group, etgt.group, images)
 
 
 def induced_map(f: GroupMorphism, functor: str, other: FgAbGroup) -> GroupMorphism:

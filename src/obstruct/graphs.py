@@ -322,15 +322,22 @@ def xk_invariant(e: DirectedGraph) -> XKInvariant:
     return XKInvariant(e, ideals, xk0, xk1, seq, delta, unit_group, unit)
 
 
-def _colimit_of_rep(rep: QuiverRep):
-    """(C, structure) with C = coker(sum over arrows of (include - identity))
-    and structure maps M_x -> C; computes the colimit over the poset."""
-    poset = rep.poset
+def _block_offsets(rep: QuiverRep):
+    """(offsets, total): where each point's generators start in the direct
+    sum of the point groups, and its number of generators."""
     offsets = {}
     acc = 0
-    for p in poset.points:
+    for p in rep.poset.points:
         offsets[p] = acc
         acc += rep.groups[p].ngens
+    return offsets, acc
+
+
+def _colimit_of_rep(rep: QuiverRep):
+    """The colimit over the poset, coker(sum over arrows of (include -
+    identity)), presented on the direct sum of the point groups."""
+    poset = rep.poset
+    offsets, acc = _block_offsets(rep)
     rel_blocks = [IntMatrix.block_diag([rep.groups[p].relations for p in poset.points],
                                        rows=acc, cols=0)]
     cols = []
@@ -345,14 +352,7 @@ def _colimit_of_rep(rep: QuiverRep):
     rel = rel_blocks[0]
     if cols:
         rel = rel.hstack(IntMatrix.from_columns(cols, rows=acc))
-    c = FgAbGroup(acc, rel)
-    structure = {}
-    for p in poset.points:
-        m = IntMatrix.zeros(acc, rep.groups[p].ngens)
-        for j in range(rep.groups[p].ngens):
-            m.data[offsets[p] + j][j] = 1
-        structure[p] = GroupMorphism(rep.groups[p], c, m, trusted=True)
-    return c, structure, offsets
+    return FgAbGroup(acc, rel)
 
 
 def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
@@ -365,7 +365,7 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     if not xk0.poset.points:
         raise ExactArithmeticError("empty primitive ideal space")
     n = len(e.vertices)
-    colim, structure, offsets = _colimit_of_rep(xk0)
+    colim = _colimit_of_rep(xk0)
     # natural map colim -> K0(whole) = coker(I - A^t): on the x-block it is
     # the inclusion Z^(H_x) -> Z^n
     full = IntMatrix.identity(n) - e.adjacency.transpose()
@@ -388,11 +388,10 @@ def unit_image_under(witnesses, inv1: XKInvariant, inv2: XKInvariant, sigma):
     """Image of inv1's unit class under the colimit map induced by a module
     isomorphism (f0 transported along the poset isomorphism sigma)."""
     f0 = witnesses[0]
-    colim1, _, offsets1 = _colimit_of_rep(inv1.xk0)
-    colim2, structure2, offsets2 = _colimit_of_rep(inv2.xk0)
-    acc1 = colim1.ngens
-    acc2 = colim2.ngens
-    m = IntMatrix.zeros(acc2, acc1)
+    colim1, colim2 = inv1.unit_group, inv2.unit_group
+    offsets1, _ = _block_offsets(inv1.xk0)
+    offsets2, _ = _block_offsets(inv2.xk0)
+    m = IntMatrix.zeros(colim2.ngens, colim1.ngens)
     for p in inv1.xk0.poset.points:
         block = f0.maps[p].matrix
         p2 = sigma[p]

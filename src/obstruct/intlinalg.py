@@ -18,6 +18,13 @@ Where only the invariant factors are needed (`matrix_rank`,
 `is_unimodular`, the shift-equivalence battery), `smith_diagonal` runs the
 same elimination on the matrix alone and builds no transform.
 
+Lattice equality is a Hopfian test.  Finitely generated abelian groups are
+Hopfian: a surjection between isomorphic ones is injective.  So if
+L' is inside L, both inside Z^n, and Z^n/L and Z^n/L' have the same
+invariant factors (`cokernel_factors`), the surjection Z^n/L' -> Z^n/L is
+an isomorphism and L = L'.  One containment and two diagonal-only
+eliminations decide equality, with no lattice basis built.
+
 Conventions:
   * matrices act on column vectors; the column span of a matrix is called
     its (column) lattice;
@@ -543,14 +550,22 @@ def lattice_basis(gens: IntMatrix) -> IntMatrix:
     return ColumnLattice(gens).basis()
 
 
+def cokernel_factors(a: IntMatrix) -> list:
+    """Invariant factors of Z^rows / (column lattice of a), units included:
+    `smith_diagonal(a)` padded with zeros to a.rows."""
+    diag = smith_diagonal(a)
+    return diag + [0] * (a.rows - len(diag))
+
+
 def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    """Do two generating matrices span the same column lattice?"""
+    """Do two generating matrices span the same column lattice?
+
+    Hopfian test: equal cokernel factors, and b factors through a.
+    """
     if a.rows != b.rows:
         raise ValueError("ambient dimension mismatch")
-    la, lb = ColumnLattice(a), ColumnLattice(b)
-    return all(lb.contains(a.column(j)) for j in range(a.cols)) and all(
-        la.contains(b.column(j)) for j in range(b.cols)
-    )
+    return (cokernel_factors(a) == cokernel_factors(b)
+            and _factor(smith_normal_form(a), b.transpose().data) is not None)
 
 
 def matrix_rank(a: IntMatrix) -> int:

@@ -27,8 +27,8 @@ from .abelian import (
     HomGroup,
     SearchOutcome,
     SubquotientData,
-    _canonical_group,
     _power_group,
+    canonical_morphism,
     eventual_image,
     ext1_z,
     hom_z,
@@ -253,31 +253,15 @@ class GradedRModule:
 
 def _phi_on_hom(v: RModuleFg, w: RModuleFg, h: HomGroup) -> GroupMorphism:
     """f |-> x_W f - f x_V on Hom_Z(V, W), in canonical coordinates."""
-    cols = []
-    for b in h.basis:
-        img = (w.x @ b) - (b @ v.x)
-        cols.append(list(h.coords(img)))
-    n = len(h.group.invariant_factors)
-    mat = IntMatrix.from_columns(cols, rows=n)
-    g = _canonical_group(h.group.invariant_factors)
-    return GroupMorphism(g, g, mat, trusted=True)
-
-
-def _x_lift(v: RModuleFg, res: IntMatrix) -> IntMatrix:
-    return resolution_lift(v.x, res, res)
+    images = [h.coords((w.x @ b) - (b @ v.x)) for b in h.basis]
+    return canonical_morphism(h.group, h.group, images)
 
 
 def _phi_on_ext(v: RModuleFg, w: RModuleFg, e: Ext1Group) -> GroupMorphism:
     """c |-> x_W c - c x1 on Ext^1_Z(V, W) cocycles, x1 the resolution lift."""
-    x1 = _x_lift(v, e.res)
-    cols = []
-    for c in e.basis:
-        img = w.x.matrix @ c - c @ x1
-        cols.append(list(e.coords(img)))
-    n = len(e.group.invariant_factors)
-    mat = IntMatrix.from_columns(cols, rows=n)
-    g = _canonical_group(e.group.invariant_factors)
-    return GroupMorphism(g, g, mat, trusted=True)
+    x1 = resolution_lift(v.x, e.res, e.res)
+    images = [e.coords(w.x.matrix @ c - c @ x1) for c in e.basis]
+    return canonical_morphism(e.group, e.group, images)
 
 
 @dataclass
@@ -424,48 +408,21 @@ def ext_r_resolution(v: RModuleFg, w: RModuleFg):
 def six_term_maps(t: ExtRTriple):
     """The maps of 0 -> Hom_R -> Hom_Z -> Hom_Z -> Ext^1_R -> Ext^1_Z ->
     Ext^1_Z -> Ext^2_R -> 0 between canonical groups, for exactness checks."""
-    hcan = _canonical_group(t.hom_h.group.invariant_factors)
-    ecan = _canonical_group(t.ext_e.group.invariant_factors)
     n, m = t.v.group.ngens, t.w.group.ngens
     r = t.total.res.cols
 
     # connecting Hom_Z -> Ext^1_R: phi |-> class of (phi, 0) in H^1
-    cols = []
-    for b in t.hom_h.basis:
-        amb = vec(b.matrix) + [0] * (r * m)
-        cols.append(list(t.ext1_r_data.coords(amb)))
-    k = len(t.ext1_r.invariant_factors)
-    conn = GroupMorphism(
-        hcan, _canonical_group(t.ext1_r.invariant_factors),
-        IntMatrix.from_columns(cols, rows=k),
-        trusted=True,
-    )
+    images = [t.ext1_r_data.coords(vec(b.matrix) + [0] * (r * m)) for b in t.hom_h.basis]
+    conn = canonical_morphism(t.hom_h.group, t.ext1_r, images)
 
     # restriction Ext^1_R -> Ext^1_Z: class of (psi, chi) |-> class of chi
-    cols = []
-    for j in range(k):
-        coords = tuple(1 if i == j else 0 for i in range(k))
-        amb = t.ext1_r_data.rep_of(coords)
-        chi = unvec(amb[n * m:], m, r)
-        cols.append(list(t.ext_e.coords(chi)))
-    ke = len(ecan.invariant_factors)
-    res = GroupMorphism(
-        _canonical_group(t.ext1_r.invariant_factors), ecan,
-        IntMatrix.from_columns(cols, rows=ke),
-        trusted=True,
-    )
+    images = [t.ext_e.coords(unvec(amb[n * m:], m, r)) for amb in t.ext1_r_data.basis_reps]
+    res = canonical_morphism(t.ext1_r, t.ext_e.group, images)
 
     # projection Ext^1_Z -> Ext^2_R
-    cols = []
-    for j in range(ke):
-        coords = [1 if i == j else 0 for i in range(ke)]
-        cols.append(list(t.ext2.coker.coords(coords)))
-    k2 = len(t.ext2.group.invariant_factors)
-    proj = GroupMorphism(
-        ecan, _canonical_group(t.ext2.group.invariant_factors),
-        IntMatrix.from_columns(cols, rows=k2),
-        trusted=True,
-    )
+    ke = len(t.ext_e.group.invariant_factors)
+    images = [t.ext2.coker.coords([1 if i == j else 0 for i in range(ke)]) for j in range(ke)]
+    proj = canonical_morphism(t.ext_e.group, t.ext2.group, images)
 
     return {
         "hom_incl": t.hom_r_incl,

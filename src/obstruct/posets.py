@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import IntMatrix, lattices_equal, lattice_basis, matrix_rank
+from .intlinalg import ExactArithmeticError, IntMatrix, kernel_basis, lattices_equal, matrix_rank
 
 
 class FinitePoset:
@@ -174,7 +174,7 @@ def is_unique_path_space(x: FinitePoset):
         if len(chains) > 1:
             return False, tuple(chains[:2])
         if len(chains) == 0:
-            raise AssertionError("comparable pair without a Hasse chain")
+            raise ExactArithmeticError("comparable pair without a Hasse chain")
     return True, None
 
 
@@ -249,10 +249,8 @@ def verify_bimodule_resolution(x: FinitePoset) -> BimoduleResolutionReport:
         lam.data[middle_index[(p, l + 1)]][j] -= 1
 
     # exactness: mu surjective onto Z^paths, ker(mu) = im(lam), lam injective
-    surjective = lattices_equal(lattice_basis(mu), IntMatrix.identity(len(paths)))
-    from .intlinalg import kernel_basis
-
-    middle_exact = lattices_equal(kernel_basis(mu), lattice_basis(lam))
+    surjective = lattices_equal(mu, IntMatrix.identity(len(paths)))
+    middle_exact = lattices_equal(kernel_basis(mu), lam)
     injective = kernel_basis(lam).cols == 0
     return BimoduleResolutionReport(
         poset_points=list(x.points),

@@ -25,6 +25,7 @@ from .abelian import (
     SubquotientData,
     direct_sum,
     homology_at,
+    is_exact_at,
     iso_search,
     resolution_lift,
 )
@@ -236,8 +237,6 @@ def rep_direct_sum(reps):
 
 def rep_is_exact_at(f: RepMorphism, g: RepMorphism) -> bool:
     """Pointwise im(f) = ker(g) in the middle representation."""
-    from .abelian import is_exact_at
-
     return all(is_exact_at(f.maps[p], g.maps[p]) for p in f.source.poset.points)
 
 
@@ -314,13 +313,13 @@ class ProjIntoRep:
             cols.append(t.matrix.apply(self.vectors[i]))
         return IntMatrix.from_columns(cols, rows=tgt.ngens)
 
+    def point_morphism(self, z) -> GroupMorphism:
+        """The map at z, from the free group on the generators above z."""
+        m = self.point_matrix(z)
+        return GroupMorphism(FgAbGroup.free(m.cols), self.target.groups[z], m, trusted=True)
+
     def is_surjective(self):
-        for p in self.source.poset.points:
-            g = self.target.groups[p]
-            m = self.point_matrix(p).hstack(g.relations)
-            if not lattices_equal(lattice_basis(m), IntMatrix.identity(g.ngens)):
-                return False
-        return True
+        return all(self.point_morphism(p).is_surjective() for p in self.source.poset.points)
 
 
 def minimal_cover(v: QuiverRep, rng=None):
@@ -427,14 +426,8 @@ def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
     projectives = [p0]
     diffs = []
     # first syzygy: preimage lattice of the augmentation, pointwise
-    bases = {}
-    for z in v.poset.points:
-        m = aug.point_matrix(z)
-        stacked = m.hstack(v.groups[z].relations)
-        full = kernel_basis(stacked)
-        proj = full.submatrix(range(m.cols), range(full.cols))
-        bases[z] = lattice_basis(proj)
-    kernel = SubLatticeRep(p0, bases)
+    kernel = SubLatticeRep(p0, {z: aug.point_morphism(z).preimage_lattice_basis()
+                                for z in v.poset.points})
     complete = kernel.is_zero()
     while len(projectives) <= length and not complete:
         krep = kernel.as_rep()
@@ -473,20 +466,18 @@ def verify_resolution(res: ProjResolution):
     for i in range(last + 1):
         pi = res.projective_at(i)
         for z in poset.points:
+            # generators of the kernel lattice at z, a basis only for i >= 1
             if i == 0:
-                m = res.aug.point_matrix(z)
-                stacked = m.hstack(v.groups[z].relations)
-                full = kernel_basis(stacked)
-                ker = lattice_basis(full.submatrix(range(m.cols), range(full.cols)))
+                ker = res.aug.point_morphism(z).preimage_gens()
             else:
                 pm = pi.point_matrix_of_coeffs(res.diff_coeffs(i), res.projective_at(i - 1), z)
                 ker = kernel_basis(pm)
             if i == last:
-                if res.complete and ker.cols != 0:
+                if res.complete and not ker.is_zero():
                     raise ExactnessError(f"nonzero final syzygy at P_{i}, point {z!r}")
                 continue
             img = res.projective_at(i + 1).point_matrix_of_coeffs(res.diff_coeffs(i + 1), pi, z)
-            if not lattices_equal(lattice_basis(img), ker):
+            if not lattices_equal(img, ker):
                 raise ExactnessError(f"resolution not exact at P_{i}, point {z!r}")
     return True
 
@@ -741,14 +732,10 @@ class TwoExtension:
 
     def verify_exact(self):
         """Raises ExactnessError naming the failing node."""
-        from .abelian import is_exact_at
-
         for p in self.m0.poset.points:
-            k, _ = self.d2.maps[p].kernel()
-            if not k.is_trivial():
+            if not self.d2.maps[p].is_injective():
                 raise ExactnessError(f"first map not injective at point {p!r}")
-            c, _ = self.eps.maps[p].cokernel()
-            if not c.is_trivial():
+            if not self.eps.maps[p].is_surjective():
                 raise ExactnessError(f"last map not surjective at point {p!r}")
             if not is_exact_at(self.d2.maps[p], self.d1.maps[p]):
                 raise ExactnessError(f"not exact at the inner node Q1, point {p!r}")
@@ -1040,34 +1027,21 @@ def baer_sum(e1: TwoExtension, e2: TwoExtension) -> TwoExtension:
 
 
 def rep_compose_into_sum(f1: RepMorphism, f2: RepMorphism, target_sum: QuiverRep, projs):
-    """(f1, f2) as a map A1+A2 -> B1+B2, or A -> B1+B2 when projs is None.
-
-    With projs given (projections of the source sum), the blocks act
-    independently; without, both maps share the source.
-    """
-    if projs is not None:
-        poset = target_sum.poset
-        maps = {}
-        for p in poset.points:
-            maps[p] = GroupMorphism(
-                projs[0].source.groups[p], target_sum.groups[p],
-                IntMatrix.block_diag(
-                    [f1.maps[p].matrix, f2.maps[p].matrix],
-                    rows=target_sum.groups[p].ngens,
-                    cols=projs[0].source.groups[p].ngens,
-                ),
-                trusted=True,
-            )
-        return RepMorphism(projs[0].source, target_sum, maps, trusted=True)
-    poset = target_sum.poset
+    """(f1, f2) as a block-diagonal map A1+A2 -> B1+B2; projs are the
+    projections of the source sum A1+A2."""
+    source_sum = projs[0].source
     maps = {}
-    for p in poset.points:
+    for p in target_sum.poset.points:
         maps[p] = GroupMorphism(
-            f1.source.groups[p], target_sum.groups[p],
-            f1.maps[p].matrix.vstack(f2.maps[p].matrix),
+            source_sum.groups[p], target_sum.groups[p],
+            IntMatrix.block_diag(
+                [f1.maps[p].matrix, f2.maps[p].matrix],
+                rows=target_sum.groups[p].ngens,
+                cols=source_sum.groups[p].ngens,
+            ),
             trusted=True,
         )
-    return RepMorphism(f1.source, target_sum, maps, trusted=True)
+    return RepMorphism(source_sum, target_sum, maps, trusted=True)
 
 
 def _stack_maps(f: GroupMorphism, g: GroupMorphism, target_group: FgAbGroup):

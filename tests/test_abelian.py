@@ -22,6 +22,8 @@ from obstruct.abelian import (
 )
 from obstruct.intlinalg import IntMatrix
 
+from test_intlinalg import spans_equal
+
 
 # --- independent oracles -----------------------------------------------------
 #
@@ -444,3 +446,70 @@ def test_is_iso_matches_definition(seed, factors):
         w = random_group(rng)
         f = random_morphism(rng, v, w)
     assert f.is_iso() == is_iso_by_definition(f)
+
+
+def is_exact_by_definition(f, g):
+    """im(f) + relations and the preimage lattice of g contain each other."""
+    return spans_equal(f.matrix.hstack(g.source.relations), g.preimage_lattice_basis())
+
+
+def random_map_case(rng):
+    """A random well-defined map: into an equivalent presentation of the
+    source (an isomorphism every other time), into a random group, or a
+    kernel inclusion or cokernel projection of a random map."""
+    v = random_group(rng)
+    kind = rng.randrange(4)
+    if kind == 0:
+        w = randomized_equivalent_presentation(rng, v)[0]
+        f = iso_groups(v, w)[1]
+        return f @ random_morphism(rng, v, v) if rng.random() < 0.5 else f
+    w = random_group(rng)
+    f = random_morphism(rng, v, w)
+    if kind == 2:
+        return f.kernel()[1]
+    if kind == 3:
+        return f.cokernel()[1]
+    return f
+
+
+def test_injective_surjective_match_kernel_and_cokernel():
+    rng = random.Random(31)
+    seen = {"injective": {True: 0, False: 0}, "surjective": {True: 0, False: 0}}
+    for _ in range(800):
+        f = random_map_case(rng)
+        injective = f.is_injective()
+        surjective = f.is_surjective()
+        assert injective == f.kernel()[0].is_trivial()
+        assert surjective == f.cokernel()[0].is_trivial()
+        assert f.is_iso() == (injective and surjective)
+        seen["injective"][injective] += 1
+        seen["surjective"][surjective] += 1
+    assert all(min(counts.values()) >= 100 for counts in seen.values()), seen
+
+
+def test_is_exact_at_matches_mutual_containment():
+    # g random; f its kernel inclusion (exact), that inclusion scaled or
+    # precomposed with a random endomorphism (exact or not), a random map
+    # into g's source (rarely even a complex), or g itself followed by its
+    # cokernel projection (exact)
+    rng = random.Random(37)
+    seen = {True: 0, False: 0}
+    for _ in range(500):
+        v, w = random_group(rng), random_group(rng)
+        g = random_morphism(rng, v, w)
+        k, incl = g.kernel()
+        kind = rng.randrange(5)
+        if kind == 0:
+            f = incl
+        elif kind == 1:
+            f = incl.scaled(rng.randint(2, 3))
+        elif kind == 2:
+            f = incl @ random_morphism(rng, k, k)
+        elif kind == 3:
+            f = random_morphism(rng, random_group(rng), v)
+        else:
+            f, g = g, g.cokernel()[1]
+        got = is_exact_at(f, g)
+        assert got == is_exact_by_definition(f, g)
+        seen[got] += 1
+    assert min(seen.values()) >= 100, seen

@@ -244,6 +244,55 @@ def test_lattice_membership_and_basis():
     assert b.cols == matrix_rank(g)
 
 
+def spans_equal(a, b):
+    """Reference route for lattice equality: each lattice contains the
+    other's generators."""
+    la, lb = ColumnLattice(a), ColumnLattice(b)
+    return all(lb.contains(c) for c in a.columns()) and all(la.contains(c) for c in b.columns())
+
+
+def random_matrix(rng, rows, cols, entry=3):
+    return IntMatrix(rows, cols, [[rng.randint(-entry, entry) for _ in range(cols)]
+                                  for _ in range(rows)])
+
+
+def random_unimodular(rng, n):
+    """A product of random shears and a sign flip."""
+    u = IntMatrix.identity(n)
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        shear = IntMatrix.identity(n)
+        shear.data[i][i] = -1 if i == j else 1
+        if i != j:
+            shear.data[i][j] = rng.randint(-2, 2)
+        u = shear @ u
+    return u
+
+
+def test_lattices_equal_matches_mutual_containment():
+    # a's lattice against a unimodular recombination of a (plus redundant
+    # columns), a random recombination (often a proper sublattice) or an
+    # unrelated matrix, so both answers come up often
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n, k = rng.randint(1, 4), rng.randint(0, 4)
+        a = random_matrix(rng, n, k)
+        kind = rng.randrange(3)
+        if kind == 0:
+            b = a @ random_unimodular(rng, k)
+            if rng.random() < 0.5:
+                b = b.hstack(a @ random_matrix(rng, k, rng.randint(1, 2)))
+        elif kind == 1:
+            b = a @ random_matrix(rng, k, rng.randint(0, 4))
+        else:
+            b = random_matrix(rng, n, rng.randint(0, 4))
+        got = lattices_equal(a, b)
+        assert got == spans_equal(a, b) == lattices_equal(b, a)
+        seen[got] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_saturation():
     g = IntMatrix.from_rows([[2], [4]])
     sat = ColumnLattice(g).saturation_basis()

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -377,6 +378,49 @@ def test_exactness_error_naming_node():
                        RepMorphism.identity(m))
     with pytest.raises(ExactnessError):
         bad.verify_exact()
+
+
+def point_extension(groups, maps):
+    """0 -> M1 -> Q1 -> Q0 -> M0 -> 0 over the one-point poset, from its four
+    groups and the matrices of its three maps."""
+    poset = point_poset()
+    reps = [QuiverRep(poset, {"*": g}, {}) for g in groups]
+    mors = [RepMorphism(a, b, {"*": GroupMorphism(a.groups["*"], b.groups["*"],
+                                                  IntMatrix.from_rows(m))})
+            for a, b, m in zip(reps, reps[1:], maps)]
+    return TwoExtension(*reps, *mors)
+
+
+@pytest.mark.parametrize("groups, maps, message", [
+    # d2 = 0 on Z is not injective
+    ([FgAbGroup.free(1)] * 4, [[[0]], [[0]], [[1]]], "first map not injective"),
+    # eps = 2 on Z is not surjective
+    ([FgAbGroup.free(1)] * 4, [[[1]], [[0]], [[2]]], "last map not surjective"),
+    # im(d2) = 2Z inside ker(d1) = Z
+    ([FgAbGroup.free(1)] * 4, [[[2]], [[0]], [[1]]], "inner node Q1"),
+    # 0 -> 0 -> Z --4--> Z -> Z/2: im(d1) = 4Z inside ker(eps) = 2Z
+    ([zero_group(), FgAbGroup.free(1), FgAbGroup.free(1), zmod(2)],
+     [[[]], [[4]], [[1]]], "inner node Q0"),
+])
+def test_verify_exact_names_each_node(groups, maps, message):
+    with pytest.raises(ExactnessError, match=message):
+        point_extension(groups, maps).verify_exact()
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda res: replace(res, aug=replace(res.aug, vectors=[[0] * len(v) for v in res.aug.vectors])),
+     "augmentation is not surjective"),
+    (lambda res: replace(res, diffs=[res.diffs[0].scaled(2), res.diffs[1]]), "not exact at P_0"),
+    (lambda res: replace(res, diffs=[res.diffs[0], res.diffs[1].scaled(2)]), "not exact at P_1"),
+    (lambda res: replace(res, projectives=res.projectives[:1], diffs=[]), "nonzero final syzygy at P_0"),
+])
+def test_verify_resolution_rejects_tampered_resolutions(tamper, message):
+    v = sierpinski_rep(zmod(2), zero_group(), IntMatrix.zeros(0, 1))
+    res = resolve_projective(v, 3)
+    assert res.length == 2
+    verify_resolution(res)
+    with pytest.raises(ExactnessError, match=message):
+        verify_resolution(tamper(res))
 
 
 # --- compatibility and iso search ---------------------------------------------------
