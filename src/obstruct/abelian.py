@@ -733,15 +733,19 @@ class DiagramHom:
                 orders.append(g)
         s = FgAbGroup.from_invariant_factors([slot[3] for _, slot in source])
         t = FgAbGroup.from_invariant_factors(orders)
-        self.group, incl = GroupMorphism(s, t, IntMatrix(len(rows), len(source), rows),
-                                         trusted=True).kernel()
+        constraints = IntMatrix(len(rows), len(source), rows)
+        self.group, incl = GroupMorphism(s, t, constraints, trusted=True).kernel()
         k = self.group
         self._embed = (incl.matrix @ k.snf.Uinv).submatrix(range(s.ngens), k.canon_positions)
+        # the walk starts at the canonical identity family when it is a morphism
+        ident = [int(j == i and step == 1) for _, (j, i, step, _) in source]
+        self._start = ident if t.contains_relation(constraints.apply(ident)) else [0] * len(source)
 
     def _canonical_maps(self, coords):
-        """{k: f_k} for the element with canonical coordinates `coords`, each
-        f_k a matrix between the canonical decompositions of V_k and W_k."""
-        x = self._embed.apply(coords)
+        """{k: f_k} for the element with canonical coordinates `coords` plus
+        the start element, each f_k a matrix between the canonical
+        decompositions of V_k and W_k."""
+        x = [a + b for a, b in zip(self._embed.apply(coords), self._start)]
         out = {}
         pos = 0
         for k, (v, w) in self.points.items():
@@ -754,7 +758,14 @@ class DiagramHom:
 
     def isomorphisms(self, bound, budget):
         """The families {k: f_k} of isomorphisms among the first `budget`
-        elements in coordinate order, free coordinates in [-bound, bound]."""
+        elements in coordinate order, free coordinates in [-bound, bound].
+
+        The walk starts at the canonical identity family when it is a
+        morphism of diagrams (always, when there are no arrows), else at
+        zero: coordinates c stand for start + c.  Translation by an element
+        of the group is a bijection, so a finite group enumerated whole is
+        visited exactly as from zero; only the window of the first `budget`
+        elements moves, to sit around an isomorphism."""
         ranges = [range(d) if d else range(-bound, bound + 1) for d in self.group.invariant_factors]
         canon = {k: (_canonical_group(v.invariant_factors), _canonical_group(w.invariant_factors))
                  for k, (v, w) in self.points.items()}
@@ -781,13 +792,14 @@ def iso_search(pieces, bound, budget, accept=None) -> SearchOutcome:
     `pieces` lists (points, arrows) diagrams as in DiagramHom, the graded
     pieces of one object.  Each piece's Hom group is enumerated by its
     canonical coordinates, free ones in [-bound, bound], at most `budget`
-    elements per piece.  A family with one element per piece, each an
-    isomorphism at every point, is passed to `accept` as a tuple of
-    {k: GroupMorphism}; the first one it approves (any, when accept is None)
-    is the witness of 'yes'.  'no' when the groups at some point have
+    elements per piece, starting from the identity family when it is a
+    morphism (see DiagramHom.isomorphisms).  A family with one element per
+    piece, each an isomorphism at every point, is passed to `accept` as a
+    tuple of {k: GroupMorphism}; the first one it approves (any, when accept
+    is None) is the witness of 'yes'.  'no' when the groups at some point have
     different invariant factors, or when no family was approved and every
     piece's Hom group is finite with at most `budget` elements, so it was
-    enumerated whole; otherwise 'unknown'.
+    enumerated whole (from any start, the same set); otherwise 'unknown'.
     """
     for points, _ in pieces:
         for k, (v, w) in points.items():

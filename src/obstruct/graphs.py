@@ -32,9 +32,11 @@ are isomorphic (`unit_compare` also asks that the unit class be preserved).
 Both run one bounded search per isomorphism sigma of the ideal posets
 (`quiver.rep_iso_bounded_multi`): it computes Hom(XK0, XK0') and
 Hom(XK1, XK1') over the poset, read through sigma, as finitely generated
-abelian groups and enumerates their elements, at most `budget` per group;
-the elements that are isomorphisms at every point are the candidates.  The
-verdict is tri-state:
+abelian groups and enumerates their elements, at most `budget` per group,
+starting from the identity family whenever it is a module map (on a
+one-point poset, always); the elements that are isomorphisms at every point
+are the candidates, and each is tested for the unit class before the
+obstruction class.  The verdict is tri-state:
 
   yes      a poset isomorphism and a graded module isomorphism (f0, f1) over
            it with f1_* delta = f0^* delta' (and f0 carrying the unit class to
@@ -51,7 +53,8 @@ verdict is tri-state:
            elements.
 
 A module or class `no` thus always means that finite Hom groups were
-enumerated whole.
+enumerated whole; the start of the walk does not matter there, since a
+translate of a finite group is the same set.
 """
 
 from __future__ import annotations
@@ -474,9 +477,10 @@ def _compare(inv1: XKInvariant, inv2: XKInvariant, bound, budget, unit) -> Compa
             class_layer = True
             if delta2 is None:
                 delta2 = _pull_class(inv2.delta, sigma, xk0, xk1)
+            if unit and unit_image_under(family, inv1, inv2, sigma) != inv2.unit:
+                return False
             f0, f1 = family
-            return ext2_compatible(f0, inv1.delta, delta2, f1) and (
-                not unit or unit_image_under(family, inv1, inv2, sigma) == inv2.unit)
+            return ext2_compatible(f0, inv1.delta, delta2, f1)
 
         out = rep_iso_bounded_multi([inv1.xk0, inv1.xk1], [xk0, xk1], bound, budget, accept)
         if out.verdict == "yes":

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from obstruct.abelian import (
     induced_map,
     is_exact_at,
     iso_groups,
+    iso_search,
     kernel_cokernel,
     torsion_subgroup,
 )
@@ -513,3 +516,78 @@ def test_is_exact_at_matches_mutual_containment():
         assert got == is_exact_by_definition(f, g)
         seen[got] += 1
     assert min(seen.values()) >= 100, seen
+
+
+# --- the bounded isomorphism search --------------------------------------------
+
+
+def test_iso_search_starts_at_the_identity():
+    # End(Z/2^3 + Z/4) has 131,072 elements, 21,504 of them automorphisms
+    # (Hillar and Rhea); the walk starts at the identity, so one element
+    # suffices
+    g = FgAbGroup.from_invariant_factors([2, 2, 2, 4])
+    out = iso_search([({0: (g, g)}, [])], bound=1, budget=1)
+    assert out.verdict == "yes"
+    (family,) = out.witness
+    assert family[0].equals(GroupMorphism.identity(g))
+
+
+def _is_bijective(m, factors):
+    """Is the reduced canonical matrix m a bijection of Z/d_1 + ... ?"""
+    elements = list(itertools.product(*(range(d) for d in factors)))
+    images = {tuple(sum(map(operator.mul, row, x)) % h for row, h in zip(m, factors))
+              for x in elements}
+    return len(images) == len(elements)
+
+
+def _hom_matrices(v, w):
+    """Every map Z/v_1 + ... -> Z/w_1 + ... as a reduced canonical matrix:
+    entry (j, i) runs over the multiples of w_j / gcd(v_i, w_j) below w_j."""
+    cells = [range(0, h, h // math.gcd(d, h)) for h in w for d in v]
+    for entries in itertools.product(*cells):
+        yield tuple(entries[j * len(v):(j + 1) * len(v)] for j in range(len(w)))
+
+
+def _compose_mod(b, a, cols, factors):
+    """The reduced canonical matrix of b a, with `cols` columns and target
+    invariant factors `factors`."""
+    return tuple(tuple(sum(b[j][k] * a[k][i] for k in range(len(a))) % h for i in range(cols))
+                 for j, h in enumerate(factors))
+
+
+def test_shifted_walk_visits_exactly_the_isomorphisms():
+    # diagrams of finite groups, each group equal on both sides, with one
+    # point, or two points and an arrow 0 -> 1 (a on V, b on W).  With a = b
+    # the identity family is a morphism and the walk starts there; with
+    # a != b it is not and the walk starts at zero.  Hom is enumerated
+    # whole, so rejecting every family gives 'no' after accept has seen
+    # exactly the pointwise isomorphisms that commute with the arrow, each
+    # once; the brute force runs over all families of canonical matrices
+    rng = random.Random(53)
+    shapes = [[], [2], [3], [4], [6], [2, 2], [2, 4]]
+    starts = {"identity": 0, "zero": 0}
+    for _ in range(60):
+        factors = [rng.choice(shapes) for _ in range(rng.choice([1, 2]))]
+        groups = [FgAbGroup.from_invariant_factors(f) for f in factors]
+        isos = [{m for m in _hom_matrices(f, f) if _is_bijective(m, f)} for f in factors]
+        if len(groups) == 1:
+            arrows, expected = [], {(m,) for m in isos[0]}
+            starts["identity"] += 1
+        else:
+            (d0, d1), homs = factors, list(_hom_matrices(*factors))
+            a = rng.choice(homs)
+            b = a if rng.random() < 0.5 else rng.choice(homs)
+            arrows = [(0, 1, *(GroupMorphism(*groups, IntMatrix(len(d1), len(d0), [list(r) for r in m]))
+                               for m in (a, b)))]
+            expected = {(f0, f1) for f0 in isos[0] for f1 in isos[1]
+                        if _compose_mod(b, f0, len(d0), d1) == _compose_mod(f1, a, len(d0), d1)}
+            starts["identity" if a == b else "zero"] += 1
+        seen = []
+        out = iso_search([({k: (g, g) for k, g in enumerate(groups)}, arrows)], bound=1,
+                         budget=10**4, accept=lambda family: seen.append(family[0]) or False)
+        assert out.verdict == "no"
+        got = [tuple(tuple(tuple(e % h for e in row) for row, h in zip(fam[k].matrix.data, f))
+                     for k, f in enumerate(factors)) for fam in seen]
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+    assert min(starts.values()) >= 10, starts

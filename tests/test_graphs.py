@@ -59,15 +59,26 @@ def graph(rows):
 
 def test_unit_compare_no_needs_exhaustive_search():
     # K0 = Z/4 on both sides, unit classes 3 (O_5) and 1 (E): the automorphism
-    # x -> -x carries one to the other, but it is the last of the four
-    # elements of Hom = End(Z/4), so a budget of three elements proves nothing
+    # x -> -x carries one to the other, but the walk of Hom = End(Z/4) starts
+    # at the identity (x -> x, 2x, 3x, 0), so -x is its third element and a
+    # budget of two elements proves nothing
     o5, e = cuntz_graph(5), graph([[0, 2], [1, 3]])
-    assert unit_compare(o5, e, budget=3).verdict == "unknown"
-    assert unit_compare(o5, e, budget=4).verdict == "yes"
+    assert unit_compare(o5, e, budget=2).verdict == "unknown"
+    assert unit_compare(o5, e, budget=3).verdict == "yes"
     assert unit_compare(o5, e).verdict == "yes"
     # unit class 2 is no generator, so it is in no automorphism orbit of 3
     out = unit_compare(o5, graph([[0, 1], [2, 3]]))
     assert (out.verdict, out.layer) == ("no", "class")
+
+
+def test_unit_compare_heavy_torsion_pair_within_a_small_budget():
+    # K0 = Z/2 + Z/2 + Z/4 + Z and K1 = Z on one point, so Hom(K0, K0') is
+    # infinite; walked from the identity, an isomorphism carrying unit to
+    # unit lies among its first 64 elements (walked from zero, none lies
+    # among the first 20,000)
+    g = graph([[1, 0, 2, 0], [2, 1, 0, 2], [0, 4, 1, 0], [2, 0, 0, 3]])
+    h = graph([[1, 2, 2, 0], [0, 1, 0, 2], [0, 2, 3, 0], [4, 0, 0, 1]])
+    assert unit_compare(g, h, budget=64).verdict == "yes"
 
 
 def test_empty_graph_is_a_named_error():
@@ -86,7 +97,7 @@ def test_unit_compare_under_python_O():
             raise SystemExit("not running under -O")
         o5 = DirectedGraph(["v"], [("v", "v", 5)])
         e = DirectedGraph.from_adjacency(IntMatrix.from_rows([[0, 2], [1, 3]]))
-        print(json.dumps([unit_compare(o5, e, budget=b).verdict for b in (3, 4)]))
+        print(json.dumps([unit_compare(o5, e, budget=b).verdict for b in (2, 3)]))
     """)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
