@@ -55,11 +55,26 @@ obstruction class.  The verdict is tri-state:
 A module or class `no` thus always means that finite Hom groups were
 enumerated whole; the start of the walk does not matter there, since a
 translate of a finite group is the same set.
+
+The comparisons build each layer of an `XKInvariant` only when the verdict
+first reads it, cheapest layer first:
+
+  poset    the ideal posets, built (and checked admissible and nonempty)
+           for every comparison; a poset `no` builds nothing else;
+  module   XK0, XK1 and their four-term sequence, checked exact once when
+           built; a module `no` builds nothing beyond this layer;
+  class    the unit class (unit_compare only) and delta, built at the first
+           candidate isomorphism that reaches them; the unit class is tested
+           first, so delta is built only once a candidate preserves the unit.
+
+`compare_graph_invariants` never builds the unit class.  `xk_invariant`
+builds every layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import FgAbGroup, GroupMorphism
 from .intlinalg import ExactArithmeticError, IntMatrix, factor_through
@@ -74,11 +89,11 @@ from .quiver import (
     QuiverRep,
     RepMorphism,
     TwoExtension,
+    _yoneda_cocycle,
     ext2_compatible,
     rep_cokernel,
     rep_iso_bounded_multi,
     rep_kernel,
-    yoneda_class,
 )
 
 
@@ -253,16 +268,86 @@ def hereditary_saturated(e: DirectedGraph) -> IdealPoset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class XKInvariant:
-    graph: DirectedGraph
-    ideals: IdealPoset
-    xk0: QuiverRep
-    xk1: QuiverRep
-    sequence: TwoExtension  # 0 -> XK1 -> Q -> Q -> XK0 -> 0
-    delta: Ext2Class
-    unit_group: FgAbGroup  # colimit recovering K0 of the whole algebra
-    unit: tuple  # canonical coordinates of the unit class
+    """The invariant of an admissible graph, built layer by layer.
+
+    The poset layer (`ideals`) is built here, so an inadmissible graph or an
+    empty primitive ideal space raises at construction.  The module layer
+    (`xk0`, `xk1` and `sequence`) is built on first read, and the sequence
+    is checked exact then, once.  The obstruction class `delta` and the unit
+    class (`unit_group`, `unit`) are built on first read, each from the
+    checked module layer.
+    """
+
+    def __init__(self, e: DirectedGraph):
+        self.graph = e
+        self.ideals = hereditary_saturated(e)
+        if not self.ideals.poset.points:
+            raise ExactArithmeticError("empty primitive ideal space")
+
+    @cached_property
+    def _modules(self):
+        """(xk0, xk1, sequence), with the sequence checked exact."""
+        e, ideals = self.graph, self.ideals
+        poset = ideals.poset
+        # the ambient representation Q(U_x) = Z^(H_x) with inclusion arrows
+        groups = {}
+        for p in poset.points:
+            groups[p] = FgAbGroup.free(len(ideals.vertex_sets[p]))
+        arrows = {}
+        for y, x in poset.hasse_arrows:
+            arrows[(y, x)] = GroupMorphism(
+                groups[y], groups[x],
+                _restriction_matrix(e, ideals.vertex_sets[y], ideals.vertex_sets[x]),
+                trusted=True,
+            )
+        q = QuiverRep(poset, groups, arrows, check=False)
+        d = RepMorphism(
+            q, q,
+            {p: GroupMorphism(groups[p], groups[p], _pv_differential_block(e, ideals.vertex_sets[p]),
+                              trusted=True)
+             for p in poset.points},
+        )
+        xk1, incl = rep_kernel(d)
+        xk0, proj = rep_cokernel(d)
+        seq = TwoExtension(xk1, q, q, xk0, incl, d, proj)
+        try:
+            seq.verify_exact()
+        except ExactnessError as exc:  # construction guarantees exactness
+            raise ExactArithmeticError(f"internal exactness failure: {exc}") from exc
+        return xk0, xk1, seq
+
+    @property
+    def xk0(self) -> QuiverRep:
+        return self._modules[0]
+
+    @property
+    def xk1(self) -> QuiverRep:
+        return self._modules[1]
+
+    @property
+    def sequence(self) -> TwoExtension:
+        """0 -> XK1 -> Q -> Q -> XK0 -> 0, checked exact."""
+        return self._modules[2]
+
+    @cached_property
+    def delta(self) -> Ext2Class:
+        # the module layer has checked the sequence exact
+        return _yoneda_cocycle(self.sequence)
+
+    @cached_property
+    def _unit(self):
+        return _unit_class(self.graph, self.ideals, self.xk0)
+
+    @property
+    def unit_group(self) -> FgAbGroup:
+        """The colimit of XK0, recovering K0 of the whole algebra."""
+        return self._unit[0]
+
+    @property
+    def unit(self) -> tuple:
+        """Canonical coordinates of the unit class in `unit_group`."""
+        return self._unit[1]
 
 
 def _restriction_matrix(e: DirectedGraph, h_sub, h_sup):
@@ -292,37 +377,10 @@ def _pv_differential_block(e: DirectedGraph, h):
 
 
 def xk_invariant(e: DirectedGraph) -> XKInvariant:
-    """The complete invariant of an admissible graph."""
-    ideals = hereditary_saturated(e)
-    poset = ideals.poset
-    # the ambient representation Q(U_x) = Z^(H_x) with inclusion arrows
-    groups = {}
-    for p in poset.points:
-        groups[p] = FgAbGroup.free(len(ideals.vertex_sets[p]))
-    arrows = {}
-    for y, x in poset.hasse_arrows:
-        arrows[(y, x)] = GroupMorphism(
-            groups[y], groups[x],
-            _restriction_matrix(e, ideals.vertex_sets[y], ideals.vertex_sets[x]),
-            trusted=True,
-        )
-    q = QuiverRep(poset, groups, arrows, check=False)
-    d = RepMorphism(
-        q, q,
-        {p: GroupMorphism(groups[p], groups[p], _pv_differential_block(e, ideals.vertex_sets[p]),
-                          trusted=True)
-         for p in poset.points},
-    )
-    xk1, incl = rep_kernel(d)
-    xk0, proj = rep_cokernel(d)
-    seq = TwoExtension(xk1, q, q, xk0, incl, d, proj)
-    try:
-        delta = yoneda_class(seq)  # checks exactness first
-    except ExactnessError as exc:  # construction guarantees exactness
-        raise ExactArithmeticError(f"internal exactness failure: {exc}") from exc
-
-    unit_group, unit = _unit_class(e, ideals, xk0)
-    return XKInvariant(e, ideals, xk0, xk1, seq, delta, unit_group, unit)
+    """The complete invariant of an admissible graph, every layer built."""
+    inv = XKInvariant(e)
+    inv.delta, inv.unit  # reading a lazy layer builds it
+    return inv
 
 
 def _block_offsets(rep: QuiverRep):
@@ -365,8 +423,6 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     of XK0 over the ideal poset maps onto it isomorphically (real rank zero
     from Condition (K)), and the unit is pulled back through that map.
     """
-    if not xk0.poset.points:
-        raise ExactArithmeticError("empty primitive ideal space")
     n = len(e.vertices)
     colim = _colimit_of_rep(xk0)
     # natural map colim -> K0(whole) = coker(I - A^t): on the x-block it is
@@ -450,15 +506,20 @@ def compare_graph_invariants(e1: DirectedGraph, e2: DirectedGraph,
                              inv1: XKInvariant = None, inv2: XKInvariant = None) -> CompareOutcome:
     """Decide isomorphism of the two invariants, cheapest layer first:
     poset, then arrow-commuting graded isomorphism, then obstruction-class
-    compatibility (verdict rules in the module docstring)."""
-    inv1 = inv1 if inv1 is not None else xk_invariant(e1)
-    inv2 = inv2 if inv2 is not None else xk_invariant(e2)
+    compatibility (verdict rules in the module docstring).
+
+    Each layer of an invariant is built when the verdict first reads it: a
+    poset `no` builds the ideal posets only, a module `no` adds XK0, XK1 and
+    the exactness check of their sequence, and delta is built only for a
+    candidate isomorphism.  The unit class is never built here."""
+    inv1 = inv1 if inv1 is not None else XKInvariant(e1)
+    inv2 = inv2 if inv2 is not None else XKInvariant(e2)
     return _compare(inv1, inv2, bound, budget, unit=False)
 
 
 def unit_compare(e1: DirectedGraph, e2: DirectedGraph, bound=8, budget=20000) -> CompareOutcome:
     """compare_graph_invariants, with witnesses that also preserve the unit class."""
-    return _compare(xk_invariant(e1), xk_invariant(e2), bound, budget, unit=True)
+    return _compare(XKInvariant(e1), XKInvariant(e2), bound, budget, unit=True)
 
 
 def _compare(inv1: XKInvariant, inv2: XKInvariant, bound, budget, unit) -> CompareOutcome:
@@ -475,10 +536,10 @@ def _compare(inv1: XKInvariant, inv2: XKInvariant, bound, budget, unit) -> Compa
         def accept(family):
             nonlocal class_layer, delta2
             class_layer = True
-            if delta2 is None:
-                delta2 = _pull_class(inv2.delta, sigma, xk0, xk1)
             if unit and unit_image_under(family, inv1, inv2, sigma) != inv2.unit:
                 return False
+            if delta2 is None:
+                delta2 = _pull_class(inv2.delta, sigma, xk0, xk1)
             f0, f1 = family
             return ext2_compatible(f0, inv1.delta, delta2, f1)
 

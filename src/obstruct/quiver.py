@@ -822,6 +822,11 @@ def yoneda_class(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> 
     independent of the resolution and of all lift choices.
     """
     ext.verify_exact()
+    return _yoneda_cocycle(ext, ambient, rng)
+
+
+def _yoneda_cocycle(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> Ext2Class:
+    """yoneda_class for an extension already checked by `verify_exact`."""
     if ambient is None:
         ambient = ExtPosetGroup(ext.m0, ext.m1, 2, rng=rng)
     res = ambient.resolution

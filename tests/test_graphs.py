@@ -9,12 +9,14 @@ from math import gcd
 
 import pytest
 
+from obstruct import graphs, quiver
 from obstruct.abelian import DiagramHom, FgAbGroup
 from obstruct.graphs import (
     DirectedGraph,
     _pull_class,
     _pull_rep,
     admissible,
+    compare_graph_invariants,
     hereditary_saturated,
     unit_compare,
     xk_invariant,
@@ -82,8 +84,14 @@ def test_unit_compare_heavy_torsion_pair_within_a_small_budget():
 
 
 def test_empty_graph_is_a_named_error():
+    e = DirectedGraph([], [])
     with pytest.raises(ExactArithmeticError, match="empty primitive ideal space"):
-        xk_invariant(DirectedGraph([], []))
+        xk_invariant(e)
+    # two empty posets are isomorphic, so the error must come from building
+    # the poset layer, not from a later layer that a verdict may skip
+    for compare in (unit_compare, compare_graph_invariants):
+        with pytest.raises(ExactArithmeticError, match="empty primitive ideal space"):
+            compare(e, e)
 
 
 def test_unit_compare_under_python_O():
@@ -97,14 +105,18 @@ def test_unit_compare_under_python_O():
             raise SystemExit("not running under -O")
         o5 = DirectedGraph(["v"], [("v", "v", 5)])
         e = DirectedGraph.from_adjacency(IntMatrix.from_rows([[0, 2], [1, 3]]))
-        print(json.dumps([unit_compare(o5, e, budget=b).verdict for b in (2, 3)]))
+        two = DirectedGraph.from_adjacency(IntMatrix.from_rows([[3, 0], [1, 4]]))
+        o4 = DirectedGraph(["v"], [("v", "v", 4)])
+        out = [unit_compare(o5, e, budget=b).verdict for b in (2, 3)]
+        out += [[o.verdict, o.layer] for o in (unit_compare(o5, two), unit_compare(o4, o5))]
+        print(json.dumps(out))
     """)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == ["unknown", "yes"]
+    assert json.loads(out.stdout) == ["unknown", "yes", ["no", "poset"], ["no", "module"]]
 
 
 def test_xk_invariant_checks_exactness_once(monkeypatch):
@@ -134,6 +146,71 @@ def test_xk_invariant_checks_exactness_once(monkeypatch):
     monkeypatch.setattr(TwoExtension, "verify_exact", broken)
     with pytest.raises(ExactArithmeticError, match="internal exactness failure"):
         xk_invariant(cuntz_graph(3))
+
+
+def counter(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("compare", [unit_compare, compare_graph_invariants])
+def test_poset_no_builds_the_poset_layer_only(monkeypatch, compare):
+    kernels = counter(monkeypatch, graphs, "rep_kernel")
+    checks = counter(monkeypatch, TwoExtension, "verify_exact")
+    out = compare(cuntz_graph(4), graph([[3, 0], [1, 4]]))
+    assert (out.verdict, out.layer) == ("no", "poset")
+    assert kernels == [] and checks == []
+
+
+@pytest.mark.parametrize("compare", [unit_compare, compare_graph_invariants])
+def test_module_no_builds_no_class_layer(monkeypatch, compare):
+    # K0 = Z/3 against Z/2 on one point: the groups differ, so neither the
+    # resolution behind delta nor the unit colimit is built
+    checks = counter(monkeypatch, TwoExtension, "verify_exact")
+    resolutions = counter(monkeypatch, quiver, "resolve_projective")
+    units = counter(monkeypatch, graphs, "_unit_class")
+    out = compare(cuntz_graph(4), cuntz_graph(3))
+    assert (out.verdict, out.layer) == ("no", "module")
+    assert len(checks) == 2 and resolutions == [] and units == []
+
+
+def test_compare_graph_invariants_never_builds_the_unit_class(monkeypatch):
+    units = counter(monkeypatch, graphs, "_unit_class")
+    pairs = [
+        (graph([[2, 1], [0, 3]]), graph([[3, 0], [1, 2]]), "yes"),
+        (cuntz_graph(5), graph([[0, 1], [2, 3]]), "yes"),
+        (cuntz_graph(4), cuntz_graph(3), "no"),
+    ]
+    for e1, e2, verdict in pairs:
+        assert compare_graph_invariants(e1, e2).verdict == verdict
+    assert units == []
+    # the unit class differs in the second pair, which unit_compare reads;
+    # it is tested first and fails for every candidate, so delta is not built
+    resolutions = counter(monkeypatch, quiver, "resolve_projective")
+    out = unit_compare(cuntz_graph(5), graph([[0, 1], [2, 3]]))
+    assert (out.verdict, out.layer) == ("no", "class")
+    assert len(units) == 2 and resolutions == []
+
+
+def test_comparison_checks_exactness_of_what_it_reads(monkeypatch):
+    def broken(seq):
+        raise ExactnessError("not exact at the inner node Q0")
+
+    monkeypatch.setattr(TwoExtension, "verify_exact", broken)
+    # a poset verdict reads no module
+    assert unit_compare(cuntz_graph(4), graph([[3, 0], [1, 4]])).layer == "poset"
+    # a module verdict reads both modules, which must pass the check first
+    for compare in (unit_compare, compare_graph_invariants):
+        with pytest.raises(ExactArithmeticError, match="internal exactness failure"):
+            compare(cuntz_graph(4), cuntz_graph(3))
 
 
 def test_pulled_class_is_the_class_of_the_pulled_sequence():
@@ -183,6 +260,103 @@ def test_relabel_is_never_no(rows):
             assert verdict != "no"
             if all(o is not None and o <= budget for o in orders):
                 assert verdict == "yes"
+
+
+# Bates and Pask ("Flow equivalence of graph algebras", 2004) split a vertex
+# v in m parts.  Out-splitting gives every edge out of v to one part and
+# copies every edge into v once per part; in-splitting gives every edge into
+# v to one part and copies every edge out of v once per part.  Out-splitting keeps the graph algebra up to
+# isomorphism, so the invariant with the unit class; in-splitting keeps it up
+# to stable isomorphism only, so the invariant without the unit class
+# (Eilers, Restorff, Ruiz and Sorensen, arXiv 1611.07120).
+
+
+def edge_list(e):
+    """The edges of e one by one, parallel edges apart, as index pairs."""
+    a = e.adjacency.data
+    return [(i, j) for i in range(len(a)) for j in range(len(a)) for _ in range(a[i][j])]
+
+
+def split(e, v, parts, out):
+    """Split vertex index v: parts[k] is the part of the k-th edge out of v
+    (out=True) or into v (out=False), in edge_list order.  Part 0 keeps the
+    index v, part t > 0 gets the index n + t - 1."""
+    n = len(e.vertices)
+    copies = [v] + list(range(n, n + max(parts)))
+    rows = [[0] * (n + len(copies) - 1) for _ in range(n + len(copies) - 1)]
+    part = iter(parts)
+    for s, r in edge_list(e):
+        if out:
+            sources = [copies[next(part)]] if s == v else [s]
+            targets = copies if r == v else [r]
+        else:
+            targets = [copies[next(part)]] if r == v else [r]
+            sources = copies if s == v else [s]
+        for s2 in sources:
+            for r2 in targets:
+                rows[s2][r2] += 1
+    return graph(rows)
+
+
+def random_splits(rng, e, out, count):
+    """`count` splittings of e at random vertices, each in two or three parts."""
+    edges = edge_list(e)
+    for _ in range(count):
+        v = rng.randrange(len(e.vertices))
+        k = sum(1 for s, r in edges if (s if out else r) == v)
+        m = min(k, rng.choice((2, 3)))
+        if m < 2:
+            continue
+        parts = list(range(m)) + [rng.randrange(m) for _ in range(k - m)]
+        rng.shuffle(parts)
+        yield split(e, v, parts, out)
+
+
+def test_split_helpers_on_small_graphs():
+    # one vertex with two loops (O_2): either splitting in two parts gives
+    # the full 2 x 2 shift
+    for out in (True, False):
+        assert split(cuntz_graph(2), 0, [0, 1], out).adjacency.data == [[1, 1], [1, 1]]
+    # v0 -> v1 twice, v1 -> v0 once, a loop at v1.  Out-splitting v1 gives
+    # the edge to v0 and the loop to one part each and doubles the edges
+    # into v1; in-splitting v1 gives one edge from v0 and the loop to the new
+    # part, and doubles the edges out of v1 (the loop as well)
+    e = graph([[0, 2], [1, 1]])
+    assert split(e, 1, [0, 1], True).adjacency.data == [[0, 2, 2], [1, 0, 0], [0, 1, 1]]
+    assert split(e, 1, [1, 0, 1], False).adjacency.data == [[0, 1, 1], [1, 0, 1], [1, 0, 1]]
+
+
+MOVE_ORACLES = [(True, unit_compare), (False, compare_graph_invariants)]
+
+
+@pytest.mark.parametrize("out, compare", MOVE_ORACLES, ids=["out_split", "in_split"])
+@pytest.mark.parametrize("rows", TORSION_GRAPHS, ids=[str(r) for r in TORSION_GRAPHS])
+def test_split_is_never_no_on_torsion_graphs(rows, out, compare):
+    # the Hom groups of the search are isomorphic to End(XK0) and End(XK1),
+    # finite here and within the budget, so the search is exhaustive
+    e = graph(rows)
+    rng = random.Random(str(rows) + str(out))
+    for h in random_splits(rng, e, out, 3):
+        assert admissible(h).admissible
+        assert compare(e, h).verdict == "yes"
+        assert compare(h, e).verdict == "yes"
+
+
+@pytest.mark.parametrize("out, compare", MOVE_ORACLES, ids=["out_split", "in_split"])
+def test_split_is_never_no_on_random_graphs(out, compare):
+    rng = random.Random(11)
+    seen = yes = 0
+    while seen < 40:
+        e = random_graph(rng, rng.randint(1, 4), (2, 3))
+        if not admissible(e).admissible:
+            continue
+        for h in random_splits(rng, e, out, 1):
+            assert admissible(h).admissible
+            verdict = compare(e, h, budget=2000).verdict
+            assert verdict != "no"
+            seen += 1
+            yes += verdict == "yes"
+    assert yes >= 30
 
 
 # ---------------------------------------------------------------------------
