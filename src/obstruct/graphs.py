@@ -436,6 +436,8 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     for b in blocks[1:]:
         nat = nat.hstack(b)
     natural = GroupMorphism(colim, k0_whole, nat)
+    if not natural.is_iso():
+        raise ExactArithmeticError("colimit of XK0 must map isomorphically onto K0")
     # solve natural(xi) = [1...1] in K0(whole)
     xi = factor_through(nat, IntMatrix.from_columns([[1] * n]), k0_whole.relations)
     if xi is None:

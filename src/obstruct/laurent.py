@@ -2,9 +2,11 @@
 
 Two representations are supported, matching how such modules actually turn
 up: a finitely-generated-over-Z group with a chosen automorphism (the action
-of x), and a presentation coker(x*I - T) over R for an integer matrix T.
-The second covers gauge modules of non-negative integer matrices, whose
-underlying groups (like Z[1/n]) need not be finitely generated over Z.
+of x), and a presentation coker([x*I - T | C]) over R for a square integer
+matrix T and an integer matrix C of constant relations.  With C empty this
+covers the gauge modules coker(x*I - A^t) of non-negative integer matrices,
+whose underlying groups (like Z[1/n]) need not be finitely generated over Z;
+constant relations only arise in the Ext^1 between two such modules.
 
 Ext groups over R are computed two ways:
   * Hom_R and Ext^2_R as kernel/cokernel of f |-> x_W f - f x_V acting on
@@ -30,6 +32,7 @@ from .abelian import (
     _power_group,
     canonical_morphism,
     eventual_image,
+    ext1_induced,
     ext1_z,
     hom_z,
     homology_at,
@@ -51,98 +54,6 @@ from .intlinalg import (
 
 class UnsupportedShape(ValueError):
     """Module shape outside the computable regime of an operation."""
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials and presentation matrices
-# ---------------------------------------------------------------------------
-
-
-def lp_normalize(d):
-    return {int(k): int(v) for k, v in d.items() if v != 0}
-
-
-def lp_constant(c):
-    return lp_normalize({0: c})
-
-
-def lp_format(d):
-    """Deterministic text form, sum of `c*x^k` terms by descending exponent."""
-    d = lp_normalize(d)
-    if not d:
-        return "0"
-    terms = [f"{d[k]}*x^{k}" for k in sorted(d, reverse=True)]
-    return " + ".join(terms)
-
-
-def lp_parse(text):
-    text = text.strip()
-    if text == "0":
-        return {}
-    out = {}
-    for term in text.split("+"):
-        term = term.strip()
-        if "*x^" not in term:
-            raise ValueError(f"bad Laurent term {term!r}, expected c*x^k")
-        c_str, k_str = term.split("*x^")
-        k = int(k_str)
-        out[k] = out.get(k, 0) + int(c_str)
-    return lp_normalize(out)
-
-
-class LaurentMatrix:
-    """Matrix of finitely supported integer Laurent polynomials."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        self.rows = rows
-        self.cols = cols
-        self.entries = [[lp_normalize(e) for e in row] for row in entries]
-        if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
-            raise ValueError("entry grid does not match declared shape")
-
-    @classmethod
-    def x_identity_minus(cls, t: IntMatrix):
-        n = t.rows
-        if t.cols != n:
-            raise ValueError("x*I - T needs square T")
-        entries = [
-            [
-                lp_normalize({1: 1, 0: -t.data[i][j]}) if i == j else lp_constant(-t.data[i][j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return cls(n, n, entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"LaurentMatrix({self.rows}x{self.cols})"
-
-    def canonical_shift_matrix(self):
-        """T if this matrix is exactly x*I - T, else None."""
-        if self.rows != self.cols:
-            return None
-        t = IntMatrix.zeros(self.rows, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = dict(self.entries[i][j])
-                if i == j:
-                    if e.get(1) != 1:
-                        return None
-                    e.pop(1)
-                if set(e) - {0}:
-                    return None
-                t.data[i][j] = -e.get(0, 0)
-        return t
 
 
 # ---------------------------------------------------------------------------
@@ -174,37 +85,38 @@ class RModuleFg:
     def is_zero(self):
         return self.group.is_trivial()
 
-    kind = "fg"
-
     def __repr__(self):
         return f"RModuleFg({self.group.describe()})"
 
 
 class RModulePres:
-    """R-module presented as the cokernel of a Laurent matrix on R^rows.
+    """R-module coker([x*I - T | C]) on R^n, presented by a square integer
+    matrix T (n x n) and an integer matrix C (n x k) of constant relations.
 
-    The canonical gauge-module shape is x*I - T; that shape admits a
-    length-one free R-resolution, so Ext^2 out of it vanishes.
+    With no constant relations (the canonical shape, the default) the module
+    is the colimit of Z^n under T and admits a length-one free R-resolution,
+    so Ext^2 out of it vanishes; it is zero iff T is nilpotent, since x is
+    invertible.  Constant relations occur only in the Ext^1 that
+    `ext_r_pres` returns for a presented target; operations other than
+    `describe` reject them.
     """
 
-    __slots__ = ("lmatrix",)
+    __slots__ = ("t", "relations")
 
-    def __init__(self, lmatrix: LaurentMatrix):
-        self.lmatrix = lmatrix
-
-    @classmethod
-    def from_shift_matrix(cls, t: IntMatrix):
-        return cls(LaurentMatrix.x_identity_minus(t))
-
-    @property
-    def shift_matrix(self):
-        return self.lmatrix.canonical_shift_matrix()
+    def __init__(self, t: IntMatrix, relations: IntMatrix = None):
+        if t.cols != t.rows:
+            raise ValueError("x*I - T needs square T")
+        if relations is None:
+            relations = IntMatrix.zeros(t.rows, 0)
+        if relations.rows != t.rows:
+            raise ValueError("constant relations must have one row per generator")
+        self.t = t
+        self.relations = relations
 
     def require_canonical(self):
-        t = self.shift_matrix
-        if t is None:
+        if self.relations.cols:
             raise UnsupportedShape("presentation is not of the canonical shape x*I - T")
-        return t
+        return self.t
 
     def to_fg(self):
         """Convert to (Z^n, x = T) when T is invertible over Z."""
@@ -215,18 +127,17 @@ class RModulePres:
         return RModuleFg(g, GroupMorphism(g, g, t, trusted=True))
 
     def is_zero(self):
-        return self.lmatrix.rows == 0
-
-    kind = "laurent"
+        if self.t.rows == 0:
+            return True
+        return matrix_power(self.require_canonical(), self.t.rows).is_zero()
 
     def describe(self):
-        if self.lmatrix.rows == 0:
+        n, k = self.t.rows, self.relations.cols
+        if k == 0 and self.is_zero():
             return "0"
-        t = self.shift_matrix
-        if t is not None and t.rows == 1:
-            n = t.data[0][0]
-            return f"R/(x - {n})"
-        return f"coker({self.lmatrix.rows}x{self.lmatrix.cols} Laurent matrix)"
+        if k == 0 and n == 1:
+            return f"R/(x - {self.t.data[0][0]})"
+        return f"coker({n}x{n + k} Laurent matrix)"
 
     def __repr__(self):
         return f"RModulePres({self.describe()})"
@@ -241,9 +152,6 @@ class GradedRModule:
 
     def suspend(self):
         return GradedRModule(even=self.odd, odd=self.even)
-
-    def parity_split(self):
-        return self.even, self.odd
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +274,20 @@ class ExtRTriple:
     v: RModuleFg
     w: RModuleFg
     hom_h: HomGroup
-    ext_e: Ext1Group
     phi_h: GroupMorphism
-    phi_e: GroupMorphism
     hom_r: FgAbGroup
     hom_r_incl: GroupMorphism
     total: TotalComplex
     ext1_r_data: SubquotientData
     ext2: Ext2Block
+
+    @property
+    def ext_e(self) -> Ext1Group:
+        return self.ext2.ext_e
+
+    @property
+    def phi_e(self) -> GroupMorphism:
+        return self.ext2.phi
 
     @property
     def ext1_r(self):
@@ -387,15 +301,11 @@ class ExtRTriple:
 def ext_r_fg(v: RModuleFg, w: RModuleFg) -> ExtRTriple:
     """Hom_R, Ext^1_R, Ext^2_R for fg-over-Z modules with automorphisms."""
     h = hom_z(v.group, w.group)
-    e = ext1_z(v.group, w.group)
     phi_h = _phi_on_hom(v, w, h)
-    phi_e = _phi_on_ext(v, w, e)
     hom_r, hom_r_incl = phi_h.kernel()
     total = TotalComplex.build(v, w)
     h1 = homology_at(total.d0, total.d1)
-    coker = homology_at(phi_e, None)
-    ext2 = Ext2Block("fg", coker.group, ext_e=e, coker=coker, phi=phi_e)
-    return ExtRTriple(v, w, h, e, phi_h, phi_e, hom_r, hom_r_incl, total, h1, ext2)
+    return ExtRTriple(v, w, h, phi_h, hom_r, hom_r_incl, total, h1, Ext2Block.from_fg(v, w))
 
 
 def ext_r_resolution(v: RModuleFg, w: RModuleFg):
@@ -453,7 +363,8 @@ def ext_r_pres(m: RModulePres, w):
     Ext^2_R is structurally zero (length-one free resolution).  For an fg
     target the other two are returned as FgAbGroups with representative
     vectors; for a canonical-presentation target they are returned as
-    R-module presentations computed through the level-wise colimit.
+    R-module presentations computed through the level-wise colimit: Hom as
+    coker(x*I - T), Ext^1 with one constant relation per torsion factor.
     """
     t = m.require_canonical()
     n = t.rows
@@ -476,25 +387,16 @@ def ext_r_pres(m: RModulePres, w):
         shift = factor_through(kb, a1 @ kb)
         if shift is None:
             raise ExactArithmeticError("level shift must preserve the stable kernel")
-        hom = RModulePres.from_shift_matrix(shift)
-        # Ext^1: colimit of coker(theta) under the induced shift
+        hom = RModulePres(shift)
+        # Ext^1: colimit of coker(theta) under the induced shift, with one
+        # constant relation d_p * e_p per torsion position
         cgroup = FgAbGroup(dim, theta)
         pos = cgroup.canon_positions
-        u, uinv = cgroup.snf.U, cgroup.snf.Uinv
-        abar_full = u @ a1 @ uinv
-        abar = abar_full.submatrix(pos, pos)
+        abar = (cgroup.snf.U @ a1 @ cgroup.snf.Uinv).submatrix(pos, pos)
         diag = cgroup.snf.diagonal_padded(dim)
-        lm = LaurentMatrix.x_identity_minus(abar)
-        extra_cols = []
-        for idx, p in enumerate(pos):
-            if diag[p] != 0:
-                col = [lp_constant(diag[p]) if i == idx else {} for i in range(len(pos))]
-                extra_cols.append(col)
-        entries = [
-            [lm.entries[i][j] for j in range(lm.cols)] + [col[i] for col in extra_cols]
-            for i in range(lm.rows)
-        ]
-        ext1 = RModulePres(LaurentMatrix(len(pos), lm.cols + len(extra_cols), entries))
+        consts = [[diag[p] if i == idx else 0 for i in range(len(pos))]
+                  for idx, p in enumerate(pos) if diag[p] != 0]
+        ext1 = RModulePres(abar, IntMatrix.from_columns(consts, rows=len(pos)))
         return PresExtResult(hom=hom, ext1=ext1, ext2=Ext2Block.zero())
     raise UnsupportedShape(f"unsupported target {w!r}")
 
@@ -532,8 +434,6 @@ def ext2_block(p, q) -> Ext2Block:
         level = FgAbGroup.free(s.rows)
         shift = GroupMorphism(level, level, s, trusted=True)
         e = ext1_z(p.group, level)
-        from .abelian import ext1_induced
-
         shift_endo = ext1_induced(None, shift, e, e)
         h, embed, tau = eventual_image(shift_endo)
         pull = ext1_induced(p.x, None, e, e)
@@ -562,26 +462,31 @@ def count_liftings(m: GradedRModule):
     return total
 
 
+def validate_ck_matrix(a: IntMatrix, name="matrix"):
+    """Square, non-negative, with no zero row and no zero column."""
+    n = a.rows
+    if a.cols != n:
+        raise ValueError(f"{name} must be square")
+    for i in range(n):
+        for j in range(n):
+            if a.data[i][j] < 0:
+                raise ValueError(f"{name} has a negative entry at ({i}, {j})")
+    for i in range(n):
+        if all(e == 0 for e in a.data[i]):
+            raise ValueError(f"{name}: row {i} vanishes identically")
+    for j in range(n):
+        if all(a.data[i][j] == 0 for i in range(n)):
+            raise ValueError(f"{name}: column {j} vanishes identically")
+
+
 def ck_module(a: IntMatrix) -> GradedRModule:
     """Gauge-action module of a non-negative integer square matrix.
 
     Even part coker(x*I - A^t), converted to the fg form (Z^n, x = A^t) when
     A is invertible over Z; odd part zero.
     """
-    n = a.rows
-    if a.cols != n:
-        raise ValueError("adjacency matrix must be square")
-    for i in range(n):
-        for j in range(n):
-            if a.data[i][j] < 0:
-                raise ValueError(f"negative entry at ({i}, {j})")
-    for i in range(n):
-        if all(e == 0 for e in a.data[i]):
-            raise ValueError(f"row {i} vanishes identically")
-    for j in range(n):
-        if all(a.data[i][j] == 0 for i in range(n)):
-            raise ValueError(f"column {j} vanishes identically")
-    pres = RModulePres.from_shift_matrix(a.transpose())
+    validate_ck_matrix(a, "adjacency matrix")
+    pres = RModulePres(a.transpose())
     even = pres.to_fg() if is_unimodular(a) else pres
     return GradedRModule(even=even, odd=RModuleFg.zero())
 

@@ -13,6 +13,7 @@ checked here on marked-path bases.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .intlinalg import ExactArithmeticError, IntMatrix, kernel_basis, lattices_equal, matrix_rank
@@ -207,15 +208,6 @@ class BimoduleResolutionReport:
     left_map_rank: int
     exact: bool
 
-    def summary(self):
-        status = "exact" if self.exact else "NOT exact"
-        return (
-            f"bimodule resolution over {len(self.poset_points)} points: {status}; "
-            f"module ranks (left, middle, right) = "
-            f"({self.left_module_rank}, {self.middle_module_rank}, {self.algebra_rank}); "
-            f"map ranks (left, middle) = ({self.left_map_rank}, {self.middle_map_rank})"
-        )
-
 
 def verify_bimodule_resolution(x: FinitePoset) -> BimoduleResolutionReport:
     """Materialize 0 -> (sum over arrows) -> (sum over points) -> Z[X] -> 0
@@ -301,8 +293,6 @@ def all_posets_up_to_iso(n):
     enumerate strict relations contained in the natural order on 0..n-1,
     filter for transitivity, and deduplicate by canonical relabeling.
     """
-    import itertools
-
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     seen = set()
     out = []
@@ -323,8 +313,6 @@ def _transitive(rel):
 
 
 def _canonical_relation(rel, n):
-    import itertools
-
     best = None
     for perm in itertools.permutations(range(n)):
         mapped = frozenset((perm[a], perm[b]) for a, b in rel)

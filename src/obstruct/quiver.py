@@ -24,6 +24,7 @@ from .abelian import (
     SearchOutcome,
     SubquotientData,
     direct_sum,
+    ext1_z,
     homology_at,
     is_exact_at,
     iso_search,
@@ -235,11 +236,6 @@ def rep_direct_sum(reps):
     return total, injs, projs
 
 
-def rep_is_exact_at(f: RepMorphism, g: RepMorphism) -> bool:
-    """Pointwise im(f) = ker(g) in the middle representation."""
-    return all(is_exact_at(f.maps[p], g.maps[p]) for p in f.source.poset.points)
-
-
 # ---------------------------------------------------------------------------
 # Projective representations and resolutions
 # ---------------------------------------------------------------------------
@@ -410,6 +406,8 @@ class ProjResolution:
 
     def fingerprint(self):
         """Stable hash of the resolution's combinatorial data."""
+        # imported here: hashlib loads OpenSSL, about 3 MB of resident memory
+        # that processes which never fingerprint a resolution should not pay
         import hashlib
 
         h = hashlib.sha256()
@@ -418,6 +416,16 @@ class ProjResolution:
         for d in self.diffs:
             h.update(d.to_text().encode())
         return h.hexdigest()[:16]
+
+
+def _coeffs_of_vectors(target: ProjectiveRep, points, vectors) -> IntMatrix:
+    """Coefficient matrix of the map into `target` that sends generator i,
+    at points[i], to vectors[i], a vector of target at that point."""
+    coeffs = IntMatrix.zeros(target.num_gens, len(points))
+    for i, (x, u) in enumerate(zip(points, vectors)):
+        for pos, g in enumerate(target.indices_at(x)):
+            coeffs.data[g][i] = u[pos]
+    return coeffs
 
 
 def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
@@ -432,16 +440,10 @@ def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
     while len(projectives) <= length and not complete:
         krep = kernel.as_rep()
         p_next, cover = minimal_cover(krep, rng)
-        prev = projectives[-1]
-        coeffs = IntMatrix.zeros(prev.num_gens, p_next.num_gens)
-        for i, x in enumerate(p_next.gen_points):
-            amb = kernel.bases[x] @ IntMatrix.from_columns([cover.vectors[i]],
-                                                           rows=kernel.bases[x].cols)
-            idx = prev.indices_at(x)
-            for pos, g in enumerate(idx):
-                coeffs.data[g][i] = amb.data[pos][0]
+        # generator i of P_next maps to its syzygy vector in P_prev
+        vectors = [kernel.bases[x].apply(u) for x, u in zip(p_next.gen_points, cover.vectors)]
+        diffs.append(_coeffs_of_vectors(projectives[-1], p_next.gen_points, vectors))
         projectives.append(p_next)
-        diffs.append(coeffs)
         # next syzygy: plain pointwise kernel of the cover into the free rep
         bases = {}
         for z in v.poset.points:
@@ -561,13 +563,12 @@ class ExtPosetGroup:
     group of W at that generator's point.
     """
 
-    def __init__(self, v: QuiverRep, w: QuiverRep, n: int, resolution=None, rng=None,
-                 length=None):
+    def __init__(self, v: QuiverRep, w: QuiverRep, n: int, resolution=None, rng=None):
         self.v = v
         self.w = w
         self.n = n
         if resolution is None:
-            resolution = resolve_projective(v, length if length is not None else max(n + 1, 3), rng)
+            resolution = resolve_projective(v, n + 1, rng)
         self.resolution = resolution
         self.complex = HomComplex.build(resolution, w, n + 1)
         self.data = self.complex.cohomology_at(n)
@@ -605,7 +606,7 @@ def ext_poset(v: QuiverRep, w: QuiverRep, n: int, rng=None) -> ExtPosetGroup:
     """Ext^n_{Z[X]}(V, W) via a projective resolution of V."""
     if n not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
-    return ExtPosetGroup(v, w, n, length=n + 1, rng=rng)
+    return ExtPosetGroup(v, w, n, rng=rng)
 
 
 def ext_poset_all_degrees(v: QuiverRep, w: QuiverRep, rng=None):
@@ -618,8 +619,6 @@ def sierpinski_ext2(phi: GroupMorphism, psi: GroupMorphism) -> FgAbGroup:
     """Independent oracle for Ext^2 over the two-point space: for
     representations with arrow maps phi (source) and psi (target), the group
     is Ext^1_Z(ker(phi), coker(psi))."""
-    from .abelian import ext1_z
-
     k, _ = phi.kernel()
     c, _ = psi.cokernel()
     return ext1_z(k, c).group
@@ -869,34 +868,17 @@ def chain_lift(f: RepMorphism, res_src: ProjResolution, res_tgt: ProjResolution,
                 "chain lift in degree 0 must exist")
         else:
             # d_tgt(u) = prev ∘ d_src(gen i), a vector in P_tgt(deg-1) at x
-            d_s = res_src.diff_coeffs(deg)
             pt_prev = res_tgt.projective_at(deg - 1)
-            targets = []
-            for i, x in enumerate(p_s.gen_points):
-                acc = [0] * pt_prev.rank_at(x)
-                idx_prev = pt_prev.indices_at(x)
-                pos_prev = {g: t for t, g in enumerate(idx_prev)}
-                for g_lo, x_lo in enumerate(res_src.projective_at(deg - 1).gen_points):
-                    c = d_s.data[g_lo][i]
-                    if c == 0:
-                        continue
-                    # prev coefficients of generator g_lo, transported to x
-                    for g_t in range(pt_prev.num_gens):
-                        val = prev.data[g_t][g_lo]
-                        if val and pt_prev.poset.leq(x, pt_prev.gen_points[g_t]):
-                            acc[pos_prev[g_t]] += c * val
-                targets.append(acc)
+            moved = prev @ res_src.diff_coeffs(deg)
+            targets = [[moved.data[g][i] for g in pt_prev.indices_at(x)]
+                       for i, x in enumerate(p_s.gen_points)]
             d_t = res_tgt.diff_coeffs(deg)
             us = _factor_at_points(
                 p_s.gen_points, targets,
                 lambda x: (p_t.point_matrix_of_coeffs(d_t, pt_prev, x), None),
                 "chain lift must exist by exactness")
-        coeffs = IntMatrix.zeros(p_t.num_gens, p_s.num_gens)
-        for i, (x, u) in enumerate(zip(p_s.gen_points, us)):
-            for pos, g in enumerate(p_t.indices_at(x)):
-                coeffs.data[g][i] = u[pos]
-        lifts.append(coeffs)
-        prev = coeffs
+        prev = _coeffs_of_vectors(p_t, p_s.gen_points, us)
+        lifts.append(prev)
     return lifts
 
 

@@ -61,6 +61,7 @@ from .intlinalg import (
     unvec,
     vec,
 )
+from .laurent import validate_ck_matrix
 
 
 @dataclass
@@ -76,22 +77,6 @@ class ShiftEqResult:
         if self.verdict != "yes":
             raise ValueError("no witness to swap")
         return ShiftEqResult("yes", r=self.s, s=self.r, lag=self.lag)
-
-
-def validate_ck_matrix(a: IntMatrix, name="matrix"):
-    n = a.rows
-    if a.cols != n:
-        raise ValueError(f"{name} must be square")
-    for i in range(n):
-        for j in range(n):
-            if a.data[i][j] < 0:
-                raise ValueError(f"{name} has a negative entry at ({i}, {j})")
-    for i in range(n):
-        if all(e == 0 for e in a.data[i]):
-            raise ValueError(f"{name}: row {i} vanishes identically")
-    for j in range(n):
-        if all(a.data[i][j] == 0 for i in range(n)):
-            raise ValueError(f"{name}: column {j} vanishes identically")
 
 
 def verify_shift_equivalence(a, b, r, s, lag):

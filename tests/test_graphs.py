@@ -23,7 +23,14 @@ from obstruct.graphs import (
 )
 from obstruct.intlinalg import ExactArithmeticError, IntMatrix
 from obstruct.posets import FinitePoset
-from obstruct.quiver import ExactnessError, RepMorphism, TwoExtension, transport_class, yoneda_class
+from obstruct.quiver import (
+    ExactnessError,
+    QuiverRep,
+    RepMorphism,
+    TwoExtension,
+    transport_class,
+    yoneda_class,
+)
 
 from test_quiver import generator_extension, rep_diagram
 
@@ -53,6 +60,18 @@ def test_cuntz_invariant(n):
 def test_cuntz_unit_compare():
     assert unit_compare(cuntz_graph(4), cuntz_graph(4)).verdict == "yes"
     assert unit_compare(cuntz_graph(4), cuntz_graph(3)).verdict == "no"
+
+
+def test_unit_class_needs_an_isomorphic_colimit():
+    # XK0 of O_4 with its torsion dropped: the colimit Z maps onto
+    # K0 = Z/3, but not isomorphically, so no unit class is defined
+    inv = graphs.XKInvariant(cuntz_graph(4))
+    (point,) = inv.ideals.poset.points
+    group, unit = graphs._unit_class(inv.graph, inv.ideals, inv.xk0)
+    assert group.invariant_factors == [3] and gcd(unit[0], 3) == 1
+    tampered = QuiverRep(inv.xk0.poset, {point: FgAbGroup.free(1)}, {}, check=False)
+    with pytest.raises(ExactArithmeticError, match="isomorphically"):
+        graphs._unit_class(inv.graph, inv.ideals, tampered)
 
 
 def graph(rows):

@@ -31,7 +31,6 @@ from obstruct.quiver import (
     minimal_cover,
     rep_cokernel,
     rep_direct_sum,
-    rep_is_exact_at,
     rep_iso_bounded_multi,
     rep_kernel,
     resolve_projective,
