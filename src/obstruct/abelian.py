@@ -174,9 +174,6 @@ class FgAbGroup:
             raise ValueError("cannot enumerate an infinite group")
         return itertools.product(*[range(d) for d in facs])
 
-    def zero(self):
-        return [0] * self.ngens
-
     def describe(self):
         """Human-readable shape, e.g. 'Z/2 + Z/6 + Z^2'."""
         facs = self.invariant_factors
@@ -250,9 +247,6 @@ class GroupMorphism:
 
     def scaled(self, c):
         return GroupMorphism(self.source, self.target, self.matrix.scaled(c), trusted=True)
-
-    def __call__(self, vec):
-        return self.matrix.apply(vec)
 
     def equals(self, other):
         """Equality as homomorphisms (matrices may differ by target relations)."""

@@ -504,8 +504,7 @@ def _pull_class(delta: Ext2Class, sigma, m0: QuiverRep, m1: QuiverRep) -> Ext2Cl
 
 
 def compare_graph_invariants(e1: DirectedGraph, e2: DirectedGraph,
-                             bound=8, budget=20000,
-                             inv1: XKInvariant = None, inv2: XKInvariant = None) -> CompareOutcome:
+                             bound=8, budget=20000) -> CompareOutcome:
     """Decide isomorphism of the two invariants, cheapest layer first:
     poset, then arrow-commuting graded isomorphism, then obstruction-class
     compatibility (verdict rules in the module docstring).
@@ -514,9 +513,7 @@ def compare_graph_invariants(e1: DirectedGraph, e2: DirectedGraph,
     poset `no` builds the ideal posets only, a module `no` adds XK0, XK1 and
     the exactness check of their sequence, and delta is built only for a
     candidate isomorphism.  The unit class is never built here."""
-    inv1 = inv1 if inv1 is not None else XKInvariant(e1)
-    inv2 = inv2 if inv2 is not None else XKInvariant(e2)
-    return _compare(inv1, inv2, bound, budget, unit=False)
+    return _compare(XKInvariant(e1), XKInvariant(e2), bound, budget, unit=False)
 
 
 def unit_compare(e1: DirectedGraph, e2: DirectedGraph, bound=8, budget=20000) -> CompareOutcome:

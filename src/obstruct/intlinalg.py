@@ -6,6 +6,13 @@ kernels, exact linear solves, matrix powers and column lattice arithmetic.
 Everything runs on plain Python ints, so no overflow can occur at any
 intermediate step.
 
+There is one elimination, `smith_normal_form`.  It runs on the matrix alone
+and records its elementary operations; the diagonal and rank are kept at
+once, and U with U^-1, or V, are built by replaying the record only when a
+caller first reads them.  So `matrix_rank`, `is_unimodular` and
+`cokernel_factors`, which read the invariant factors alone, build no
+transform, and `kernel_basis` builds V alone.
+
 Every exact solve goes through one loop, `_factor`: with U a V = D it
 solves U b = D x' entry by entry on the diagonal, one column b at a time,
 and x = V x' solves a x = b.  Callers reach it as
@@ -14,16 +21,13 @@ the column lattice of `relations` (the idiom of kernels, lifts and
 corestrictions), as `ColumnLattice.factor` against a lattice whose Smith
 normal form is already at hand, and as `solve` for a single vector.
 
-Where only the invariant factors are needed (`matrix_rank`,
-`is_unimodular`, the shift-equivalence battery), `smith_diagonal` runs the
-same elimination on the matrix alone and builds no transform.
-
 Lattice equality is a Hopfian test.  Finitely generated abelian groups are
 Hopfian: a surjection between isomorphic ones is injective.  So if
 L' is inside L, both inside Z^n, and Z^n/L and Z^n/L' have the same
 invariant factors (`cokernel_factors`), the surjection Z^n/L' -> Z^n/L is
-an isomorphism and L = L'.  One containment and two diagonal-only
-eliminations decide equality, with no lattice basis built.
+an isomorphism and L = L'.  Two eliminations decide equality: the
+decomposition of L's generators gives both its cokernel factors and the
+containment solve, and no lattice basis is built.
 
 Conventions:
   * matrices act on column vectors; the column span of a matrix is called
@@ -31,7 +35,7 @@ Conventions:
   * vectors are plain lists/tuples of ints;
   * `vec` stacks the columns of a matrix into one vector (column-major), the
     order in which vec(X A) = (A^t kron I) vec(X); `unvec` inverts it;
-  * inside `smith_normal_form`, U^-1 and V are accumulated transposed, so
+  * when the record is replayed, U^-1 and V are accumulated transposed, so
     each elementary operation rewrites whole rows; the returned matrices
     are in the usual orientation.
 """
@@ -91,16 +95,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls._wrap(n, n, _identity_rows(n))
-
-    @classmethod
-    def diagonal(cls, entries, rows=None, cols=None):
-        n = len(entries)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        m = cls.zeros(rows, cols)
-        for i, d in enumerate(entries):
-            m.data[i][i] = int(d)
-        return m
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -259,22 +253,77 @@ class IntMatrix:
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular, D diagonal with d_i | d_{i+1} >= 0.
 
-    Also carries U^-1, so lattice bases in the original coordinates are
-    available without further solving.  V^-1 is not kept: no caller needs
-    coordinates with respect to the columns of V.
+    `smith_normal_form` eliminates on A alone and records its elementary
+    operations.  `diag` (padded with zeros to min(rows, cols)) and `rank`
+    are kept at once; U together with U^-1, and V, are built on first read
+    by replaying the recorded row or column operations on an identity, and
+    D is built from `diag` on each read.  A caller that needs only the
+    invariant factors builds no transform.  V^-1 is never built: no caller
+    needs coordinates with respect to the columns of V.
     """
 
-    __slots__ = ("matrix", "U", "D", "V", "Uinv", "diag", "rank")
+    __slots__ = ("matrix", "diag", "rank", "_row_ops", "_col_ops", "_U", "_Uinv", "_V")
 
-    def __init__(self, matrix, U, D, V, Uinv):
+    def __init__(self, matrix, diag, row_ops, col_ops):
         self.matrix = matrix
-        self.U = U
-        self.D = D
-        self.V = V
-        self.Uinv = Uinv
-        k = min(D.rows, D.cols)
-        self.diag = [D.data[i][i] for i in range(k)]
-        self.rank = sum(1 for d in self.diag if d != 0)
+        self.diag = diag
+        self.rank = sum(1 for d in diag if d != 0)
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+        self._U = self._Uinv = self._V = None
+
+    @property
+    def U(self):
+        if self._U is None:
+            self._build_row_transforms()
+        return self._U
+
+    @property
+    def Uinv(self):
+        if self._Uinv is None:
+            self._build_row_transforms()
+        return self._Uinv
+
+    @property
+    def V(self):
+        if self._V is None:
+            n = self.matrix.cols
+            V_t = _identity_rows(n)  # row j is column j of V
+            for c, d, q in self._col_ops:
+                if q is None:
+                    V_t[c], V_t[d] = V_t[d], V_t[c]
+                else:
+                    V_t[c] = [x - q * y for x, y in zip(V_t[c], V_t[d])]
+            self._col_ops = None
+            self._V = IntMatrix._wrap(n, n, [list(c) for c in zip(*V_t)])
+        return self._V
+
+    @property
+    def D(self):
+        D = IntMatrix.zeros(self.matrix.rows, self.matrix.cols)
+        for i, d in enumerate(self.diag):
+            D.data[i][i] = d
+        return D
+
+    def _build_row_transforms(self):
+        # U^-1 is held transposed, so the inverse of each row operation on U,
+        # a column operation on U^-1, also rewrites whole rows
+        m = self.matrix.rows
+        U = _identity_rows(m)
+        Uinv_t = _identity_rows(m)  # row i is column i of U^-1
+        for r, s, q in self._row_ops:
+            if s is None:
+                U[r] = [-x for x in U[r]]
+                Uinv_t[r] = [-x for x in Uinv_t[r]]
+            elif q is None:
+                U[r], U[s] = U[s], U[r]
+                Uinv_t[r], Uinv_t[s] = Uinv_t[s], Uinv_t[r]
+            else:
+                U[r] = [x - q * y for x, y in zip(U[r], U[s])]
+                Uinv_t[s] = [x + q * y for x, y in zip(Uinv_t[s], Uinv_t[r])]
+        self._row_ops = None
+        self._U = IntMatrix._wrap(m, m, U)
+        self._Uinv = IntMatrix._wrap(m, m, [list(c) for c in zip(*Uinv_t)])
 
     def diagonal_padded(self, n):
         """First n diagonal entries, padding with zeros past min(rows, cols)."""
@@ -310,49 +359,31 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     lowest row then lowest column.  This keeps intermediate entries small and
     makes the output deterministic for a fixed input.
 
-    Storage: D is held only as its active block (rows and columns >= t at
-    step t), since everything outside it is already zero; U^-1 and V are
-    held transposed, so every elementary operation on them, like every one
-    on U, rewrites whole rows.
+    The elimination holds only the active block (rows and columns >= t at
+    step t), since everything outside it is already zero, and records each
+    elementary operation in absolute indices: (r, s, q) for
+    row_r -= q * row_s, (r, s, None) for a swap of rows r and s and
+    (r, None, None) for a sign flip of row r; (c, d, q) for
+    col_c -= q * col_d and (c, d, None) for a swap of columns.
     """
-    m, n = a.rows, a.cols
     block = [row[:] for row in a.data]
-    U = _identity_rows(m)
-    Uinv_t = _identity_rows(m)  # row i is column i of U^-1
-    V_t = _identity_rows(n)  # row j is column j of V
     diag = []
+    row_ops = []
+    col_ops = []
     t = 0
 
-    # Block indices i, j are relative to t; transforms use absolute ones.
-    def row_sub(i, k, q):
-        # row_i -= q * row_k on the block and U; inverse column op on U^-1
-        block[i] = [x - q * y for x, y in zip(block[i], block[k])]
-        r, s = t + i, t + k
-        U[r] = [x - q * y for x, y in zip(U[r], U[s])]
-        Uinv_t[s] = [x + q * y for x, y in zip(Uinv_t[s], Uinv_t[r])]
-
-    def col_sub(j, q):
-        # col_j -= q * col_0 on the block and V
-        for row in block:
-            row[j] -= q * row[0]
-        c, d = t + j, t
-        V_t[c] = [x - q * y for x, y in zip(V_t[c], V_t[d])]
-
+    # Block indices i, j are relative to t; recorded ones are absolute.
     def move_pivot(pi, pj):
         if pi:
             block[0], block[pi] = block[pi], block[0]
-            r = t + pi
-            U[t], U[r] = U[r], U[t]
-            Uinv_t[t], Uinv_t[r] = Uinv_t[r], Uinv_t[t]
+            row_ops.append((t, t + pi, None))
         if pj:
             for row in block:
                 row[0], row[pj] = row[pj], row[0]
-            c = t + pj
-            V_t[t], V_t[c] = V_t[c], V_t[t]
+            col_ops.append((t, t + pj, None))
         if block[0][0] < 0:
             block[0] = [-x for x in block[0]]
-            U[t] = [-x for x in U[t]]
-            Uinv_t[t] = [-x for x in Uinv_t[t]]
+            row_ops.append((t, None, None))
 
     while block and block[0]:
         piv = _find_pivot(block)
@@ -362,16 +393,22 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         while True:
             # clear column 0 then row 0; remainders may create smaller pivots
             p = block[0][0]
+            top = block[0]
             dirty = False
             for i in range(1, len(block)):
-                if block[i][0] != 0:
-                    row_sub(i, 0, block[i][0] // p)
-                    if block[i][0] != 0:
+                row = block[i]
+                if row[0] != 0:
+                    q = row[0] // p
+                    block[i] = row = [x - q * y for x, y in zip(row, top)]
+                    row_ops.append((t + i, t, q))
+                    if row[0] != 0:
                         dirty = True
-            top = block[0]
             for j in range(1, len(top)):
                 if top[j] != 0:
-                    col_sub(j, top[j] // p)
+                    q = top[j] // p
+                    for row in block:
+                        row[j] -= q * row[0]
+                    col_ops.append((t + j, t, q))
                     if top[j] != 0:
                         dirty = True
             if dirty:
@@ -381,78 +418,17 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             # which holds trivially for p == 1
             if p == 1:
                 break
-            offender = next((i for i, row in enumerate(block) if any(x % p for x in row)), None)
-            if offender is None:
+            k = next((i for i, row in enumerate(block) if any(x % p for x in row)), None)
+            if k is None:
                 break
-            row_sub(0, offender, -1)  # row_0 += row_offender
+            block[0] = [x + y for x, y in zip(top, block[k])]
+            row_ops.append((t, t + k, -1))
         diag.append(block[0][0])
         block = [row[1:] for row in block[1:]]
         t += 1
 
-    D = [[0] * n for _ in range(m)]
-    for i, d in enumerate(diag):
-        D[i][i] = d
-    return SmithDecomposition(
-        a,
-        IntMatrix._wrap(m, m, U),
-        IntMatrix._wrap(m, n, D),
-        IntMatrix._wrap(n, n, [list(c) for c in zip(*V_t)]),
-        IntMatrix._wrap(m, m, [list(c) for c in zip(*Uinv_t)]),
-    )
-
-
-def smith_diagonal(a: IntMatrix) -> list:
-    """The diagonal of `smith_normal_form(a)`, without building U, V or U^-1.
-
-    Same elimination and pivot rule, applied to the active block alone.
-    """
-    block = [row[:] for row in a.data]
-    diag = []
-
-    def move_pivot(pi, pj):
-        if pi:
-            block[0], block[pi] = block[pi], block[0]
-        if pj:
-            for row in block:
-                row[0], row[pj] = row[pj], row[0]
-        if block[0][0] < 0:
-            block[0] = [-x for x in block[0]]
-
-    while block and block[0]:
-        piv = _find_pivot(block)
-        if piv is None:
-            break
-        move_pivot(*piv)
-        while True:
-            p = block[0][0]
-            dirty = False
-            top = block[0]
-            for i in range(1, len(block)):
-                row = block[i]
-                if row[0] != 0:
-                    q = row[0] // p
-                    block[i] = row = [x - q * y for x, y in zip(row, top)]
-                    if row[0] != 0:
-                        dirty = True
-            for j in range(1, len(top)):
-                if top[j] != 0:
-                    q = top[j] // p
-                    for row in block:
-                        row[j] -= q * row[0]
-                    if top[j] != 0:
-                        dirty = True
-            if dirty:
-                move_pivot(*_find_pivot(block))
-                continue
-            if p == 1:
-                break
-            offender = next((row for row in block if any(x % p for x in row)), None)
-            if offender is None:
-                break
-            block[0] = [x + y for x, y in zip(block[0], offender)]
-        diag.append(block[0][0])
-        block = [row[1:] for row in block[1:]]
-    return diag + [0] * (min(a.rows, a.cols) - len(diag))
+    diag += [0] * (min(a.rows, a.cols) - len(diag))
+    return SmithDecomposition(a, diag, row_ops, col_ops)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -552,31 +528,29 @@ def lattice_basis(gens: IntMatrix) -> IntMatrix:
 
 def cokernel_factors(a: IntMatrix) -> list:
     """Invariant factors of Z^rows / (column lattice of a), units included:
-    `smith_diagonal(a)` padded with zeros to a.rows."""
-    diag = smith_diagonal(a)
-    return diag + [0] * (a.rows - len(diag))
+    the Smith diagonal of a padded with zeros to a.rows."""
+    return smith_normal_form(a).diagonal_padded(a.rows)
 
 
 def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
     """Do two generating matrices span the same column lattice?
 
-    Hopfian test: equal cokernel factors, and b factors through a.
+    Hopfian test: equal cokernel factors, and b factors through a, both
+    read from one decomposition of a.
     """
     if a.rows != b.rows:
         raise ValueError("ambient dimension mismatch")
-    return (cokernel_factors(a) == cokernel_factors(b)
-            and _factor(smith_normal_form(a), b.transpose().data) is not None)
+    s = smith_normal_form(a)
+    return (s.diagonal_padded(a.rows) == cokernel_factors(b)
+            and _factor(s, b.transpose().data) is not None)
 
 
 def matrix_rank(a: IntMatrix) -> int:
-    return sum(1 for d in smith_diagonal(a) if d != 0)
+    return smith_normal_form(a).rank
 
 
 def is_unimodular(a: IntMatrix) -> bool:
-    if a.rows != a.cols:
-        return False
-    diag = smith_diagonal(a)
-    return all(d == 1 for d in diag) and len(diag) == a.rows
+    return a.rows == a.cols and all(d == 1 for d in smith_normal_form(a).diag)
 
 
 def vec(m: IntMatrix) -> list:

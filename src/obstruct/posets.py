@@ -122,7 +122,7 @@ class FinitePoset:
                     return False
         return True
 
-    def isomorphisms(self, other, limit=None):
+    def isomorphisms(self, other):
         """All order isomorphisms onto `other` (backtracking search)."""
         if len(self.points) != len(other.points):
             return []
@@ -139,8 +139,6 @@ class FinitePoset:
         out = []
 
         def extend(i, mapping, used):
-            if limit is not None and len(out) >= limit:
-                return
             if i == len(mine):
                 if self.is_isomorphic_under(mapping, other):
                     out.append(dict(mapping))

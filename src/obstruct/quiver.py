@@ -99,13 +99,6 @@ class QuiverRep:
     def is_zero(self):
         return all(g.is_trivial() for g in self.groups.values())
 
-    @classmethod
-    def zero(cls, poset):
-        t = FgAbGroup.trivial()
-        groups = {p: t for p in poset.points}
-        arrows = {(y, x): GroupMorphism.identity(t) for y, x in poset.hasse_arrows}
-        return cls(poset, groups, arrows, check=False)
-
     def __repr__(self):
         shape = ", ".join(f"{p}:{self.groups[p].describe()}" for p in self.poset.points)
         return f"QuiverRep({shape})"
@@ -152,18 +145,8 @@ class RepMorphism:
             trusted=True,
         )
 
-    def __sub__(self, other):
-        return RepMorphism(
-            self.source, self.target,
-            {p: self.maps[p] - other.maps[p] for p in self.maps},
-            trusted=True,
-        )
-
     def equals(self, other):
         return all(self.maps[p].equals(other.maps[p]) for p in self.maps)
-
-    def is_zero(self):
-        return all(m.is_zero() for m in self.maps.values())
 
     def is_iso(self):
         return all(m.is_iso() for m in self.maps.values())
@@ -258,9 +241,6 @@ class ProjectiveRep:
     @property
     def num_gens(self):
         return len(self.gen_points)
-
-    def is_zero(self):
-        return not self.gen_points
 
     def transport_matrix(self, y, x) -> IntMatrix:
         """The map P(y) -> P(x) along x <= y: an inclusion of generator indices."""

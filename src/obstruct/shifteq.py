@@ -55,7 +55,6 @@ from .intlinalg import (
     matrix_power,
     matrix_rank,
     poly_eval_matrix,
-    smith_diagonal,
     smith_normal_form,
     solve,
     unvec,
@@ -104,7 +103,7 @@ def _eventual_invariant(a: IntMatrix, k):
     gauge module, in closed form (module docstring)."""
     if k == 0:
         return [], 0
-    diag = smith_diagonal(a - IntMatrix.identity(a.rows).scaled(k))
+    diag = smith_normal_form(a - IntMatrix.identity(a.rows).scaled(k)).diag
     torsion = []
     for d in diag:
         if d > 1:

@@ -302,8 +302,6 @@ def test_ext1_presentation_independent():
 def randomized_equivalent_presentation(rng, g):
     """(g', fwd, bwd) with g' an equivalent presentation plus one redundant
     generator, and mutually inverse morphisms."""
-    from obstruct.intlinalg import smith_normal_form
-
     n = g.ngens
     # random unimodular p via a few shears over a permutation
     p = IntMatrix.identity(n)

@@ -3,10 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obstruct import intlinalg
+from obstruct.abelian import FgAbGroup, GroupMorphism
 from obstruct.intlinalg import (
     ColumnLattice,
     IntMatrix,
     charpoly,
+    cokernel_factors,
     factor_through,
     is_unimodular,
     kernel_basis,
@@ -15,7 +18,6 @@ from obstruct.intlinalg import (
     matrix_power,
     matrix_rank,
     poly_eval_matrix,
-    smith_diagonal,
     smith_normal_form,
     solve,
     unvec,
@@ -25,7 +27,7 @@ from obstruct.intlinalg import (
 
 def check_snf(a):
     s = smith_normal_form(a)
-    assert smith_diagonal(a) == s.diag
+    assert len(s.diag) == min(a.rows, a.cols)
     assert s.U @ a @ s.V == s.D
     assert is_unimodular(s.U)
     assert is_unimodular(s.V)
@@ -149,6 +151,59 @@ def test_snf_random(m, n, seed):
     rng = random.Random(seed)
     a = IntMatrix(m, n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
     check_snf(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 10**6),
+)
+def test_snf_transforms_independent_of_read_order(m, n, seed):
+    rng = random.Random(seed)
+    data = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    if m and rng.random() < 0.5:
+        data[rng.randrange(m)] = [0] * n
+    if n and rng.random() < 0.5:
+        j = rng.randrange(n)
+        for row in data:
+            row[j] = 0
+    a = IntMatrix(m, n, data)
+    v_first = smith_normal_form(a)
+    v_first.V
+    u_first = smith_normal_form(a)
+    u_first.U
+    for s in (v_first, u_first):
+        assert s.U @ a @ s.V == s.D
+        assert s.U @ s.Uinv == IntMatrix.identity(m)
+    assert (v_first.U, v_first.Uinv, v_first.V) == (u_first.U, u_first.Uinv, u_first.V)
+
+
+def test_transforms_are_built_only_when_read(monkeypatch):
+    a = IntMatrix.from_rows([[2, 4, 6], [1, 2, 3], [3, 6, 9]])
+    group = FgAbGroup(3, a)
+    z6 = FgAbGroup.cyclic(6)
+    unit = GroupMorphism(z6, z6, IntMatrix.from_rows([[5]]), trusted=True)
+    built = []
+    real = intlinalg._identity_rows
+
+    def counted(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(intlinalg, "_identity_rows", counted)
+    assert group.invariant_factors == [0, 0]
+    assert matrix_rank(a) == 1
+    assert cokernel_factors(a) == [1, 0, 0]
+    assert unit.is_iso()
+    assert built == []
+    k = kernel_basis(a)
+    assert k.cols == 2 and built == [3]  # V alone
+    s = smith_normal_form(a.hstack(a))
+    s.Uinv
+    assert built == [3, 3, 3]  # U with U^-1
+    s.U, s.Uinv, s.D
+    assert built == [3, 3, 3]
 
 
 def test_kernel_basis():

@@ -7,7 +7,6 @@ import pytest
 from obstruct.abelian import DiagramHom, FgAbGroup, GroupMorphism, iso_groups, iso_search
 from obstruct.intlinalg import IntMatrix
 from obstruct.posets import (
-    FinitePoset,
     antichain_poset,
     chain_poset,
     diamond_poset,
@@ -30,7 +29,6 @@ from obstruct.quiver import (
     ext_poset_ups_oracle,
     minimal_cover,
     rep_cokernel,
-    rep_direct_sum,
     rep_iso_bounded_multi,
     rep_kernel,
     resolve_projective,
@@ -169,6 +167,60 @@ def test_randomized_resolutions_also_exact():
     for seed in range(5):
         res = resolve_projective(v, 3, rng=random.Random(seed))
         verify_resolution(res)
+
+
+# --- chain lifts -------------------------------------------------------------------
+
+
+def _chain_lift_failures(f, res_s, res_t, lifts):
+    """(degree, point) of every square where the lift fails to commute:
+    aug' L_0 = f aug modulo the relations of f's target in degree 0, and
+    d'_k L_k = L_{k-1} d_k in degree k."""
+
+    def at(coeffs, src, i, tgt, j, x):
+        return src.projective_at(i).point_matrix_of_coeffs(coeffs, tgt.projective_at(j), x)
+
+    failures = []
+    for x in f.source.poset.points:
+        l0 = at(lifts[0], res_s, 0, res_t, 0, x)
+        gap = res_t.aug.point_matrix(x) @ l0 - f.maps[x].matrix @ res_s.aug.point_matrix(x)
+        if not all(f.target.groups[x].contains_relation(c) for c in gap.columns()):
+            failures.append((0, x))
+        for k in range(1, len(lifts)):
+            d_s = at(res_s.diff_coeffs(k), res_s, k, res_s, k - 1, x)
+            d_t = at(res_t.diff_coeffs(k), res_t, k, res_t, k - 1, x)
+            l_k = at(lifts[k], res_s, k, res_t, k, x)
+            l_prev = at(lifts[k - 1], res_s, k - 1, res_t, k - 1, x)
+            if d_t @ l_k != l_prev @ d_s:
+                failures.append((k, x))
+    return failures
+
+
+def test_chain_lift_commutes_between_two_resolutions():
+    z2, z4, z8 = zmod(2), zmod(4), zmod(8)
+    one = IntMatrix.from_rows([[1]])
+    reps = [
+        sierpinski_rep(z4, z2, one),
+        QuiverRep(chain_poset(3), {"c0": z2, "c1": z4, "c2": z8},
+                  {("c1", "c0"): GroupMorphism(z4, z2, one),
+                   ("c2", "c1"): GroupMorphism(z8, z4, one)}),
+        QuiverRep(diamond_poset(), {"bot": z2, "l": z4, "r": z2, "top": z8},
+                  {("top", "l"): GroupMorphism(z8, z4, one),
+                   ("top", "r"): GroupMorphism(z8, z2, one),
+                   ("l", "bot"): GroupMorphism(z4, z2, one),
+                   ("r", "bot"): GroupMorphism(z2, z2, one)}),
+    ]
+    for seed, v in enumerate(reps):
+        # f = 3 * id, a module map that is not the identity
+        f = RepMorphism(v, v, {x: GroupMorphism(g, g, IntMatrix.identity(g.ngens).scaled(3))
+                               for x, g in v.groups.items()})
+        res_s = resolve_projective(v, 3)
+        res_t = resolve_projective(v, 3, rng=random.Random(seed))
+        assert res_s.diffs and res_s.fingerprint() != res_t.fingerprint()
+        lifts = chain_lift(f, res_s, res_t)
+        assert _chain_lift_failures(f, res_s, res_t, lifts) == []
+        tampered = [lifts[0], lifts[1].scaled(2)] + lifts[2:]
+        assert _chain_lift_failures(f, res_s, res_t, tampered)
 
 
 # --- ext over the incidence algebra ----------------------------------------------

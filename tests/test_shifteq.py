@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from obstruct import shifteq
-from obstruct.intlinalg import IntMatrix, charpoly, matrix_power, smith_diagonal, solve, vec
+from obstruct.intlinalg import IntMatrix, charpoly, matrix_power, smith_normal_form, solve, vec
 from obstruct.shifteq import (
     _coefficient_vectors,
     _combination,
@@ -222,7 +222,7 @@ def test_linear_invariant_closed_form_matches_general_route():
         for k in range(-8, 9):
             closed = _eventual_invariant(a, k)
             assert closed == _eventual_invariant_general(a, [-k, 1]), (a, k)
-            diag = smith_diagonal(a - IntMatrix.identity(n).scaled(k))
+            diag = smith_normal_form(a - IntMatrix.identity(n).scaled(k)).diag
             singular += 0 in diag
             reduced += k != 0 and any(d > 1 and gcd(d, k) > 1 for d in diag)
     assert singular >= 30 and reduced >= 100
