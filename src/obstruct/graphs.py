@@ -27,6 +27,13 @@ as a degree-two class against a projective resolution of XK0; and the class
 of the unit (the all-ones vertex vector) in the colimit recovering K0 of the
 whole algebra.
 
+The sequence is itself a projective resolution of XK0 of length two when Q
+is a sum of downset projectives in vertex coordinates and XK1 is projective
+(`_graph_resolution`): then P0 = P1 = Q, P2 covers XK1, and delta is the
+class of that cover, with no lift and no `resolve_projective`.  Otherwise
+delta is the Yoneda class of the sequence against `resolve_projective`'s
+resolution, the route of `quiver.yoneda_class`.
+
 `compare_graph_invariants` and `unit_compare` decide whether two invariants
 are isomorphic (`unit_compare` also asks that the unit class be preserved).
 Both run one bounded search per isomorphism sigma of the ideal posets
@@ -89,8 +96,10 @@ from .quiver import (
     QuiverRep,
     RepMorphism,
     TwoExtension,
+    _coeffs_of_vectors,
     _yoneda_cocycle,
     ext2_compatible,
+    minimal_cover,
     rep_cokernel,
     rep_iso_bounded_multi,
     rep_kernel,
@@ -333,7 +342,13 @@ class XKInvariant:
     @cached_property
     def delta(self) -> Ext2Class:
         # the module layer has checked the sequence exact
-        return _yoneda_cocycle(self.sequence)
+        seq = self.sequence
+        own = _graph_resolution(self.graph, self.ideals, seq)
+        if own is None:
+            return _yoneda_cocycle(seq)
+        res, cocycle = own
+        ambient = ExtPosetGroup(seq.m0, seq.m1, 2, resolution=res)
+        return Ext2Class(ambient, ambient.class_of_cochain(cocycle), provenance=res.fingerprint())
 
     @cached_property
     def _unit(self):
@@ -374,6 +389,46 @@ def _pv_differential_block(e: DirectedGraph, h):
         if col_total != block_total:
             raise ExactArithmeticError("hereditary set must be A^t-invariant")
     return IntMatrix.identity(len(verts)) - block
+
+
+def _graph_resolution(e: DirectedGraph, ideals: IdealPoset, seq: TwoExtension):
+    """(res, cocycle): the sequence 0 -> XK1 -> Q -> Q -> XK0 -> 0 read as a
+    projective resolution of XK0, and delta's cocycle on it; None when Q is
+    not projective in vertex coordinates or XK1 is not projective.
+
+    S_v = {x : v in H_x} is a downset.  When it has a single top x_v, the
+    coordinate v of Q is the projective P(x_v), so Q = P0 = P1 is the sum of
+    the P(x_v) over the vertices in some H_x, in global vertex order; a
+    vertex in no H_x has no coordinate and is dropped.  P1 -> P0 is then
+    (I - A^t) on the kept vertices, the augmentation sends v to the class of
+    e_v, and P2 is the minimal cover of XK1 followed by the inclusion into
+    Q, exact at P2 when that cover is injective at every point.  The lifts of
+    the identity of XK0 are identities, so the cocycle is the cover's own
+    vectors.  Exactness elsewhere is that of the sequence, which the module
+    layer checks.
+    """
+    poset, sets = ideals.poset, ideals.vertex_sets
+    kept, tops, aug = [], [], []
+    for i, v in enumerate(e.vertices):
+        support = [x for x in poset.points if v in sets[x]]
+        if not support:
+            continue
+        top = min(support, key=lambda x: len(sets[x]))
+        if not all(poset.leq(x, top) for x in support):
+            return None
+        kept.append(i)
+        tops.append(top)
+        pos = sum(1 for u in sets[top] if e.index[u] < i)
+        aug.append([int(k == pos) for k in range(len(sets[top]))])
+    p = ProjectiveRep(poset, tops)
+    diff = (IntMatrix.identity(len(e.vertices)) - e.adjacency.transpose()).submatrix(kept, kept)
+    p2, cover = minimal_cover(seq.m1)
+    if not all(cover.point_morphism(z).is_injective() for z in poset.points):
+        return None
+    into_q = [seq.d2.maps[x].matrix.apply(u) for x, u in zip(p2.gen_points, cover.vectors)]
+    res = ProjResolution(seq.m0, [p, p, p2], ProjIntoRep(p, seq.m0, aug),
+                         [diff, _coeffs_of_vectors(p, p2.gen_points, into_q)], complete=True)
+    return res, cover.vectors
 
 
 def xk_invariant(e: DirectedGraph) -> XKInvariant:

@@ -509,38 +509,46 @@ def _hom_differential(p_hi: ProjectiveRep, p_lo: ProjectiveRep, coeffs: IntMatri
 
 @dataclass
 class HomComplex:
-    """The cochain complex Hom(P_*, W) of a resolution."""
+    """The cochain complex Hom(P_*, W) of a resolution, in a window of
+    consecutive degrees from `low` up."""
 
     resolution: ProjResolution
     w: QuiverRep
-    groups: list
+    groups: list  # groups[i]: Hom(P_{low+i}, W)
     diffs: list  # diffs[i]: groups[i] -> groups[i+1]
+    low: int = 0
 
     @classmethod
-    def build(cls, res: ProjResolution, w: QuiverRep, degrees: int):
-        groups = [_hom_block_group(res.projective_at(i), w) for i in range(degrees + 1)]
+    def build(cls, res: ProjResolution, w: QuiverRep, degrees: int, low: int = 0):
+        """Hom(P_k, W) for k = low..degrees with the differentials between
+        them.  Nothing is checked here: `cohomology_at` checks that the two
+        differentials it reads compose to zero (`homology_at`)."""
+        groups = [_hom_block_group(res.projective_at(k), w) for k in range(low, degrees + 1)]
         diffs = []
-        for i in range(degrees):
-            mat = _hom_differential(
-                res.projective_at(i + 1), res.projective_at(i), res.diff_coeffs(i + 1), w
-            )
+        for i, k in enumerate(range(low, degrees)):
+            mat = _hom_differential(res.projective_at(k + 1), res.projective_at(k),
+                                    res.diff_coeffs(k + 1), w)
             diffs.append(GroupMorphism(groups[i], groups[i + 1], mat, trusted=True))
-        for a, b in zip(diffs, diffs[1:]):
-            if not (b @ a).is_zero():
-                raise ExactArithmeticError("hom complex differentials must square to zero")
-        return cls(res, w, groups, diffs)
+        return cls(res, w, groups, diffs, low)
 
     def cohomology_at(self, n) -> SubquotientData:
-        f = self.diffs[n - 1] if n >= 1 else None
-        g = self.diffs[n] if n < len(self.diffs) else None
-        return homology_at(f, g, middle=self.groups[n])
+        """H^n, read from degrees n - 1, n and n + 1 of the window."""
+        i = n - self.low
+        if i < 0 or (i == 0 and self.low > 0):
+            raise ValueError(f"H^{n} reads degrees below the window, which starts at {self.low}")
+        f = self.diffs[i - 1] if i >= 1 else None
+        g = self.diffs[i] if i < len(self.diffs) else None
+        return homology_at(f, g, middle=self.groups[i])
 
 
 class ExtPosetGroup:
     """Ext^n over the incidence algebra, with cochain-level coordinates.
 
     Cochains in degree n are one vector per generator of P_n, living in the
-    group of W at that generator's point.
+    group of W at that generator's point.  The Hom complex is built in the
+    degrees n - 1, n and n + 1 only, which is all that H^n reads, against
+    the given resolution or, without one, `resolve_projective` to length
+    n + 1.
     """
 
     def __init__(self, v: QuiverRep, w: QuiverRep, n: int, resolution=None, rng=None):
@@ -550,7 +558,7 @@ class ExtPosetGroup:
         if resolution is None:
             resolution = resolve_projective(v, n + 1, rng)
         self.resolution = resolution
-        self.complex = HomComplex.build(resolution, w, n + 1)
+        self.complex = HomComplex.build(resolution, w, n + 1, low=max(n - 1, 0))
         self.data = self.complex.cohomology_at(n)
         self.group = self.data.group
 
@@ -805,11 +813,16 @@ def yoneda_class(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> 
 
 
 def _yoneda_cocycle(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> Ext2Class:
-    """yoneda_class for an extension already checked by `verify_exact`."""
+    """yoneda_class for an extension already checked by `verify_exact`.
+
+    A resolution with no P2 has no degree-two cochains, so the class is zero
+    and no lift is made."""
     if ambient is None:
         ambient = ExtPosetGroup(ext.m0, ext.m1, 2, rng=rng)
     res = ambient.resolution
     p0, p1, p2 = res.projective_at(0), res.projective_at(1), res.projective_at(2)
+    if not p2.num_gens:
+        return Ext2Class(ambient, ambient.zero_class(), provenance=res.fingerprint())
 
     # phi0: P0 -> Q0 lifting the augmentation through eps
     phi0 = _factor_at_points(p0.gen_points, res.aug.vectors, _through(ext.eps),
@@ -882,10 +895,14 @@ def ext2_compatible(f: RepMorphism, c: Ext2Class, cprime: Ext2Class, g: RepMorph
     """Does g_* c equal f^* c' in Ext^2(M0, M1')?
 
     f: M0 -> M0', g: M1 -> M1', with c over (M0, M1) and c' over (M0', M1').
+    Every pair of classes is compatible when that group is trivial, and then
+    no chain map is lifted.
     """
     if c.ambient.v is not f.source and c.ambient.v.poset is not f.source.poset:
         raise ValueError("class c must live over the source of f")
     ambient = ExtPosetGroup(f.source, g.target, 2, resolution=c.ambient.resolution)
+    if ambient.group.is_trivial():
+        return True
     # push forward c along g at the cochain level
     src_cochain = c.ambient.cochain_of_class(c.coords)
     p2 = c.ambient.resolution.projective_at(2)

@@ -10,9 +10,10 @@ from math import gcd
 import pytest
 
 from obstruct import graphs, quiver
-from obstruct.abelian import DiagramHom, FgAbGroup
+from obstruct.abelian import DiagramHom, FgAbGroup, GroupMorphism
 from obstruct.graphs import (
     DirectedGraph,
+    XKInvariant,
     _pull_class,
     _pull_rep,
     admissible,
@@ -25,10 +26,16 @@ from obstruct.intlinalg import ExactArithmeticError, IntMatrix
 from obstruct.posets import FinitePoset
 from obstruct.quiver import (
     ExactnessError,
+    Ext2Class,
+    ProjectiveRep,
+    ProjIntoRep,
     QuiverRep,
     RepMorphism,
     TwoExtension,
+    ext2_compatible,
+    sierpinski_ext2,
     transport_class,
+    verify_resolution,
     yoneda_class,
 )
 
@@ -195,10 +202,11 @@ def test_module_no_builds_no_class_layer(monkeypatch, compare):
     # resolution behind delta nor the unit colimit is built
     checks = counter(monkeypatch, TwoExtension, "verify_exact")
     resolutions = counter(monkeypatch, quiver, "resolve_projective")
+    own = counter(monkeypatch, graphs, "_graph_resolution")
     units = counter(monkeypatch, graphs, "_unit_class")
     out = compare(cuntz_graph(4), cuntz_graph(3))
     assert (out.verdict, out.layer) == ("no", "module")
-    assert len(checks) == 2 and resolutions == [] and units == []
+    assert len(checks) == 2 and resolutions == [] and own == [] and units == []
 
 
 def test_compare_graph_invariants_never_builds_the_unit_class(monkeypatch):
@@ -214,9 +222,10 @@ def test_compare_graph_invariants_never_builds_the_unit_class(monkeypatch):
     # the unit class differs in the second pair, which unit_compare reads;
     # it is tested first and fails for every candidate, so delta is not built
     resolutions = counter(monkeypatch, quiver, "resolve_projective")
+    own = counter(monkeypatch, graphs, "_graph_resolution")
     out = unit_compare(cuntz_graph(5), graph([[0, 1], [2, 3]]))
     assert (out.verdict, out.layer) == ("no", "class")
-    assert len(units) == 2 and resolutions == []
+    assert len(units) == 2 and resolutions == [] and own == []
 
 
 def test_comparison_checks_exactness_of_what_it_reads(monkeypatch):
@@ -526,3 +535,145 @@ def test_xk_invariant_on_sixty_vertices():
     # the colimit of XK0 is K0 of the whole algebra
     k0 = FgAbGroup(n, IntMatrix.identity(n) - e.adjacency.transpose())
     assert inv.unit_group.invariant_factors == k0.invariant_factors
+
+
+# ---------------------------------------------------------------------------
+# delta on the sequence's own resolution
+# ---------------------------------------------------------------------------
+
+
+def own_resolution(inv):
+    return graphs._graph_resolution(inv.graph, inv.ideals, inv.sequence)
+
+
+def assert_delta_matches_oracle(inv):
+    """delta against the class of the same sequence on resolve_projective's
+    resolution: the same Ext^2, both zero or both nonzero, and equal under
+    ext2_compatible both ways."""
+    delta, oracle = inv.delta, yoneda_class(inv.sequence)
+    assert delta.ambient.group.invariant_factors == oracle.ambient.group.invariant_factors
+    assert delta.is_zero() == oracle.is_zero()
+    f0, f1 = RepMorphism.identity(inv.xk0), RepMorphism.identity(inv.xk1)
+    assert ext2_compatible(f0, delta, oracle, f1)
+    assert ext2_compatible(f0, oracle, delta, f1)
+
+
+def test_delta_matches_the_yoneda_route_on_random_graphs():
+    rng = random.Random(13)
+    seen = own = dropped = nonzero = k = 0
+    while seen < 300:
+        k += 1
+        e = random_graph(rng, rng.randint(1, 8), (2, 3) if k % 2 else (0, 2, 3))
+        if not admissible(e).admissible:
+            continue
+        seen += 1
+        inv = XKInvariant(e)
+        assert_delta_matches_oracle(inv)
+        found = own_resolution(inv)
+        if found is not None:
+            own += 1
+            verify_resolution(found[0])
+            covered = set().union(*inv.ideals.vertex_sets.values())
+            dropped += len(covered) < len(e.vertices)
+        nonzero += not inv.delta.is_zero()
+    assert own >= 290 and dropped and nonzero >= 2
+
+
+def test_delta_falls_back_when_a_support_has_two_tops(monkeypatch):
+    # v4 lies in H2 = {v1, v3, v4, v5}, H3 = {v2, v3, v4, v5} and
+    # H4 = {v0, v1, v3, v4, v5}; the smallest, H2 and H3, are both tops
+    e = graph([[2, 1, 0, 0, 0, 0], [0, 2, 0, 0, 1, 2], [0, 0, 2, 0, 2, 0],
+               [0, 0, 0, 2, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 0, 3]])
+    inv = XKInvariant(e)
+    tops = [x for x in ("H2", "H3") if "v4" in inv.ideals.vertex_sets[x]]
+    assert tops == ["H2", "H3"] and not inv.ideals.poset.leq("H2", "H3")
+    assert own_resolution(inv) is None
+    resolutions = counter(monkeypatch, quiver, "resolve_projective")
+    assert_delta_matches_oracle(inv)
+    assert len(resolutions) == 2  # delta's, then the oracle's
+
+
+def test_delta_drops_vertices_in_no_ideal():
+    # H0 = {v2} and H1 = {v3}: v0 and v1 lie in no H_x, so Q has no
+    # coordinate for them and the resolution has one generator per point
+    e = graph([[0, 1, 2, 0], [0, 0, 1, 1], [0, 0, 2, 0], [0, 0, 0, 2]])
+    inv = XKInvariant(e)
+    assert set(inv.ideals.vertex_sets.values()) == {frozenset({"v2"}), frozenset({"v3"})}
+    res, _ = own_resolution(inv)
+    assert [p.gen_points for p in res.projectives[:2]] == [["H0", "H1"]] * 2
+    verify_resolution(res)
+    assert_delta_matches_oracle(inv)
+
+
+# The smallest random admissible graph with a nonzero obstruction class: two
+# ideals, H0 = {v0} inside H1 = all vertices, XK0 = Z/2 at H0 and Z at H1,
+# and Ext^2 = Z/2
+NONZERO_DELTA = [[3, 0, 0], [0, 2, 1], [1, 1, 2]]
+
+
+def test_nonzero_delta_on_the_graph_route():
+    inv = xk_invariant(graph(NONZERO_DELTA))
+    assert own_resolution(inv) is not None
+    (y, x), = inv.ideals.poset.hasse_arrows
+    assert [inv.xk0.groups[p].invariant_factors for p in (x, y)] == [[0], [2]]
+    assert inv.delta.ambient.group.invariant_factors == [2] and not inv.delta.is_zero()
+    oracle = sierpinski_ext2(inv.xk0.arrow_map(y, x), inv.xk1.arrow_map(y, x))
+    assert oracle.invariant_factors == [2]
+    assert_delta_matches_oracle(inv)
+
+
+def test_delta_falls_back_when_the_cover_of_xk1_has_a_kernel(monkeypatch):
+    # no sampled graph has a non-projective XK1, so the cover is given a
+    # repeated generator: P2 -> P1 is then not injective, and the sequence
+    # is no resolution
+    def repeated_cover(v):
+        p, phi = quiver.minimal_cover(v)
+        twice = ProjectiveRep(p.poset, p.gen_points + p.gen_points[:1])
+        return twice, ProjIntoRep(twice, v, phi.vectors + phi.vectors[:1])
+
+    monkeypatch.setattr(graphs, "minimal_cover", repeated_cover)
+    inv = XKInvariant(graph(NONZERO_DELTA))
+    assert own_resolution(inv) is None
+    assert_delta_matches_oracle(inv)
+    assert not inv.delta.is_zero()
+
+
+def witness_classes(e1, e2, out):
+    """(f0, delta, delta', f1): the module witness of a `yes`, rebuilt over
+    xk_invariant(e1) and the pull of xk_invariant(e2) through the poset
+    witness, with the two obstruction classes over those modules."""
+    inv1, inv2 = xk_invariant(e1), xk_invariant(e2)
+    sigma, poset = out.poset_iso, inv1.ideals.poset
+    m0, m1 = _pull_rep(inv2.xk0, sigma, poset), _pull_rep(inv2.xk1, sigma, poset)
+    f0, f1 = (RepMorphism(s, t, {p: GroupMorphism(s.groups[p], t.groups[p], w.maps[p].matrix)
+                                 for p in poset.points})
+              for s, t, w in zip((inv1.xk0, inv1.xk1), (m0, m1), out.module_iso))
+    return f0, inv1.delta, _pull_class(inv2.delta, sigma, m0, m1), f1
+
+
+@pytest.mark.parametrize("move", ["relabel", "out_split"])
+def test_witness_carries_the_nonzero_delta(move):
+    e = graph(NONZERO_DELTA)
+    if move == "relabel":
+        perm = (2, 0, 1)
+        h = graph([[NONZERO_DELTA[i][j] for j in perm] for i in perm])
+    else:
+        h = split(e, 2, [0, 1, 0, 0], True)
+    out = unit_compare(e, h)
+    assert out.verdict == "yes"
+    f0, delta, pulled, f1 = witness_classes(e, h, out)
+    assert not delta.is_zero() and not pulled.is_zero()
+    assert ext2_compatible(f0, delta, pulled, f1)
+    zero = Ext2Class(pulled.ambient, pulled.ambient.zero_class(), pulled.provenance)
+    assert not ext2_compatible(f0, delta, zero, f1)
+
+
+def test_ext2_compatible_lifts_a_chain_map_only_for_nonzero_ext2(monkeypatch):
+    lifts = counter(monkeypatch, quiver, "chain_lift")
+    for rows, expected in ((TORSION_GRAPHS[3], 0), (NONZERO_DELTA, 1)):
+        inv = xk_invariant(graph(rows))
+        assert inv.delta.ambient.group.is_trivial() == (expected == 0)
+        lifts.clear()
+        f0, f1 = RepMorphism.identity(inv.xk0), RepMorphism.identity(inv.xk1)
+        assert ext2_compatible(f0, inv.delta, inv.delta, f1)
+        assert len(lifts) == expected

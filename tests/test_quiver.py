@@ -169,6 +169,25 @@ def test_randomized_resolutions_also_exact():
         verify_resolution(res)
 
 
+def test_ext_window_matches_all_degrees():
+    # Ext^n builds the Hom complex in degrees n - 1, n and n + 1 only; the
+    # group must be presented exactly as in the complex of all degrees
+    rng = random.Random(5)
+    for poset in (sierpinski_poset(), chain_poset(3), diamond_poset()):
+        for _ in range(4):
+            v, w = random_rep(rng, poset), random_rep(rng, poset)
+            for a, b in ((v, w), (v, v)):
+                groups = ext_poset_all_degrees(a, b)
+                for n in range(3):
+                    got = ext_poset(a, b, n)
+                    assert got.complex.low == max(n - 1, 0)
+                    assert (got.group.ngens, got.group.relations.data) == \
+                        (groups[n].ngens, groups[n].relations.data)
+    # Ext^2's window starts at degree 1, so it holds no H^1
+    with pytest.raises(ValueError, match="below the window"):
+        ext_poset(v, w, 2).complex.cohomology_at(1)
+
+
 # --- chain lifts -------------------------------------------------------------------
 
 
