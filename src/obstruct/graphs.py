@@ -73,6 +73,11 @@ first reads it, cheapest layer first:
   class    the unit class (unit_compare only) and delta, built at the first
            candidate isomorphism that reaches them; the unit class is tested
            first, so delta is built only once a candidate preserves the unit.
+           The second invariant's delta' is built, and pulled through sigma,
+           only when Ext^2(XK0, XK1) is nonzero: a candidate is an
+           isomorphism at every point, so when that group is zero so is
+           Ext^2(XK0, XK1'), where the classes are compared, and every
+           candidate matches them.
 
 `compare_graph_invariants` never builds the unit class.  `xk_invariant`
 builds every layer.
@@ -84,7 +89,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import FgAbGroup, GroupMorphism
-from .intlinalg import ExactArithmeticError, IntMatrix, factor_through
+from .intlinalg import ExactArithmeticError, IntMatrix, factor_through, shares_eliminations
 from .posets import FinitePoset
 from .quiver import (
     Ext2Class,
@@ -295,6 +300,7 @@ class XKInvariant:
             raise ExactArithmeticError("empty primitive ideal space")
 
     @cached_property
+    @shares_eliminations
     def _modules(self):
         """(xk0, xk1, sequence), with the sequence checked exact."""
         e, ideals = self.graph, self.ideals
@@ -340,6 +346,7 @@ class XKInvariant:
         return self._modules[2]
 
     @cached_property
+    @shares_eliminations
     def delta(self) -> Ext2Class:
         # the module layer has checked the sequence exact
         seq = self.sequence
@@ -348,9 +355,10 @@ class XKInvariant:
             return _yoneda_cocycle(seq)
         res, cocycle = own
         ambient = ExtPosetGroup(seq.m0, seq.m1, 2, resolution=res)
-        return Ext2Class(ambient, ambient.class_of_cochain(cocycle), provenance=res.fingerprint())
+        return Ext2Class(ambient, ambient.class_of_cochain(cocycle))
 
     @cached_property
+    @shares_eliminations
     def _unit(self):
         return _unit_class(self.graph, self.ideals, self.xk0)
 
@@ -554,8 +562,7 @@ def _pull_class(delta: Ext2Class, sigma, m0: QuiverRep, m1: QuiverRep) -> Ext2Cl
                    for p in res.projectives]
     aug = ProjIntoRep(projectives[0], m0, res.aug.vectors)
     pulled = ProjResolution(m0, projectives, aug, res.diffs, res.complete)
-    return Ext2Class(ExtPosetGroup(m0, m1, 2, resolution=pulled), delta.coords,
-                     provenance=pulled.fingerprint())
+    return Ext2Class(ExtPosetGroup(m0, m1, 2, resolution=pulled), delta.coords)
 
 
 def compare_graph_invariants(e1: DirectedGraph, e2: DirectedGraph,
@@ -592,6 +599,12 @@ def _compare(inv1: XKInvariant, inv2: XKInvariant, bound, budget, unit) -> Compa
             class_layer = True
             if unit and unit_image_under(family, inv1, inv2, sigma) != inv2.unit:
                 return False
+            # family is an isomorphism at every point, so f1 carries
+            # Ext^2(XK0, XK1) = 0 onto Ext^2(XK0, XK1'), the group in which
+            # ext2_compatible compares the classes: it would answer True
+            # without reading either one, so delta' is not built
+            if inv1.delta.ambient.group.is_trivial():
+                return True
             if delta2 is None:
                 delta2 = _pull_class(inv2.delta, sigma, xk0, xk1)
             f0, f1 = family

@@ -13,6 +13,15 @@ caller first reads them.  So `matrix_rank`, `is_unimodular` and
 `cokernel_factors`, which read the invariant factors alone, build no
 transform, and `kernel_basis` builds V alone.
 
+A construction that rebuilds equal matrices as new objects (a differential
+stacked with empty relations, the same point map read along two routes)
+eliminates each distinct matrix once when it is decorated with
+`shares_eliminations`: while it runs, `smith_normal_form` looks the matrix
+up by content first.  Only whole constructions open such a scope (an
+invariant's layers, a resolution, an Ext group); bounded searches never do,
+because every candidate they test is a new matrix, so a memo there would
+only grow and hash.  Outside a scope nothing is kept.
+
 Every exact solve goes through one loop, `_factor`: with U a V = D it
 solves U b = D x' entry by entry on the diagonal, one column b at a time,
 and x = V x' solves a x = b.  Callers reach it as
@@ -42,7 +51,9 @@ Conventions:
 
 from __future__ import annotations
 
-from operator import mul
+import functools
+from contextvars import ContextVar
+from operator import index, mul
 
 
 class ExactArithmeticError(ArithmeticError):
@@ -67,7 +78,7 @@ class IntMatrix:
                 raise ValueError(f"expected {cols} cols, got {len(r)}")
         self.rows = rows
         self.cols = cols
-        self.data = [list(map(int, r)) for r in data]
+        self.data = [list(map(index, r)) for r in data]
 
     @classmethod
     def _wrap(cls, rows, cols, data):
@@ -102,8 +113,12 @@ class IntMatrix:
             if rows is None:
                 raise ValueError("rows required for empty column list")
             return cls.zeros(rows, 0)
-        rows = len(columns[0])
-        return cls(rows, len(columns), [[c[i] for c in columns] for i in range(rows)])
+        n = len(columns[0])
+        if rows is not None and rows != n:
+            raise ValueError(f"expected columns of length {rows}, got {n}")
+        if any(len(c) != n for c in columns):
+            raise ValueError("columns of unequal length")
+        return cls(n, len(columns), [[c[i] for c in columns] for i in range(n)])
 
     def copy(self):
         return IntMatrix(self.rows, self.cols, self.data)
@@ -137,23 +152,24 @@ class IntMatrix:
 
     def __add__(self, other):
         self._shape_check(other)
-        return IntMatrix(
+        return IntMatrix._wrap(
             self.rows, self.cols,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
         )
 
     def __sub__(self, other):
         self._shape_check(other)
-        return IntMatrix(
+        return IntMatrix._wrap(
             self.rows, self.cols,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
         )
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
+        return IntMatrix._wrap(self.rows, self.cols, [[-a for a in r] for r in self.data])
 
     def scaled(self, c):
-        return IntMatrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
+        c = index(c)
+        return IntMatrix._wrap(self.rows, self.cols, [[c * a for a in r] for r in self.data])
 
     def _shape_check(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -175,7 +191,7 @@ class IntMatrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return IntMatrix(
+        return IntMatrix._wrap(
             self.rows, self.cols + other.cols,
             [ra + rb for ra, rb in zip(self.data, other.data)],
         )
@@ -183,7 +199,9 @@ class IntMatrix:
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.data + other.data)
+        # copies: the result must not share row lists with its operands
+        return IntMatrix._wrap(self.rows + other.rows, self.cols,
+                               [r[:] for r in self.data] + [r[:] for r in other.data])
 
     def kron(self, other):
         """Kronecker product, blocks self[i][j] * other."""
@@ -202,7 +220,7 @@ class IntMatrix:
                     for l in range(other.cols):
                         if orow[l]:
                             trow[base + l] += a * orow[l]
-        return IntMatrix(rows, cols, out)
+        return IntMatrix._wrap(rows, cols, out)
 
     @staticmethod
     def block_diag(blocks, rows=0, cols=0):
@@ -212,13 +230,13 @@ class IntMatrix:
         r0 = c0 = 0
         for b in blocks:
             for i in range(b.rows):
-                out[r0 + i][c0:c0 + b.cols] = list(b.data[i])
+                out[r0 + i][c0:c0 + b.cols] = b.data[i]
             r0 += b.rows
             c0 += b.cols
-        return IntMatrix(total_r, total_c, out)
+        return IntMatrix._wrap(total_r, total_c, out)
 
     def submatrix(self, row_idx, col_idx):
-        return IntMatrix(
+        return IntMatrix._wrap(
             len(row_idx), len(col_idx),
             [[self.data[i][j] for j in col_idx] for i in row_idx],
         )
@@ -352,6 +370,33 @@ def _find_pivot(block):
     return best
 
 
+# Content of a matrix -> its decomposition, while a construction decorated
+# with `shares_eliminations` runs; None outside every such construction.
+_eliminations = ContextVar("eliminations", default=None)
+
+
+def shares_eliminations(fn):
+    """Run fn with one elimination per distinct matrix.
+
+    The outermost decorated call opens a memo of decompositions keyed on
+    matrix content, nested decorated calls join it, and it is dropped when
+    the outermost call returns or raises.  Sharing is sound because the
+    elimination is deterministic on content and no caller mutates a
+    decomposition; callers read `matrix` only for its shape.
+    """
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if _eliminations.get() is not None:
+            return fn(*args, **kwargs)
+        token = _eliminations.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _eliminations.reset(token)
+
+    return scoped
+
+
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with minimal-absolute-value pivoting.
 
@@ -359,9 +404,26 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     lowest row then lowest column.  This keeps intermediate entries small and
     makes the output deterministic for a fixed input.
 
-    The elimination holds only the active block (rows and columns >= t at
-    step t), since everything outside it is already zero, and records each
-    elementary operation in absolute indices: (r, s, q) for
+    Inside a `shares_eliminations` construction a matrix equal to one already
+    eliminated there gets that decomposition back; elsewhere every call
+    eliminates.
+    """
+    memo = _eliminations.get()
+    if memo is None:
+        return _eliminate(a)
+    key = (a.cols, tuple(map(tuple, a.data)))
+    s = memo.get(key)
+    if s is None:
+        s = memo[key] = _eliminate(a)
+    return s
+
+
+def _eliminate(a: IntMatrix) -> SmithDecomposition:
+    """The elimination of `smith_normal_form`.
+
+    It holds only the active block (rows and columns >= t at step t), since
+    everything outside it is already zero, and records each elementary
+    operation in absolute indices: (r, s, q) for
     row_r -= q * row_s, (r, s, None) for a swap of rows r and s and
     (r, None, None) for a sign flip of row r; (c, d, q) for
     col_c -= q * col_d and (c, d, None) for a swap of columns.

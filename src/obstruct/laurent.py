@@ -47,6 +47,7 @@ from .intlinalg import (
     kernel_basis,
     lattice_basis,
     matrix_power,
+    shares_eliminations,
     unvec,
     vec,
 )
@@ -415,6 +416,7 @@ class PresExtResult:
 # ---------------------------------------------------------------------------
 
 
+@shares_eliminations
 def ext2_block(p, q) -> Ext2Block:
     """Ext^2_R(P, Q) for one parity block of graded modules."""
     if isinstance(p, RModulePres):

@@ -37,6 +37,7 @@ from .intlinalg import (
     kernel_basis,
     lattice_basis,
     lattices_equal,
+    shares_eliminations,
 )
 from .posets import FinitePoset, is_unique_path_space
 
@@ -408,6 +409,7 @@ def _coeffs_of_vectors(target: ProjectiveRep, points, vectors) -> IntMatrix:
     return coeffs
 
 
+@shares_eliminations
 def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
     """Iterated syzygies to the requested length (stops early at completion)."""
     p0, aug = minimal_cover(v, rng)
@@ -551,6 +553,7 @@ class ExtPosetGroup:
     n + 1.
     """
 
+    @shares_eliminations
     def __init__(self, v: QuiverRep, w: QuiverRep, n: int, resolution=None, rng=None):
         self.v = v
         self.w = w
@@ -733,12 +736,15 @@ class TwoExtension:
 
 @dataclass
 class Ext2Class:
-    """An element of a computed Ext^2 group: ambient group with coordinates,
-    plus the resolution fingerprint the coordinates refer to."""
+    """An element of a computed Ext^2 group: ambient group with coordinates."""
 
     ambient: ExtPosetGroup
     coords: tuple
-    provenance: str
+
+    @property
+    def provenance(self):
+        """Fingerprint of the resolution the coordinates refer to."""
+        return self.ambient.resolution.fingerprint()
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -822,7 +828,7 @@ def _yoneda_cocycle(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) 
     res = ambient.resolution
     p0, p1, p2 = res.projective_at(0), res.projective_at(1), res.projective_at(2)
     if not p2.num_gens:
-        return Ext2Class(ambient, ambient.zero_class(), provenance=res.fingerprint())
+        return Ext2Class(ambient, ambient.zero_class())
 
     # phi0: P0 -> Q0 lifting the augmentation through eps
     phi0 = _factor_at_points(p0.gen_points, res.aug.vectors, _through(ext.eps),
@@ -841,7 +847,7 @@ def _yoneda_cocycle(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) 
                              _through(ext.d2), "cocycle value must exist by exactness")
 
     coords = ambient.class_of_cochain(phi2)
-    return Ext2Class(ambient, coords, provenance=res.fingerprint())
+    return Ext2Class(ambient, coords)
 
 
 def chain_lift(f: RepMorphism, res_src: ProjResolution, res_tgt: ProjResolution, degrees=3):

@@ -664,8 +664,39 @@ def test_witness_carries_the_nonzero_delta(move):
     f0, delta, pulled, f1 = witness_classes(e, h, out)
     assert not delta.is_zero() and not pulled.is_zero()
     assert ext2_compatible(f0, delta, pulled, f1)
-    zero = Ext2Class(pulled.ambient, pulled.ambient.zero_class(), pulled.provenance)
+    zero = Ext2Class(pulled.ambient, pulled.ambient.zero_class())
     assert not ext2_compatible(f0, delta, zero, f1)
+
+
+def relabelled(rows, perm):
+    return graph([[rows[i][j] for j in perm] for i in perm])
+
+
+def test_delta_prime_is_built_only_when_ext2_can_be_nonzero(monkeypatch):
+    builds = counter(monkeypatch, graphs, "_graph_resolution")
+    pulls = counter(monkeypatch, graphs, "_pull_class")
+    rows = TORSION_GRAPHS[3]
+    out = unit_compare(graph(rows), relabelled(rows, (2, 0, 1)))
+    assert out.verdict == "yes"
+    assert len(builds) == 1 and pulls == []  # delta alone, found trivial
+
+    builds.clear()
+    out = unit_compare(graph(NONZERO_DELTA), relabelled(NONZERO_DELTA, (2, 0, 1)))
+    assert out.verdict == "yes"
+    assert len(builds) == 2 and len(pulls) == 1
+
+
+def test_a_witness_against_the_zero_class_is_still_rejected(monkeypatch):
+    pull = graphs._pull_class
+
+    def pulled_to_zero(delta, sigma, m0, m1):
+        pulled = pull(delta, sigma, m0, m1)
+        return Ext2Class(pulled.ambient, pulled.ambient.zero_class())
+
+    monkeypatch.setattr(graphs, "_pull_class", pulled_to_zero)
+    out = unit_compare(graph(NONZERO_DELTA), relabelled(NONZERO_DELTA, (2, 0, 1)))
+    # every candidate is rejected; XK0 = Z at H1 is free, so that is no proof
+    assert out.verdict == "unknown"
 
 
 def test_ext2_compatible_lifts_a_chain_map_only_for_nonzero_ext2(monkeypatch):

@@ -7,6 +7,7 @@ from obstruct import intlinalg
 from obstruct.abelian import FgAbGroup, GroupMorphism
 from obstruct.intlinalg import (
     ColumnLattice,
+    ExactArithmeticError,
     IntMatrix,
     charpoly,
     cokernel_factors,
@@ -206,6 +207,83 @@ def test_transforms_are_built_only_when_read(monkeypatch):
     assert built == [3, 3, 3]
 
 
+def counted_eliminations(monkeypatch):
+    """Replace the elimination by a wrapper that records, per call, whether
+    a shared-elimination scope was open."""
+    calls = []
+    real = intlinalg._eliminate
+
+    def counted(a):
+        calls.append(intlinalg._eliminations.get() is not None)
+        return real(a)
+
+    monkeypatch.setattr(intlinalg, "_eliminate", counted)
+    return calls
+
+
+@intlinalg.shares_eliminations
+def eliminate_twice(rows):
+    """Two equal matrices built separately, each decomposed."""
+    return smith_normal_form(IntMatrix.from_rows(rows)), smith_normal_form(IntMatrix.from_rows(rows))
+
+
+def test_a_scope_eliminates_equal_matrices_once(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    s, t = eliminate_twice([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    assert s is t and calls == [True]
+    assert s.diag == [2, 6, 12]
+
+    @intlinalg.shares_eliminations
+    def empty_shapes():
+        # no rows: the column count alone tells the matrices apart
+        return smith_normal_form(IntMatrix.zeros(0, 2)), smith_normal_form(IntMatrix.zeros(0, 3))
+
+    s, t = empty_shapes()
+    assert s is not t and (s.matrix.cols, t.matrix.cols) == (2, 3) and calls == [True] * 3
+
+
+def test_no_memo_outside_a_scope(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    a = IntMatrix.from_rows([[2, 4], [6, 8]])
+    s, t = smith_normal_form(a), smith_normal_form(a)
+    assert s is not t and s.diag == t.diag and calls == [False, False]
+
+
+def test_a_scope_closes_after_return_and_after_raise(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    rows = [[2, 4], [6, 8]]
+    s, _ = eliminate_twice(rows)
+    assert intlinalg._eliminations.get() is None
+    t, _ = eliminate_twice(rows)
+    assert t is not s and calls == [True, True]
+
+    @intlinalg.shares_eliminations
+    def fails():
+        smith_normal_form(IntMatrix.from_rows(rows))
+        raise ExactArithmeticError("broken identity")
+
+    with pytest.raises(ExactArithmeticError):
+        fails()
+    assert intlinalg._eliminations.get() is None
+    assert smith_normal_form(IntMatrix.from_rows(rows)) is not t
+    assert calls == [True, True, True, False]
+
+
+def test_nested_scopes_share_one_memo(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    rows = [[3, 1], [1, 3]]
+    inner = intlinalg.shares_eliminations(lambda: smith_normal_form(IntMatrix.from_rows(rows)))
+
+    @intlinalg.shares_eliminations
+    def outer():
+        first = inner()
+        return first, inner(), smith_normal_form(IntMatrix.from_rows(rows))
+
+    first, second, third = outer()
+    assert first is second is third and calls == [True]
+    assert intlinalg._eliminations.get() is None
+
+
 def test_kernel_basis():
     a = IntMatrix.from_rows([[1, 2, 3]])
     k = kernel_basis(a)
@@ -399,6 +477,38 @@ def test_matrix_text_errors():
         IntMatrix.from_text("2 2\n1 2\n3")
     with pytest.raises(ValueError):
         IntMatrix.from_text("junk\n1")
+
+
+def test_from_columns_rejects_ragged_or_mismatched_columns():
+    assert IntMatrix.from_columns([[1, 2], [3, 4]], rows=2) == IntMatrix.from_rows([[1, 3], [2, 4]])
+    assert IntMatrix.from_columns([[], []]) == IntMatrix.zeros(0, 2)
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([[1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([[1, 2], [3, 4]], rows=3)
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([])
+
+
+def test_entries_must_be_integers():
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[2.7, 1]])
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([["3"]])
+    with pytest.raises(TypeError):
+        IntMatrix.identity(2).scaled(0.5)
+
+
+def test_derived_matrices_share_no_rows():
+    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    b = IntMatrix.from_rows([[5, 6]])
+    stacked = a.vstack(b)
+    stacked.data[0][0] = 9
+    stacked.data[2][1] = 9
+    assert a == IntMatrix.from_rows([[1, 2], [3, 4]]) and b == IntMatrix.from_rows([[5, 6]])
+    block = IntMatrix.block_diag([a, b])
+    block.data[0][0] = 9
+    assert a.data[0][0] == 1
 
 
 def test_kron():

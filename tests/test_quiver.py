@@ -39,6 +39,7 @@ from obstruct.quiver import (
 )
 
 from test_abelian import random_group, random_morphism
+from test_intlinalg import counted_eliminations
 
 
 def sierpinski_rep(vb, va, arrow_matrix):
@@ -507,7 +508,7 @@ def test_ext2_compatible_identity():
 def test_ext2_compatible_zero_vs_nonzero():
     ext = generator_extension(twist=True)
     cls = yoneda_class(ext)
-    zero_cls = Ext2Class(cls.ambient, cls.ambient.zero_class(), cls.provenance)
+    zero_cls = Ext2Class(cls.ambient, cls.ambient.zero_class())
     f = RepMorphism.identity(ext.m0)
     g = RepMorphism.identity(ext.m1)
     assert not ext2_compatible(f, zero_cls, cls, g)
@@ -571,6 +572,17 @@ def test_rep_iso_rejecting_accept_is_unknown_with_free_part():
     v = sierpinski_rep(z, z, IntMatrix.from_rows([[1]]))
     assert rep_iso_bounded_multi([v], [v], bound=2).verdict == "yes"
     assert rep_iso_bounded_multi([v], [v], bound=2, accept=lambda family: False).verdict == "unknown"
+
+
+def test_iso_search_runs_outside_every_shared_elimination_scope(monkeypatch):
+    # every candidate of the walk is a new matrix, so a memo of eliminations
+    # would only grow there: End((Z/2)^2 + (Z/4)^2) has 2^20 elements
+    g = _presented([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]])
+    v = QuiverRep(point_poset(), {"*": g}, {})
+    scoped = counted_eliminations(monkeypatch)
+    out = rep_iso_bounded_multi([v], [v], budget=200, accept=lambda family: False)
+    assert out.verdict == "unknown"
+    assert scoped and not any(scoped)
 
 
 def _presented(relation_rows):
