@@ -2,7 +2,8 @@
 
 Arbitrary-precision matrices over Z, Smith normal form with the unimodular
 transforms U, V and the inverse U^-1 (V^-1 is not computed), integer
-kernels, exact linear solves, matrix powers and column lattice arithmetic.
+kernels, exact linear solves, determinants, matrix powers and column
+lattice arithmetic.
 Everything runs on plain Python ints, so no overflow can occur at any
 intermediate step.
 
@@ -646,6 +647,39 @@ def charpoly(a: IntMatrix):
         coeffs[n - k] = c
         M = AM + IntMatrix.identity(n).scaled(c)
     return coeffs
+
+
+def determinant(a: IntMatrix) -> int:
+    """det(a) by fraction-free (Bareiss) elimination.
+
+    Every division is exact over Z, by Sylvester's identity, and an inexact
+    one raises ExactArithmeticError.  A zero pivot is swapped with a lower
+    row holding a nonzero entry of its column; if there is none, det = 0.
+    """
+    n = a.rows
+    if a.cols != n:
+        raise ValueError("determinant needs a square matrix")
+    m = [row[:] for row in a.data]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            q = row[k]
+            for j in range(k + 1, n):
+                entry, rem = divmod(p * row[j] - q * top[j], prev)
+                if rem:
+                    raise ExactArithmeticError("Bareiss division must be exact")
+                row[j] = entry
+        prev = p
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def matrix_power(a: IntMatrix, k: int) -> IntMatrix:

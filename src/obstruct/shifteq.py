@@ -17,6 +17,12 @@ R S = B^l and S R = A^l are linear in the p coefficients, with one system
 matrix [vec(R S_k); vec(S_k R)] for all lags; one Smith normal form of it
 decides every lag l by an exact solve.
 
+That elimination runs only for candidates that pass a determinant test.
+When A is nonsingular and of the size of B, every witness has
+det R != 0 and det R | det(A)^max_lag, since det S * det R = det(A)^l and
+l <= max_lag.  A candidate that fails the test cannot verify, so the first
+verifying R, its S and its lag are the same as without the test.
+
 The "no" invariants are genuine invariants of the module coker(x*I - A^t):
 the characteristic polynomial away from zero, and for each battery
 polynomial p = x - k the colimit of coker(p(A^t)) along the shift, compared
@@ -38,18 +44,27 @@ characteristic polynomials x^a q and x^b q (q(0) != 0) agree away from zero,
 x is invertible on each gauge module M and q(x) kills it, so for p either
 characteristic polynomial the colimit of coker(p(A^t)) is M itself,
 torsion-free of rational rank deg q on both sides; it never separates a pair.
+
+Nor does an entry x - k whose colimits are provably cyclic of one order.
+Let k != 0 and chi = charpoly(A) = x^a q, charpoly(B) = x^b q.  If
+chi(k) != 0, then A - kI and B - kI are nonsingular, so both colimits have
+rank 0 and torsion of order N, the prime-to-k part of
+|det(A - kI)| = |k^a q(k)|, which is that of |q(k)| on both sides.  If N
+is squarefree, the only abelian group of order N is Z/N.  Such k are
+skipped, with no elimination; the first separating entry is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .abelian import FgAbGroup, GroupMorphism, eventual_image, torsion_subgroup
 from .intlinalg import (
     ExactArithmeticError,
     IntMatrix,
     charpoly,
+    determinant,
     factor_through,
     kernel_basis,
     matrix_power,
@@ -107,13 +122,35 @@ def _eventual_invariant(a: IntMatrix, k):
     torsion = []
     for d in diag:
         if d > 1:
-            g = gcd(d, k)
-            while g != 1:  # divide every prime factor of k out of d
-                d //= g
-                g = gcd(d, g)
+            d = _prime_to(d, k)
             if d != 1:
                 torsion.append(d)
     return torsion, diag.count(0)
+
+
+def _prime_to(d, k):
+    """d with every prime factor of k divided out."""
+    g = gcd(d, k)
+    while g != 1:
+        d //= g
+        g = gcd(d, g)
+    return d
+
+
+def _is_squarefree(n):
+    """Whether the integer n >= 1 has no square factor > 1.
+
+    Trial division runs while p^3 <= n; what is left then has at most two
+    prime factors, all >= p, so it is squarefree unless it is a square > 1.
+    """
+    p = 2
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    return n == 1 or isqrt(n) ** 2 != n
 
 
 def _eventual_invariant_general(a: IntMatrix, poly):
@@ -149,12 +186,27 @@ def battery(kmax=8):
 
 def distinguishing_invariant(a: IntMatrix, b: IntMatrix, kmax=8):
     """Name of an invariant separating the two gauge modules, or None."""
-    if _away_from_zero(charpoly(a)) != _away_from_zero(charpoly(b)):
+    chi = charpoly(a)
+    if _away_from_zero(chi) != _away_from_zero(charpoly(b)):
         return "characteristic polynomial away from zero"
     for name, k in battery(kmax):
+        if _provably_cyclic(chi, k):
+            continue
         if _eventual_invariant(a, k) != _eventual_invariant(b, k):
             return f"colimit of coker(p(A^t)) for p = {name}"
     return None
+
+
+def _provably_cyclic(chi, k):
+    """Whether, given characteristic polynomials that agree away from zero
+    and chi = charpoly(A), battery entry k cannot separate the pair: k = 0,
+    or both colimits are Z/N for one squarefree N (module docstring)."""
+    if k == 0:
+        return True
+    value = 0
+    for c in reversed(chi):
+        value = value * k + c
+    return value != 0 and _is_squarefree(_prime_to(abs(value), k))
 
 
 def _intertwiner_basis(a: IntMatrix, b: IntMatrix):
@@ -247,12 +299,21 @@ def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=
     n, m = a.rows, b.rows
     r_basis = _intertwiner_basis(a, b)  # R A = B R, R is m x n
     s_basis = _intertwiner_basis(b, a)  # S B = A S, S is n x m
-    targets = [vec(matrix_power(b, lag)) + vec(matrix_power(a, lag))
-               for lag in range(1, max_lag + 1)]
+    targets, pa, pb = [], IntMatrix.identity(n), IntMatrix.identity(m)
+    for _ in range(max_lag):
+        pa, pb = pa @ a, pb @ b
+        targets.append(vec(pb) + vec(pa))
+    # det R | det(A)^max_lag for every witness R (module docstring)
+    det_a = determinant(a) if n == m else 0
+    det_bound = det_a ** max_lag
     for coeffs in _coefficient_vectors(len(r_basis), max_entry, budget):
         r = _combination(coeffs, r_basis, m, n)
         if r.is_zero():
             continue
+        if det_a:
+            det_r = determinant(r)
+            if det_r == 0 or det_bound % det_r:
+                continue
         for lag, s in _solve_for_s(r, s_basis, targets):
             if s is not None and verify_shift_equivalence(a, b, r, s, lag):
                 return ShiftEqResult("yes", r=r, s=s, lag=lag)

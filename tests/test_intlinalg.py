@@ -11,6 +11,7 @@ from obstruct.intlinalg import (
     IntMatrix,
     charpoly,
     cokernel_factors,
+    determinant,
     factor_through,
     is_unimodular,
     kernel_basis,
@@ -452,6 +453,44 @@ def test_charpoly_random_cayley_hamilton():
         n = rng.randint(1, 4)
         a = IntMatrix(n, n, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
         assert poly_eval_matrix(charpoly(a), a).is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.sampled_from(["random", "zero_leading_pivot", "zero_column", "dependent_row"]),
+    st.integers(0, 10**6),
+)
+def test_determinant_matches_charpoly(n, shape, seed):
+    # det(A) = (-1)^n det(0*I - A), the constant coefficient of the
+    # characteristic polynomial up to sign
+    rng = random.Random(seed)
+    data = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+    if n and shape == "zero_leading_pivot":
+        data[0][0] = 0  # Bareiss must swap rows before it divides
+        if n > 1 and rng.random() < 0.5:
+            data[1][1] = data[1][0] = 0
+    elif n and shape == "zero_column":
+        j = rng.randrange(n)
+        for row in data:
+            row[j] = 0
+    elif n > 1 and shape == "dependent_row":
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        data[i] = [c * x for x in data[j]]
+    a = IntMatrix(n, n, data)
+    assert determinant(a) == (-1) ** n * charpoly(a)[0]
+    if n and shape == "zero_column" or n > 1 and shape == "dependent_row":
+        assert determinant(a) == 0
+
+
+def test_determinant_small_cases():
+    assert determinant(IntMatrix.zeros(0, 0)) == 1
+    assert determinant(IntMatrix.from_rows([[-7]])) == -7
+    assert determinant(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert determinant(IntMatrix.from_rows([[0, 0, 1], [0, 2, 0], [3, 0, 0]])) == -6
+    with pytest.raises(ValueError):
+        determinant(IntMatrix.zeros(2, 3))
 
 
 def test_matrix_power():

@@ -4,19 +4,30 @@ import random
 import subprocess
 import sys
 import textwrap
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from obstruct import shifteq
-from obstruct.intlinalg import IntMatrix, charpoly, matrix_power, smith_normal_form, solve, vec
+from obstruct.intlinalg import (
+    IntMatrix,
+    charpoly,
+    determinant,
+    matrix_power,
+    smith_normal_form,
+    solve,
+    vec,
+)
 from obstruct.shifteq import (
     _coefficient_vectors,
     _combination,
     _eventual_invariant,
     _eventual_invariant_general,
     _intertwiner_basis,
+    _is_squarefree,
+    _provably_cyclic,
     _solve_for_s,
+    battery,
     charpoly_away_from_zero,
     distinguishing_invariant,
     shift_equivalent,
@@ -156,12 +167,12 @@ def kronecker_s_system(a, b, r, lag):
     return eq1.vstack(eq2).vstack(eq3), rhs
 
 
-def same_charpoly_pairs(rng, n, draws):
+def same_charpoly_pairs(rng, n, draws, max_entry=1):
     """Distinct valid matrices with equal characteristic polynomials."""
     seen = {}
     pairs = []
     for _ in range(draws):
-        a = random_ck_matrix(rng, n, max_entry=1)
+        a = random_ck_matrix(rng, n, max_entry=max_entry)
         key = tuple(charpoly(a))
         other = seen.setdefault(key, a)
         if other != a:
@@ -278,3 +289,139 @@ def test_verdicts_under_python_O():
     assert (yes, lag) == ("yes", 1)
     assert (no, invariant) == ("no", "colimit of coker(p(A^t)) for p = x - 1")
     assert general == [[[4], 0], [[2, 2], 0]]
+
+
+def outcome(res):
+    return res.verdict, res.r, res.s, res.lag, res.invariant
+
+
+def run_counting_s_solves(monkeypatch, pairs, prune):
+    """Outcomes of shift_equivalent on the pairs, and the number of S-system
+    eliminations (one per `_solve_for_s` call) they ran.  Without the prune,
+    every determinant reads 1, so every candidate R passes det R | det(A)^l."""
+    calls = []
+    real = shifteq._solve_for_s
+
+    def counting(r, s_basis, targets):
+        calls.append(r)
+        return real(r, s_basis, targets)
+
+    with monkeypatch.context() as m:
+        m.setattr(shifteq, "_solve_for_s", counting)
+        if not prune:
+            m.setattr(shifteq, "determinant", lambda _: 1)
+        outcomes = [outcome(shift_equivalent(a, b)) for a, b in pairs]
+    return outcomes, len(calls)
+
+
+def conjugate_pairs(rng, n, count, max_entry):
+    pairs = []
+    while len(pairs) < count:
+        a = random_ck_matrix(rng, n, max_entry=max_entry)
+        b = conjugate_partner(rng, a)
+        if b is not None and b != a:
+            pairs.append((a, b))
+    return pairs
+
+
+def test_det_prune_drops_no_witness(monkeypatch):
+    # A pruned R has det R = 0 or det R not dividing det(A)^max_lag, so it
+    # cannot satisfy S R = A^l: the first verifying R, its S and lag stay.
+    rng = random.Random(41)
+    pairs = conjugate_pairs(rng, 3, 10, 2) + same_charpoly_pairs(rng, 3, 80, max_entry=2)[:10]
+    pruned, _ = run_counting_s_solves(monkeypatch, pairs, prune=True)
+    full, _ = run_counting_s_solves(monkeypatch, pairs, prune=False)
+    assert pruned == full
+    nonsingular_yes = sum(o[0] == "yes" and determinant(a) != 0 for o, (a, _) in zip(pruned, pairs))
+    assert nonsingular_yes >= 5
+
+
+def test_det_prune_runs_fewer_s_eliminations(monkeypatch):
+    rng = random.Random(43)
+    pairs = conjugate_pairs(rng, 3, 6, 4)
+    pruned, pruned_calls = run_counting_s_solves(monkeypatch, pairs, prune=True)
+    full, full_calls = run_counting_s_solves(monkeypatch, pairs, prune=False)
+    assert pruned == full
+    assert 0 < pruned_calls < full_calls
+
+
+def test_det_prune_off_for_unequal_sizes():
+    # det R is undefined for the 2 x 1 witness R = [1; 1], S = [1 1]
+    a = IntMatrix.from_rows([[2]])
+    b = IntMatrix.from_rows([[1, 1], [1, 1]])
+    res = shift_equivalent(a, b)
+    assert res.verdict == "yes"
+    assert (res.r.rows, res.r.cols) == (2, 1)
+    assert verify_shift_equivalence(a, b, res.r, res.s, res.lag)
+
+
+def test_det_prune_off_for_singular_a():
+    # det A = 0, and the first witness R is singular as well
+    a = IntMatrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 0, 1]])
+    b = IntMatrix.from_rows([[1, 1, 1], [1, 1, 1], [0, 0, 1]])
+    assert determinant(a) == 0
+    res = shift_equivalent(a, b)
+    assert res.verdict == "yes"
+    assert determinant(res.r) == 0
+    assert verify_shift_equivalence(a, b, res.r, res.s, res.lag)
+
+
+def reference_distinguishing_invariant(a, b, kmax=8):
+    """distinguishing_invariant with every battery entry computed."""
+    if charpoly_away_from_zero(a) != charpoly_away_from_zero(b):
+        return "characteristic polynomial away from zero"
+    for name, k in battery(kmax):
+        if _eventual_invariant(a, k) != _eventual_invariant(b, k):
+            return f"colimit of coker(p(A^t)) for p = {name}"
+    return None
+
+
+def test_battery_skip_matches_reference():
+    # A skipped k has charpoly(k) != 0 and a squarefree prime-to-k part N of
+    # it; then both colimits are finite of order N, hence both Z/N.
+    rng = random.Random(47)
+    pairs = (same_charpoly_pairs(rng, 2, 80, max_entry=3)
+             + same_charpoly_pairs(rng, 3, 120, max_entry=2)
+             + conjugate_pairs(rng, 3, 8, 2)
+             + [(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[1, 1], [1, 1]]))])
+    skipped = separated = 0
+    for a, b in pairs:
+        assert distinguishing_invariant(a, b) == reference_distinguishing_invariant(a, b), (a, b)
+        if charpoly_away_from_zero(a) != charpoly_away_from_zero(b):
+            continue
+        separated += reference_distinguishing_invariant(a, b) is not None
+        chi = charpoly(a)
+        for _, k in battery():
+            if _provably_cyclic(chi, k):
+                skipped += 1
+                inv = _eventual_invariant(a, k)
+                assert inv == _eventual_invariant(b, k), (a, b, k)
+                assert inv[1] == 0 and len(inv[0]) <= 1
+    assert separated >= 5 and skipped >= 200
+
+
+def test_is_squarefree_matches_trial_division():
+    # includes squares of primes above the cube root, such as 49 and 121 * 3
+    for n in range(1, 4000):
+        expected = all(n % (p * p) for p in range(2, isqrt(n) + 1))
+        assert _is_squarefree(n) == expected, n
+
+
+def test_battery_skip_keeps_non_squarefree_order():
+    # charpoly x^2 - 4x - 1 at k = 1 is -4: N = 4 is no proof of cyclicity,
+    # and Z/4 against (Z/2)^2 separates the pair there
+    a = IntMatrix.from_rows([[0, 1], [1, 4]])
+    b = IntMatrix.from_rows([[1, 2], [2, 3]])
+    assert not _provably_cyclic(charpoly(a), 1)
+    assert (_eventual_invariant(a, 1), _eventual_invariant(b, 1)) == (([4], 0), ([2, 2], 0))
+    assert distinguishing_invariant(a, b) == "colimit of coker(p(A^t)) for p = x - 1"
+
+
+def test_battery_skip_keeps_roots():
+    # k = 1 is a root of (x - 1)^2: no torsion on either side, and only the
+    # eventual rank, 1 for the Jordan block against 2 for I, separates
+    a = IntMatrix.from_rows([[1, 1], [0, 1]])
+    b = IntMatrix.identity(2)
+    assert not _provably_cyclic(charpoly(a), 1)
+    assert (_eventual_invariant(a, 1), _eventual_invariant(b, 1)) == (([], 1), ([], 2))
+    assert distinguishing_invariant(a, b) == "colimit of coker(p(A^t)) for p = x - 1"
