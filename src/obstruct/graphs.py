@@ -24,8 +24,8 @@ obstruction class of the four-term sequence
     0 -> XK1 -> Q --(I - A^t)--> Q -> XK0 -> 0,   Q(U_x) = Z^(H_x),
 
 as a degree-two class against a projective resolution of XK0; and the class
-of the unit (the all-ones vertex vector) in the colimit recovering K0 of the
-whole algebra.
+of the unit (the all-ones vertex vector) in K0 = coker(I - A^t) of the whole
+algebra, which the colimit of XK0 recovers.
 
 The sequence is itself a projective resolution of XK0 of length two when Q
 is a sum of downset projectives in vertex coordinates and XK1 is projective
@@ -68,11 +68,17 @@ first reads it, cheapest layer first:
 
   poset    the ideal posets, built (and checked admissible and nonempty)
            for every comparison; a poset `no` builds nothing else;
-  module   XK0, XK1 and their four-term sequence, checked exact once when
-           built; a module `no` builds nothing beyond this layer;
+  module   XK0 and XK1 as the kernel and cokernel of d = I - A^t on Q, and
+           their four-term sequence, proved exact once when built from the
+           shape of that construction (`_check_exact`); a module `no` builds
+           nothing beyond this layer;
   class    the unit class (unit_compare only) and delta, built at the first
            candidate isomorphism that reaches them; the unit class is tested
            first, so delta is built only once a candidate preserves the unit.
+           The unit is kept as a lift through colim XK0 -> K0, one vector per
+           point, made once per invariant (`_unit_class`); a candidate pushes
+           it through f0 into the vertex coordinates of K0' and compares
+           canonical coordinates there, with no map between colimits.
            The second invariant's delta' is built, and pulled through sigma,
            only when Ext^2(XK0, XK1) is nonzero: a candidate is an
            isomorphism at every point, so when that group is zero so is
@@ -89,11 +95,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import FgAbGroup, GroupMorphism
-from .intlinalg import ExactArithmeticError, IntMatrix, factor_through, shares_eliminations
+from .intlinalg import (
+    ExactArithmeticError,
+    IntMatrix,
+    factor_through,
+    matrix_rank,
+    shares_eliminations,
+    smith_normal_form,
+)
 from .posets import FinitePoset
 from .quiver import (
     Ext2Class,
-    ExactnessError,
     ExtPosetGroup,
     ProjectiveRep,
     ProjIntoRep,
@@ -288,9 +300,10 @@ class XKInvariant:
     The poset layer (`ideals`) is built here, so an inadmissible graph or an
     empty primitive ideal space raises at construction.  The module layer
     (`xk0`, `xk1` and `sequence`) is built on first read, and the sequence
-    is checked exact then, once.  The obstruction class `delta` and the unit
-    class (`unit_group`, `unit`) are built on first read, each from the
-    checked module layer.
+    is proved exact then, once, from the kernel and cokernel that built it.
+    The obstruction class `delta` and the unit class (`unit_group`, `unit`,
+    with the unit's lift through the colimit of XK0) are built on first
+    read, each from the checked module layer.
     """
 
     def __init__(self, e: DirectedGraph):
@@ -302,7 +315,7 @@ class XKInvariant:
     @cached_property
     @shares_eliminations
     def _modules(self):
-        """(xk0, xk1, sequence), with the sequence checked exact."""
+        """(xk0, xk1, sequence), with the sequence proved exact."""
         e, ideals = self.graph, self.ideals
         poset = ideals.poset
         # the ambient representation Q(U_x) = Z^(H_x) with inclusion arrows
@@ -326,10 +339,7 @@ class XKInvariant:
         xk1, incl = rep_kernel(d)
         xk0, proj = rep_cokernel(d)
         seq = TwoExtension(xk1, q, q, xk0, incl, d, proj)
-        try:
-            seq.verify_exact()
-        except ExactnessError as exc:  # construction guarantees exactness
-            raise ExactArithmeticError(f"internal exactness failure: {exc}") from exc
+        _check_exact(seq)
         return xk0, xk1, seq
 
     @property
@@ -342,13 +352,14 @@ class XKInvariant:
 
     @property
     def sequence(self) -> TwoExtension:
-        """0 -> XK1 -> Q -> Q -> XK0 -> 0, checked exact."""
+        """0 -> XK1 -> Q -> Q -> XK0 -> 0, with XK1 the kernel and XK0 the
+        cokernel of d = I - A^t on Q, proved exact by `_check_exact`."""
         return self._modules[2]
 
     @cached_property
     @shares_eliminations
     def delta(self) -> Ext2Class:
-        # the module layer has checked the sequence exact
+        # the module layer has proved the sequence exact
         seq = self.sequence
         own = _graph_resolution(self.graph, self.ideals, seq)
         if own is None:
@@ -364,12 +375,13 @@ class XKInvariant:
 
     @property
     def unit_group(self) -> FgAbGroup:
-        """The colimit of XK0, recovering K0 of the whole algebra."""
+        """K0 of the whole algebra, coker(I - A^t) on all vertices."""
         return self._unit[0]
 
     @property
     def unit(self) -> tuple:
-        """Canonical coordinates of the unit class in `unit_group`."""
+        """Canonical coordinates of the unit class (the all-ones vertex
+        vector) in `unit_group`."""
         return self._unit[1]
 
 
@@ -397,6 +409,44 @@ def _pv_differential_block(e: DirectedGraph, h):
         if col_total != block_total:
             raise ExactArithmeticError("hereditary set must be A^t-invariant")
     return IntMatrix.identity(len(verts)) - block
+
+
+def _check_exact(seq: TwoExtension):
+    """Prove 0 -> XK1 --B--> Q --d--> Q --pi--> XK0 -> 0 exact at every point
+    from the shape `XKInvariant._modules` builds it in, or raise.
+
+    At a point p, with Q1(p) = Z^n1 and Q0(p) = Z^n0 free, the sequence is
+    exact when:
+
+      - d B = 0, so im B lies in ker d;
+      - B has n1 - rank(d) columns and its Smith diagonal is one 1 per
+        column (rank B = columns, every invariant factor a unit), so it is
+        injective with a saturated image of the rank of ker d, and a
+        saturated sublattice of ker d of full rank is ker d;
+      - XK1(p) has no relations, so B is injective on XK1(p) itself;
+      - XK0(p) is presented by exactly d and pi is the identity, so pi is
+        onto and its kernel is im d.
+
+    `rep_kernel` has eliminated both d and B (to present XK1 on B), so
+    inside the construction's `shares_eliminations` scope the proof
+    eliminates nothing new.
+    """
+    for p in seq.m0.poset.points:
+        q1, q0 = seq.q1.groups[p], seq.q0.groups[p]
+        b, d, pi = seq.d2.maps[p].matrix, seq.d1.maps[p].matrix, seq.eps.maps[p].matrix
+        if not (q1.relations.is_zero() and q0.relations.is_zero()):
+            failure = "Q is not free"
+        elif not (d @ b).is_zero():
+            failure = "XK1 does not map into the kernel of d"
+        elif b.cols != q1.ngens - matrix_rank(d) or smith_normal_form(b).diag != [1] * b.cols:
+            failure = "XK1 does not map onto a basis of the kernel of d"
+        elif not seq.m1.groups[p].relations.is_zero():
+            failure = "XK1 has relations"
+        elif seq.m0.groups[p].relations != d or pi != IntMatrix.identity(q0.ngens):
+            failure = "XK0 is not the cokernel of d"
+        else:
+            continue
+        raise ExactArithmeticError(f"internal exactness failure: {failure} at point {p!r}")
 
 
 def _graph_resolution(e: DirectedGraph, ideals: IdealPoset, seq: TwoExtension):
@@ -480,51 +530,69 @@ def _colimit_of_rep(rep: QuiverRep):
 
 
 def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
-    """Class of the all-ones vertex vector in the colimit of XK0.
+    """(K0, unit, lift): K0 = coker(I - A^t) on all vertices, the canonical
+    coordinates of the unit class (the all-ones vertex vector) in it, and a
+    lift of the unit through colim XK0 -> K0, one vector per point in the
+    generators of XK0 there, whose images in Z^n sum to the all-ones vector
+    modulo I - A^t.
 
-    K0 of the whole algebra is coker(I - A^t) on all vertices; the colimit
-    of XK0 over the ideal poset maps onto it isomorphically (real rank zero
-    from Condition (K)), and the unit is pulled back through that map.
+    K0 of the whole algebra is the colimit of XK0 over the ideal poset (real
+    rank zero from Condition (K)); the natural map sends the x-block
+    Z^(H_x) into Z^n by inclusion, and it must be an isomorphism for the
+    lift to name one class.  The arrows of XK0 run from smaller vertex sets
+    to larger ones, so a least point x0 is terminal in the diagram and
+    colim XK0 = XK0(x0); when H_x0 is every vertex and XK0(x0) is presented
+    by I - A^t itself, the natural map is the identity and the lift is the
+    all-ones vector at x0.  Otherwise the colimit is presented on the sum of
+    the point groups, the natural map is checked an isomorphism, and the
+    lift is solved for.
     """
     n = len(e.vertices)
+    k0 = FgAbGroup(n, IntMatrix.identity(n) - e.adjacency.transpose())
+    ones = [1] * n
+    unit = k0.canon_coords(ones)
+    poset = ideals.poset
+    least = [x for x in poset.points if all(poset.leq(x, y) for y in poset.points)]
+    if least:
+        (x0,) = least
+        if len(ideals.vertex_sets[x0]) != n or xk0.groups[x0].relations != k0.relations:
+            raise ExactArithmeticError("colimit of XK0 must map isomorphically onto K0: "
+                                       "XK0 at the least point is not presented as K0")
+        return k0, unit, {x0: ones}
     colim = _colimit_of_rep(xk0)
-    # natural map colim -> K0(whole) = coker(I - A^t): on the x-block it is
-    # the inclusion Z^(H_x) -> Z^n
-    full = IntMatrix.identity(n) - e.adjacency.transpose()
-    k0_whole = FgAbGroup(n, full)
-    blocks = []
-    for p in xk0.poset.points:
-        blocks.append(_restriction_matrix(e, ideals.vertex_sets[p], set(e.vertices)))
-    nat = blocks[0]
-    for b in blocks[1:]:
-        nat = nat.hstack(b)
-    natural = GroupMorphism(colim, k0_whole, nat)
-    if not natural.is_iso():
+    nat = IntMatrix.zeros(n, 0)
+    for p in poset.points:
+        nat = nat.hstack(_restriction_matrix(e, ideals.vertex_sets[p], e.vertices))
+    if not GroupMorphism(colim, k0, nat).is_iso():
         raise ExactArithmeticError("colimit of XK0 must map isomorphically onto K0")
-    # solve natural(xi) = [1...1] in K0(whole)
-    xi = factor_through(nat, IntMatrix.from_columns([[1] * n]), k0_whole.relations)
+    xi = factor_through(nat, IntMatrix.from_columns([ones]), k0.relations)
     if xi is None:
         raise ExactArithmeticError("unit must lift through the colimit comparison")
-    return colim, colim.canon_coords(xi.column(0))
+    xi = xi.column(0)
+    offsets, _ = _block_offsets(xk0)
+    lift = {p: xi[offsets[p]:offsets[p] + xk0.groups[p].ngens] for p in poset.points}
+    return k0, unit, lift
 
 
 def unit_image_under(witnesses, inv1: XKInvariant, inv2: XKInvariant, sigma):
-    """Image of inv1's unit class under the colimit map induced by a module
-    isomorphism (f0 transported along the poset isomorphism sigma)."""
+    """Canonical coordinates, in inv2's K0, of the image of inv1's unit class
+    under the map K0 -> K0' that a module isomorphism induces (f0
+    transported along the poset isomorphism sigma).
+
+    The lift of the unit is pushed through f0 point by point and into Z^n'
+    through the vertex sets H'_(sigma x).  This is the induced map of
+    colimits followed by the isomorphism colim XK0' -> K0', well defined
+    because f0 commutes with the arrows, so no map between colimits is
+    built.
+    """
     f0 = witnesses[0]
-    colim1, colim2 = inv1.unit_group, inv2.unit_group
-    offsets1, _ = _block_offsets(inv1.xk0)
-    offsets2, _ = _block_offsets(inv2.xk0)
-    m = IntMatrix.zeros(colim2.ngens, colim1.ngens)
-    for p in inv1.xk0.poset.points:
-        block = f0.maps[p].matrix
-        p2 = sigma[p]
-        for j in range(block.cols):
-            for i in range(block.rows):
-                m.data[offsets2[p2] + i][offsets1[p] + j] = block.data[i][j]
-    induced = GroupMorphism(colim1, colim2, m)
-    rep = colim1.from_canon(inv1.unit)
-    return colim2.canon_coords(induced.matrix.apply(rep))
+    e2, sets2 = inv2.graph, inv2.ideals.vertex_sets
+    image = [0] * len(e2.vertices)
+    for p, xi in inv1._unit[2].items():
+        verts = sorted(e2.index[v] for v in sets2[sigma[p]])
+        for i, c in zip(verts, f0.maps[p].matrix.apply(xi)):
+            image[i] += c
+    return inv2.unit_group.canon_coords(image)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from obstruct import graphs, quiver
 from obstruct.abelian import DiagramHom, FgAbGroup, GroupMorphism
 from obstruct.graphs import (
     DirectedGraph,
+    IdealPoset,
     XKInvariant,
     _pull_class,
     _pull_rep,
@@ -22,10 +23,9 @@ from obstruct.graphs import (
     unit_compare,
     xk_invariant,
 )
-from obstruct.intlinalg import ExactArithmeticError, IntMatrix
+from obstruct.intlinalg import ExactArithmeticError, IntMatrix, factor_through
 from obstruct.posets import FinitePoset
 from obstruct.quiver import (
-    ExactnessError,
     Ext2Class,
     ProjectiveRep,
     ProjIntoRep,
@@ -74,7 +74,7 @@ def test_unit_class_needs_an_isomorphic_colimit():
     # K0 = Z/3, but not isomorphically, so no unit class is defined
     inv = graphs.XKInvariant(cuntz_graph(4))
     (point,) = inv.ideals.poset.points
-    group, unit = graphs._unit_class(inv.graph, inv.ideals, inv.xk0)
+    group, unit, _ = graphs._unit_class(inv.graph, inv.ideals, inv.xk0)
     assert group.invariant_factors == [3] and gcd(unit[0], 3) == 1
     tampered = QuiverRep(inv.xk0.poset, {point: FgAbGroup.free(1)}, {}, check=False)
     with pytest.raises(ExactArithmeticError, match="isomorphically"):
@@ -146,14 +146,7 @@ def test_unit_compare_under_python_O():
 
 
 def test_xk_invariant_checks_exactness_once(monkeypatch):
-    calls = []
-    check = TwoExtension.verify_exact
-
-    def counted(seq):
-        calls.append(seq)
-        return check(seq)
-
-    monkeypatch.setattr(TwoExtension, "verify_exact", counted)
+    calls = counter(monkeypatch, graphs, "_check_exact")
     inv = xk_invariant(graph([[2, 1], [0, 3]]))
     assert len(calls) == 1 and inv.delta is not None
 
@@ -166,10 +159,7 @@ def test_xk_invariant_checks_exactness_once(monkeypatch):
     out = unit_compare(cuntz_graph(5), graph([[0, 1], [2, 3]]))
     assert (out.verdict, out.layer) == ("no", "class") and len(calls) == 2
 
-    def broken(seq):
-        raise ExactnessError("not exact at the inner node Q0")
-
-    monkeypatch.setattr(TwoExtension, "verify_exact", broken)
+    break_cokernel(monkeypatch)
     with pytest.raises(ExactArithmeticError, match="internal exactness failure"):
         xk_invariant(cuntz_graph(3))
 
@@ -187,10 +177,22 @@ def counter(monkeypatch, owner, name):
     return calls
 
 
+def break_cokernel(monkeypatch):
+    """Make the module layer present XK0 on 2d in place of d, a wrong
+    construction that the exactness check must catch."""
+    cokernel = graphs.rep_cokernel
+
+    def doubled(d):
+        return cokernel(RepMorphism(d.source, d.target,
+                                    {p: m.scaled(2) for p, m in d.maps.items()}, trusted=True))
+
+    monkeypatch.setattr(graphs, "rep_cokernel", doubled)
+
+
 @pytest.mark.parametrize("compare", [unit_compare, compare_graph_invariants])
 def test_poset_no_builds_the_poset_layer_only(monkeypatch, compare):
     kernels = counter(monkeypatch, graphs, "rep_kernel")
-    checks = counter(monkeypatch, TwoExtension, "verify_exact")
+    checks = counter(monkeypatch, graphs, "_check_exact")
     out = compare(cuntz_graph(4), graph([[3, 0], [1, 4]]))
     assert (out.verdict, out.layer) == ("no", "poset")
     assert kernels == [] and checks == []
@@ -200,7 +202,7 @@ def test_poset_no_builds_the_poset_layer_only(monkeypatch, compare):
 def test_module_no_builds_no_class_layer(monkeypatch, compare):
     # K0 = Z/3 against Z/2 on one point: the groups differ, so neither the
     # resolution behind delta nor the unit colimit is built
-    checks = counter(monkeypatch, TwoExtension, "verify_exact")
+    checks = counter(monkeypatch, graphs, "_check_exact")
     resolutions = counter(monkeypatch, quiver, "resolve_projective")
     own = counter(monkeypatch, graphs, "_graph_resolution")
     units = counter(monkeypatch, graphs, "_unit_class")
@@ -229,10 +231,7 @@ def test_compare_graph_invariants_never_builds_the_unit_class(monkeypatch):
 
 
 def test_comparison_checks_exactness_of_what_it_reads(monkeypatch):
-    def broken(seq):
-        raise ExactnessError("not exact at the inner node Q0")
-
-    monkeypatch.setattr(TwoExtension, "verify_exact", broken)
+    break_cokernel(monkeypatch)
     # a poset verdict reads no module
     assert unit_compare(cuntz_graph(4), graph([[3, 0], [1, 4]])).layer == "poset"
     # a module verdict reads both modules, which must pass the check first
@@ -532,9 +531,10 @@ def test_xk_invariant_on_sixty_vertices():
     for p, b in block_of.items():
         for q, c in block_of.items():
             assert ideals.poset.leq(p, q) == (c in below(b))
-    # the colimit of XK0 is K0 of the whole algebra
+    # the colimit of XK0 is K0 of the whole algebra, which is `unit_group`
     k0 = FgAbGroup(n, IntMatrix.identity(n) - e.adjacency.transpose())
-    assert inv.unit_group.invariant_factors == k0.invariant_factors
+    assert inv.unit_group.relations == k0.relations
+    assert graphs._colimit_of_rep(inv.xk0).invariant_factors == k0.invariant_factors
 
 
 # ---------------------------------------------------------------------------
@@ -708,3 +708,266 @@ def test_ext2_compatible_lifts_a_chain_map_only_for_nonzero_ext2(monkeypatch):
         f0, f1 = RepMorphism.identity(inv.xk0), RepMorphism.identity(inv.xk1)
         assert ext2_compatible(f0, inv.delta, inv.delta, f1)
         assert len(lifts) == expected
+
+
+# ---------------------------------------------------------------------------
+# exactness of the four-term sequence, proved from its construction
+# ---------------------------------------------------------------------------
+
+
+def admissible_graphs(seed, count):
+    """`count` random admissible graphs on one to seven vertices."""
+    rng = random.Random(seed)
+    k = 0
+    while count:
+        k += 1
+        e = random_graph(rng, rng.randint(1, 7), (2, 3) if k % 2 else (0, 2, 3))
+        if admissible(e).admissible:
+            count -= 1
+            yield e
+
+
+def with_point(seq, p, m1=None, q=None, b=None, m0=None, pi=None):
+    """seq with, at point p, the group of XK1 or of Q, the inclusion matrix
+    B, the group of XK0 or the projection matrix replaced."""
+    def rep(r, group):
+        return r if group is None else QuiverRep(r.poset, {**r.groups, p: group}, r.arrows,
+                                                 check=False)
+
+    def mor(f, src, tgt, matrix):
+        matrix = f.maps[p].matrix if matrix is None else matrix
+        maps = {**f.maps, p: GroupMorphism(src.groups[p], tgt.groups[p], matrix, trusted=True)}
+        return RepMorphism(src, tgt, maps, trusted=True)
+
+    m1, q, m0 = rep(seq.m1, m1), rep(seq.q0, q), rep(seq.m0, m0)
+    return TwoExtension(m1, q, q, m0, mor(seq.d2, m1, q, b), mor(seq.d1, q, q, None),
+                        mor(seq.eps, q, m0, pi))
+
+
+def exactness_mutants(seq, p):
+    """Broken copies of seq at point p, where XK1 and d are nonzero."""
+    b, d = seq.d2.maps[p].matrix, seq.d1.maps[p].matrix
+    n, k = d.rows, b.cols
+    j = next(j for j in range(d.cols) if any(d.column(j)))  # d e_j != 0
+    outside = [[x + (i == j and c == 0) for c, x in enumerate(row)] for i, row in enumerate(b.data)]
+    e0 = IntMatrix.from_columns([[1] + [0] * (n - 1)])
+
+    def last_column(column):  # B with its last column replaced: rank-deficient
+        return IntMatrix.from_columns([*(b.column(c) for c in range(k - 1)), column])
+
+    mutants = {
+        "doubled inclusion": with_point(seq, p, b=b.scaled(2)),
+        "dropped column": with_point(seq, p, m1=FgAbGroup.free(k - 1),
+                                     b=b.submatrix(range(b.rows), range(k - 1))),
+        "column outside ker d": with_point(seq, p, b=IntMatrix.from_rows(outside)),
+        "relation on XK1": with_point(
+            seq, p, m1=FgAbGroup(k, IntMatrix.from_columns([[2] + [0] * (k - 1)]))),
+        "relation on Q": with_point(seq, p, q=FgAbGroup(n, e0)),
+        "relations of XK0 changed": with_point(seq, p, m0=FgAbGroup(n, d.hstack(e0))),
+        "projection not the identity": with_point(seq, p, pi=IntMatrix.identity(n).scaled(2)),
+        "zero column": with_point(seq, p, b=last_column([0] * b.rows)),
+    }
+    if k > 1:
+        mutants["repeated column"] = with_point(seq, p, b=last_column(b.column(0)))
+    return mutants
+
+
+def mutable_points(seq):
+    return [p for p in seq.m0.poset.points
+            if seq.m1.groups[p].ngens and not seq.d1.maps[p].matrix.is_zero()]
+
+
+def test_exactness_proof_agrees_with_verify_exact_on_random_graphs():
+    # TwoExtension.verify_exact, which decides exactness of any sequence, is
+    # the oracle: both pass on every sequence the module layer builds, and
+    # the proof rejects every mutant at every point where XK1 and d are
+    # nonzero
+    mutated = 0
+    for e in admissible_graphs(17, 220):
+        seq = XKInvariant(e).sequence  # built, so proved exact once
+        graphs._check_exact(seq)
+        assert seq.verify_exact()
+        for p in mutable_points(seq):
+            for name, broken in exactness_mutants(seq, p).items():
+                with pytest.raises(ExactArithmeticError, match="internal exactness failure"):
+                    graphs._check_exact(broken)
+                mutated += 1
+    assert mutated >= 60
+
+
+# One point with d = -J of rank 1, so XK1 = XK0 = Z^2: every mutant applies
+RANK_TWO_KERNEL = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+
+
+def test_checks_raise_under_python_O():
+    # the exactness proof and the unit-class checks must raise real errors,
+    # which python -O keeps
+    script = textwrap.dedent("""
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from obstruct import graphs
+        from obstruct.intlinalg import ExactArithmeticError
+        from test_graphs import (RANK_TWO_KERNEL, exactness_mutants, graph, mutable_points,
+                                 tampered_unit_classes)
+        if not sys.flags.optimize:
+            raise SystemExit("not running under -O")
+        seq = graphs.XKInvariant(graph(RANK_TWO_KERNEL)).sequence
+        (p,) = mutable_points(seq)
+        out = {}
+        for name, check in [*((n, lambda b=b: graphs._check_exact(b))
+                              for n, b in exactness_mutants(seq, p).items()),
+                            *tampered_unit_classes().items()]:
+            try:
+                check()
+                out[name] = "passed"
+            except ExactArithmeticError as exc:
+                out[name] = str(exc)
+        print(json.dumps(out))
+    """)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script, tests], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    raised = json.loads(out.stdout)
+    assert len(raised) == 12
+    for name, message in raised.items():
+        expected = "isomorphically" if name.startswith("unit") else "internal exactness failure"
+        assert expected in message, name
+
+
+# ---------------------------------------------------------------------------
+# the unit class in K0 vertex coordinates
+# ---------------------------------------------------------------------------
+
+
+def colimit_unit(inv):
+    """(colim, unit): the colimit of XK0 on the sum of its point groups, and
+    the unit's canonical coordinates there, solved through the checked
+    isomorphism colim -> K0: the reference for the unit class in vertex
+    coordinates."""
+    e, sets = inv.graph, inv.ideals.vertex_sets
+    n = len(e.vertices)
+    colim = graphs._colimit_of_rep(inv.xk0)
+    k0 = FgAbGroup(n, IntMatrix.identity(n) - e.adjacency.transpose())
+    nat = IntMatrix.zeros(n, 0)
+    for p in inv.xk0.poset.points:
+        nat = nat.hstack(graphs._restriction_matrix(e, sets[p], e.vertices))
+    assert GroupMorphism(colim, k0, nat).is_iso()
+    xi = factor_through(nat, IntMatrix.from_columns([[1] * n]), k0.relations)
+    return colim, colim.canon_coords(xi.column(0))
+
+
+def colimit_unit_preserved(family, inv1, inv2, sigma, colimits):
+    """Does f0 carry unit to unit, read through a checked morphism of
+    colimits?  `colimits` caches colimit_unit per invariant."""
+    for inv in (inv1, inv2):
+        if id(inv) not in colimits:  # keeps inv alive, so its id is not reused
+            colimits[id(inv)] = inv, colimit_unit(inv)
+    (_, (colim1, unit1)), (_, (colim2, unit2)) = colimits[id(inv1)], colimits[id(inv2)]
+    offsets1, _ = graphs._block_offsets(inv1.xk0)
+    offsets2, _ = graphs._block_offsets(inv2.xk0)
+    m = IntMatrix.zeros(colim2.ngens, colim1.ngens)
+    for p in inv1.xk0.poset.points:
+        block = family[0].maps[p].matrix
+        for j in range(block.cols):
+            for i in range(block.rows):
+                m.data[offsets2[sigma[p]] + i][offsets1[p] + j] = block.data[i][j]
+    induced = GroupMorphism(colim1, colim2, m)
+    return colim2.canon_coords(induced.matrix.apply(colim1.from_canon(unit1))) == unit2
+
+
+def has_least_point(inv):
+    poset = inv.ideals.poset
+    return any(all(poset.leq(x, y) for y in poset.points) for x in poset.points)
+
+
+# Two minimal points H0 = {v1} and H1 = {v2}, K0 = Z/2 + Z/3 = Z/6, and
+# v0 in no H_x
+TWO_MINIMA = [[0, 1, 1], [0, 3, 0], [0, 0, 4]]
+
+
+def test_unit_class_agrees_with_the_colimit_route(monkeypatch):
+    # every candidate family the search offers is accepted or rejected
+    # alike by the vertex-coordinate test and by the checked colimit
+    # morphism
+    real = graphs.unit_image_under
+    colimits, seen = {}, []
+
+    def both(family, inv1, inv2, sigma):
+        image = real(family, inv1, inv2, sigma)
+        preserved = colimit_unit_preserved(family, inv1, inv2, sigma, colimits)
+        assert (image == inv2.unit) == preserved
+        seen.append((preserved, has_least_point(inv1),
+                     set().union(*inv1.ideals.vertex_sets.values()) != set(inv1.graph.vertices)))
+        return image
+
+    monkeypatch.setattr(graphs, "unit_image_under", both)
+    # XK0 = Z/2 and Z/3 on two minimal points on both sides, but the unit
+    # class has order 3 in K0 = Z/6 on the left and order 6 on the right
+    out = unit_compare(graph(TWO_MINIMA), graph([[3, 0], [0, 4]]))
+    assert (out.verdict, out.layer) == ("no", "class")
+    rng = random.Random(31)
+    fixed = [NONZERO_DELTA, TWO_MINIMA, [[0, 1, 2, 0], [0, 0, 1, 1], [0, 0, 2, 0], [0, 0, 0, 2]]]
+    for e in [graph(rows) for rows in fixed] + list(admissible_graphs(31, 60)):
+        n = len(e.vertices)
+        partners = [relabelled(e.adjacency.data, rng.sample(range(n), n))]
+        partners += random_splits(rng, e, True, 1)
+        partners += random_splits(rng, e, False, 1)
+        for h in partners:
+            if admissible(h).admissible:
+                unit_compare(e, h, budget=200)
+    # both answers occur: overall, on the general route (no least point),
+    # and with a vertex in no H_x
+    assert {s[0] for s in seen} == {True, False}
+    assert {s[0] for s in seen if not s[1]} == {True, False}
+    assert {s[0] for s in seen if s[2]} == {True, False}
+
+
+def tampered_unit_classes():
+    """Unit classes built from a wrong XK0 or a wrong least point; each must
+    raise.  Names start with "unit"."""
+    o4 = XKInvariant(cuntz_graph(4))
+    (point,) = o4.ideals.poset.points
+    two = XKInvariant(graph(TWO_MINIMA))
+    # XK0 = Z/2 at H0 replaced by Z: the colimit Z + Z/3 maps onto Z/6,
+    # but not isomorphically
+    free_h0 = QuiverRep(two.xk0.poset, {**two.xk0.groups, "H0": FgAbGroup.free(1)},
+                        two.xk0.arrows, check=False)
+    # the vertex set of the least point H1 (all vertices) missing v2
+    nonzero = XKInvariant(graph(NONZERO_DELTA))
+    short = IdealPoset(nonzero.graph, nonzero.ideals.poset,
+                       {**nonzero.ideals.vertex_sets, "H1": frozenset({"v0", "v1"})})
+    return {
+        "unit, least point, XK0 torsion dropped":
+            lambda: graphs._unit_class(o4.graph, o4.ideals, QuiverRep(
+                o4.xk0.poset, {point: FgAbGroup.free(1)}, {}, check=False)),
+        "unit, least point, a vertex missing":
+            lambda: graphs._unit_class(nonzero.graph, short, nonzero.xk0),
+        "unit, two minimal points, XK0 torsion dropped":
+            lambda: graphs._unit_class(two.graph, two.ideals, free_h0),
+    }
+
+
+@pytest.mark.parametrize("name", ["unit, least point, a vertex missing",
+                                  "unit, two minimal points, XK0 torsion dropped"])
+def test_tampered_unit_class_raises(name):
+    # the first tamper is test_unit_class_needs_an_isomorphic_colimit's
+    with pytest.raises(ExactArithmeticError, match="isomorphically"):
+        tampered_unit_classes()[name]()
+
+
+def test_unit_class_on_two_minimal_points():
+    # no least point, so the lift is solved through the checked colimit;
+    # it spreads over both points and misses v0, which lies in no H_x
+    inv = xk_invariant(graph(TWO_MINIMA))
+    assert not has_least_point(inv)
+    assert inv.unit_group.invariant_factors == [6]
+    k0, unit, lift = graphs._unit_class(inv.graph, inv.ideals, inv.xk0)
+    assert sorted(lift) == ["H0", "H1"]
+    image = [0, 0, 0]
+    for p, xi in lift.items():
+        (v,) = inv.ideals.vertex_sets[p]
+        image[inv.graph.index[v]] += xi[0]
+    assert k0.element_equal(image, [1, 1, 1]) and inv.unit == k0.canon_coords([1, 1, 1])
