@@ -2,8 +2,8 @@
 
 Arbitrary-precision matrices over Z, Smith normal form with the unimodular
 transforms U, V and the inverse U^-1 (V^-1 is not computed), integer
-kernels, exact linear solves, determinants, matrix powers and column
-lattice arithmetic.
+kernels, exact linear solves, determinants, adjugates, matrix powers and
+column lattice arithmetic.
 Everything runs on plain Python ints, so no overflow can occur at any
 intermediate step.
 
@@ -632,13 +632,30 @@ def charpoly(a: IntMatrix):
     Faddeev-LeVerrier; every division is exact over Z, and an inexact one
     raises ExactArithmeticError.
     """
+    return _faddeev_leverrier(a, "characteristic polynomial")[0]
+
+
+def adjugate(a: IntMatrix) -> IntMatrix:
+    """adj(A), with A adj(A) = adj(A) A = det(A) I, for any square A.
+
+    Fraction-free: the last Faddeev-LeVerrier iterate M_n has
+    A M_n + c_0 I = 0 by Cayley-Hamilton and c_0 = (-1)^n det A, so
+    adj(A) = (-1)^(n+1) M_n, with every intermediate an integer matrix.
+    """
+    last = _faddeev_leverrier(a, "adjugate")[1]
+    return last if a.rows % 2 else -last
+
+
+def _faddeev_leverrier(a: IntMatrix, what):
+    """(charpoly coefficients, M_n): M_1 = I, M_(k+1) = A M_k + c_(n-k) I."""
     n = a.rows
     if a.cols != n:
-        raise ValueError("characteristic polynomial needs a square matrix")
+        raise ValueError(f"{what} needs a square matrix")
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    M = IntMatrix.identity(n)
+    M = last = IntMatrix.identity(n)
     for k in range(1, n + 1):
+        last = M
         AM = a @ M
         tr = sum(AM.data[i][i] for i in range(n))
         if tr % k:
@@ -646,7 +663,7 @@ def charpoly(a: IntMatrix):
         c = -(tr // k)
         coeffs[n - k] = c
         M = AM + IntMatrix.identity(n).scaled(c)
-    return coeffs
+    return coeffs, last
 
 
 def determinant(a: IntMatrix) -> int:

@@ -16,7 +16,7 @@ independent route through the bimodule resolution is available as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abelian import (
     FgAbGroup,
@@ -53,6 +53,7 @@ class QuiverRep:
         self.poset = poset
         self.groups = dict(groups)
         self.arrows = dict(arrows)
+        self._transports = {}  # (y, x) -> composite V_y -> V_x
         for p in poset.points:
             if p not in self.groups:
                 raise ValueError(f"missing group at point {p!r}")
@@ -68,16 +69,20 @@ class QuiverRep:
         return self.arrows[(y, x)]
 
     def transport(self, y, x) -> GroupMorphism:
-        """Composite map V_y -> V_x along any Hasse chain (x <= y)."""
-        if x == y:
-            return GroupMorphism.identity(self.groups[y])
-        chains = self.poset.downward_chains(y, x, cap=1)
-        if not chains:
-            raise ValueError(f"{x!r} is not below {y!r}")
-        chain = chains[0]
+        """Composite map V_y -> V_x along any Hasse chain (x <= y), built
+        once per pair; callers must not mutate it."""
+        f = self._transports.get((y, x))
+        if f is not None:
+            return f
         f = GroupMorphism.identity(self.groups[y])
-        for a, b in zip(chain, chain[1:]):
-            f = self.arrows[(a, b)] @ f
+        if x != y:
+            chains = self.poset.downward_chains(y, x, cap=1)
+            if not chains:
+                raise ValueError(f"{x!r} is not below {y!r}")
+            chain = chains[0]
+            for a, b in zip(chain, chain[1:]):
+                f = self.arrows[(a, b)] @ f
+        self._transports[(y, x)] = f
         return f
 
     def check_coherence(self):
@@ -232,9 +237,16 @@ class ProjectiveRep:
     def __init__(self, poset: FinitePoset, gen_points):
         self.poset = poset
         self.gen_points = list(gen_points)
+        self._indices = {}  # z -> generators above z
 
     def indices_at(self, z):
-        return [i for i, p in enumerate(self.gen_points) if self.poset.leq(z, p)]
+        """Indices of the generators at points >= z, built once per point;
+        callers must not mutate the list."""
+        idx = self._indices.get(z)
+        if idx is None:
+            idx = self._indices[z] = [i for i, p in enumerate(self.gen_points)
+                                      if self.poset.leq(z, p)]
+        return idx
 
     def rank_at(self, z):
         return len(self.indices_at(z))
@@ -281,14 +293,20 @@ class ProjIntoRep:
     source: ProjectiveRep
     target: QuiverRep
     vectors: list  # vectors[i] lives in Z^(target group at gen_points[i])
+    # z -> point_matrix(z), built once, so the cover check and the
+    # resolution read one matrix
+    _point_matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def point_matrix(self, z) -> IntMatrix:
-        cols = []
-        tgt = self.target.groups[z]
-        for i in self.source.indices_at(z):
-            t = self.target.transport(self.source.gen_points[i], z)
-            cols.append(t.matrix.apply(self.vectors[i]))
-        return IntMatrix.from_columns(cols, rows=tgt.ngens)
+        m = self._point_matrices.get(z)
+        if m is None:
+            cols = []
+            for i in self.source.indices_at(z):
+                t = self.target.transport(self.source.gen_points[i], z)
+                cols.append(t.matrix.apply(self.vectors[i]))
+            m = self._point_matrices[z] = IntMatrix.from_columns(
+                cols, rows=self.target.groups[z].ngens)
+        return m
 
     def point_morphism(self, z) -> GroupMorphism:
         """The map at z, from the free group on the generators above z."""

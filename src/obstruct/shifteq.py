@@ -23,6 +23,35 @@ det R != 0 and det R | det(A)^max_lag, since det S * det R = det(A)^l and
 l <= max_lag.  A candidate that fails the test cannot verify, so the first
 verifying R, its S and its lag are the same as without the test.
 
+In that case the S side needs no Smith normal form.  A surviving R is
+nonsingular, so S = R^-1 B^l is the only rational solution of R S = B^l,
+and it is a witness: R A = B R gives A = R^-1 B R, hence
+S R = R^-1 B^l R = A^l and S B = R^-1 B^(l+1) = A S.  So a lag-l witness
+with this R exists iff det R divides every entry of adj(R) B^l, and the
+quotient is the S the lattice solve would return.  adj(R) is built once per candidate and the
+powers B^l once per call; the basis S_1..S_p and the lattice solve serve
+only singular A and unequal sizes.
+
+The search is staged around the invariant battery below.  A pair with a
+verified witness is shift equivalent, so no invariant can separate it;
+a pair the battery separates has no witness.  So the first _SHORT_SEARCH
+candidates are tried before the battery and the rest after it, resuming
+the same enumeration where it stopped: every verdict, R, S, lag and
+invariant is that of battery first and search second, and the battery
+runs only on the pairs that the short search does not settle.  When the
+budget ends inside the short search, the battery still runs before the
+answer is unknown.
+
+The cut of 32 is measured.  On the shift-eq benchmark pools of seeds 1, 2,
+3 and 7, 446 of the 904 yes pairs that search verify at the first
+coefficient vector, 872 within 32 and all within 63.  With
+`bench/run.py --workload shift-eq --seed 1 --seconds 10`, three runs per
+cut on a 2-vCPU VM, ops/s were 946-988 with a cut of 8, 1,006-1,033 with
+16, 975-1,060 with 32 and 950-975 with 64, and p90 latency 2.02-2.15,
+1.90-1.98, 1.44-1.54 and 1.67-1.72 ms; with the battery first, about 590
+ops/s.  A larger cut makes the same-charpoly "no" pairs pay for more
+candidates before the battery separates them.
+
 The "no" invariants are genuine invariants of the module coker(x*I - A^t):
 the characteristic polynomial away from zero, and for each battery
 polynomial p = x - k the colimit of coker(p(A^t)) along the shift, compared
@@ -57,12 +86,14 @@ skipped, with no elimination; the first separating entry is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, isqrt
 
 from .abelian import FgAbGroup, GroupMorphism, eventual_image, torsion_subgroup
 from .intlinalg import (
     ExactArithmeticError,
     IntMatrix,
+    adjugate,
     charpoly,
     determinant,
     factor_through,
@@ -184,11 +215,20 @@ def battery(kmax=8):
     return [(f"x - {k}" if k >= 0 else f"x + {-k}", k) for k in ks]
 
 
+_CHARPOLY_INVARIANT = "characteristic polynomial away from zero"
+
+
 def distinguishing_invariant(a: IntMatrix, b: IntMatrix, kmax=8):
     """Name of an invariant separating the two gauge modules, or None."""
     chi = charpoly(a)
     if _away_from_zero(chi) != _away_from_zero(charpoly(b)):
-        return "characteristic polynomial away from zero"
+        return _CHARPOLY_INVARIANT
+    return _battery_invariant(a, b, chi, kmax)
+
+
+def _battery_invariant(a, b, chi, kmax):
+    """The first battery entry x - k separating A from B, given their
+    characteristic polynomials agree away from zero and chi = charpoly(A)."""
     for name, k in battery(kmax):
         if _provably_cyclic(chi, k):
             continue
@@ -232,6 +272,19 @@ def _solve_for_s(r, s_basis, targets):
     for lag, rhs in enumerate(targets, start=1):
         c = solve(system, rhs, snf=snf)
         yield lag, None if c is None else _combination(c, s_basis, n, m)
+
+
+def _solve_by_adjugate(r, det_r, b_powers):
+    """_solve_for_s for a nonsingular square R: S = adj(R) B^lag / det R
+    when det R divides every entry, else None (module docstring).
+    b_powers[lag - 1] is B^lag."""
+    adj = adjugate(r)
+    for lag, power in enumerate(b_powers, start=1):
+        t = adj @ power
+        if any(e % det_r for row in t.data for e in row):
+            yield lag, None
+        else:
+            yield lag, IntMatrix(t.rows, t.cols, [[e // det_r for e in row] for row in t.data])
 
 
 def _combination(coeffs, basis, rows, cols):
@@ -280,6 +333,10 @@ def _coefficient_vectors(count, bound, budget):
                 return
 
 
+# candidates tried before the battery; the cut's basis is in the module docstring
+_SHORT_SEARCH = 32
+
+
 def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=2000) -> ShiftEqResult:
     """Bounded shift-equivalence decision, tri-state."""
     validate_ck_matrix(a, "A")
@@ -292,29 +349,48 @@ def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=
             raise ExactArithmeticError("(I, A, 1) must be a shift equivalence of A with itself")
         return res
 
-    inv = distinguishing_invariant(a, b, kmax=max_entry)
-    if inv is not None:
-        return ShiftEqResult("no", invariant=inv)
+    chi = charpoly(a)
+    if _away_from_zero(chi) != _away_from_zero(charpoly(b)):
+        return ShiftEqResult("no", invariant=_CHARPOLY_INVARIANT)
 
     n, m = a.rows, b.rows
     r_basis = _intertwiner_basis(a, b)  # R A = B R, R is m x n
-    s_basis = _intertwiner_basis(b, a)  # S B = A S, S is n x m
-    targets, pa, pb = [], IntMatrix.identity(n), IntMatrix.identity(m)
-    for _ in range(max_lag):
-        pa, pb = pa @ a, pb @ b
-        targets.append(vec(pb) + vec(pa))
     # det R | det(A)^max_lag for every witness R (module docstring)
     det_a = determinant(a) if n == m else 0
     det_bound = det_a ** max_lag
-    for coeffs in _coefficient_vectors(len(r_basis), max_entry, budget):
-        r = _combination(coeffs, r_basis, m, n)
-        if r.is_zero():
-            continue
-        if det_a:
-            det_r = determinant(r)
-            if det_r == 0 or det_bound % det_r:
+    if det_a:
+        b_powers = [b]
+        for _ in range(max_lag - 1):
+            b_powers.append(b_powers[-1] @ b)
+    else:
+        s_basis = _intertwiner_basis(b, a)  # S B = A S, S is n x m
+        targets, pa, pb = [], IntMatrix.identity(n), IntMatrix.identity(m)
+        for _ in range(max_lag):
+            pa, pb = pa @ a, pb @ b
+            targets.append(vec(pb) + vec(pa))
+
+    def first_witness(coefficient_vectors):
+        for coeffs in coefficient_vectors:
+            r = _combination(coeffs, r_basis, m, n)
+            if r.is_zero():
                 continue
-        for lag, s in _solve_for_s(r, s_basis, targets):
-            if s is not None and verify_shift_equivalence(a, b, r, s, lag):
-                return ShiftEqResult("yes", r=r, s=s, lag=lag)
-    return ShiftEqResult("unknown")
+            if det_a:
+                det_r = determinant(r)
+                if det_r == 0 or det_bound % det_r:
+                    continue
+                solutions = _solve_by_adjugate(r, det_r, b_powers)
+            else:
+                solutions = _solve_for_s(r, s_basis, targets)
+            for lag, s in solutions:
+                if s is not None and verify_shift_equivalence(a, b, r, s, lag):
+                    return ShiftEqResult("yes", r=r, s=s, lag=lag)
+        return None
+
+    candidates = _coefficient_vectors(len(r_basis), max_entry, budget)
+    found = first_witness(islice(candidates, _SHORT_SEARCH))
+    if found is None:
+        inv = _battery_invariant(a, b, chi, max_entry)
+        if inv is not None:
+            return ShiftEqResult("no", invariant=inv)
+        found = first_witness(candidates)  # resumes after the short search
+    return found or ShiftEqResult("unknown")

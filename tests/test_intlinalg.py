@@ -9,6 +9,7 @@ from obstruct.intlinalg import (
     ColumnLattice,
     ExactArithmeticError,
     IntMatrix,
+    adjugate,
     charpoly,
     cokernel_factors,
     determinant,
@@ -491,6 +492,67 @@ def test_determinant_small_cases():
     assert determinant(IntMatrix.from_rows([[0, 0, 1], [0, 2, 0], [3, 0, 0]])) == -6
     with pytest.raises(ValueError):
         determinant(IntMatrix.zeros(2, 3))
+
+
+def shaped_square(n, shape, seed):
+    """An n x n matrix with entries in [-6, 6], of rank n - 1 or less for
+    the shapes `zero_column` and `dependent_row`, and of rank n - 2 or less
+    for `rank_drop_two`, where adj(A) = 0."""
+    rng = random.Random(seed)
+    data = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+    if n and shape == "zero_column":
+        j = rng.randrange(n)
+        for row in data:
+            row[j] = 0
+    elif n > 1 and shape == "dependent_row":
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        data[i] = [c * x for x in data[j]]
+    elif n > 2 and shape == "rank_drop_two":
+        c = rng.randint(-3, 3)
+        data[1] = [0] * n
+        data[2] = [c * x for x in data[0]]
+    return IntMatrix(n, n, data)
+
+
+SHAPES = ["random", "zero_column", "dependent_row", "rank_drop_two"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.sampled_from(SHAPES), st.integers(0, 10**6))
+def test_adjugate_times_matrix_is_det_identity(n, shape, seed):
+    a = shaped_square(n, shape, seed)
+    adj = adjugate(a)
+    det_i = IntMatrix.identity(n).scaled(determinant(a))
+    assert (adj.rows, adj.cols) == (n, n)
+    assert a @ adj == det_i and adj @ a == det_i
+    if n > 2 and shape == "rank_drop_two":
+        assert adj.is_zero()
+
+
+def cofactor_adjugate(a):
+    """adj(A)[i][j] = (-1)^(i+j) det(A with row j and column i removed)."""
+    n = a.rows
+    return IntMatrix(n, n, [[(-1) ** (i + j) * determinant(a.submatrix(
+        [k for k in range(n) if k != j], [k for k in range(n) if k != i]))
+        for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(SHAPES), st.integers(0, 10**6))
+def test_adjugate_matches_cofactors(n, shape, seed):
+    a = shaped_square(n, shape, seed)
+    assert adjugate(a) == cofactor_adjugate(a)
+
+
+def test_adjugate_small_cases():
+    assert adjugate(IntMatrix.zeros(0, 0)) == IntMatrix.zeros(0, 0)
+    assert adjugate(IntMatrix.from_rows([[-7]])) == IntMatrix.from_rows([[1]])
+    assert adjugate(IntMatrix.from_rows([[1, 2], [3, 4]])) == IntMatrix.from_rows([[4, -2], [-3, 1]])
+    with pytest.raises(ValueError, match="adjugate needs a square matrix"):
+        adjugate(IntMatrix.zeros(2, 3))
+    with pytest.raises(ValueError, match="characteristic polynomial needs a square matrix"):
+        charpoly(IntMatrix.zeros(3, 2))
 
 
 def test_matrix_power():
