@@ -32,6 +32,7 @@ from .intlinalg import (
     ExactArithmeticError,
     IntMatrix,
     cokernel_factors,
+    determinant,
     factor_through,
     kernel_basis,
     lattice_basis,
@@ -137,6 +138,8 @@ class FgAbGroup:
 
     def contains_relation(self, vec) -> bool:
         """Is the vector zero in the group (i.e. in the relation lattice)?"""
+        if not any(vec):
+            return True
         s = self.snf
         y = s.U.apply(vec)
         diag = self._diag_padded()
@@ -697,6 +700,54 @@ def _canonical_matrix(f: GroupMorphism) -> IntMatrix:
     return (t.snf.U @ f.matrix @ s.snf.Uinv).submatrix(t.canon_positions, s.canon_positions)
 
 
+def _prime_divisors(n):
+    """The primes dividing n > 0, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _automorphism_blocks(factors):
+    """(free, blocks) for a canonical factor list (`invariant_factors`): the
+    positions of the free factors, and one (p, positions of the torsion
+    factors divisible by p) per prime p of a torsion factor."""
+    free = [i for i, d in enumerate(factors) if d == 0]
+    primes = sorted({p for d in set(factors) if d for p in _prime_divisors(d)})
+    return free, [(p, [i for i, d in enumerate(factors) if d and d % p == 0]) for p in primes]
+
+
+def _is_automorphism(f: IntMatrix, free, blocks) -> bool:
+    """Is f an automorphism of G, f a matrix between the canonical
+    decompositions of G (as `_hom_slots` shapes them) and (free, blocks)
+    `_automorphism_blocks` of G's factor list?  True iff |det| = 1 on the
+    free block and, for each prime p of a torsion factor, det is not 0 mod p
+    on the block of torsion factors divisible by p.
+
+    Proof.  G is finitely generated, so f is bijective iff it is onto
+    (Hopfian) iff C = coker f is 0 iff C/pC = 0 for every prime p (a finitely
+    generated group with C/pC = 0 for all p has no free and no p-primary
+    factor), iff f is onto mod p for every p.  G/pG is free over Z/p on the
+    canonical generators whose factor p divides, free ones included, and f
+    acts on it by those rows and columns of f reduced mod p (an entry into
+    Z/d is defined mod d, so mod p when p divides d).  Hom(Z/d, Z) = 0, so
+    with torsion generators before free ones that matrix is block upper
+    triangular, [[f_p, *], [0, f_free]], and onto mod p iff
+    det f_p * det f_free is not 0 mod p.  For a prime of no torsion factor
+    f_p is empty, so every prime asks det f_free to be nonzero mod p, i.e.
+    |det f_free| = 1, and the primes of the torsion factors ask in addition
+    that det f_p be nonzero mod p (Hillar and Rhea, "Automorphisms of finite
+    abelian groups", Amer. Math. Monthly 2007, describe the same blocks).
+    """
+    if abs(determinant(f.submatrix(free, free))) != 1:
+        return False
+    return all(determinant(f.submatrix(idx, idx)) % p for p, idx in blocks)
+
+
 class DiagramHom:
     """Hom(V, W) of two diagrams of groups of one shape, as one FgAbGroup.
 
@@ -759,13 +810,20 @@ class DiagramHom:
         zero: coordinates c stand for start + c.  Translation by an element
         of the group is a bijection, so a finite group enumerated whole is
         visited exactly as from zero; only the window of the first `budget`
-        elements moves, to sit around an isomorphism."""
+        elements moves, to sit around an isomorphism.
+
+        A map is an isomorphism only between groups of one factor list, and
+        then `_is_automorphism` decides it in closed form, with the primes
+        of the factors found once here."""
+        blocks = {}
+        for k, (v, w) in self.points.items():
+            if v.invariant_factors != w.invariant_factors:
+                return
+            blocks[k] = _automorphism_blocks(v.invariant_factors)
         ranges = [range(d) if d else range(-bound, bound + 1) for d in self.group.invariant_factors]
-        canon = {k: (_canonical_group(v.invariant_factors), _canonical_group(w.invariant_factors))
-                 for k, (v, w) in self.points.items()}
         for coords in itertools.islice(itertools.product(*ranges), budget):
             maps = self._canonical_maps(coords)
-            if all(GroupMorphism(*canon[k], f, trusted=True).is_iso() for k, f in maps.items()):
+            if all(_is_automorphism(f, *blocks[k]) for k, f in maps.items()):
                 yield {k: self._morphism(k, f) for k, f in maps.items()}
 
     def _morphism(self, k, f: IntMatrix) -> GroupMorphism:

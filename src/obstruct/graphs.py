@@ -16,6 +16,9 @@ graphs", 2002).  Neither is found by enumeration:
     the join-irreducible ones are exactly the cl(v) that differ from the
     saturation of the union of all cl(u) strictly inside cl(v).
 
+Both read one reachability pass, on vertex sets held as bitmasks over the
+vertex indices (`_reach_masks`).
+
 The invariant of a graph consists of: the primitive ideal poset X; the
 graded representation with even part coker(I - A^t) and odd part
 ker(I - A^t) restricted to each minimal open set's vertex set; the
@@ -170,17 +173,6 @@ class DirectedGraph:
     def targets(self, v):
         return self._targets[v]
 
-    def reachable_from(self, v):
-        seen = {v}
-        stack = [v]
-        while stack:
-            cur = stack.pop()
-            for w in self.targets(cur):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
     def __repr__(self):
         return f"DirectedGraph({self.vertices}, edges={sum(sum(r) for r in self.adjacency.data)})"
 
@@ -212,6 +204,32 @@ class AdmissibilityReport:
             )
 
 
+def _bits(mask):
+    """The vertex indices in a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _reach_masks(e: DirectedGraph):
+    """(succ, reach), one bitmask per vertex index i, bit j standing for
+    e.vertices[j]: succ[i] holds the targets of the edges out of i, and
+    reach[i] every vertex reachable from i by a path of length zero or more.
+    The closure is Warshall's algorithm on the masks: after step k, reach[i]
+    holds the ends of the paths from i whose inner vertices are below k."""
+    succ = [sum(1 << j for j, m in enumerate(row) if m) for row in e.adjacency.data]
+    reach = [s | 1 << i for i, s in enumerate(succ)]
+    for k in range(len(reach)):
+        bit, through = 1 << k, reach[k]
+        for i, r in enumerate(reach):
+            if r & bit:
+                reach[i] = r | through
+    return succ, reach
+
+
 def admissible(e: DirectedGraph) -> AdmissibilityReport:
     """Check the scope conditions: no sinks and Condition (K).
 
@@ -220,39 +238,35 @@ def admissible(e: DirectedGraph) -> AdmissibilityReport:
     multiplicity) as vertices.  The witness is that cycle, walked from the
     first such vertex in vertex order.
     """
-    sinks = [v for v in e.vertices if e.out_degree(v) == 0]
-    reach = {v: e.reachable_from(v) for v in e.vertices}
-    for v in e.vertices:
-        if not any(v in reach[w] for w in e.targets(v)):
-            continue  # v lies on no cycle
-        comp = {u for u in reach[v] if v in reach[u]}
-        edges = sum(e.adjacency.data[e.index[u]][e.index[w]] for u in comp for w in comp)
-        if edges == len(comp):
-            cycle = [v]
-            while len(cycle) < len(comp):
-                (nxt,) = [w for w in e.targets(cycle[-1]) if w in comp]
-                cycle.append(nxt)
-            return AdmissibilityReport(sinks=sinks, condition_k_witness=tuple(cycle))
+    return _admissible(e, *_reach_masks(e))
+
+
+def _admissible(e: DirectedGraph, succ, reach) -> AdmissibilityReport:
+    """`admissible` on the masks of `_reach_masks`, one Condition (K) test
+    per strongly connected component.  A component without a cycle is one
+    vertex and no edge, so the edge count tells it apart too."""
+    a = e.adjacency.data
+    sinks = [v for v, s in zip(e.vertices, succ) if not s]
+    tested = 0
+    for i, r in enumerate(reach):
+        if tested >> i & 1:
+            continue
+        comp = sum(1 << u for u in _bits(r) if reach[u] >> i & 1)
+        tested |= comp
+        members = _bits(comp)
+        if sum(a[u][w] for u in members for w in members) == len(members):
+            # i is the component's first vertex; each member has one edge inside
+            cycle = [i]
+            while len(cycle) < len(members):
+                cycle.append((succ[cycle[-1]] & comp).bit_length() - 1)
+            witness = tuple(e.vertices[u] for u in cycle)
+            return AdmissibilityReport(sinks=sinks, condition_k_witness=witness)
     return AdmissibilityReport(sinks=sinks, condition_k_witness=None)
 
 
 # ---------------------------------------------------------------------------
 # Hereditary saturated sets and the primitive ideal poset
 # ---------------------------------------------------------------------------
-
-
-def _saturation(e: DirectedGraph, h):
-    """The smallest saturated superset of h: adds every vertex that emits
-    edges and all of whose edges end in the set, until none is left."""
-    h = set(h)
-    grew = True
-    while grew:
-        grew = False
-        for v in e.vertices:
-            if v not in h and e.targets(v) and all(w in h for w in e.targets(v)):
-                h.add(v)
-                grew = True
-    return frozenset(h)
 
 
 @dataclass
@@ -273,20 +287,46 @@ def hereditary_saturated(e: DirectedGraph) -> IdealPoset:
     the join-irreducibles are the cl(v) that differ from the saturation of
     the union of all cl(u) strictly inside cl(v).  Labels H0, H1, ... follow
     the order (size, sorted vertex indices).
+
+    Vertex sets are bitmasks over vertex indices, read off the one
+    reachability pass that the admissibility check also reads
+    (`_reach_masks`); they become frozensets of vertices only for the
+    result.
     """
-    admissible(e).ensure()
-    closures = {_saturation(e, e.reachable_from(v)) for v in e.vertices}
+    succ, reach = _reach_masks(e)
+    _admissible(e, succ, reach).ensure()
+
+    def saturation(h):
+        """The smallest saturated superset of h: adds every vertex that
+        emits edges and all of whose edges end in the set, until none is
+        left."""
+        grew = True
+        while grew:
+            grew = False
+            for i, s in enumerate(succ):
+                if s and not s & ~h and not h >> i & 1:
+                    h |= 1 << i
+                    grew = True
+        return h
+
+    closures = {saturation(r) for r in reach}
 
     def join_below(h):
-        return _saturation(e, frozenset().union(*(k for k in closures if k < h)))
+        below = 0
+        for k in closures:
+            if k != h and not k & ~h:
+                below |= k
+        return saturation(below)
 
     irreducibles = sorted((h for h in closures if join_below(h) != h),
-                          key=lambda h: (len(h), sorted(e.index[v] for v in h)))
-    labels = {h: f"H{i}" for i, h in enumerate(irreducibles)}
-    leq_pairs = [(labels[h1], labels[h2]) for h1 in irreducibles for h2 in irreducibles
-                 if h2 <= h1]  # vertex-set containment: point of h1 <= point of h2
-    poset = FinitePoset([labels[h] for h in irreducibles], leq_pairs)
-    return IdealPoset(e, poset, {labels[h]: h for h in irreducibles})
+                          key=lambda h: (h.bit_count(), _bits(h)))
+    labels = [f"H{i}" for i in range(len(irreducibles))]
+    leq_pairs = [(l1, l2) for h1, l1 in zip(irreducibles, labels)
+                 for h2, l2 in zip(irreducibles, labels)
+                 if not h2 & ~h1]  # vertex-set containment: point of h1 <= point of h2
+    poset = FinitePoset(labels, leq_pairs)
+    sets = {l: frozenset(e.vertices[i] for i in _bits(h)) for h, l in zip(irreducibles, labels)}
+    return IdealPoset(e, poset, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +438,15 @@ def _restriction_matrix(e: DirectedGraph, h_sub, h_sup):
 
 def _pv_differential_block(e: DirectedGraph, h):
     """(I - A^t) restricted to the coordinates of a hereditary set."""
-    verts = sorted(h, key=lambda v: e.index[v])
-    idx = [e.index[v] for v in verts]
-    at = e.adjacency.transpose()
-    block = at.submatrix(idx, idx)
-    # hereditarity: A^t maps Z^H into Z^H, i.e. no edge escapes the block
-    for j, v in enumerate(verts):
-        col_total = sum(abs(at.data[i][e.index[v]]) for i in range(at.rows))
-        block_total = sum(abs(block.data[i][j]) for i in range(len(verts)))
-        if col_total != block_total:
+    idx = sorted(e.index[v] for v in h)
+    a = e.adjacency.data
+    # hereditarity: A^t maps Z^H into Z^H, i.e. every edge out of H ends in
+    # H (multiplicities are nonnegative, so row sums over H tell)
+    for i in idx:
+        row = a[i]
+        if sum(row) != sum(row[j] for j in idx):
             raise ExactArithmeticError("hereditary set must be A^t-invariant")
-    return IntMatrix.identity(len(verts)) - block
+    return IntMatrix._wrap(len(idx), len(idx), [[(r == c) - a[c][r] for c in idx] for r in idx])
 
 
 def _check_exact(seq: TwoExtension):
@@ -542,28 +580,36 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     lift to name one class.  The arrows of XK0 run from smaller vertex sets
     to larger ones, so a least point x0 is terminal in the diagram and
     colim XK0 = XK0(x0); when H_x0 is every vertex and XK0(x0) is presented
-    by I - A^t itself, the natural map is the identity and the lift is the
-    all-ones vector at x0.  Otherwise the colimit is presented on the sum of
-    the point groups, the natural map is checked an isomorphism, and the
-    lift is solved for.
+    by I - A^t itself, the natural map is the identity, K0 is XK0(x0) (so
+    I - A^t is not eliminated again) and the lift is the all-ones vector at
+    x0.  Otherwise the colimit is presented on the sum of the point groups,
+    the natural map is checked an isomorphism, and the lift is solved for.
     """
     n = len(e.vertices)
-    k0 = FgAbGroup(n, IntMatrix.identity(n) - e.adjacency.transpose())
+    d = IntMatrix.identity(n) - e.adjacency.transpose()
     ones = [1] * n
-    unit = k0.canon_coords(ones)
     poset = ideals.poset
     least = [x for x in poset.points if all(poset.leq(x, y) for y in poset.points)]
     if least:
         (x0,) = least
-        if len(ideals.vertex_sets[x0]) != n or xk0.groups[x0].relations != k0.relations:
+        k0 = xk0.groups[x0]
+        if len(ideals.vertex_sets[x0]) != n or k0.relations != d:
             raise ExactArithmeticError("colimit of XK0 must map isomorphically onto K0: "
                                        "XK0 at the least point is not presented as K0")
-        return k0, unit, {x0: ones}
+        return k0, k0.canon_coords(ones), {x0: ones}
+    k0 = FgAbGroup(n, d)
     colim = _colimit_of_rep(xk0)
     nat = IntMatrix.zeros(n, 0)
     for p in poset.points:
         nat = nat.hstack(_restriction_matrix(e, ideals.vertex_sets[p], e.vertices))
-    if not GroupMorphism(colim, k0, nat).is_iso():
+    # nat is well defined when it sends each relation of the colimit to 0 or
+    # to a relation of K0 (a point relation of XK0 is a column of I - A^t on
+    # a hereditary set, an arrow relation a difference of two inclusions of
+    # one vertex); otherwise the lattice test decides
+    relations = set(map(tuple, d.columns()))
+    image = nat @ colim.relations
+    exact = all(not any(c) or tuple(c) in relations for c in image.columns())
+    if not GroupMorphism(colim, k0, nat, trusted=exact).is_iso():
         raise ExactArithmeticError("colimit of XK0 must map isomorphically onto K0")
     xi = factor_through(nat, IntMatrix.from_columns([ones]), k0.relations)
     if xi is None:
@@ -571,7 +617,7 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     xi = xi.column(0)
     offsets, _ = _block_offsets(xk0)
     lift = {p: xi[offsets[p]:offsets[p] + xk0.groups[p].ngens] for p in poset.points}
-    return k0, unit, lift
+    return k0, k0.canon_coords(ones), lift
 
 
 def unit_image_under(witnesses, inv1: XKInvariant, inv2: XKInvariant, sigma):

@@ -564,8 +564,11 @@ def pair_iso(p1: PairDelta, p2: PairDelta, bound=8, budget=20000) -> SearchOutco
     if b1oe.class_is_zero(p1.delta_oe) != b2oe.class_is_zero(p2.delta_oe):
         return SearchOutcome("no", reason="class vanishing mismatch in odd->even block")
 
-    cross_eo = ext2_block(m1.even, m2.odd)
-    cross_oe = ext2_block(m1.odd, m2.even)
+    # with the module parts the same objects, the cross blocks are the
+    # parity blocks already built
+    same = m1.even is m2.even and m1.odd is m2.odd
+    cross_eo = b1eo if same else ext2_block(m1.even, m2.odd)
+    cross_oe = b1oe if same else ext2_block(m1.odd, m2.even)
 
     def accept(family):
         fe, fo = family[0]["even"], family[1]["odd"]

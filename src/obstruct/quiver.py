@@ -178,7 +178,15 @@ def rep_kernel(f: RepMorphism):
 
 
 def rep_cokernel(f: RepMorphism):
-    """(C, proj) with C the pointwise cokernel carrying the target's arrows."""
+    """(C, proj) with C the pointwise cokernel carrying the target's arrows.
+
+    C(y) is presented on [f_y | S_y], S_y the relations of the target at y,
+    and the arrow b: C(y) -> C(x) is well defined when b carries that
+    lattice into the one of C(x).  When b f_y = f_x a holds exactly (a the
+    source's arrow) and S_y has no nonzero column, b f_y lies in im f_x and
+    b S_y = 0, so that holds with no lattice test; otherwise the arrow is
+    checked as any morphism is.
+    """
     poset = f.source.poset
     groups, projs = {}, {}
     for p in poset.points:
@@ -187,9 +195,10 @@ def rep_cokernel(f: RepMorphism):
         projs[p] = proj
     arrows = {}
     for y, x in poset.hasse_arrows:
-        arrows[(y, x)] = GroupMorphism(
-            groups[y], groups[x], f.target.arrow_map(y, x).matrix
-        )
+        b = f.target.arrow_map(y, x).matrix
+        exact = (f.target.groups[y].relations.is_zero()
+                 and b @ f.maps[y].matrix == f.maps[x].matrix @ f.source.arrow_map(y, x).matrix)
+        arrows[(y, x)] = GroupMorphism(groups[y], groups[x], b, trusted=exact)
     c = QuiverRep(poset, groups, arrows, check=False)
     proj = RepMorphism(f.target, c, projs, trusted=True)
     return c, proj

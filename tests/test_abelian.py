@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obstruct.abelian import (
+    DiagramHom,
     FgAbGroup,
     GroupMorphism,
     IllDefinedMorphism,
@@ -21,6 +22,9 @@ from obstruct.abelian import (
     iso_groups,
     iso_search,
     kernel_cokernel,
+    _automorphism_blocks,
+    _hom_slots,
+    _is_automorphism,
     torsion_subgroup,
 )
 from obstruct.intlinalg import IntMatrix
@@ -589,3 +593,79 @@ def test_shifted_walk_visits_exactly_the_isomorphisms():
         assert len(got) == len(set(got))
         assert set(got) == expected
     assert min(starts.values()) >= 10, starts
+
+
+# --- the closed-form automorphism test ----------------------------------------
+
+
+def random_factor_list(rng):
+    """A canonical factor list: up to three torsion factors in a divisibility
+    chain (repeats, prime powers and composites such as 12 come up) and up
+    to two free factors."""
+    torsion = []
+    for _ in range(rng.randint(0, 3)):
+        step = rng.choice([1, 2, 3, 4, 6, 12] if torsion else [2, 3, 4, 5, 6, 12])
+        torsion.append((torsion[-1] if torsion else 1) * step)
+    return torsion + [0] * rng.randint(0, 2)
+
+
+def random_canonical_map(rng, v, w):
+    """A map V -> W between canonical groups, its entries drawn slot by slot
+    as `_hom_slots` shapes them; half of the time the identity's slots are
+    kept on the diagonal, so that automorphisms come up often."""
+    f = IntMatrix.zeros(len(w.invariant_factors), len(v.invariant_factors))
+    keep = rng.random() < 0.5
+    for j, i, step, g in _hom_slots(v, w):
+        if keep and i == j and step == 1:
+            f.data[j][i] = rng.choice((1, -1))
+        else:
+            f.data[j][i] = step * (rng.randrange(g) if g else rng.randint(-2, 2))
+    return f
+
+
+def closed_form_case(seed):
+    """(closed form, is_iso) for a random endomorphism of a random canonical
+    group, drawn from `seed`."""
+    rng = random.Random(seed)
+    factors = random_factor_list(rng)
+    g = FgAbGroup.from_invariant_factors(factors)
+    if g.invariant_factors != factors:
+        raise ValueError(f"{factors} is not a canonical factor list")
+    f = random_canonical_map(rng, g, g)
+    return _is_automorphism(f, *_automorphism_blocks(factors)), GroupMorphism(g, g, f).is_iso()
+
+
+def unequal_walk_case(seed):
+    """(isomorphisms the walk yields, is_iso of a random map) for groups of
+    two different random factor lists, or None when the lists agree."""
+    rng = random.Random(seed)
+    v, w = (FgAbGroup.from_invariant_factors(random_factor_list(rng)) for _ in range(2))
+    if v.invariant_factors == w.invariant_factors:
+        return None
+    isos = list(DiagramHom({0: (v, w)}, []).isomorphisms(bound=1, budget=50))
+    return len(isos), GroupMorphism(v, w, random_canonical_map(rng, v, w)).is_iso()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6))
+def test_closed_form_automorphism_test_matches_is_iso(seed):
+    closed, oracle = closed_form_case(seed)
+    assert closed == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_unequal_factor_lists_are_never_automorphisms(seed):
+    out = unequal_walk_case(seed)
+    assert out is None or out == (0, False)
+
+
+def test_closed_form_cases_cover_both_answers():
+    # the generator of the two tests above reaches automorphisms and
+    # non-automorphisms, with free factors and with repeated primes
+    answers = {closed_form_case(seed)[0] for seed in range(200)}
+    assert answers == {True, False}
+    factor_lists = [random_factor_list(random.Random(seed)) for seed in range(200)]
+    assert any(0 in f and any(f) for f in factor_lists)
+    assert any(len([d for d in f if d and d % 2 == 0]) >= 2 for f in factor_lists)
+    assert any(12 in f for f in factor_lists)

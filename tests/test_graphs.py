@@ -9,8 +9,8 @@ from math import gcd
 
 import pytest
 
-from obstruct import graphs, quiver
-from obstruct.abelian import DiagramHom, FgAbGroup, GroupMorphism
+from obstruct import graphs, intlinalg, quiver
+from obstruct.abelian import DiagramHom, FgAbGroup, GroupMorphism, IllDefinedMorphism
 from obstruct.graphs import (
     DirectedGraph,
     IdealPoset,
@@ -497,6 +497,96 @@ def test_hereditary_saturated_matches_subset_oracle():
     assert admissible_seen >= 100 and reducible_seen >= 5
 
 
+def set_based_reach(e):
+    """{v: the vertices reachable from v, v included}, one set walk per
+    vertex: the reference reachability for the bitmask layer."""
+    reach = {}
+    for v in e.vertices:
+        seen, stack = {v}, [v]
+        while stack:
+            for w in e.targets(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach[v] = seen
+    return reach
+
+
+def set_based_admissible(e):
+    """(sinks, witness) by set walks: the reference for `admissible`."""
+    sinks = [v for v in e.vertices if e.out_degree(v) == 0]
+    reach = set_based_reach(e)
+    for v in e.vertices:
+        if not any(v in reach[w] for w in e.targets(v)):
+            continue
+        comp = {u for u in reach[v] if v in reach[u]}
+        edges = sum(e.adjacency.data[e.index[u]][e.index[w]] for u in comp for w in comp)
+        if edges == len(comp):
+            cycle = [v]
+            while len(cycle) < len(comp):
+                (nxt,) = [w for w in e.targets(cycle[-1]) if w in comp]
+                cycle.append(nxt)
+            return sinks, tuple(cycle)
+    return sinks, None
+
+
+def set_based_irreducibles(e):
+    """The join-irreducible hereditary saturated sets in label order, by set
+    walks: the reference for `hereditary_saturated`."""
+
+    def saturation(h):
+        h = set(h)
+        grew = True
+        while grew:
+            grew = False
+            for v in e.vertices:
+                if v not in h and e.targets(v) and all(w in h for w in e.targets(v)):
+                    h.add(v)
+                    grew = True
+        return frozenset(h)
+
+    closures = {saturation(r) for r in set_based_reach(e).values()}
+
+    def join_below(h):
+        return saturation(frozenset().union(*(k for k in closures if k < h)))
+
+    return sorted((h for h in closures if join_below(h) != h),
+                  key=lambda h: (len(h), sorted(e.index[v] for v in h)))
+
+
+def bitmask_layer_mismatches(seed, count):
+    """(mismatches, admissible): the graphs among `count` random ones on one
+    to sixteen vertices on which `admissible` or `hereditary_saturated`
+    disagrees with the set-based reference, and how many were admissible."""
+    rng = random.Random(seed)
+    mismatches, seen = [], 0
+    for k in range(count):
+        e = random_graph(rng, rng.randint(1, 16), (0, 2, 3) if k % 3 else (0, 1, 2))
+        report = admissible(e)
+        if (report.sinks, report.condition_k_witness) != set_based_admissible(e):
+            mismatches.append(e.adjacency.data)
+            continue
+        if not report.admissible:
+            continue
+        seen += 1
+        ideals = hereditary_saturated(e)
+        expected = set_based_irreducibles(e)
+        labels = [f"H{i}" for i in range(len(expected))]
+        if (ideals.poset.points != labels
+                or [ideals.vertex_sets[p] for p in labels] != expected
+                or any(ideals.poset.leq(p, q) != (hq <= hp)
+                       for p, hp in zip(labels, expected) for q, hq in zip(labels, expected))):
+            mismatches.append(e.adjacency.data)
+    return mismatches, seen
+
+
+def test_bitmask_layer_matches_the_set_based_walk():
+    # the same sinks, witness cycle, labels, vertex sets and order as the
+    # set-based reachability, Condition (K) and saturation walks
+    mismatches, seen = bitmask_layer_mismatches(11, 300)
+    assert mismatches == [] and seen >= 100
+
+
 def test_xk_invariant_on_sixty_vertices():
     # six strongly connected blocks of ten vertices (a ten-cycle with a loop,
     # so Condition (K) holds) joined along the block order below
@@ -837,6 +927,52 @@ def test_checks_raise_under_python_O():
         assert expected in message, name
 
 
+def test_fast_path_oracles_under_python_O():
+    # the oracles of the bitmask layer and of the closed-form automorphism
+    # test compare values, and the exact-identity fast paths fall back to
+    # checks that raise real errors, which python -O keeps
+    script = textwrap.dedent("""
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from obstruct.abelian import IllDefinedMorphism
+        from obstruct.quiver import rep_cokernel
+        from test_abelian import closed_form_case, unequal_walk_case
+        from test_graphs import bitmask_layer_mismatches, tampered_nat
+        from test_quiver import cokernel_cases
+        if not sys.flags.optimize:
+            raise SystemExit("not running under -O")
+        closed = [closed_form_case(seed) for seed in range(300)]
+        unequal = [unequal_walk_case(seed) for seed in range(100)]
+        mismatches, seen = bitmask_layer_mismatches(11, 150)
+        raised = {}
+        for name, check in [("nat", tampered_nat()),
+                            ("arrow", lambda: rep_cokernel(cokernel_cases()["tampered"]))]:
+            try:
+                check()
+                raised[name] = False
+            except IllDefinedMorphism:
+                raised[name] = True
+        print(json.dumps({
+            "closed form disagrees": sum(a != b for a, b in closed),
+            "automorphisms": sum(b for _, b in closed),
+            "unequal lists with an isomorphism": sum(u not in (None, (0, False)) for u in unequal),
+            "bitmask mismatches": len(mismatches),
+            "admissible": seen,
+            "raised": raised,
+        }))
+    """)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script, tests], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert 50 <= got.pop("automorphisms") <= 250 and got.pop("admissible") >= 50
+    assert got == {"closed form disagrees": 0, "unequal lists with an isomorphism": 0,
+                   "bitmask mismatches": 0, "raised": {"nat": True, "arrow": True}}
+
+
 # ---------------------------------------------------------------------------
 # the unit class in K0 vertex coordinates
 # ---------------------------------------------------------------------------
@@ -956,6 +1092,50 @@ def test_tampered_unit_class_raises(name):
     # the first tamper is test_unit_class_needs_an_isomorphic_colimit's
     with pytest.raises(ExactArithmeticError, match="isomorphically"):
         tampered_unit_classes()[name]()
+
+
+def tampered_nat():
+    """The unit class of TWO_MINIMA with XK0 at H0 presented as Z/1: its
+    relation e_v1 is neither 0 nor a column of I - A^t, and e_v1 is not 0 in
+    K0 = Z/6, so the natural map is not well defined and must raise."""
+    two = XKInvariant(graph(TWO_MINIMA))
+    one = FgAbGroup(1, IntMatrix.from_rows([[1]]))
+    xk0 = QuiverRep(two.xk0.poset, {**two.xk0.groups, "H0": one}, two.xk0.arrows, check=False)
+    return lambda: graphs._unit_class(two.graph, two.ideals, xk0)
+
+
+def test_natural_map_is_well_defined_by_its_exact_identity(monkeypatch):
+    # every relation of the colimit goes to 0 or to a column of I - A^t, so
+    # no lattice test runs; a tampered XK0 falls back to it and raises
+    inv = XKInvariant(graph(TWO_MINIMA))
+    inv.xk0
+    lattice_tests = counter(monkeypatch, GroupMorphism, "_find_violation")
+    inv.unit
+    assert lattice_tests == []
+    tampered = tampered_nat()
+    lattice_tests.clear()
+    with pytest.raises(IllDefinedMorphism):
+        tampered()
+    assert len(lattice_tests) == 1
+
+
+def test_unit_class_at_a_least_point_eliminates_no_k0_of_its_own(monkeypatch):
+    # K0 is XK0 at the least point, whose presentation I - A^t the
+    # comparison has eliminated before it reads the unit class
+    for rows in (NONZERO_DELTA, [[4]], [[2, 1], [0, 3]]):
+        inv = XKInvariant(graph(rows))
+        assert has_least_point(inv)
+        for group in inv.xk0.groups.values():
+            group.invariant_factors
+        n = len(inv.graph.vertices)
+        d = IntMatrix.identity(n) - inv.graph.adjacency.transpose()
+        eliminated = []
+        real = intlinalg._eliminate
+        monkeypatch.setattr(intlinalg, "_eliminate", lambda a: eliminated.append(a) or real(a))
+        inv.unit
+        monkeypatch.setattr(intlinalg, "_eliminate", real)
+        assert d not in eliminated
+        assert inv.unit == FgAbGroup(n, d).canon_coords([1] * n)
 
 
 def test_unit_class_on_two_minimal_points():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from obstruct import laurent
 from obstruct.abelian import (
     DiagramHom,
     FgAbGroup,
@@ -364,6 +365,28 @@ def test_pair_iso_swappable_classes():
     p2 = PairDelta(m, (0, 1), zero_oe)
     out = pair_iso(p1, p2)
     assert out.verdict == "yes"
+
+
+def test_pair_iso_reuses_the_parity_blocks_of_one_module(monkeypatch):
+    # with the module parts the same objects the cross blocks are the parity
+    # blocks already built; a copy of the module builds both, and the search
+    # decides alike
+    g = FgAbGroup.from_invariant_factors([2, 2])
+    m = GradedRModule(even=fg(g), odd=fg(zmod(2)))
+    copy = GradedRModule(even=fg(g), odd=fg(zmod(2)))
+    zero_oe = tuple(0 for _ in ext2_block(m.odd, m.even).group.invariant_factors)
+    p1 = PairDelta(m, (1, 0), zero_oe)
+    builds = []
+    real = laurent.ext2_block
+    monkeypatch.setattr(laurent, "ext2_block", lambda p, q: builds.append((p, q)) or real(p, q))
+    outs = []
+    for module, expected in ((m, 0), (copy, 2)):
+        p2 = PairDelta(module, (0, 1), zero_oe)
+        builds.clear()
+        outs.append(pair_iso(p1, p2))
+        assert len(builds) == expected
+    assert [o.verdict for o in outs] == ["yes", "yes"]
+    assert [f.matrix for f in outs[0].witness] == [f.matrix for f in outs[1].witness]
 
 
 def test_pair_iso_distinct_classes_trivial_automorphisms():

@@ -4,7 +4,14 @@ from math import gcd
 
 import pytest
 
-from obstruct.abelian import DiagramHom, FgAbGroup, GroupMorphism, iso_groups, iso_search
+from obstruct.abelian import (
+    DiagramHom,
+    FgAbGroup,
+    GroupMorphism,
+    IllDefinedMorphism,
+    iso_groups,
+    iso_search,
+)
 from obstruct.intlinalg import IntMatrix
 from obstruct.posets import (
     antichain_poset,
@@ -92,6 +99,52 @@ def test_rep_kernel_cokernel():
     assert k.is_zero()
     c, _ = rep_cokernel(f)
     assert c.is_zero()
+
+
+def cokernel_cases():
+    """{name: RepMorphism} over a < b; "tampered" does not commute with the
+    arrows, so its cokernel arrow is not well defined."""
+    z = FgAbGroup.free(1)
+    one = IntMatrix.from_rows([[1]])
+    free = sierpinski_rep(z, z, one)
+
+    def f(source, target, fb, fa, trusted=False):
+        return RepMorphism(source, target, {
+            "b": GroupMorphism(source.groups["b"], target.groups["b"], IntMatrix.from_rows([[fb]])),
+            "a": GroupMorphism(source.groups["a"], target.groups["a"], IntMatrix.from_rows([[fa]]))},
+            trusted=trusted)
+
+    return {
+        # b f_b = f_a a exactly and the target free at b
+        "exact": f(free, free, 2, 2),
+        # b f_b = f_a a exactly, but the target is Z/4 at b
+        "torsion target": f(free, sierpinski_rep(zmod(4), zmod(2), one), 2, 2),
+        # b f_b = 1 and f_a a = 4 agree only in Z/3
+        "modulo relations": f(free, sierpinski_rep(z, zmod(3), one), 1, 4),
+        # coker is 0 at b and Z/2 at a, and 1 is not 0 in Z/2
+        "tampered": f(free, free, 1, 2, trusted=True),
+    }
+
+
+@pytest.mark.parametrize("name, lattice_tests, factors", [
+    ("exact", 0, ([2], [2])),
+    ("torsion target", 1, ([2], [2])),
+    ("modulo relations", 1, ([], [])),
+])
+def test_rep_cokernel_arrow_skips_the_lattice_test_only_on_an_exact_identity(
+        monkeypatch, name, lattice_tests, factors):
+    f = cokernel_cases()[name]
+    calls = []
+    real = GroupMorphism._find_violation
+    monkeypatch.setattr(GroupMorphism, "_find_violation", lambda m: calls.append(m) or real(m))
+    c, _ = rep_cokernel(f)
+    assert len(calls) == lattice_tests
+    assert (c.groups["b"].invariant_factors, c.groups["a"].invariant_factors) == factors
+
+
+def test_rep_cokernel_of_a_tampered_morphism_raises():
+    with pytest.raises(IllDefinedMorphism):
+        rep_cokernel(cokernel_cases()["tampered"])
 
 
 # --- projective covers and resolutions ------------------------------------------
