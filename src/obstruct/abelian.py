@@ -151,9 +151,6 @@ class FgAbGroup:
                 return False
         return True
 
-    def element_equal(self, v, w):
-        return self.contains_relation([a - b for a, b in zip(v, w)])
-
     def canon_coords(self, vec):
         """Coordinates of the class of vec in the canonical cyclic decomposition."""
         y = self.snf.U.apply(vec)
@@ -319,14 +316,6 @@ class GroupMorphism:
 
     def __repr__(self):
         return f"GroupMorphism({self.source.describe()} -> {self.target.describe()})"
-
-
-def kernel_cokernel(f: GroupMorphism):
-    """Kernel with inclusion and cokernel with projection, per the contract
-    0 -> ker -> source -> target -> coker -> 0."""
-    k, incl = f.kernel()
-    c, proj = f.cokernel()
-    return k, incl, c, proj
 
 
 def is_exact_at(f: GroupMorphism, g: GroupMorphism) -> bool:

@@ -380,6 +380,12 @@ class XKInvariant:
         xk0, proj = rep_cokernel(d)
         seq = TwoExtension(xk1, q, q, xk0, incl, d, proj)
         _check_exact(seq)
+        # cache every point group's Smith form while this scope still holds
+        # the eliminations of its relations, so later readers such as
+        # `iso_search` eliminate nothing again
+        for rep in (xk0, xk1):
+            for g in rep.groups.values():
+                g.snf
         return xk0, xk1, seq
 
     @property

@@ -57,7 +57,9 @@ the characteristic polynomial away from zero, and for each battery
 polynomial p = x - k the colimit of coker(p(A^t)) along the shift, compared
 through its eventual torsion and its eventual rational rank.  Comparing raw
 invariant factors of p(A^t) would not be sound for p with non-unit constant
-term, so the stabilized form is used throughout.
+term, so the stabilized form is used throughout.  The battery tests every
+x - k with k != 0 in the order of battery(), |k| increasing and k before
+-k, and names the first entry that separates the pair.
 
 The colimit has a closed form.  On C = coker(A^t - kI) the shift A^t acts
 as multiplication by k, so colim(C, A^t) = C tensor Z[1/k], which is 0 when
@@ -73,21 +75,13 @@ characteristic polynomials x^a q and x^b q (q(0) != 0) agree away from zero,
 x is invertible on each gauge module M and q(x) kills it, so for p either
 characteristic polynomial the colimit of coker(p(A^t)) is M itself,
 torsion-free of rational rank deg q on both sides; it never separates a pair.
-
-Nor does an entry x - k whose colimits are provably cyclic of one order.
-Let k != 0 and chi = charpoly(A) = x^a q, charpoly(B) = x^b q.  If
-chi(k) != 0, then A - kI and B - kI are nonsingular, so both colimits have
-rank 0 and torsion of order N, the prime-to-k part of
-|det(A - kI)| = |k^a q(k)|, which is that of |q(k)| on both sides.  If N
-is squarefree, the only abelian group of order N is Z/N.  Such k are
-skipped, with no elimination; the first separating entry is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd, isqrt
+from math import gcd
 
 from .abelian import FgAbGroup, GroupMorphism, eventual_image, torsion_subgroup
 from .intlinalg import (
@@ -135,10 +129,7 @@ def verify_shift_equivalence(a, b, r, s, lag):
 
 def charpoly_away_from_zero(a: IntMatrix):
     """Coefficients of det(xI - A) with all factors of x divided out."""
-    return _away_from_zero(charpoly(a))
-
-
-def _away_from_zero(coeffs):
+    coeffs = charpoly(a)
     first = next((i for i, c in enumerate(coeffs) if c != 0), len(coeffs) - 1)
     return coeffs[first:]
 
@@ -166,22 +157,6 @@ def _prime_to(d, k):
         d //= g
         g = gcd(d, g)
     return d
-
-
-def _is_squarefree(n):
-    """Whether the integer n >= 1 has no square factor > 1.
-
-    Trial division runs while p^3 <= n; what is left then has at most two
-    prime factors, all >= p, so it is squarefree unless it is a square > 1.
-    """
-    p = 2
-    while p * p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-        p += 1 if p == 2 else 2
-    return n == 1 or isqrt(n) ** 2 != n
 
 
 def _eventual_invariant_general(a: IntMatrix, poly):
@@ -220,33 +195,19 @@ _CHARPOLY_INVARIANT = "characteristic polynomial away from zero"
 
 def distinguishing_invariant(a: IntMatrix, b: IntMatrix, kmax=8):
     """Name of an invariant separating the two gauge modules, or None."""
-    chi = charpoly(a)
-    if _away_from_zero(chi) != _away_from_zero(charpoly(b)):
+    if charpoly_away_from_zero(a) != charpoly_away_from_zero(b):
         return _CHARPOLY_INVARIANT
-    return _battery_invariant(a, b, chi, kmax)
+    return _battery_invariant(a, b, kmax)
 
 
-def _battery_invariant(a, b, chi, kmax):
+def _battery_invariant(a, b, kmax):
     """The first battery entry x - k separating A from B, given their
-    characteristic polynomials agree away from zero and chi = charpoly(A)."""
+    characteristic polynomials agree away from zero.  k = 0 is passed over:
+    both colimits are 0 there."""
     for name, k in battery(kmax):
-        if _provably_cyclic(chi, k):
-            continue
-        if _eventual_invariant(a, k) != _eventual_invariant(b, k):
+        if k and _eventual_invariant(a, k) != _eventual_invariant(b, k):
             return f"colimit of coker(p(A^t)) for p = {name}"
     return None
-
-
-def _provably_cyclic(chi, k):
-    """Whether, given characteristic polynomials that agree away from zero
-    and chi = charpoly(A), battery entry k cannot separate the pair: k = 0,
-    or both colimits are Z/N for one squarefree N (module docstring)."""
-    if k == 0:
-        return True
-    value = 0
-    for c in reversed(chi):
-        value = value * k + c
-    return value != 0 and _is_squarefree(_prime_to(abs(value), k))
 
 
 def _intertwiner_basis(a: IntMatrix, b: IntMatrix):
@@ -322,8 +283,6 @@ def _l1_sphere(count, weight, cap):
 
 def _coefficient_vectors(count, bound, budget):
     """Nonzero integer coefficient vectors by increasing L1 norm, capped."""
-    if count == 0:
-        return
     emitted = 0
     for weight in range(1, bound * count + 1):
         for vec in _l1_sphere(count, weight, bound):
@@ -349,8 +308,7 @@ def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=
             raise ExactArithmeticError("(I, A, 1) must be a shift equivalence of A with itself")
         return res
 
-    chi = charpoly(a)
-    if _away_from_zero(chi) != _away_from_zero(charpoly(b)):
+    if charpoly_away_from_zero(a) != charpoly_away_from_zero(b):
         return ShiftEqResult("no", invariant=_CHARPOLY_INVARIANT)
 
     n, m = a.rows, b.rows
@@ -372,8 +330,6 @@ def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=
     def first_witness(coefficient_vectors):
         for coeffs in coefficient_vectors:
             r = _combination(coeffs, r_basis, m, n)
-            if r.is_zero():
-                continue
             if det_a:
                 det_r = determinant(r)
                 if det_r == 0 or det_bound % det_r:
@@ -389,7 +345,7 @@ def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=
     candidates = _coefficient_vectors(len(r_basis), max_entry, budget)
     found = first_witness(islice(candidates, _SHORT_SEARCH))
     if found is None:
-        inv = _battery_invariant(a, b, chi, max_entry)
+        inv = _battery_invariant(a, b, max_entry)
         if inv is not None:
             return ShiftEqResult("no", invariant=inv)
         found = first_witness(candidates)  # resumes after the short search

@@ -21,7 +21,6 @@ from obstruct.abelian import (
     is_exact_at,
     iso_groups,
     iso_search,
-    kernel_cokernel,
     _automorphism_blocks,
     _hom_slots,
     _is_automorphism,
@@ -95,8 +94,8 @@ def test_group_canon_roundtrip():
 
 def test_group_element_equality():
     g = FgAbGroup(1, IntMatrix.from_rows([[4]]))
-    assert g.element_equal([1], [5])
-    assert not g.element_equal([1], [2])
+    assert g.contains_relation([1 - 5])
+    assert not g.contains_relation([1 - 2])
 
 
 def test_describe():
@@ -118,14 +117,17 @@ def test_well_definedness_check():
 
 def test_kernel_cokernel_identity():
     g = FgAbGroup.cyclic(6)
-    k, _, c, _ = kernel_cokernel(GroupMorphism.identity(g))
+    f = GroupMorphism.identity(g)
+    k, _ = f.kernel()
+    c, _ = f.cokernel()
     assert k.is_trivial() and c.is_trivial()
 
 
 def test_kernel_cokernel_times_two_on_Z():
     z = FgAbGroup.free(1)
     f = GroupMorphism(z, z, IntMatrix.from_rows([[2]]))
-    k, _, c, _ = kernel_cokernel(f)
+    k, _ = f.kernel()
+    c, _ = f.cokernel()
     assert k.is_trivial()
     assert c.invariant_factors == [2]
 
@@ -133,12 +135,14 @@ def test_kernel_cokernel_times_two_on_Z():
 def test_kernel_cokernel_zero_map():
     a = FgAbGroup.cyclic(6)
     b = FgAbGroup.cyclic(4)
-    k, incl, c, proj = kernel_cokernel(GroupMorphism.zero(a, b))
+    f = GroupMorphism.zero(a, b)
+    k, incl = f.kernel()
+    c, proj = f.cokernel()
     assert k.invariant_factors == [6]
     assert c.invariant_factors == [4]
     # exactness of 0 -> ker -> src -> tgt -> coker -> 0 at both middle nodes
-    assert is_exact_at(incl, GroupMorphism.zero(a, b))
-    assert is_exact_at(GroupMorphism.zero(a, b), proj)
+    assert is_exact_at(incl, f)
+    assert is_exact_at(f, proj)
 
 
 def test_kernel_cokernel_exact_sequence_random():
@@ -147,7 +151,8 @@ def test_kernel_cokernel_exact_sequence_random():
         v = random_group(rng)
         w = random_group(rng)
         f = random_morphism(rng, v, w)
-        k, incl, c, proj = kernel_cokernel(f)
+        k, incl = f.kernel()
+        c, proj = f.cokernel()
         assert is_exact_at(incl, f)
         assert is_exact_at(f, proj)
         assert (f @ incl).is_zero()

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from obstruct import quiver
 from obstruct.abelian import (
     DiagramHom,
     FgAbGroup,
@@ -464,15 +465,24 @@ def test_generator_extension_class():
     assert cls0.is_zero()
 
 
-def test_yoneda_class_independent_of_choices():
+def test_yoneda_class_independent_of_choices(monkeypatch):
     ext = generator_extension(twist=True)
     base = yoneda_class(ext)
+    # one resolution, randomized lift choices: count the lifts that move
+    real, moved = quiver._shifted, [0]
+
+    def shifted(lifts, *args):
+        out = real(lifts, *args)
+        moved[0] += out != lifts
+        return out
+
+    monkeypatch.setattr(quiver, "_shifted", shifted)
     for seed in range(6):
-        rng = random.Random(seed)
-        other = yoneda_class(ext, rng=rng)
-        # same ambient resolution (deterministic), randomized lift choices
-        if other.provenance == base.provenance:
-            assert other.coords == base.coords
+        moved[0] = 0
+        other = yoneda_class(ext, ambient=base.ambient, rng=random.Random(seed))
+        assert moved[0] > 0
+        assert other.provenance == base.provenance
+        assert other.coords == base.coords
     # randomized resolutions: transport the class and compare
     for seed in range(4):
         rng = random.Random(100 + seed)
