@@ -242,9 +242,6 @@ class GroupMorphism:
     def __sub__(self, other):
         return GroupMorphism(self.source, self.target, self.matrix - other.matrix, trusted=True)
 
-    def __neg__(self):
-        return GroupMorphism(self.source, self.target, -self.matrix, trusted=True)
-
     def scaled(self, c):
         return GroupMorphism(self.source, self.target, self.matrix.scaled(c), trusted=True)
 

@@ -12,6 +12,12 @@ the images of covering arrows, so resolutions terminate exactly at the
 projective dimension.  Ext^n over the incidence algebra is the n-th
 cohomology of the Hom complex of such a resolution; on unique path spaces an
 independent route through the bimodule resolution is available as an oracle.
+
+A two-step extension 0 -> M1 -> Q1 -> Q0 -> M0 -> 0 has a class in
+Ext^2(M0, M1): `yoneda_class` lifts the identity of M0 along a projective
+resolution of M0, and the degree-two lift is a cocycle in M1.  `baer_sum`
+is the group law on such extensions, one pullback and one pushout: Q0 x_M0
+Q0' as a kernel on Q0 + Q0', and Q1 +_M1 Q1' as a cokernel on Q1 + Q1'.
 """
 
 from __future__ import annotations
@@ -150,6 +156,14 @@ class RepMorphism:
             {p: self.maps[p] @ other.maps[p] for p in self.maps},
             trusted=True,
         )
+
+    def __add__(self, other):
+        return RepMorphism(self.source, self.target,
+                           {p: self.maps[p] + other.maps[p] for p in self.maps}, trusted=True)
+
+    def __sub__(self, other):
+        return RepMorphism(self.source, self.target,
+                           {p: self.maps[p] - other.maps[p] for p in self.maps}, trusted=True)
 
     def equals(self, other):
         return all(self.maps[p].equals(other.maps[p]) for p in self.maps)
@@ -620,15 +634,15 @@ class ExtPosetGroup:
         return tuple(0 for _ in self.group.invariant_factors)
 
 
-def ext_poset(v: QuiverRep, w: QuiverRep, n: int, rng=None) -> ExtPosetGroup:
+def ext_poset(v: QuiverRep, w: QuiverRep, n: int) -> ExtPosetGroup:
     """Ext^n_{Z[X]}(V, W) via a projective resolution of V."""
     if n not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
-    return ExtPosetGroup(v, w, n, rng=rng)
+    return ExtPosetGroup(v, w, n)
 
 
-def ext_poset_all_degrees(v: QuiverRep, w: QuiverRep, rng=None):
-    res = resolve_projective(v, 3, rng)
+def ext_poset_all_degrees(v: QuiverRep, w: QuiverRep):
+    res = resolve_projective(v, 3)
     cx = HomComplex.build(res, w, 3)
     return [cx.cohomology_at(n).group for n in range(4)]
 
@@ -952,14 +966,6 @@ def ext2_compatible(f: RepMorphism, c: Ext2Class, cprime: Ext2Class, g: RepMorph
 # ---------------------------------------------------------------------------
 
 
-def _rep_add(f: RepMorphism, g: RepMorphism) -> RepMorphism:
-    return RepMorphism(
-        f.source, f.target,
-        {p: f.maps[p] + g.maps[p] for p in f.maps},
-        trusted=True,
-    )
-
-
 def rep_corestrict(f: RepMorphism, incl: RepMorphism) -> RepMorphism:
     """g with incl∘g = f, for incl injective and im(f) inside its image."""
     maps = {}
@@ -986,92 +992,17 @@ def rep_descend(f: RepMorphism, proj: RepMorphism) -> RepMorphism:
 
 
 def baer_sum(e1: TwoExtension, e2: TwoExtension) -> TwoExtension:
-    """Explicit Baer sum of two 2-extensions of M0 by M1: direct sum, pulled
-    back along the diagonal of M0, pushed out along the fold map of M1."""
-    m0, m1 = e1.m0, e1.m1
-    poset = m0.poset
-
-    q0_sum, _, q0_projs = rep_direct_sum([e1.q0, e2.q0])
-    q1_sum, _, q1_projs = rep_direct_sum([e1.q1, e2.q1])
-    m1_sum, _, m1_projs = rep_direct_sum([m1, m1])
-    m0_sq, m0_injs, _ = rep_direct_sum([m0, m0])
-
-    eps_pair = rep_compose_into_sum(e1.eps, e2.eps, m0_sq, q0_projs)
-    diag = _rep_add(m0_injs[0], m0_injs[1])
-    d1_sum = rep_compose_into_sum(e1.d1, e2.d1, q0_sum, q1_projs)
-    d2_sum = rep_compose_into_sum(e1.d2, e2.d2, q1_sum, m1_projs)
-
-    # pull back along the diagonal M0 -> M0 + M0
-    amb, _, amb_projs = rep_direct_sum([q0_sum, m0])
-    diag_defect = RepMorphism(
-        amb, m0_sq,
-        {p: (eps_pair.maps[p] @ amb_projs[0].maps[p]) - (diag.maps[p] @ amb_projs[1].maps[p])
-         for p in poset.points},
-        trusted=True,
-    )
-    q0_new, incl_fp = rep_kernel(diag_defect)
-    eps_new = amb_projs[1] @ incl_fp
-    # Q1+Q1' -> Q0'' through ((d1+d1'), 0)
-    into_amb = RepMorphism(
-        q1_sum, amb,
-        {p: _stack_maps(d1_sum.maps[p], GroupMorphism.zero(q1_sum.groups[p], m0.groups[p]),
-                        amb.groups[p]) for p in poset.points},
-        trusted=True,
-    )
-    d1_new = rep_corestrict(into_amb, incl_fp)
-
-    # push out along the fold map M1 + M1 -> M1
-    push_amb, push_injs, _ = rep_direct_sum([m1, q1_sum])
-    fold = _rep_add(RepMorphism.identity(m1) @ m1_projs[0],
-                    RepMorphism.identity(m1) @ m1_projs[1])
-    theta = RepMorphism(
-        m1_sum, push_amb,
-        {p: (push_injs[0].maps[p] @ fold.maps[p]) - (push_injs[1].maps[p] @ d2_sum.maps[p])
-         for p in poset.points},
-        trusted=True,
-    )
-    q1_new, proj_push = rep_cokernel(theta)
-    d2_new = proj_push @ push_injs[0]
-    d1_on_amb = RepMorphism(
-        push_amb, q0_new,
-        {p: _glue_sum_map(GroupMorphism.zero(m1.groups[p], q0_new.groups[p]),
-                          d1_new.maps[p], push_amb.groups[p]) for p in poset.points},
-        trusted=True,
-    )
-    d1_final = rep_descend(d1_on_amb, proj_push)
-
-    return TwoExtension(m1, q1_new, q0_new, m0, d2_new, d1_final, eps_new)
-
-
-def rep_compose_into_sum(f1: RepMorphism, f2: RepMorphism, target_sum: QuiverRep, projs):
-    """(f1, f2) as a block-diagonal map A1+A2 -> B1+B2; projs are the
-    projections of the source sum A1+A2."""
-    source_sum = projs[0].source
-    maps = {}
-    for p in target_sum.poset.points:
-        maps[p] = GroupMorphism(
-            source_sum.groups[p], target_sum.groups[p],
-            IntMatrix.block_diag(
-                [f1.maps[p].matrix, f2.maps[p].matrix],
-                rows=target_sum.groups[p].ngens,
-                cols=source_sum.groups[p].ngens,
-            ),
-            trusted=True,
-        )
-    return RepMorphism(source_sum, target_sum, maps, trusted=True)
-
-
-def _stack_maps(f: GroupMorphism, g: GroupMorphism, target_group: FgAbGroup):
-    return GroupMorphism(
-        f.source, target_group, f.matrix.vstack(g.matrix), trusted=True
-    )
-
-
-def _glue_sum_map(f: GroupMorphism, g: GroupMorphism, source_group: FgAbGroup):
-    """(f, g) on a two-block direct-sum source, as one morphism."""
-    return GroupMorphism(
-        source_group, f.target, f.matrix.hstack(g.matrix), trusted=True
-    )
+    """Baer sum of two 2-extensions of M0 by M1: the pullback
+    Q0 x_M0 Q0' = ker(eps pr1 - eps' pr2) and the pushout
+    Q1 +_M1 Q1' = coker(in1 d2 - in2 d2'), joined by (d1, d1')."""
+    _, q0_injs, q0_projs = rep_direct_sum([e1.q0, e2.q0])
+    _, q1_injs, q1_projs = rep_direct_sum([e1.q1, e2.q1])
+    q0, incl = rep_kernel(e1.eps @ q0_projs[0] - e2.eps @ q0_projs[1])
+    q1, proj = rep_cokernel(q1_injs[0] @ e1.d2 - q1_injs[1] @ e2.d2)
+    middle = q0_injs[0] @ e1.d1 @ q1_projs[0] + q0_injs[1] @ e2.d1 @ q1_projs[1]
+    d1 = rep_descend(rep_corestrict(middle, incl), proj)
+    return TwoExtension(e1.m1, q1, q0, e1.m0, proj @ q1_injs[0] @ e1.d2, d1,
+                        e1.eps @ q0_projs[0] @ incl)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from obstruct.quiver import (
     QuiverRep,
     RepMorphism,
     TwoExtension,
+    baer_sum,
     ext2_compatible,
     sierpinski_ext2,
     transport_class,
@@ -39,7 +40,7 @@ from obstruct.quiver import (
     yoneda_class,
 )
 
-from test_quiver import generator_extension, rep_diagram
+from test_quiver import cyclic_extension, rep_diagram
 
 
 def cuntz_graph(n):
@@ -244,7 +245,7 @@ def test_pulled_class_is_the_class_of_the_pulled_sequence():
     # the generator extension over a < b has the nonzero class in
     # Ext^2 = Z/2; read over s < t through sigma, the class is carried over
     # without a new resolution and must equal the class of the pulled sequence
-    ext = generator_extension(twist=True)
+    ext = cyclic_extension(2, 1)
     poset = FinitePoset(["t", "s"], [("s", "t")])
     sigma = {"s": "a", "t": "b"}
     m1, q1, q0, m0 = (_pull_rep(r, sigma, poset) for r in (ext.m1, ext.q1, ext.q0, ext.m0))
@@ -667,6 +668,26 @@ def test_delta_matches_the_yoneda_route_on_random_graphs():
             dropped += len(covered) < len(e.vertices)
         nonzero += not inv.delta.is_zero()
     assert own >= 290 and dropped and nonzero >= 2
+
+
+def test_baer_sum_of_the_sequence_with_itself_is_twice_delta():
+    # seed 6 draws two graphs with delta nonzero and one with 2 delta nonzero
+    rng = random.Random(6)
+    seen = nonzero = k = 0
+    while seen < 120:
+        k += 1
+        e = random_graph(rng, rng.randint(1, 8), (2, 3) if k % 2 else (0, 2, 3))
+        if not admissible(e).admissible:
+            continue
+        seen += 1
+        inv = XKInvariant(e)
+        delta = inv.delta
+        total = yoneda_class(baer_sum(inv.sequence, inv.sequence), ambient=delta.ambient)
+        factors = delta.ambient.group.invariant_factors
+        assert total.coords == tuple(2 * c % d if d else 2 * c
+                                     for c, d in zip(delta.coords, factors)), e
+        nonzero += not total.is_zero()
+    assert nonzero
 
 
 def test_delta_falls_back_when_a_support_has_two_tops(monkeypatch):

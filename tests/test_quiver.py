@@ -417,37 +417,36 @@ def test_yoneda_projective_m0_lands_in_zero_group():
     assert cls.is_zero()
 
 
-def generator_extension(twist=True):
-    """A 2-extension of M0 = (Z/2 -> 0) by M1 = (0 -> Z/2) over a < b.
+def cyclic_extension(n, t):
+    """A 2-extension of M0 = (Z/n -> 0) by M1 = (0 -> Z/n) over a < b.
 
-    Q1 = (Z at b -> Z/4 at a), Q0 = (Z at b -> Z/2 at a) with zero Q0-arrow;
-    the Q1 arrow is multiplication by 2 when twist=True (hitting the
-    generator of Ext^2 = Z/2) and zero when twist=False (split class).
+    Q1 = (Z at b -> Z/n² at a) with arrow n·t, Q0 = (Z at b -> Z/n at a)
+    with zero arrow.  Ext^2 = Ext^1_Z(Z/n, Z/n) = Z/n, and t = 1 hits a
+    generator while t = 0 is the split class.
     """
     poset = sierpinski_poset()
     z = FgAbGroup.free(1)
-    z2 = zmod(2)
-    z4 = zmod(4)
+    zn = zmod(n)
+    zn2 = zmod(n * n)
     zero = zero_group()
-    m0 = QuiverRep(poset, {"b": z2, "a": zero},
-                   {("b", "a"): GroupMorphism(z2, zero, IntMatrix.zeros(0, 1))})
-    m1 = QuiverRep(poset, {"b": zero, "a": z2},
-                   {("b", "a"): GroupMorphism(zero, z2, IntMatrix.zeros(1, 0))})
-    q1_arrow = IntMatrix.from_rows([[2 if twist else 0]])
-    q1 = QuiverRep(poset, {"b": z, "a": z4},
-                   {("b", "a"): GroupMorphism(z, z4, q1_arrow)})
-    q0 = QuiverRep(poset, {"b": z, "a": z2},
-                   {("b", "a"): GroupMorphism(z, z2, IntMatrix.from_rows([[0]]))})
+    m0 = QuiverRep(poset, {"b": zn, "a": zero},
+                   {("b", "a"): GroupMorphism(zn, zero, IntMatrix.zeros(0, 1))})
+    m1 = QuiverRep(poset, {"b": zero, "a": zn},
+                   {("b", "a"): GroupMorphism(zero, zn, IntMatrix.zeros(1, 0))})
+    q1 = QuiverRep(poset, {"b": z, "a": zn2},
+                   {("b", "a"): GroupMorphism(z, zn2, IntMatrix.from_rows([[n * t]]))})
+    q0 = QuiverRep(poset, {"b": z, "a": zn},
+                   {("b", "a"): GroupMorphism(z, zn, IntMatrix.from_rows([[0]]))})
     d2 = RepMorphism(m1, q1, {
         "b": GroupMorphism.zero(zero, z),
-        "a": GroupMorphism(z2, z4, IntMatrix.from_rows([[2]])),
+        "a": GroupMorphism(zn, zn2, IntMatrix.from_rows([[n]])),
     })
     d1 = RepMorphism(q1, q0, {
-        "b": GroupMorphism(z, z, IntMatrix.from_rows([[2]])),
-        "a": GroupMorphism(z4, z2, IntMatrix.from_rows([[1]])),
+        "b": GroupMorphism(z, z, IntMatrix.from_rows([[n]])),
+        "a": GroupMorphism(zn2, zn, IntMatrix.from_rows([[1]])),
     })
     eps = RepMorphism(q0, m0, {
-        "b": GroupMorphism(z, z2, IntMatrix.from_rows([[1]])),
+        "b": GroupMorphism(z, zn, IntMatrix.from_rows([[1]])),
         "a": GroupMorphism.zero(z, zero),
     })
     ext = TwoExtension(m1, q1, q0, m0, d2, d1, eps)
@@ -456,17 +455,17 @@ def generator_extension(twist=True):
 
 
 def test_generator_extension_class():
-    ext = generator_extension(twist=True)
+    ext = cyclic_extension(2, 1)
     cls = yoneda_class(ext)
     assert cls.ambient.group.invariant_factors == [2]
     assert not cls.is_zero()
-    split = generator_extension(twist=False)
+    split = cyclic_extension(2, 0)
     cls0 = yoneda_class(split, ambient=cls.ambient)
     assert cls0.is_zero()
 
 
 def test_yoneda_class_independent_of_choices(monkeypatch):
-    ext = generator_extension(twist=True)
+    ext = cyclic_extension(2, 1)
     base = yoneda_class(ext)
     # one resolution, randomized lift choices: count the lifts that move
     real, moved = quiver._shifted, [0]
@@ -492,13 +491,34 @@ def test_yoneda_class_independent_of_choices(monkeypatch):
         assert transported == base.coords
 
 
-def test_yoneda_baer_sum_additivity():
-    ext = generator_extension(twist=True)
+def test_yoneda_baer_sum_additivity(monkeypatch):
+    ext = cyclic_extension(2, 1)
+    # the pullback is one kernel and the pushout one cokernel
+    calls = []
+    for name in ("rep_kernel", "rep_cokernel"):
+        real = getattr(quiver, name)
+        monkeypatch.setattr(quiver, name,
+                            lambda f, name=name, real=real: calls.append(name) or real(f))
     total = baer_sum(ext, ext)
+    assert sorted(calls) == ["rep_cokernel", "rep_kernel"]
     total.verify_exact()
     cls = yoneda_class(total, ambient=yoneda_class(ext).ambient)
     # generator + generator = 0 in Z/2
     assert cls.is_zero()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_yoneda_baer_sum_adds_cyclic_classes(n):
+    # the n classes are distinct, so a sum that returned a summand or a
+    # split extension would fail here
+    exts = [cyclic_extension(n, t) for t in range(n)]
+    ambient = yoneda_class(exts[1]).ambient
+    classes = [yoneda_class(e, ambient=ambient).coords for e in exts]
+    assert len(set(classes)) == n
+    for t in range(n):
+        for s in range(n):
+            total = yoneda_class(baer_sum(exts[t], exts[s]), ambient=ambient)
+            assert total.coords == classes[(t + s) % n], (t, s)
 
 
 def test_exactness_error_naming_node():
@@ -561,7 +581,7 @@ def test_verify_resolution_rejects_tampered_resolutions(tamper, message):
 
 
 def test_ext2_compatible_identity():
-    ext = generator_extension(twist=True)
+    ext = cyclic_extension(2, 1)
     cls = yoneda_class(ext)
     f = RepMorphism.identity(ext.m0)
     g = RepMorphism.identity(ext.m1)
@@ -569,7 +589,7 @@ def test_ext2_compatible_identity():
 
 
 def test_ext2_compatible_zero_vs_nonzero():
-    ext = generator_extension(twist=True)
+    ext = cyclic_extension(2, 1)
     cls = yoneda_class(ext)
     zero_cls = Ext2Class(cls.ambient, cls.ambient.zero_class())
     f = RepMorphism.identity(ext.m0)
