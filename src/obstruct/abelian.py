@@ -266,8 +266,14 @@ class GroupMorphism:
         return full.submatrix(range(self.source.ngens), range(full.cols))
 
     def preimage_lattice_basis(self) -> IntMatrix:
-        """A basis of the lattice `preimage_gens` spans."""
-        return lattice_basis(self.preimage_gens())
+        """A basis of the lattice `preimage_gens` spans: `preimage_gens` itself
+        when the target's relation columns R are independent, since the
+        projection of ker[M | R] to the source coordinates is then injective
+        ((0, r) in it forces R r = 0, so r = 0) and keeps a basis a basis."""
+        gens = self.preimage_gens()
+        if self.target.snf.rank == self.target.relations.cols:
+            return gens
+        return lattice_basis(gens)
 
     def kernel(self):
         """(K, incl) with K presented on a basis of the preimage lattice."""

@@ -9,9 +9,11 @@ on construction via `check_coherence`).
 Projectives are the downset representations: P(x) carries Z at every z <= x
 with identity transports.  Covers pick minimal generators per point modulo
 the images of covering arrows, so resolutions terminate exactly at the
-projective dimension.  Ext^n over the incidence algebra is the n-th
-cohomology of the Hom complex of such a resolution; on unique path spaces an
-independent route through the bimodule resolution is available as an oracle.
+projective dimension.  A syzygy stays a lattice basis per point in the
+coordinates of its projective, never a representation, and each cover of it
+is checked onto it at every point.  Ext^n over the incidence algebra is the
+n-th cohomology of the Hom complex of such a resolution; on unique path
+spaces an independent route through the bimodule resolution is an oracle.
 
 A two-step extension 0 -> M1 -> Q1 -> Q0 -> M0 -> 0 has a class in
 Ext^2(M0, M1): `yoneda_class` lifts the identity of M0 along a projective
@@ -288,15 +290,6 @@ class ProjectiveRep:
             m.data[pos[g]][j] = 1
         return m
 
-    def as_rep(self) -> QuiverRep:
-        poset = self.poset
-        groups = {p: FgAbGroup.free(self.rank_at(p)) for p in poset.points}
-        arrows = {
-            (y, x): GroupMorphism(groups[y], groups[x], self.transport_matrix(y, x), trusted=True)
-            for y, x in poset.hasse_arrows
-        }
-        return QuiverRep(poset, groups, arrows, check=False)
-
     def point_matrix_of_coeffs(self, coeffs: IntMatrix, target: "ProjectiveRep", z):
         """Per-point matrix at z of the morphism self -> target given by a
         coefficient matrix (target.num_gens x self.num_gens)."""
@@ -340,59 +333,41 @@ class ProjIntoRep:
         return all(self.point_morphism(p).is_surjective() for p in self.source.poset.points)
 
 
+def _cover_generators(poset: FinitePoset, relations, arrow, rng):
+    """(point, vector) per cover generator of the module with Z^n/relations(x)
+    at x and arrows arrow(y, x): canonical lifts of generators modulo the
+    covering arrows' images; an rng may add one redundant generator per point
+    and shuffles the order."""
+    gens = []
+    for x in poset.points:
+        stacked = relations(x)
+        for y, xx in poset.hasse_arrows:
+            if xx == x:
+                stacked = stacked.hstack(arrow(y, x))
+        quotient = FgAbGroup(stacked.rows, stacked)
+        for pos in quotient.canon_positions:
+            gens.append((x, quotient.snf.Uinv.column(pos)))
+        if rng is not None and stacked.rows and rng.random() < 0.4:
+            gens.append((x, [rng.randint(-2, 2) for _ in range(stacked.rows)]))
+    if rng is not None:
+        rng.shuffle(gens)
+    return gens
+
+
 def minimal_cover(v: QuiverRep, rng=None):
     """(P, phi) with P projective and phi: P -> V surjective.
 
-    Generators at x are canonical lifts of generators of V_x modulo the
-    images of the covering arrows, so covers of projectives are
-    isomorphisms.  An optional rng shuffles generator order and may add
+    Generators are those of `_cover_generators`, so covers of projectives
+    are isomorphisms.  An optional rng shuffles generator order and may add
     redundant generators (used by resolution-independence tests).
     """
-    poset = v.poset
-    gens = []  # (point, vector)
-    for x in poset.points:
-        incoming = [v.arrow_map(y, xx).matrix for y, xx in poset.hasse_arrows if xx == x]
-        g = v.groups[x]
-        stacked = g.relations
-        for m in incoming:
-            stacked = stacked.hstack(m)
-        quotient = FgAbGroup(g.ngens, stacked)
-        for pos in quotient.canon_positions:
-            gens.append((x, quotient.snf.Uinv.column(pos)))
-        if rng is not None and g.ngens and rng.random() < 0.4:
-            extra = [rng.randint(-2, 2) for _ in range(g.ngens)]
-            gens.append((x, extra))
-    if rng is not None:
-        rng.shuffle(gens)
-    p = ProjectiveRep(poset, [g[0] for g in gens])
-    phi = ProjIntoRep(p, v, [g[1] for g in gens])
+    gens = _cover_generators(v.poset, lambda x: v.groups[x].relations,
+                             lambda y, x: v.arrow_map(y, x).matrix, rng)
+    p = ProjectiveRep(v.poset, [x for x, _ in gens])
+    phi = ProjIntoRep(p, v, [u for _, u in gens])
     if not phi.is_surjective():
         raise ExactArithmeticError("cover must be surjective")
     return p, phi
-
-
-@dataclass
-class SubLatticeRep:
-    """A subrepresentation of a projective with free entries, stored as a
-    lattice basis per point (columns in the ambient point coordinates)."""
-
-    ambient: ProjectiveRep
-    bases: dict
-
-    def is_zero(self):
-        return all(b.cols == 0 for b in self.bases.values())
-
-    def as_rep(self) -> QuiverRep:
-        poset = self.ambient.poset
-        groups = {p: FgAbGroup.free(self.bases[p].cols) for p in poset.points}
-        arrows = {}
-        for y, x in poset.hasse_arrows:
-            moved = self.ambient.transport_matrix(y, x) @ self.bases[y]
-            mat = factor_through(self.bases[x], moved)
-            if mat is None:
-                raise ExactArithmeticError("transport must preserve the syzygy lattice")
-            arrows[(y, x)] = GroupMorphism(groups[y], groups[x], mat, trusted=True)
-        return QuiverRep(poset, groups, arrows, check=False)
 
 
 @dataclass
@@ -450,30 +425,49 @@ def _coeffs_of_vectors(target: ProjectiveRep, points, vectors) -> IntMatrix:
     return coeffs
 
 
+def _syzygy_cover(prev: ProjectiveRep, bases, rng):
+    """(P, vectors): the `minimal_cover` of the syzygy with basis bases[z] in
+    the coordinates of prev(z), whose arrows are prev's transports in those
+    coordinates, built from no representation; generator i maps to
+    vectors[i], a vector of prev at P.gen_points[i]."""
+    def arrow(y, x):
+        mat = factor_through(bases[x], prev.transport_matrix(y, x) @ bases[y])
+        if mat is None:
+            raise ExactArithmeticError("transport must preserve the syzygy lattice")
+        return mat
+
+    gens = _cover_generators(prev.poset, lambda x: IntMatrix.zeros(bases[x].cols, 0), arrow, rng)
+    return (ProjectiveRep(prev.poset, [x for x, _ in gens]),
+            [bases[x].apply(u) for x, u in gens])
+
+
 @shares_eliminations
 def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
-    """Iterated syzygies to the requested length (stops early at completion)."""
+    """Iterated syzygies to the requested length (stops early at completion).
+
+    A syzygy is a basis B_z per point, in the coordinates of the previous
+    projective at z.  The point matrix D_z of its cover is checked to span
+    the lattice of B_z at every point, and ker D_z is the next syzygy.
+    """
     p0, aug = minimal_cover(v, rng)
     projectives = [p0]
     diffs = []
     # first syzygy: preimage lattice of the augmentation, pointwise
-    kernel = SubLatticeRep(p0, {z: aug.point_morphism(z).preimage_lattice_basis()
-                                for z in v.poset.points})
-    complete = kernel.is_zero()
-    while len(projectives) <= length and not complete:
-        krep = kernel.as_rep()
-        p_next, cover = minimal_cover(krep, rng)
-        # generator i of P_next maps to its syzygy vector in P_prev
-        vectors = [kernel.bases[x].apply(u) for x, u in zip(p_next.gen_points, cover.vectors)]
-        diffs.append(_coeffs_of_vectors(projectives[-1], p_next.gen_points, vectors))
+    bases = {z: aug.point_morphism(z).preimage_lattice_basis() for z in v.poset.points}
+    while len(projectives) <= length and any(b.cols for b in bases.values()):
+        prev = projectives[-1]
+        p_next, vectors = _syzygy_cover(prev, bases, rng)
+        d = _coeffs_of_vectors(prev, p_next.gen_points, vectors)
+        diffs.append(d)
         projectives.append(p_next)
-        # next syzygy: plain pointwise kernel of the cover into the free rep
-        bases = {}
+        kernels = {}
         for z in v.poset.points:
-            m = cover.point_matrix(z)
-            bases[z] = kernel_basis(m)
-        kernel = SubLatticeRep(p_next, bases)
-        complete = kernel.is_zero()
+            dz = p_next.point_matrix_of_coeffs(d, prev, z)
+            if not lattices_equal(bases[z], dz):
+                raise ExactArithmeticError("cover must be surjective")
+            kernels[z] = kernel_basis(dz)
+        bases = kernels
+    complete = not any(b.cols for b in bases.values())
     return ProjResolution(v, projectives, aug, diffs, complete)
 
 
@@ -639,12 +633,6 @@ def ext_poset(v: QuiverRep, w: QuiverRep, n: int) -> ExtPosetGroup:
     if n not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     return ExtPosetGroup(v, w, n)
-
-
-def ext_poset_all_degrees(v: QuiverRep, w: QuiverRep):
-    res = resolve_projective(v, 3)
-    cx = HomComplex.build(res, w, 3)
-    return [cx.cohomology_at(n).group for n in range(4)]
 
 
 def sierpinski_ext2(phi: GroupMorphism, psi: GroupMorphism) -> FgAbGroup:

@@ -26,7 +26,7 @@ from obstruct.abelian import (
     _is_automorphism,
     torsion_subgroup,
 )
-from obstruct.intlinalg import IntMatrix
+from obstruct.intlinalg import IntMatrix, lattice_basis, lattices_equal, matrix_rank
 
 from test_intlinalg import spans_equal
 
@@ -523,6 +523,33 @@ def test_is_exact_at_matches_mutual_containment():
         assert got == is_exact_by_definition(f, g)
         seen[got] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def test_preimage_basis_without_second_elimination():
+    # with independent target relations the projected kernel basis is kept
+    # as it is; it must still be a basis of the preimage lattice
+    rng = random.Random(43)
+    checked = 0
+    while checked < 200:
+        v, w = random_group(rng), random_group(rng)
+        if w.snf.rank != w.relations.cols:
+            continue
+        f = random_morphism(rng, v, w)
+        b = f.preimage_lattice_basis()
+        assert matrix_rank(b) == b.cols
+        assert lattices_equal(b, lattice_basis(f.preimage_gens()))
+        checked += 1
+
+
+def test_preimage_basis_with_dependent_relations():
+    # Z/2 presented by [[2, 4]]: the projected kernel of [1 | 2 4] has two
+    # columns in Z^1, so only the fallback elimination gives a basis
+    target = FgAbGroup(1, IntMatrix.from_rows([[2, 4]]))
+    f = GroupMorphism(FgAbGroup.free(1), target, IntMatrix.from_rows([[1]]))
+    assert f.preimage_gens().cols == 2
+    b = f.preimage_lattice_basis()
+    assert b.cols == matrix_rank(b) == 1
+    assert lattices_equal(b, IntMatrix.from_rows([[2]]))
 
 
 # --- the bounded isomorphism search --------------------------------------------

@@ -13,11 +13,13 @@ from obstruct.abelian import (
     iso_groups,
     iso_search,
 )
-from obstruct.intlinalg import IntMatrix
+from obstruct.intlinalg import ExactArithmeticError, IntMatrix
 from obstruct.posets import (
+    FinitePoset,
     antichain_poset,
     chain_poset,
     diamond_poset,
+    is_unique_path_space,
     point_poset,
     sierpinski_poset,
 )
@@ -33,7 +35,6 @@ from obstruct.quiver import (
     chain_lift,
     ext2_compatible,
     ext_poset,
-    ext_poset_all_degrees,
     ext_poset_ups_oracle,
     minimal_cover,
     rep_cokernel,
@@ -56,6 +57,14 @@ def sierpinski_rep(vb, va, arrow_matrix):
     groups = {"a": va, "b": vb}
     arrows = {("b", "a"): GroupMorphism(vb, va, arrow_matrix)}
     return QuiverRep(poset, groups, arrows)
+
+
+def projective_rep(p):
+    """A ProjectiveRep as a QuiverRep: Z^(rank at x) at x, transports as arrows."""
+    groups = {x: FgAbGroup.free(p.rank_at(x)) for x in p.poset.points}
+    arrows = {(y, x): GroupMorphism(groups[y], groups[x], p.transport_matrix(y, x))
+              for y, x in p.poset.hasse_arrows}
+    return QuiverRep(p.poset, groups, arrows)
 
 
 def zmod(d):
@@ -154,7 +163,7 @@ def test_rep_cokernel_of_a_tampered_morphism_raises():
 def test_minimal_cover_of_projective_is_iso():
     poset = sierpinski_poset()
     p = ProjectiveRep(poset, ["b"])
-    rep = p.as_rep()
+    rep = projective_rep(p)
     cover, phi = minimal_cover(rep)
     assert cover.gen_points == ["b"]
     res = resolve_projective(rep, 3)
@@ -224,6 +233,103 @@ def test_randomized_resolutions_also_exact():
         verify_resolution(res)
 
 
+def all_degree_groups(v, w):
+    """Ext^0..3 from one Hom complex over all degrees of a resolution to
+    length 3."""
+    cx = quiver.HomComplex.build(resolve_projective(v, 3), w, 3)
+    return [cx.cohomology_at(n).group for n in range(4)]
+
+
+def random_poset(rng, npoints, edge_prob=0.4):
+    """Transitive closure of a random DAG on p0 < p1 < ... ."""
+    pts = [f"p{i}" for i in range(npoints)]
+    return FinitePoset(pts, [(pts[i], pts[j]) for i in range(npoints)
+                             for j in range(i + 1, npoints) if rng.random() < edge_prob])
+
+
+def presented_rep(rng, poset, max_gens=3, max_rels=5, max_entry=3):
+    """coker(P1 -> P0) for random projectives and a random map between them:
+    a module on any poset, chain composites agreeing by construction."""
+    p0 = ProjectiveRep(poset, [rng.choice(poset.points) for _ in range(rng.randint(1, max_gens))])
+    p1 = ProjectiveRep(poset, [rng.choice(poset.points) for _ in range(rng.randint(1, max_rels))])
+    coeffs = IntMatrix.zeros(p0.num_gens, p1.num_gens)
+    for i, x in enumerate(p1.gen_points):
+        for g in p0.indices_at(x):
+            coeffs.data[g][i] = rng.randint(-max_entry, max_entry)
+    r0, r1 = projective_rep(p0), projective_rep(p1)
+    maps = {z: GroupMorphism(r1.groups[z], r0.groups[z],
+                             p1.point_matrix_of_coeffs(coeffs, p0, z), trusted=True)
+            for z in poset.points}
+    return rep_cokernel(RepMorphism(r1, r0, maps))[0]
+
+
+def sweep_posets(rng, count):
+    """The diamond and random posets on 4 to 6 points, in turn."""
+    return [diamond_poset() if k % 4 == 0 else random_poset(rng, 4 + k % 3) for k in range(count)]
+
+
+def test_resolutions_exact_on_general_posets():
+    # non-UPS posets, relations that need not be independent, and the rng
+    # route with its redundant generators and shuffles
+    rng = random.Random(41)
+    non_ups = deep = 0
+    for seed, poset in enumerate(sweep_posets(rng, 160)):
+        non_ups += not is_unique_path_space(poset)[0]
+        v = presented_rep(rng, poset)
+        res = resolve_projective(v, 4)
+        verify_resolution(res)
+        deep += res.length >= 2
+        verify_resolution(resolve_projective(v, 4, rng=random.Random(seed)))
+    # enough traffic through covers of syzygies that are themselves kernels
+    assert non_ups >= 40 and deep >= 15, (non_ups, deep)
+
+
+def test_ext_matches_ups_oracle_on_random_posets():
+    rng = random.Random(42)
+    checked = 0
+    for poset in sweep_posets(rng, 60):
+        if not is_unique_path_space(poset)[0]:
+            continue
+        v, w = presented_rep(rng, poset), presented_rep(rng, poset)
+        oracle = ext_poset_ups_oracle(v, w)
+        for n in range(3):
+            assert ext_poset(v, w, n).group.invariant_factors == oracle[n].invariant_factors
+        checked += 1
+    assert checked >= 20, checked
+
+
+def test_syzygy_cover_must_be_surjective(monkeypatch):
+    # dropping one generator of a minimal syzygy cover leaves its image
+    # short of the syzygy at that generator's point
+    v = sierpinski_rep(zmod(2), zero_group(), IntMatrix.zeros(0, 1))
+    assert resolve_projective(v, 3).length == 2
+    cover = quiver._syzygy_cover
+
+    def dropping_one(prev, bases, rng):
+        p, vectors = cover(prev, bases, rng)
+        return ProjectiveRep(p.poset, p.gen_points[1:]), vectors[1:]
+
+    monkeypatch.setattr(quiver, "_syzygy_cover", dropping_one)
+    with pytest.raises(ExactArithmeticError, match="cover must be surjective"):
+        resolve_projective(v, 3)
+
+
+def test_resolution_builds_no_syzygy_representation(monkeypatch):
+    v = sierpinski_rep(zmod(2), zero_group(), IntMatrix.zeros(0, 1))
+    built = []
+    init = QuiverRep.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuiverRep, "__init__", spy)
+    res = resolve_projective(v, 3)
+    assert (res.length, res.complete) == (2, True)
+    assert built == []
+    verify_resolution(res)
+
+
 def test_ext_window_matches_all_degrees():
     # Ext^n builds the Hom complex in degrees n - 1, n and n + 1 only; the
     # group must be presented exactly as in the complex of all degrees
@@ -232,7 +338,7 @@ def test_ext_window_matches_all_degrees():
         for _ in range(4):
             v, w = random_rep(rng, poset), random_rep(rng, poset)
             for a, b in ((v, w), (v, v)):
-                groups = ext_poset_all_degrees(a, b)
+                groups = all_degree_groups(a, b)
                 for n in range(3):
                     got = ext_poset(a, b, n)
                     assert got.complex.low == max(n - 1, 0)
@@ -365,7 +471,7 @@ def test_ext3_vanishes_on_ups():
     for poset in [sierpinski_poset(), chain_poset(3)]:
         v = random_rep(rng, poset)
         w = random_rep(rng, poset)
-        degrees = ext_poset_all_degrees(v, w)
+        degrees = all_degree_groups(v, w)
         assert degrees[3].is_trivial()
 
 
@@ -409,7 +515,7 @@ def test_yoneda_split_extension_is_zero():
 
 def test_yoneda_projective_m0_lands_in_zero_group():
     poset = sierpinski_poset()
-    m0 = ProjectiveRep(poset, ["b"]).as_rep()
+    m0 = projective_rep(ProjectiveRep(poset, ["b"]))
     m1 = sierpinski_rep(zero_group(), zmod(2), IntMatrix.zeros(1, 0))
     ext = split_two_extension(m1, m0)
     cls = yoneda_class(ext)
