@@ -7,8 +7,10 @@ into cyclic factors is a derived view (via the cached Smith normal form of
 the relations).
 
 Hom and Ext^1 carry explicit representing bases (morphisms, respectively
-cocycles against a fixed free resolution), so induced maps and connecting
-maps can be computed on the nose rather than up to isomorphism.
+cocycles against a fixed free resolution), so a map between them, such as
+the one `ext1_induced` builds from a pair of morphisms, is computed on the
+nose in canonical coordinates (`canonical_morphism`) rather than up to
+isomorphism.
 
 Injective, surjective, bijective and exact are decided by one Hopfian test
 on invariant factors, never by building a kernel or cokernel group.  With
@@ -40,6 +42,11 @@ from .intlinalg import (
     unvec,
     vec,
 )
+
+__all__ = [
+    "FgAbGroup", "GroupMorphism", "IllDefinedMorphism", "hom_z", "ext1_z", "homology_at",
+    "eventual_image", "torsion_subgroup",
+]
 
 
 class IllDefinedMorphism(ValueError):
@@ -332,18 +339,6 @@ def is_exact_at(f: GroupMorphism, g: GroupMorphism) -> bool:
             == cokernel_factors(g.preimage_gens()))
 
 
-def iso_groups(v: FgAbGroup, w: FgAbGroup):
-    """(True, witness isomorphism) iff invariant factors agree, else (False, None)."""
-    if v.invariant_factors != w.invariant_factors:
-        return False, None
-    e = IntMatrix.zeros(w.ngens, v.ngens)
-    for pv, pw in zip(v.canon_positions, w.canon_positions):
-        e.data[pw][pv] = 1
-    mat = w.snf.Uinv @ e @ v.snf.U
-    f = GroupMorphism(v, w, mat)
-    return True, f
-
-
 # ---------------------------------------------------------------------------
 # Subquotients with representative bases
 # ---------------------------------------------------------------------------
@@ -532,20 +527,6 @@ def canonical_morphism(source: FgAbGroup, target: FgAbGroup, images) -> GroupMor
     )
 
 
-def hom_induced(pre: GroupMorphism | None, post: GroupMorphism | None,
-                hsrc: HomGroup, htgt: HomGroup) -> GroupMorphism:
-    """Map Hom(V,W) -> Hom(V',W') sending b to post∘b∘pre, in canonical coords."""
-    images = []
-    for b in hsrc.basis:
-        g = b
-        if pre is not None:
-            g = g @ pre
-        if post is not None:
-            g = post @ g
-        images.append(htgt.coords(g))
-    return canonical_morphism(hsrc.group, htgt.group, images)
-
-
 def ext1_induced(pre: GroupMorphism | None, post: GroupMorphism | None,
                  esrc: Ext1Group, etgt: Ext1Group) -> GroupMorphism:
     """Map Ext^1(V,W) -> Ext^1(V',W'): cocycle c to post∘c∘(lift of pre).
@@ -564,25 +545,6 @@ def ext1_induced(pre: GroupMorphism | None, post: GroupMorphism | None,
             m = post.matrix @ m
         images.append(etgt.coords(m))
     return canonical_morphism(esrc.group, etgt.group, images)
-
-
-def induced_map(f: GroupMorphism, functor: str, other: FgAbGroup) -> GroupMorphism:
-    """Induced map on Hom/Ext^1 in canonical coordinates.
-
-    functor: 'hom-covariant'      Hom(other, src) -> Hom(other, tgt)
-             'hom-contravariant'  Hom(tgt, other) -> Hom(src, other)
-             'ext1-covariant'     Ext^1(other, src) -> Ext^1(other, tgt)
-             'ext1-contravariant' Ext^1(tgt, other) -> Ext^1(src, other)
-    """
-    if functor == "hom-covariant":
-        return hom_induced(None, f, hom_z(other, f.source), hom_z(other, f.target))
-    if functor == "hom-contravariant":
-        return hom_induced(f, None, hom_z(f.target, other), hom_z(f.source, other))
-    if functor == "ext1-covariant":
-        return ext1_induced(None, f, ext1_z(other, f.source), ext1_z(other, f.target))
-    if functor == "ext1-contravariant":
-        return ext1_induced(f, None, ext1_z(f.target, other), ext1_z(f.source, other))
-    raise ValueError(f"unknown functor {functor!r}")
 
 
 # ---------------------------------------------------------------------------

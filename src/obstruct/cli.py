@@ -24,6 +24,8 @@ import sys
 from .intlinalg import IntMatrix
 from .shifteq import shift_equivalent
 
+__all__ = ["main"]
+
 
 def _read_matrix(path):
     with open(path) as fh:

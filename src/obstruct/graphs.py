@@ -125,6 +125,12 @@ from .quiver import (
     rep_kernel,
 )
 
+__all__ = [
+    "DirectedGraph", "AdmissibilityError", "admissible", "hereditary_saturated",
+    "xk_invariant", "unit_image_under", "CompareOutcome", "compare_graph_invariants",
+    "unit_compare",
+]
+
 
 class AdmissibilityError(ValueError):
     """The graph violates a precondition; names the failed condition."""
@@ -152,7 +158,10 @@ class DirectedGraph:
                 u, w, m = e
             if m < 0:
                 raise ValueError("negative edge multiplicity")
-            adj[self.index[u]][self.index[w]] += m
+            try:
+                adj[self.index[u]][self.index[w]] += m
+            except KeyError as exc:
+                raise ValueError(f"edge {e!r} names an unknown vertex {exc.args[0]!r}") from None
         self.adjacency = IntMatrix.from_rows(adj) if n else IntMatrix.zeros(0, 0)
         self._targets = {v: [w for j, w in enumerate(self.vertices) if adj[i][j] > 0]
                          for i, v in enumerate(self.vertices)}

@@ -56,6 +56,11 @@ import functools
 from contextvars import ContextVar
 from operator import index, mul
 
+__all__ = [
+    "IntMatrix", "ExactArithmeticError", "smith_normal_form", "solve", "kernel_basis",
+    "matrix_rank", "is_unimodular", "charpoly",
+]
+
 
 class ExactArithmeticError(ArithmeticError):
     """An exact computation broke an identity that holds by construction,

@@ -48,9 +48,13 @@ from .intlinalg import (
     lattice_basis,
     matrix_power,
     shares_eliminations,
-    unvec,
-    vec,
 )
+
+__all__ = [
+    "RModuleFg", "RModulePres", "GradedRModule", "PairDelta", "UnsupportedShape",
+    "ck_module", "ext_r_fg", "ext_r_resolution", "ext_r_pres", "ext2_block",
+    "count_liftings", "pair_iso",
+]
 
 
 class UnsupportedShape(ValueError):
@@ -71,6 +75,9 @@ class RModuleFg:
         if x.source is not group or x.target is not group:
             if x.source.ngens != group.ngens or x.target.ngens != group.ngens:
                 raise ValueError("x must be an endomorphism of the group")
+            # an action defined on another presentation: rebuilt on `group`,
+            # where it must be well defined (IllDefinedMorphism otherwise)
+            x = GroupMorphism(group, group, x.matrix)
         self.group = group
         self.x = x
         try:
@@ -269,8 +276,9 @@ class Ext2Block:
 
 @dataclass
 class ExtRTriple:
-    """Hom_R, Ext^1_R, Ext^2_R of a pair of fg-over-Z modules, with the
-    six-term data needed for exactness checks and induced maps."""
+    """Hom_R, Ext^1_R, Ext^2_R of a pair of fg-over-Z modules, with the data
+    of the six-term sequence 0 -> Hom_R -> Hom_Z -> Hom_Z -> Ext^1_R ->
+    Ext^1_Z -> Ext^1_Z -> Ext^2_R -> 0 they sit in."""
 
     v: RModuleFg
     w: RModuleFg
@@ -314,35 +322,6 @@ def ext_r_resolution(v: RModuleFg, w: RModuleFg):
     total = TotalComplex.build(v, w)
     h0, h1, h2 = total.cohomology()
     return h0.group, h1.group, h2.group
-
-
-def six_term_maps(t: ExtRTriple):
-    """The maps of 0 -> Hom_R -> Hom_Z -> Hom_Z -> Ext^1_R -> Ext^1_Z ->
-    Ext^1_Z -> Ext^2_R -> 0 between canonical groups, for exactness checks."""
-    n, m = t.v.group.ngens, t.w.group.ngens
-    r = t.total.res.cols
-
-    # connecting Hom_Z -> Ext^1_R: phi |-> class of (phi, 0) in H^1
-    images = [t.ext1_r_data.coords(vec(b.matrix) + [0] * (r * m)) for b in t.hom_h.basis]
-    conn = canonical_morphism(t.hom_h.group, t.ext1_r, images)
-
-    # restriction Ext^1_R -> Ext^1_Z: class of (psi, chi) |-> class of chi
-    images = [t.ext_e.coords(unvec(amb[n * m:], m, r)) for amb in t.ext1_r_data.basis_reps]
-    res = canonical_morphism(t.ext1_r, t.ext_e.group, images)
-
-    # projection Ext^1_Z -> Ext^2_R
-    ke = len(t.ext_e.group.invariant_factors)
-    images = [t.ext2.coker.coords([1 if i == j else 0 for i in range(ke)]) for j in range(ke)]
-    proj = canonical_morphism(t.ext_e.group, t.ext2.group, images)
-
-    return {
-        "hom_incl": t.hom_r_incl,
-        "phi_h": t.phi_h,
-        "connecting": conn,
-        "restriction": res,
-        "phi_e": t.phi_e,
-        "projection": proj,
-    }
 
 
 # ---------------------------------------------------------------------------

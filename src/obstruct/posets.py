@@ -6,17 +6,20 @@ down to x witnesses y >= x.  A unique path space is a poset in which that
 chain is unique for every comparable pair.
 
 The incidence algebra Z[X] is free on the comparable pairs; for unique path
-spaces it is the integral path algebra of the Hasse quiver, and it has an
-explicit length-one projective bimodule resolution which is materialized and
-checked here on marked-path bases.
+spaces it is the integral path algebra of the Hasse quiver, with an
+explicit length-one projective bimodule resolution.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .intlinalg import ExactArithmeticError, IntMatrix, kernel_basis, lattices_equal, matrix_rank
+from .intlinalg import ExactArithmeticError
+
+__all__ = [
+    "FinitePoset", "is_unique_path_space", "point_poset", "sierpinski_poset", "chain_poset",
+    "antichain_poset", "diamond_poset", "all_posets_up_to_iso",
+]
 
 
 class FinitePoset:
@@ -36,7 +39,10 @@ class FinitePoset:
         for i in range(n):
             rel[i][i] = True
         for a, b in leq_pairs:
-            rel[self.index[a]][self.index[b]] = True
+            try:
+                rel[self.index[a]][self.index[b]] = True
+            except KeyError as exc:
+                raise ValueError(f"pair {(a, b)!r} names an unknown point {exc.args[0]!r}") from None
         # transitive closure
         for k in range(n):
             for i in range(n):
@@ -175,82 +181,6 @@ def is_unique_path_space(x: FinitePoset):
         if len(chains) == 0:
             raise ExactArithmeticError("comparable pair without a Hasse chain")
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# Incidence algebra and its bimodule resolution (unique path spaces)
-# ---------------------------------------------------------------------------
-
-
-def hasse_paths(x: FinitePoset):
-    """All downward Hasse paths (as point tuples), including length zero."""
-    paths = [(p,) for p in x.points]
-    frontier = list(paths)
-    while frontier:
-        new = []
-        for path in frontier:
-            for child in x.hasse_children(path[-1]):
-                new.append(path + (child,))
-        paths.extend(new)
-        frontier = new
-    return paths
-
-
-@dataclass
-class BimoduleResolutionReport:
-    poset_points: list
-    algebra_rank: int
-    middle_module_rank: int
-    left_module_rank: int
-    middle_map_rank: int
-    left_map_rank: int
-    exact: bool
-
-
-def verify_bimodule_resolution(x: FinitePoset) -> BimoduleResolutionReport:
-    """Materialize 0 -> (sum over arrows) -> (sum over points) -> Z[X] -> 0
-    on marked-path bases and verify exactness by integer linear algebra.
-
-    Basis of Z[X]: downward Hasse paths (for a unique path space these are
-    the comparable pairs).  Middle: paths with one marked vertex.  Left:
-    paths with two consecutive marked vertices.  The right map forgets the
-    mark; the left map sends a doubly marked path to the difference of its
-    two single markings.
-    """
-    ups, witness = is_unique_path_space(x)
-    if not ups:
-        raise ValueError(f"not a unique path space; two chains: {witness}")
-
-    paths = hasse_paths(x)
-    path_index = {p: i for i, p in enumerate(paths)}
-    middle = [(p, l) for p in paths for l in range(len(p))]
-    middle_index = {m: i for i, m in enumerate(middle)}
-    left = [(p, l) for p in paths for l in range(len(p) - 1)]
-
-    # right map: forget the marked position
-    mu = IntMatrix.zeros(len(paths), len(middle))
-    for j, (p, _l) in enumerate(middle):
-        mu.data[path_index[p]][j] += 1
-
-    # left map: doubly marked (l, l+1) |-> marked l minus marked l+1
-    lam = IntMatrix.zeros(len(middle), len(left))
-    for j, (p, l) in enumerate(left):
-        lam.data[middle_index[(p, l)]][j] += 1
-        lam.data[middle_index[(p, l + 1)]][j] -= 1
-
-    # exactness: mu surjective onto Z^paths, ker(mu) = im(lam), lam injective
-    surjective = lattices_equal(mu, IntMatrix.identity(len(paths)))
-    middle_exact = lattices_equal(kernel_basis(mu), lam)
-    injective = kernel_basis(lam).cols == 0
-    return BimoduleResolutionReport(
-        poset_points=list(x.points),
-        algebra_rank=len(paths),
-        middle_module_rank=len(middle),
-        left_module_rank=len(left),
-        middle_map_rank=matrix_rank(mu),
-        left_map_rank=matrix_rank(lam),
-        exact=surjective and middle_exact and injective,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,13 @@ from .intlinalg import (
 )
 from .posets import FinitePoset, is_unique_path_space
 
+__all__ = [
+    "QuiverRep", "RepMorphism", "ExactnessError", "resolve_projective", "HomComplex",
+    "ext_poset", "sierpinski_ext2", "ext_poset_ups_oracle", "TwoExtension", "Ext2Class",
+    "yoneda_class", "transport_class", "ext2_compatible", "rep_iso_bounded_multi",
+    "baer_sum",
+]
+
 
 class ExactnessError(ValueError):
     """A sequence that must be exact is not; names the failing node."""
@@ -273,9 +280,6 @@ class ProjectiveRep:
                                       if self.poset.leq(z, p)]
         return idx
 
-    def rank_at(self, z):
-        return len(self.indices_at(z))
-
     @property
     def num_gens(self):
         return len(self.gen_points)
@@ -309,25 +313,26 @@ class ProjIntoRep:
     source: ProjectiveRep
     target: QuiverRep
     vectors: list  # vectors[i] lives in Z^(target group at gen_points[i])
-    # z -> point_matrix(z), built once, so the cover check and the
-    # resolution read one matrix
-    _point_matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # z -> point_morphism(z), built once, so the cover check and the
+    # resolution read one morphism
+    _point_morphisms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def point_matrix(self, z) -> IntMatrix:
-        m = self._point_matrices.get(z)
-        if m is None:
+    def point_morphism(self, z) -> GroupMorphism:
+        """The map at z, from the free group on the generators above z."""
+        f = self._point_morphisms.get(z)
+        if f is None:
             cols = []
             for i in self.source.indices_at(z):
                 t = self.target.transport(self.source.gen_points[i], z)
                 cols.append(t.matrix.apply(self.vectors[i]))
-            m = self._point_matrices[z] = IntMatrix.from_columns(
-                cols, rows=self.target.groups[z].ngens)
-        return m
+            target = self.target.groups[z]
+            f = self._point_morphisms[z] = GroupMorphism(
+                FgAbGroup.free(len(cols)), target,
+                IntMatrix.from_columns(cols, rows=target.ngens), trusted=True)
+        return f
 
-    def point_morphism(self, z) -> GroupMorphism:
-        """The map at z, from the free group on the generators above z."""
-        m = self.point_matrix(z)
-        return GroupMorphism(FgAbGroup.free(m.cols), self.target.groups[z], m, trusted=True)
+    def point_matrix(self, z) -> IntMatrix:
+        return self.point_morphism(z).matrix
 
     def is_surjective(self):
         return all(self.point_morphism(p).is_surjective() for p in self.source.poset.points)

@@ -102,6 +102,11 @@ from .intlinalg import (
 )
 from .laurent import validate_ck_matrix
 
+__all__ = [
+    "ShiftEqResult", "verify_shift_equivalence", "distinguishing_invariant",
+    "shift_equivalent",
+]
+
 
 @dataclass
 class ShiftEqResult:
@@ -110,12 +115,6 @@ class ShiftEqResult:
     s: IntMatrix = None
     lag: int = 0
     invariant: str = ""
-
-    def witness_for_swapped(self):
-        """yes(R, S, l) for (A, B) certifies (B, A) with the roles swapped."""
-        if self.verdict != "yes":
-            raise ValueError("no witness to swap")
-        return ShiftEqResult("yes", r=self.s, s=self.r, lag=self.lag)
 
 
 def verify_shift_equivalence(a, b, r, s, lag):

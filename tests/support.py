@@ -1,0 +1,146 @@
+"""Constructions that only the tests use, kept out of the package.
+
+* `induced_map`: the map a morphism induces on Hom or Ext^1, by functor;
+* `six_term_maps`: the maps of the six-term sequence behind `ext_r_fg`;
+* `verify_bimodule_resolution`: the marked-path resolution of the
+  incidence algebra of a unique path space, checked exact by integer
+  linear algebra (an oracle for the UPS route).
+"""
+
+from dataclasses import dataclass
+
+from obstruct.abelian import FgAbGroup, GroupMorphism, canonical_morphism, ext1_induced, ext1_z, hom_z
+from obstruct.intlinalg import IntMatrix, kernel_basis, lattices_equal, matrix_rank, unvec, vec
+from obstruct.posets import FinitePoset, is_unique_path_space
+
+
+def _hom_induced(pre, post, hsrc, htgt):
+    """Map Hom(V,W) -> Hom(V',W') sending b to post∘b∘pre, in canonical coords."""
+    images = []
+    for b in hsrc.basis:
+        g = b
+        if pre is not None:
+            g = g @ pre
+        if post is not None:
+            g = post @ g
+        images.append(htgt.coords(g))
+    return canonical_morphism(hsrc.group, htgt.group, images)
+
+
+def induced_map(f: GroupMorphism, functor: str, other: FgAbGroup) -> GroupMorphism:
+    """Induced map on Hom/Ext^1 in canonical coordinates.
+
+    functor: 'hom-covariant'      Hom(other, src) -> Hom(other, tgt)
+             'hom-contravariant'  Hom(tgt, other) -> Hom(src, other)
+             'ext1-covariant'     Ext^1(other, src) -> Ext^1(other, tgt)
+             'ext1-contravariant' Ext^1(tgt, other) -> Ext^1(src, other)
+    """
+    if functor == "hom-covariant":
+        return _hom_induced(None, f, hom_z(other, f.source), hom_z(other, f.target))
+    if functor == "hom-contravariant":
+        return _hom_induced(f, None, hom_z(f.target, other), hom_z(f.source, other))
+    if functor == "ext1-covariant":
+        return ext1_induced(None, f, ext1_z(other, f.source), ext1_z(other, f.target))
+    if functor == "ext1-contravariant":
+        return ext1_induced(f, None, ext1_z(f.target, other), ext1_z(f.source, other))
+    raise ValueError(f"unknown functor {functor!r}")
+
+
+def six_term_maps(t):
+    """The maps of 0 -> Hom_R -> Hom_Z -> Hom_Z -> Ext^1_R -> Ext^1_Z ->
+    Ext^1_Z -> Ext^2_R -> 0 between canonical groups, for an `ExtRTriple`."""
+    n, m = t.v.group.ngens, t.w.group.ngens
+    r = t.total.res.cols
+
+    # connecting Hom_Z -> Ext^1_R: phi |-> class of (phi, 0) in H^1
+    images = [t.ext1_r_data.coords(vec(b.matrix) + [0] * (r * m)) for b in t.hom_h.basis]
+    conn = canonical_morphism(t.hom_h.group, t.ext1_r, images)
+
+    # restriction Ext^1_R -> Ext^1_Z: class of (psi, chi) |-> class of chi
+    images = [t.ext_e.coords(unvec(amb[n * m:], m, r)) for amb in t.ext1_r_data.basis_reps]
+    res = canonical_morphism(t.ext1_r, t.ext_e.group, images)
+
+    # projection Ext^1_Z -> Ext^2_R
+    ke = len(t.ext_e.group.invariant_factors)
+    images = [t.ext2.coker.coords([1 if i == j else 0 for i in range(ke)]) for j in range(ke)]
+    proj = canonical_morphism(t.ext_e.group, t.ext2.group, images)
+
+    return {
+        "hom_incl": t.hom_r_incl,
+        "phi_h": t.phi_h,
+        "connecting": conn,
+        "restriction": res,
+        "phi_e": t.phi_e,
+        "projection": proj,
+    }
+
+
+def hasse_paths(x: FinitePoset):
+    """All downward Hasse paths (as point tuples), including length zero."""
+    paths = [(p,) for p in x.points]
+    frontier = list(paths)
+    while frontier:
+        new = []
+        for path in frontier:
+            for child in x.hasse_children(path[-1]):
+                new.append(path + (child,))
+        paths.extend(new)
+        frontier = new
+    return paths
+
+
+@dataclass
+class BimoduleResolutionReport:
+    poset_points: list
+    algebra_rank: int
+    middle_module_rank: int
+    left_module_rank: int
+    middle_map_rank: int
+    left_map_rank: int
+    exact: bool
+
+
+def verify_bimodule_resolution(x: FinitePoset) -> BimoduleResolutionReport:
+    """Materialize 0 -> (sum over arrows) -> (sum over points) -> Z[X] -> 0
+    on marked-path bases and verify exactness by integer linear algebra.
+
+    Basis of Z[X]: downward Hasse paths (for a unique path space these are
+    the comparable pairs).  Middle: paths with one marked vertex.  Left:
+    paths with two consecutive marked vertices.  The right map forgets the
+    mark; the left map sends a doubly marked path to the difference of its
+    two single markings.
+    """
+    ups, witness = is_unique_path_space(x)
+    if not ups:
+        raise ValueError(f"not a unique path space; two chains: {witness}")
+
+    paths = hasse_paths(x)
+    path_index = {p: i for i, p in enumerate(paths)}
+    middle = [(p, l) for p in paths for l in range(len(p))]
+    middle_index = {m: i for i, m in enumerate(middle)}
+    left = [(p, l) for p in paths for l in range(len(p) - 1)]
+
+    # right map: forget the marked position
+    mu = IntMatrix.zeros(len(paths), len(middle))
+    for j, (p, _l) in enumerate(middle):
+        mu.data[path_index[p]][j] += 1
+
+    # left map: doubly marked (l, l+1) |-> marked l minus marked l+1
+    lam = IntMatrix.zeros(len(middle), len(left))
+    for j, (p, l) in enumerate(left):
+        lam.data[middle_index[(p, l)]][j] += 1
+        lam.data[middle_index[(p, l + 1)]][j] -= 1
+
+    # exactness: mu surjective onto Z^paths, ker(mu) = im(lam), lam injective
+    surjective = lattices_equal(mu, IntMatrix.identity(len(paths)))
+    middle_exact = lattices_equal(kernel_basis(mu), lam)
+    injective = kernel_basis(lam).cols == 0
+    return BimoduleResolutionReport(
+        poset_points=list(x.points),
+        algebra_rank=len(paths),
+        middle_module_rank=len(middle),
+        left_module_rank=len(left),
+        middle_map_rank=matrix_rank(mu),
+        left_map_rank=matrix_rank(lam),
+        exact=surjective and middle_exact and injective,
+    )

@@ -1,14 +1,17 @@
-"""Every name the benchmark imports from the package must exist.
+"""Every name the benchmark imports from the package must exist and be
+declared.
 
 bench/*.py import functions such as `unit_image_under` and `xk_invariant`
 from `obstruct.*`, and reach others through an imported module, such as
 `graphs.unit_compare`; a renamed or deleted one would only fail when the
-benchmark runs.  The files are read with `ast`; the benchmark is not run or
-imported.
+benchmark runs.  Each must also be in its module's `__all__`, so that no
+cleanup of undeclared names can remove it.  The files are read with `ast`;
+the benchmark is not run or imported.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -54,14 +57,16 @@ def test_scanner_reads_imports_and_module_attributes():
 def test_every_name_the_benchmark_imports_resolves():
     files = sorted(BENCH.glob("*.py"))
     assert files
-    missing, found = [], 0
+    missing, undeclared, found = [], [], 0
     for path in files:
         for line, module, name in _bench_references(ast.parse(path.read_text(), str(path))):
             found += 1
             try:
                 target = importlib.import_module(module)
-                if name is not None:
-                    _resolve(target, name)
+                if name is not None and not inspect.ismodule(_resolve(target, name)) \
+                        and name not in target.__all__:
+                    undeclared.append(f"{path.name}:{line} {module}.{name}")
             except (ImportError, AttributeError):
                 missing.append(f"{path.name}:{line} {module}.{name or ''}")
     assert found and not missing, f"unresolved names in bench/: {missing}"
+    assert not undeclared, f"names bench/ reads that are not in __all__: {undeclared}"

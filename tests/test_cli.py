@@ -2,12 +2,14 @@
 tests/fixtures, in a subprocess."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import obstruct.cli
 from obstruct.intlinalg import IntMatrix
 from obstruct.shifteq import verify_shift_equivalence
 from test_bench_imports import BENCH, _bench_references
@@ -73,3 +75,14 @@ def test_benchmark_does_not_import_the_cli():
         tree = ast.parse(path.read_text(), str(path))
         for line, module, name in _bench_references(tree):
             assert "cli" not in (module.split(".") + [name]), f"{path.name}:{line}"
+
+
+def test_every_name_the_cli_imports_is_declared():
+    tree = ast.parse(pathlib.Path(obstruct.cli.__file__).read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert imported
+    for module, name in imported:
+        assert name in importlib.import_module(f"obstruct.{module}").__all__, (module, name)
+    assert obstruct.cli.__all__ == ["main"]

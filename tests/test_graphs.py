@@ -110,6 +110,11 @@ def test_unit_compare_heavy_torsion_pair_within_a_small_budget():
     assert unit_compare(g, h, budget=64).verdict == "yes"
 
 
+def test_an_edge_naming_an_unknown_vertex_is_a_named_error():
+    with pytest.raises(ValueError, match="unknown vertex 'w'"):
+        DirectedGraph(["u", "v"], [("u", "v"), ("v", "w", 2)])
+
+
 def test_empty_graph_is_a_named_error():
     e = DirectedGraph([], [])
     with pytest.raises(ExactArithmeticError, match="empty primitive ideal space"):

@@ -1,11 +1,20 @@
-"""Every private module-level function or class of the package is read by it.
+"""Every module-level function or class of the package is declared or read.
 
-An `ast` scan of `src/obstruct`: a function or class defined at module
-level with a name starting with `_` must be read somewhere in the package,
-as a bare name or as an attribute (`module._name`).  Reads from the tests
-do not count, so a helper only the tests call shows up here.  The one
-exception is `shifteq._eventual_invariant_general`, the general route the
-tests check the closed-form invariant against."""
+An `ast` scan of `src/obstruct`, with three rules:
+
+* a private function or class (name starting with `_`) must be read
+  somewhere in the package, as a bare name or as an attribute
+  (`module._name`).  The one exception is
+  `shifteq._eventual_invariant_general`, the general route the tests check
+  the closed-form invariant against;
+* a public function or class must be named in its module's `__all__`, or
+  be read in the package outside its own definition;
+* every module that defines a function or class has an `__all__`, and
+  each of its entries is a function, class or assignment of that module,
+  not an import.
+
+Reads from the tests do not count, so a helper only the tests call shows
+up here; such helpers live in `tests/support.py`."""
 
 import ast
 import pathlib
@@ -14,6 +23,27 @@ import obstruct
 
 PACKAGE = pathlib.Path(obstruct.__file__).parent
 ALLOWED = {"shifteq._eventual_invariant_general"}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_read(tree):
+    """Names loaded in `tree`, as bare names or as attributes."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def _declared(tree):
+    """The entries of the module's `__all__`, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
 
 
 def _unread_privates(trees):
@@ -23,17 +53,46 @@ def _unread_privates(trees):
         f"{module}.{node.name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        if isinstance(node, DEFS) and node.name.startswith("_")
     ]
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = set().union(*map(_names_read, trees.values()))
     return sorted(name for name in defined if name.split(".", 1)[1] not in read)
+
+
+def _undeclared_publics(trees):
+    """Sorted `module.name` of the public module-level functions and classes
+    that are not in their module's `__all__` and that no other module-level
+    statement of the package reads."""
+    readers = [(node, _names_read(node)) for tree in trees.values() for node in tree.body]
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, DEFS) and not node.name.startswith("_")
+        and node.name not in (_declared(tree) or ())
+        and not any(node.name in read for other, read in readers if other is not node)
+    )
+
+
+def _undefined_exports(trees):
+    """Sorted `module.name` of the `__all__` entries that their module does
+    not define, and `module.__all__` for a module that defines a function
+    or class but has no `__all__`."""
+    missing = []
+    for module, tree in trees.items():
+        declared = _declared(tree)
+        if declared is None:
+            if any(isinstance(node, DEFS) for node in tree.body):
+                missing.append(f"{module}.__all__")
+            continue
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, DEFS):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        missing.extend(f"{module}.{name}" for name in declared if name not in defined)
+    return sorted(missing)
 
 
 def test_scanner_flags_an_unread_private():
@@ -55,8 +114,53 @@ def test_scanner_flags_an_unread_private():
     assert _unread_privates(trees) == ["a._unread", "b._stored"]
 
 
-def test_no_unused_privates():
+def test_scanner_flags_an_undeclared_unread_public():
+    trees = {
+        "a": ast.parse("__all__ = ['entry']\n"
+                       "def entry():\n    return helper()\n"
+                       "def helper():\n    pass\n"
+                       "def recursive(n):\n    return recursive(n - 1)\n"
+                       "def unread():\n    pass\n"
+                       "class Used:\n    def method(self):\n        pass\n"),
+        "b": ast.parse("from .a import Used\n"
+                       "__all__ = []\n"
+                       "def stored():\n    pass\n"
+                       "x = Used().method()\n"),
+        "c": ast.parse("from . import b\n"
+                       "b.stored = None\n"),
+    }
+    # reads by the name's own definition, and attribute stores, do not count
+    assert _undeclared_publics(trees) == ["a.recursive", "a.unread", "b.stored"]
+
+
+def test_scanner_flags_an_undefined_export():
+    trees = {
+        "a": ast.parse("from .b import g\n"
+                       "__all__ = ['f', 'g', 'C', 'K', 'gone']\n"
+                       "def f():\n    pass\n"
+                       "class C:\n    pass\n"
+                       "K = 1\n"),
+        "b": ast.parse("def g():\n    pass\n"),
+        "__init__": ast.parse(""),
+    }
+    # an imported name is not defined by the module that imports it
+    assert _undefined_exports(trees) == ["a.g", "a.gone", "b.__all__"]
+
+
+def _package_trees():
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert len(trees) > 2
-    assert set(_unread_privates(trees)) == ALLOWED
+    return trees
+
+
+def test_no_unused_privates():
+    assert set(_unread_privates(_package_trees())) == ALLOWED
+
+
+def test_every_public_name_is_declared_or_read():
+    assert _undeclared_publics(_package_trees()) == []
+
+
+def test_every_declared_name_is_defined():
+    assert _undefined_exports(_package_trees()) == []

@@ -6,12 +6,12 @@ from obstruct.posets import (
     antichain_poset,
     chain_poset,
     diamond_poset,
-    hasse_paths,
     is_unique_path_space,
     point_poset,
     sierpinski_poset,
-    verify_bimodule_resolution,
 )
+
+from support import hasse_paths, verify_bimodule_resolution
 
 
 def test_partial_order_validation():
@@ -19,6 +19,11 @@ def test_partial_order_validation():
         FinitePoset(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(ValueError):
         FinitePoset(["a", "a"], [])
+
+
+def test_a_pair_naming_an_unknown_point_is_a_named_error():
+    with pytest.raises(ValueError, match="unknown point 'c'"):
+        FinitePoset(["a", "b"], [("a", "c")])
 
 
 def test_hasse_arrows_of_chain():

@@ -122,10 +122,12 @@ def test_conjugate_pairs_are_yes():
 
 
 def test_witness_symmetry():
+    # yes(R, S, l) for (A, B) certifies (B, A) with the roles of R and S swapped
     a = IntMatrix.from_rows([[1, 1], [1, 0]])
-    res = shift_equivalent(a, a)
-    swapped = res.witness_for_swapped()
-    assert verify_shift_equivalence(a, a, swapped.r, swapped.s, swapped.lag)
+    b = IntMatrix.from_rows([[0, 1], [1, 1]])
+    res = shift_equivalent(a, b)
+    assert res.verdict == "yes"
+    assert verify_shift_equivalence(b, a, res.s, res.r, res.lag)
 
 
 def test_charpoly_away_from_zero():

@@ -1,4 +1,5 @@
-"""Every function that bench/tracer.py wraps must exist in the package.
+"""Every function that bench/tracer.py wraps must exist in the package, and
+it or its class must be in the module's `__all__`.
 
 The tracer resolves SPANS by name when a traced run starts, so a renamed or
 deleted function would only fail there.  SPANS is read with `ast`; the
@@ -33,3 +34,4 @@ def test_every_traced_function_resolves():
             assert meth in vars(getattr(module, cls_name)), name
         else:
             assert callable(getattr(module, path, None)), name
+        assert path.split(".")[0] in module.__all__, name
