@@ -12,6 +12,11 @@ the one `ext1_induced` builds from a pair of morphisms, is computed on the
 nose in canonical coordinates (`canonical_morphism`) rather than up to
 isomorphism.
 
+A direct sum of presented groups has one layout, `DirectSum`: generators
+concatenated in summand order, relations block-diagonal.  Hom_Z(V, W) and
+the Ext^1_Z cocycles live on powers W^n of it, with vec(f) (column-major)
+as the vector of W^n holding the columns of f in order.
+
 Injective, surjective, bijective and exact are decided by one Hopfian test
 on invariant factors, never by building a kernel or cokernel group.  With
 f: Z^n/R -> Z^m/S, its image lattice I = im f + S and its preimage lattice
@@ -44,8 +49,8 @@ from .intlinalg import (
 )
 
 __all__ = [
-    "FgAbGroup", "GroupMorphism", "IllDefinedMorphism", "hom_z", "ext1_z", "homology_at",
-    "eventual_image", "torsion_subgroup",
+    "FgAbGroup", "GroupMorphism", "DirectSum", "IllDefinedMorphism", "hom_z", "ext1_z",
+    "homology_at", "eventual_image", "torsion_subgroup",
 ]
 
 
@@ -416,10 +421,54 @@ def homology_at(f: GroupMorphism | None, g: GroupMorphism | None, middle=None) -
 # ---------------------------------------------------------------------------
 
 
-def _power_group(w: FgAbGroup, copies: int) -> FgAbGroup:
-    """W^copies with block-diagonal relations; generators grouped per copy."""
-    rel = IntMatrix.identity(copies).kron(w.relations)
-    return FgAbGroup(copies * w.ngens, rel)
+class DirectSum:
+    """The direct sum of presented groups, in the one layout every sum uses:
+    the summands' generators concatenated in summand order, their relations
+    block-diagonal.  W^n is DirectSum([W] * n), whose relations are
+    kron(I_n, R_W).  A vector of the sum is the concatenation of one vector
+    per summand; `offsets[i]` is where summand i starts."""
+
+    __slots__ = ("summands", "offsets", "group")
+
+    def __init__(self, summands):
+        self.summands = list(summands)
+        self.offsets = []
+        n = 0
+        for g in self.summands:
+            self.offsets.append(n)
+            n += g.ngens
+        rel = IntMatrix.block_diag([g.relations for g in self.summands], rows=n, cols=0)
+        self.group = FgAbGroup(n, rel)
+
+    def split(self, vec):
+        """The parts of a vector of the sum, one per summand."""
+        return [vec[o:o + g.ngens] for o, g in zip(self.offsets, self.summands)]
+
+    def join(self, parts):
+        """The vector of the sum with the given parts, one per summand."""
+        if len(parts) != len(self.summands):
+            raise ValueError(f"{len(parts)} parts given, expected {len(self.summands)}, "
+                             "one per summand")
+        out = []
+        for i, (part, g) in enumerate(zip(parts, self.summands)):
+            if len(part) != g.ngens:
+                raise ValueError(f"part {i}, {part}, does not live in the group of summand {i}, "
+                                 f"on {g.ngens} generators")
+            out.extend(part)
+        return out
+
+    def injection(self, i) -> GroupMorphism:
+        """Summand i -> the sum."""
+        g, o = self.summands[i], self.offsets[i]
+        m = IntMatrix.zeros(self.group.ngens, g.ngens)
+        for k in range(g.ngens):
+            m.data[o + k][k] = 1
+        return GroupMorphism(g, self.group, m, trusted=True)
+
+    def projection(self, i) -> GroupMorphism:
+        """The sum -> summand i."""
+        return GroupMorphism(self.group, self.summands[i], self.injection(i).matrix.transpose(),
+                             trusted=True)
 
 
 class HomGroup:
@@ -429,11 +478,12 @@ class HomGroup:
         self.source = source
         self.target = target
         n, m = source.ngens, target.ngens
-        ambient = _power_group(target, n)
+        ambient = DirectSum([target] * n).group
         if source.relations.cols:
             # N |-> N @ R_V lands in W^(#relations); vec form is kron(R^T, I)
             gmat = source.relations.transpose().kron(IntMatrix.identity(m))
-            g = GroupMorphism(ambient, _power_group(target, source.relations.cols), gmat, trusted=True)
+            g = GroupMorphism(ambient, DirectSum([target] * source.relations.cols).group, gmat,
+                              trusted=True)
         else:
             g = None
         self.data = homology_at(None, g, middle=ambient)
@@ -470,10 +520,10 @@ class Ext1Group:
         self.res = lattice_basis(source.relations)  # n x r, injective
         n, m = source.ngens, target.ngens
         r = self.res.cols
-        ambient = _power_group(target, r)
+        ambient = DirectSum([target] * r).group
         if n:
             fmat = self.res.transpose().kron(IntMatrix.identity(m))
-            f = GroupMorphism(_power_group(target, n), ambient, fmat, trusted=True)
+            f = GroupMorphism(DirectSum([target] * n).group, ambient, fmat, trusted=True)
         else:
             f = None
         self.data = homology_at(f, None, middle=ambient)
@@ -550,25 +600,6 @@ def ext1_induced(pre: GroupMorphism | None, post: GroupMorphism | None,
 # ---------------------------------------------------------------------------
 # Helpers used across modules and tests
 # ---------------------------------------------------------------------------
-
-
-def direct_sum(groups):
-    """(G, injections, projections) for a finite direct sum."""
-    n = sum(g.ngens for g in groups)
-    rel = IntMatrix.block_diag([g.relations for g in groups], rows=n, cols=0)
-    total = FgAbGroup(n, rel)
-    injections, projections = [], []
-    offset = 0
-    for g in groups:
-        inj = IntMatrix.zeros(n, g.ngens)
-        proj = IntMatrix.zeros(g.ngens, n)
-        for i in range(g.ngens):
-            inj.data[offset + i][i] = 1
-            proj.data[i][offset + i] = 1
-        injections.append(GroupMorphism(g, total, inj, trusted=True))
-        projections.append(GroupMorphism(total, g, proj, trusted=True))
-        offset += g.ngens
-    return total, injections, projections
 
 
 def image_subgroup(f: GroupMorphism):

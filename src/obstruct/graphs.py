@@ -97,7 +97,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .abelian import FgAbGroup, GroupMorphism
+from .abelian import DirectSum, FgAbGroup, GroupMorphism
 from .intlinalg import (
     ExactArithmeticError,
     IntMatrix,
@@ -549,37 +549,17 @@ def xk_invariant(e: DirectedGraph) -> XKInvariant:
     return inv
 
 
-def _block_offsets(rep: QuiverRep):
-    """(offsets, total): where each point's generators start in the direct
-    sum of the point groups, and its number of generators."""
-    offsets = {}
-    acc = 0
-    for p in rep.poset.points:
-        offsets[p] = acc
-        acc += rep.groups[p].ngens
-    return offsets, acc
-
-
 def _colimit_of_rep(rep: QuiverRep):
-    """The colimit over the poset, coker(sum over arrows of (include -
-    identity)), presented on the direct sum of the point groups."""
-    poset = rep.poset
-    offsets, acc = _block_offsets(rep)
-    rel_blocks = [IntMatrix.block_diag([rep.groups[p].relations for p in poset.points],
-                                       rows=acc, cols=0)]
-    cols = []
-    for y, x in poset.hasse_arrows:
-        m = rep.arrow_map(y, x).matrix
-        for j in range(rep.groups[y].ngens):
-            col = [0] * acc
-            col[offsets[y] + j] -= 1
-            for i in range(rep.groups[x].ngens):
-                col[offsets[x] + i] += m.data[i][j]
-            cols.append(col)
-    rel = rel_blocks[0]
-    if cols:
-        rel = rel.hstack(IntMatrix.from_columns(cols, rows=acc))
-    return FgAbGroup(acc, rel)
+    """(colim, s): the colimit over the poset, coker(sum over arrows y -> x
+    of (in_x a - in_y)), presented on s, the `DirectSum` of the point groups
+    in point order."""
+    points = rep.poset.points
+    s = DirectSum([rep.groups[p] for p in points])
+    rel = s.group.relations
+    for y, x in rep.poset.hasse_arrows:
+        in_y, in_x = (s.injection(rep.poset.index[p]).matrix for p in (y, x))
+        rel = rel.hstack(in_x @ rep.arrow_map(y, x).matrix - in_y)
+    return FgAbGroup(s.group.ngens, rel), s
 
 
 def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
@@ -613,7 +593,7 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
                                        "XK0 at the least point is not presented as K0")
         return k0, k0.canon_coords(ones), {x0: ones}
     k0 = FgAbGroup(n, d)
-    colim = _colimit_of_rep(xk0)
+    colim, points_sum = _colimit_of_rep(xk0)
     nat = IntMatrix.zeros(n, 0)
     for p in poset.points:
         nat = nat.hstack(_restriction_matrix(e, ideals.vertex_sets[p], e.vertices))
@@ -629,9 +609,7 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     xi = factor_through(nat, IntMatrix.from_columns([ones]), k0.relations)
     if xi is None:
         raise ExactArithmeticError("unit must lift through the colimit comparison")
-    xi = xi.column(0)
-    offsets, _ = _block_offsets(xk0)
-    lift = {p: xi[offsets[p]:offsets[p] + xk0.groups[p].ngens] for p in poset.points}
+    lift = dict(zip(poset.points, points_sum.split(xi.column(0))))
     return k0, k0.canon_coords(ones), lift
 
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abelian import (
+    DirectSum,
     FgAbGroup,
     GroupMorphism,
     Ext1Group,
     HomGroup,
     SearchOutcome,
     SubquotientData,
-    _power_group,
     canonical_morphism,
     eventual_image,
     ext1_induced,
@@ -205,9 +205,9 @@ class TotalComplex:
         x0 = v.x.matrix
         x1 = resolution_lift(v.x, b, b) if r else IntMatrix.zeros(0, 0)
         mxw = w.x.matrix
-        c0 = _power_group(w.group, n)
-        c1 = _power_group(w.group, n + r)
-        c2 = _power_group(w.group, r)
+        c0 = DirectSum([w.group] * n).group
+        c1 = DirectSum([w.group] * (n + r)).group
+        c2 = DirectSum([w.group] * r).group
         eye_n = IntMatrix.identity(n)
         eye_r = IntMatrix.identity(r)
         eye_m = IntMatrix.identity(m)
@@ -333,7 +333,7 @@ def _pres_operator_on_fg(t: IntMatrix, w: RModuleFg):
     """The map rho(f)_j = x_W f_j - sum_i T_ij f_i on W^n, flattened."""
     n, m = t.rows, w.group.ngens
     op = IntMatrix.identity(n).kron(w.x.matrix) - t.transpose().kron(IntMatrix.identity(m))
-    wn = _power_group(w.group, n)
+    wn = DirectSum([w.group] * n).group
     return GroupMorphism(wn, wn, op, trusted=True)
 
 

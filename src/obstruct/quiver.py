@@ -14,6 +14,10 @@ coordinates of its projective, never a representation, and each cover of it
 is checked onto it at every point.  Ext^n over the incidence algebra is the
 n-th cohomology of the Hom complex of such a resolution; on unique path
 spaces an independent route through the bimodule resolution is an oracle.
+Hom(P, W) is the direct sum of W(x_g) over the generators g of P
+(`abelian.DirectSum`), so a cochain, one vector of W per generator, is a
+vector of that sum, and precomposing it with a map of projectives is
+applying one matrix, the differential of the Hom complex.
 
 A two-step extension 0 -> M1 -> Q1 -> Q0 -> M0 -> 0 has a class in
 Ext^2(M0, M1): `yoneda_class` lifts the identity of M0 along a projective
@@ -27,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abelian import (
+    DirectSum,
     FgAbGroup,
     GroupMorphism,
     SearchOutcome,
     SubquotientData,
-    direct_sum,
     ext1_z,
     homology_at,
     is_exact_at,
@@ -62,7 +66,12 @@ class ExactnessError(ValueError):
 
 
 class QuiverRep:
-    """Groups per point plus maps along Hasse arrows."""
+    """Groups per point plus maps along Hasse arrows.
+
+    An arrow y -> x maps groups[y] to groups[x]; one built on other groups
+    of the same shape is rebuilt on these, where it must be well defined
+    (IllDefinedMorphism otherwise).  `check` asks for the coherence of chain
+    composites (`check_coherence`)."""
 
     def __init__(self, poset: FinitePoset, groups, arrows, check=True):
         self.poset = poset
@@ -72,9 +81,22 @@ class QuiverRep:
         for p in poset.points:
             if p not in self.groups:
                 raise ValueError(f"missing group at point {p!r}")
+        for p in self.groups:
+            if p not in poset.index:
+                raise ValueError(f"group given at {p!r}, which is not a point")
+        hasse = set(poset.hasse_arrows)
+        for key in self.arrows:
+            if key not in hasse:
+                raise ValueError(f"arrow map given for {key!r}, which is not a Hasse arrow")
         for y, x in poset.hasse_arrows:
             if (y, x) not in self.arrows:
                 raise ValueError(f"missing arrow map for {y!r} -> {x!r}")
+            f, src, tgt = self.arrows[(y, x)], self.groups[y], self.groups[x]
+            if f.source is not src or f.target is not tgt:
+                if (f.matrix.rows, f.matrix.cols) != (tgt.ngens, src.ngens):
+                    raise ValueError(f"arrow map for {y!r} -> {x!r} is {f.matrix.rows}x"
+                                     f"{f.matrix.cols}, expected {tgt.ngens}x{src.ngens}")
+                self.arrows[(y, x)] = GroupMorphism(src, tgt, f.matrix)
         if check:
             witness = self.check_coherence()
             if witness is not None:
@@ -228,32 +250,22 @@ def rep_cokernel(f: RepMorphism):
 
 
 def rep_direct_sum(reps):
+    """(V, injections, projections) for V the direct sum of `reps`: at each
+    point the `DirectSum` of their groups, along each arrow the block
+    diagonal of their arrow maps."""
     poset = reps[0].poset
-    groups, injections, projections = {}, {}, {}
-    for p in poset.points:
-        total, injs, projs = direct_sum([r.groups[p] for r in reps])
-        groups[p] = total
-        injections[p] = injs
-        projections[p] = projs
+    sums = {p: DirectSum([r.groups[p] for r in reps]) for p in poset.points}
     arrows = {}
     for y, x in poset.hasse_arrows:
-        arrows[(y, x)] = GroupMorphism(
-            groups[y], groups[x],
-            IntMatrix.block_diag(
-                [r.arrow_map(y, x).matrix for r in reps],
-                rows=groups[x].ngens, cols=groups[y].ngens,
-            ),
-            trusted=True,
-        )
-    total = QuiverRep(poset, groups, arrows, check=False)
-    injs = [
-        RepMorphism(r, total, {p: injections[p][i] for p in poset.points}, trusted=True)
-        for i, r in enumerate(reps)
-    ]
-    projs = [
-        RepMorphism(total, r, {p: projections[p][i] for p in poset.points}, trusted=True)
-        for i, r in enumerate(reps)
-    ]
+        src, tgt = sums[y].group, sums[x].group
+        mat = IntMatrix.block_diag([r.arrow_map(y, x).matrix for r in reps],
+                                   rows=tgt.ngens, cols=src.ngens)
+        arrows[(y, x)] = GroupMorphism(src, tgt, mat, trusted=True)
+    total = QuiverRep(poset, {p: s.group for p, s in sums.items()}, arrows, check=False)
+    injs = [RepMorphism(r, total, {p: s.injection(i) for p, s in sums.items()}, trusted=True)
+            for i, r in enumerate(reps)]
+    projs = [RepMorphism(total, r, {p: s.projection(i) for p, s in sums.items()}, trusted=True)
+             for i, r in enumerate(reps)]
     return total, injs, projs
 
 
@@ -511,38 +523,28 @@ def verify_resolution(res: ProjResolution):
 # ---------------------------------------------------------------------------
 
 
-def _hom_block_group(p: ProjectiveRep, w: QuiverRep) -> FgAbGroup:
-    """Hom(P, W) as a presented group: one block W_{x_g} per generator g."""
-    rels = [w.groups[x].relations for x in p.gen_points]
-    n = sum(w.groups[x].ngens for x in p.gen_points)
-    return FgAbGroup(n, IntMatrix.block_diag(rels, rows=n, cols=0))
+def _hom_sum(p: ProjectiveRep, w: QuiverRep) -> DirectSum:
+    """Hom(P, W) as the direct sum of W(x_g) over the generators g of P, in
+    generator order: a cochain, one vector of W per generator at its point,
+    is a vector of this sum."""
+    return DirectSum([w.groups[x] for x in p.gen_points])
 
 
-def _hom_block_offsets(p: ProjectiveRep, w: QuiverRep):
-    offsets = []
-    acc = 0
-    for x in p.gen_points:
-        offsets.append(acc)
-        acc += w.groups[x].ngens
-    return offsets, acc
-
-
-def _hom_differential(p_hi: ProjectiveRep, p_lo: ProjectiveRep, coeffs: IntMatrix,
-                      w: QuiverRep) -> IntMatrix:
-    """Matrix of Hom(P_lo, W) -> Hom(P_hi, W), psi |-> psi∘(coeffs map)."""
-    off_hi, dim_hi = _hom_block_offsets(p_hi, w)
-    off_lo, dim_lo = _hom_block_offsets(p_lo, w)
-    out = IntMatrix.zeros(dim_hi, dim_lo)
+def _hom_differential(p_hi: ProjectiveRep, hi: DirectSum, p_lo: ProjectiveRep, lo: DirectSum,
+                      coeffs: IntMatrix, w: QuiverRep) -> IntMatrix:
+    """Matrix of Hom(P_lo, W) -> Hom(P_hi, W), psi |-> psi∘(coeffs map),
+    between their `_hom_sum`s lo and hi: precomposition of a cochain."""
+    out = IntMatrix.zeros(hi.group.ngens, lo.group.ngens)
     for g_hi, x_hi in enumerate(p_hi.gen_points):
         for g_lo, x_lo in enumerate(p_lo.gen_points):
             c = coeffs.data[g_lo][g_hi]
             if c == 0:
                 continue
             t = w.transport(x_lo, x_hi).matrix
+            base = lo.offsets[g_lo]
             for i in range(t.rows):
-                row = out.data[off_hi[g_hi] + i]
+                row = out.data[hi.offsets[g_hi] + i]
                 trow = t.data[i]
-                base = off_lo[g_lo]
                 for j in range(t.cols):
                     if trow[j]:
                         row[base + j] += c * trow[j]
@@ -556,8 +558,8 @@ class HomComplex:
 
     resolution: ProjResolution
     w: QuiverRep
-    groups: list  # groups[i]: Hom(P_{low+i}, W)
-    diffs: list  # diffs[i]: groups[i] -> groups[i+1]
+    sums: list  # sums[i]: Hom(P_{low+i}, W), a `_hom_sum`
+    diffs: list  # diffs[i]: sums[i].group -> sums[i+1].group
     low: int = 0
 
     @classmethod
@@ -565,13 +567,14 @@ class HomComplex:
         """Hom(P_k, W) for k = low..degrees with the differentials between
         them.  Nothing is checked here: `cohomology_at` checks that the two
         differentials it reads compose to zero (`homology_at`)."""
-        groups = [_hom_block_group(res.projective_at(k), w) for k in range(low, degrees + 1)]
+        sums = [_hom_sum(res.projective_at(k), w) for k in range(low, degrees + 1)]
         diffs = []
         for i, k in enumerate(range(low, degrees)):
-            mat = _hom_differential(res.projective_at(k + 1), res.projective_at(k),
+            lo, hi = sums[i], sums[i + 1]
+            mat = _hom_differential(res.projective_at(k + 1), hi, res.projective_at(k), lo,
                                     res.diff_coeffs(k + 1), w)
-            diffs.append(GroupMorphism(groups[i], groups[i + 1], mat, trusted=True))
-        return cls(res, w, groups, diffs, low)
+            diffs.append(GroupMorphism(lo.group, hi.group, mat, trusted=True))
+        return cls(res, w, sums, diffs, low)
 
     def cohomology_at(self, n) -> SubquotientData:
         """H^n, read from degrees n - 1, n and n + 1 of the window."""
@@ -580,14 +583,15 @@ class HomComplex:
             raise ValueError(f"H^{n} reads degrees below the window, which starts at {self.low}")
         f = self.diffs[i - 1] if i >= 1 else None
         g = self.diffs[i] if i < len(self.diffs) else None
-        return homology_at(f, g, middle=self.groups[i])
+        return homology_at(f, g, middle=self.sums[i].group)
 
 
 class ExtPosetGroup:
     """Ext^n over the incidence algebra, with cochain-level coordinates.
 
     Cochains in degree n are one vector per generator of P_n, living in the
-    group of W at that generator's point.  The Hom complex is built in the
+    group of W at that generator's point; joined, they are a vector of
+    `sum`, the complex's Hom(P_n, W).  The Hom complex is built in the
     degrees n - 1, n and n + 1 only, which is all that H^n reads, against
     the given resolution or, without one, `resolve_projective` to length
     n + 1.
@@ -602,32 +606,22 @@ class ExtPosetGroup:
             resolution = resolve_projective(v, n + 1, rng)
         self.resolution = resolution
         self.complex = HomComplex.build(resolution, w, n + 1, low=max(n - 1, 0))
+        self.sum = self.complex.sums[n - self.complex.low]
         self.data = self.complex.cohomology_at(n)
         self.group = self.data.group
 
-    def _flatten(self, cochain):
-        out = []
-        for vec, x in zip(cochain, self.resolution.projective_at(self.n).gen_points):
+    def class_of_cochain(self, cochain):
+        """Canonical coordinates of the class of a cocycle; an entry that
+        does not live in the group at its generator's point is named with
+        that point."""
+        points = self.resolution.projective_at(self.n).gen_points
+        for vec, x in zip(cochain, points):
             if len(vec) != self.w.groups[x].ngens:
                 raise ValueError(f"cochain entry {vec} does not live in the group at {x!r}")
-            out.extend(vec)
-        return out
-
-    def _unflatten(self, flat):
-        p = self.resolution.projective_at(self.n)
-        out = []
-        pos = 0
-        for x in p.gen_points:
-            k = self.w.groups[x].ngens
-            out.append(flat[pos:pos + k])
-            pos += k
-        return out
-
-    def class_of_cochain(self, cochain):
-        return self.data.coords(self._flatten(cochain))
+        return self.data.coords(self.sum.join(cochain))
 
     def cochain_of_class(self, coords):
-        return self._unflatten(self.data.rep_of(coords))
+        return self.sum.split(self.data.rep_of(coords))
 
     def zero_class(self):
         return tuple(0 for _ in self.group.invariant_factors)
@@ -808,24 +802,6 @@ def _through(mor: RepMorphism):
     return lambda x: (mor.maps[x].matrix, mor.maps[x].target.relations)
 
 
-def _precompose(values, coeffs: IntMatrix, p_lo: ProjectiveRep, p_hi: ProjectiveRep,
-                rep: QuiverRep):
-    """values∘(P_hi -> P_lo): values holds one vector of rep per generator of
-    p_lo, at its point; the map has coefficient matrix coeffs.  One vector of
-    rep per generator of p_hi, at its point."""
-    out = []
-    for i, x in enumerate(p_hi.gen_points):
-        acc = [0] * rep.groups[x].ngens
-        for g, xg in enumerate(p_lo.gen_points):
-            c = coeffs.data[g][i]
-            if c == 0:
-                continue
-            moved = rep.transport(xg, x).matrix.apply(values[g])
-            acc = [a + c * b for a, b in zip(acc, moved)]
-        out.append(acc)
-    return out
-
-
 def _random_kernel_shift(mor: GroupMorphism, rng):
     """A random element of ker(mor) to vary lift choices."""
     b = mor.preimage_lattice_basis()
@@ -871,13 +847,17 @@ def _yoneda_cocycle(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) 
         phi0 = _shifted(phi0, p0.gen_points, ext.eps, rng)
 
     # phi1: P1 -> Q1 with d1∘phi1 = phi0∘(P1 -> P0)
-    phi1 = _factor_at_points(p1.gen_points, _precompose(phi0, res.diff_coeffs(1), p0, p1, ext.q0),
+    lo, hi = _hom_sum(p0, ext.q0), _hom_sum(p1, ext.q0)
+    pre = _hom_differential(p1, hi, p0, lo, res.diff_coeffs(1), ext.q0)
+    phi1 = _factor_at_points(p1.gen_points, hi.split(pre.apply(lo.join(phi0))),
                              _through(ext.d1), "boundary must lift through the middle map")
     if rng is not None:
         phi1 = _shifted(phi1, p1.gen_points, ext.d1, rng)
 
     # phi2: P2 -> M1 with d2∘phi2 = phi1∘(P2 -> P1); unique mod relations
-    phi2 = _factor_at_points(p2.gen_points, _precompose(phi1, res.diff_coeffs(2), p1, p2, ext.q1),
+    lo, hi = _hom_sum(p1, ext.q1), _hom_sum(p2, ext.q1)
+    pre = _hom_differential(p2, hi, p1, lo, res.diff_coeffs(2), ext.q1)
+    phi2 = _factor_at_points(p2.gen_points, hi.split(pre.apply(lo.join(phi1))),
                              _through(ext.d2), "cocycle value must exist by exactness")
 
     coords = ambient.class_of_cochain(phi2)
@@ -925,10 +905,10 @@ def transport_class(cls: Ext2Class, ambient_tgt: ExtPosetGroup) -> tuple:
 
 def _pullback_cochain(cls: Ext2Class, ambient_tgt: ExtPosetGroup, lifts):
     """Pull a degree-2 cochain back along a chain map (lifts in coefficients)."""
-    src_cochain = cls.ambient.cochain_of_class(cls.coords)
-    out = _precompose(src_cochain, lifts[2], cls.ambient.resolution.projective_at(2),
-                      ambient_tgt.resolution.projective_at(2), ambient_tgt.w)
-    return ambient_tgt.class_of_cochain(out)
+    src = cls.ambient
+    pre = _hom_differential(ambient_tgt.resolution.projective_at(2), ambient_tgt.sum,
+                            src.resolution.projective_at(2), src.sum, lifts[2], ambient_tgt.w)
+    return ambient_tgt.data.coords(pre.apply(src.data.rep_of(cls.coords)))
 
 
 def ext2_compatible(f: RepMorphism, c: Ext2Class, cprime: Ext2Class, g: RepMorphism) -> bool:

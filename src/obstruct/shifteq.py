@@ -281,14 +281,10 @@ def _l1_sphere(count, weight, cap):
 
 
 def _coefficient_vectors(count, bound, budget):
-    """Nonzero integer coefficient vectors by increasing L1 norm, capped."""
-    emitted = 0
-    for weight in range(1, bound * count + 1):
-        for vec in _l1_sphere(count, weight, bound):
-            yield vec
-            emitted += 1
-            if emitted >= budget:
-                return
+    """The first `budget` nonzero integer coefficient vectors by increasing
+    L1 norm."""
+    return islice((vec for weight in range(1, bound * count + 1)
+                   for vec in _l1_sphere(count, weight, bound)), budget)
 
 
 # candidates tried before the battery; the cut's basis is in the module docstring
@@ -296,7 +292,13 @@ _SHORT_SEARCH = 32
 
 
 def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=2000) -> ShiftEqResult:
-    """Bounded shift-equivalence decision, tri-state."""
+    """Bounded shift-equivalence decision, tri-state: lags 1..max_lag, R
+    coefficients and the battery's |k| up to max_entry, `budget` candidate
+    R.  A bound out of range (max_lag < 1, max_entry < 0, budget < 0) is a
+    ValueError."""
+    if max_lag < 1 or max_entry < 0 or budget < 0:
+        raise ValueError(f"bounds out of range: max_lag={max_lag} (at least 1), "
+                         f"max_entry={max_entry}, budget={budget} (at least 0)")
     validate_ck_matrix(a, "A")
     validate_ck_matrix(b, "B")
 

@@ -4,14 +4,35 @@
 * `six_term_maps`: the maps of the six-term sequence behind `ext_r_fg`;
 * `verify_bimodule_resolution`: the marked-path resolution of the
   incidence algebra of a unique path space, checked exact by integer
-  linear algebra (an oracle for the UPS route).
+  linear algebra (an oracle for the UPS route);
+* `outcome_record` and `outcome_digest`: everything a benchmark
+  operation's outcome carries, so that two versions of the code can be
+  compared output for output.  Run as a script,
+
+      python tests/support.py --workload ext-algebra --seed 1
+
+  prints the digest of a workload's whole seed pool, every operation
+  checked by bench/check.py.
 """
 
+import argparse
+import hashlib
+import json
+import os
+import sys
 from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+WORKLOADS = ("ext-algebra", "graph-pairs", "shift-eq")
+
+if __name__ == "__main__":  # the package and bench/ of this checkout
+    sys.path[:0] = [os.path.join(ROOT, "src"), BENCH]
 
 from obstruct.abelian import FgAbGroup, GroupMorphism, canonical_morphism, ext1_induced, ext1_z, hom_z
 from obstruct.intlinalg import IntMatrix, kernel_basis, lattices_equal, matrix_rank, unvec, vec
 from obstruct.posets import FinitePoset, is_unique_path_space
+from obstruct.quiver import ExtPosetGroup, RepMorphism
 
 
 def _hom_induced(pre, post, hsrc, htgt):
@@ -144,3 +165,72 @@ def verify_bimodule_resolution(x: FinitePoset) -> BimoduleResolutionReport:
         left_map_rank=matrix_rank(lam),
         exact=surjective and middle_exact and injective,
     )
+
+
+# ---------------------------------------------------------------------------
+# Outcome records of the benchmark's operations
+# ---------------------------------------------------------------------------
+
+
+def _maps(f):
+    """The matrices of a witness: per point for a RepMorphism."""
+    if isinstance(f, RepMorphism):
+        return [[str(p), m.matrix.data] for p, m in f.maps.items()]
+    return f.matrix.data
+
+
+def outcome_record(out):
+    """JSON data of everything an outcome carries:
+    * a verdict (graph comparison, shift equivalence, pair_iso) with the
+      layer, reason, lag and invariant it names, R and S, the poset
+      isomorphism sigma and the witness matrices;
+    * an Ext group over a poset with its invariant factors, relation matrix
+      and one representative per canonical generator;
+    * a lifting count as it is."""
+    if isinstance(out, ExtPosetGroup):
+        return {"factors": out.group.invariant_factors, "relations": out.group.relations.data,
+                "basis": out.data.basis_reps}
+    if not hasattr(out, "verdict"):
+        return out
+    record = {k: getattr(out, k) for k in ("verdict", "layer", "reason", "lag", "invariant")
+              if hasattr(out, k)}
+    for k in ("r", "s"):
+        if getattr(out, k, None) is not None:
+            record[k] = getattr(out, k).data
+    if getattr(out, "poset_iso", None) is not None:
+        record["sigma"] = [[str(p), str(q)] for p, q in out.poset_iso.items()]
+    witness = getattr(out, "module_iso", None) or getattr(out, "witness", None)
+    if witness is not None:
+        record["witness"] = [_maps(f) for f in witness]
+    return record
+
+
+def outcome_digest(outcomes):
+    """sha256 of the outcome records, in order."""
+    h = hashlib.sha256()
+    for out in outcomes:
+        h.update(json.dumps(outcome_record(out)).encode())
+    return h.hexdigest()
+
+
+def pool_outcomes(workload, seed, limit=None):
+    """(op, outcome) for the first `limit` operations (all when None) of a
+    workload's seed pool, each checked by bench/check.py, which raises
+    `CheckFailed` on a wrong outcome.  Needs bench/ on sys.path."""
+    import workloads
+
+    with open(os.path.join(BENCH, "spec.json")) as fh:
+        params = json.load(fh)["workloads"][workload]
+    for op in workloads.build_pool(workload, seed, params["strata"], params["bounds"])[:limit]:
+        out = op.run()
+        op.check(out)
+        yield op, out
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Digest of the outcome records of a workload's whole seed pool.")
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    print(outcome_digest(out for _, out in pool_outcomes(args.workload, args.seed)))

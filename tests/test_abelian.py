@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from obstruct.abelian import (
     DiagramHom,
+    DirectSum,
     FgAbGroup,
     GroupMorphism,
     IllDefinedMorphism,
-    direct_sum,
     eventual_image,
     ext1_z,
     hom_z,
@@ -289,18 +289,49 @@ def random_morphism(rng, v, w):
     return GroupMorphism(v, w, mat)
 
 
+def test_direct_sum_layout_and_maps():
+    rng = random.Random(23)
+    for _ in range(40):
+        w = random_group(rng)
+        n = rng.randint(0, 3)
+        # W^n: relations kron(I_n, R), the layout Hom and Ext^1 cochains read
+        assert DirectSum([w] * n).group.relations == IntMatrix.identity(n).kron(w.relations)
+        s = DirectSum([random_group(rng) for _ in range(rng.randint(0, 4))])
+        parts = [[rng.randint(-5, 5) for _ in range(g.ngens)] for g in s.summands]
+        flat = s.join(parts)
+        assert len(flat) == s.group.ngens and s.split(flat) == parts
+        total = GroupMorphism.zero(s.group, s.group)
+        for i, g in enumerate(s.summands):
+            for j, h in enumerate(s.summands):
+                composite = (s.projection(i) @ s.injection(j)).matrix
+                want = IntMatrix.identity(g.ngens) if i == j else IntMatrix.zeros(g.ngens, h.ngens)
+                assert composite == want, (i, j)
+            total = total + s.injection(i) @ s.projection(i)
+        assert total.matrix == IntMatrix.identity(s.group.ngens)
+
+
+def test_direct_sum_join_names_a_wrong_count_or_part():
+    s = DirectSum([FgAbGroup.cyclic(2), FgAbGroup.free(2)])
+    assert s.join([[1], [2, 3]]) == [1, 2, 3]
+    for parts in ([[1]], [[1], [2, 3], [4]]):
+        with pytest.raises(ValueError, match="expected 2, one per summand"):
+            s.join(parts)
+    with pytest.raises(ValueError, match="part 1, .2., does not live in the group of summand 1"):
+        s.join([[1], [2]])
+
+
 def test_hom_ext_additive_in_direct_sums():
     rng = random.Random(5)
     for _ in range(12):
         v1, v2, w = random_group(rng), random_group(rng), random_group(rng)
-        vsum, _, _ = direct_sum([v1, v2])
+        vsum = DirectSum([v1, v2]).group
         assert sorted(hom_z(vsum, w).group.invariant_factors) == sorted(
             hom_z(v1, w).group.invariant_factors + hom_z(v2, w).group.invariant_factors
         )
         assert sorted(ext1_z(vsum, w).group.invariant_factors) == sorted(
             ext1_z(v1, w).group.invariant_factors + ext1_z(v2, w).group.invariant_factors
         )
-        wsum, _, _ = direct_sum([v1, v2])
+        wsum = DirectSum([v1, v2]).group
         assert sorted(hom_z(w, wsum).group.invariant_factors) == sorted(
             hom_z(w, v1).group.invariant_factors + hom_z(w, v2).group.invariant_factors
         )

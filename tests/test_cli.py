@@ -70,6 +70,14 @@ def test_shift_eq_rejects_unsupported_input(tmp_path):
     assert missing.returncode == 2 and "missing.txt" in missing.stderr
 
 
+def test_shift_eq_rejects_bounds_out_of_range():
+    for option, value in (("--max-lag", 0), ("--max-entry", -1), ("--budget", -1)):
+        out = run_cli("shift-eq", FIXTURES / "golden_a.txt", FIXTURES / "golden_b.txt",
+                      option, value)
+        assert out.returncode == 2 and out.stdout == "", (option, out.stdout)
+        assert "bounds out of range" in out.stderr
+
+
 def test_benchmark_does_not_import_the_cli():
     for path in sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))

@@ -630,7 +630,7 @@ def test_xk_invariant_on_sixty_vertices():
     # the colimit of XK0 is K0 of the whole algebra, which is `unit_group`
     k0 = FgAbGroup(n, IntMatrix.identity(n) - e.adjacency.transpose())
     assert inv.unit_group.relations == k0.relations
-    assert graphs._colimit_of_rep(inv.xk0).invariant_factors == k0.invariant_factors
+    assert graphs._colimit_of_rep(inv.xk0)[0].invariant_factors == k0.invariant_factors
 
 
 # ---------------------------------------------------------------------------
@@ -845,10 +845,16 @@ def admissible_graphs(seed, count):
 
 def with_point(seq, p, m1=None, q=None, b=None, m0=None, pi=None):
     """seq with, at point p, the group of XK1 or of Q, the inclusion matrix
-    B, the group of XK0 or the projection matrix replaced."""
+    B, the group of XK0 or the projection matrix replaced.  A replaced group
+    takes zero arrow maps at p, which fit any group: `_check_exact` reads
+    no arrow."""
     def rep(r, group):
-        return r if group is None else QuiverRep(r.poset, {**r.groups, p: group}, r.arrows,
-                                                 check=False)
+        if group is None:
+            return r
+        groups = {**r.groups, p: group}
+        arrows = {(y, x): GroupMorphism.zero(groups[y], groups[x]) if p in (y, x) else f
+                  for (y, x), f in r.arrows.items()}
+        return QuiverRep(r.poset, groups, arrows, check=False)
 
     def mor(f, src, tgt, matrix):
         matrix = f.maps[p].matrix if matrix is None else matrix
@@ -1005,20 +1011,20 @@ def test_fast_path_oracles_under_python_O():
 
 
 def colimit_unit(inv):
-    """(colim, unit): the colimit of XK0 on the sum of its point groups, and
-    the unit's canonical coordinates there, solved through the checked
-    isomorphism colim -> K0: the reference for the unit class in vertex
-    coordinates."""
+    """(colim, s, unit): the colimit of XK0 on s, the sum of its point
+    groups, and the unit's canonical coordinates there, solved through the
+    checked isomorphism colim -> K0: the reference for the unit class in
+    vertex coordinates."""
     e, sets = inv.graph, inv.ideals.vertex_sets
     n = len(e.vertices)
-    colim = graphs._colimit_of_rep(inv.xk0)
+    colim, s = graphs._colimit_of_rep(inv.xk0)
     k0 = FgAbGroup(n, IntMatrix.identity(n) - e.adjacency.transpose())
     nat = IntMatrix.zeros(n, 0)
     for p in inv.xk0.poset.points:
         nat = nat.hstack(graphs._restriction_matrix(e, sets[p], e.vertices))
     assert GroupMorphism(colim, k0, nat).is_iso()
     xi = factor_through(nat, IntMatrix.from_columns([[1] * n]), k0.relations)
-    return colim, colim.canon_coords(xi.column(0))
+    return colim, s, colim.canon_coords(xi.column(0))
 
 
 def colimit_unit_preserved(family, inv1, inv2, sigma, colimits):
@@ -1027,15 +1033,12 @@ def colimit_unit_preserved(family, inv1, inv2, sigma, colimits):
     for inv in (inv1, inv2):
         if id(inv) not in colimits:  # keeps inv alive, so its id is not reused
             colimits[id(inv)] = inv, colimit_unit(inv)
-    (_, (colim1, unit1)), (_, (colim2, unit2)) = colimits[id(inv1)], colimits[id(inv2)]
-    offsets1, _ = graphs._block_offsets(inv1.xk0)
-    offsets2, _ = graphs._block_offsets(inv2.xk0)
+    (_, (colim1, s1, unit1)), (_, (colim2, s2, unit2)) = colimits[id(inv1)], colimits[id(inv2)]
+    index1, index2 = inv1.xk0.poset.index, inv2.xk0.poset.index
     m = IntMatrix.zeros(colim2.ngens, colim1.ngens)
     for p in inv1.xk0.poset.points:
-        block = family[0].maps[p].matrix
-        for j in range(block.cols):
-            for i in range(block.rows):
-                m.data[offsets2[sigma[p]] + i][offsets1[p] + j] = block.data[i][j]
+        m = m + (s2.injection(index2[sigma[p]]).matrix @ family[0].maps[p].matrix
+                 @ s1.projection(index1[p]).matrix)
     induced = GroupMorphism(colim1, colim2, m)
     return colim2.canon_coords(induced.matrix.apply(colim1.from_canon(unit1))) == unit2
 

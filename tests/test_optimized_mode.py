@@ -4,12 +4,12 @@
 benchmark result rests on must raise a real error.  A `python -O`
 subprocess runs the first operations of each workload's seed-1 pool
 through `op.run` and `op.check` (bench/check.py raises `CheckFailed`, not
-`AssertionError`), and its digest of the outcomes must equal the digest of
-the same operations run in this process.
+`AssertionError`), and the digest of their full outcome records
+(`support.outcome_record`) must equal that of the same operations run in
+this process.
 """
 
 import dataclasses
-import hashlib
 import json
 import os
 import subprocess
@@ -17,45 +17,30 @@ import sys
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH = os.path.join(ROOT, "bench")
+from support import BENCH, ROOT, WORKLOADS, outcome_digest, pool_outcomes
+
 BENCH_MODULES = ("check", "gen", "workloads")
 OPS_PER_WORKLOAD = 40
 
 
-def _summary(out):
-    """What an outcome decides: the verdict and the name of what decided
-    it, the Ext group's invariant factors, or the lifting count."""
-    if hasattr(out, "verdict"):
-        return [out.verdict] + [getattr(out, k) for k in ("layer", "invariant", "lag")
-                                if hasattr(out, k)]
-    if hasattr(out, "group"):
-        return out.group.invariant_factors
-    return out
-
-
 def run_ops(seed=1, limit=OPS_PER_WORKLOAD):
-    """{workload: digest of the outcomes of the first `limit` ops of its
-    pool}, each op checked by bench/check.py.  A shift-eq `yes` with its lag
-    moved must fail its check.  Needs bench/ on sys.path."""
+    """{workload: `outcome_digest` of the first `limit` ops of its pool},
+    each op checked by bench/check.py.  A shift-eq `yes` with its lag moved
+    must fail its check.  Needs bench/ on sys.path."""
     import check
-    import workloads
 
-    with open(os.path.join(BENCH, "spec.json")) as fh:
-        spec = json.load(fh)["workloads"]
-    digests, tampered = {}, False
-    for name, params in sorted(spec.items()):
-        ops = workloads.build_pool(name, seed, params["strata"], params["bounds"])[:limit]
-        h = hashlib.sha256()
-        for op in ops:
-            out = op.run()
-            op.check(out)
-            h.update(json.dumps(_summary(out)).encode())
+    tampered = False
+
+    def outcomes(name):
+        nonlocal tampered
+        for op, out in pool_outcomes(name, seed, limit):
             if name == "shift-eq" and out.verdict == "yes" and not tampered:
                 with pytest.raises(check.CheckFailed):
                     op.check(dataclasses.replace(out, lag=out.lag + 1))
                 tampered = True
-        digests[name] = h.hexdigest()
+            yield out
+
+    digests = {name: outcome_digest(outcomes(name)) for name in WORKLOADS}
     if not tampered:
         raise RuntimeError("no shift-eq 'yes' to tamper with")
     return digests
@@ -84,5 +69,5 @@ def test_bench_ops_under_python_O(bench_on_path):
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     optimized = json.loads(out.stdout.splitlines()[-1])
-    assert sorted(optimized) == ["ext-algebra", "graph-pairs", "shift-eq"]
+    assert sorted(optimized) == list(WORKLOADS)
     assert optimized == run_ops()

@@ -83,6 +83,36 @@ def test_quiver_rep_validation():
         QuiverRep(poset, {"a": zmod(2)}, {})
 
 
+def test_quiver_rep_rebuilds_an_arrow_on_other_groups():
+    poset = sierpinski_poset()
+    z2, z3, z6 = zmod(2), zmod(3), zmod(6)
+    # Z/2 at b, Z/3 at a: [[1]] is a map Z/3 -> Z/3, but not Z/2 -> Z/3
+    with pytest.raises(IllDefinedMorphism):
+        QuiverRep(poset, {"b": z2, "a": z3},
+                  {("b", "a"): GroupMorphism(z3, z3, IntMatrix.from_rows([[1]]))})
+    # [[3]] is well defined on Z/2 -> Z/6 too, and is rebuilt there
+    arrow = GroupMorphism(z6, z6, IntMatrix.from_rows([[3]]))
+    v = QuiverRep(poset, {"b": z2, "a": z6}, {("b", "a"): arrow})
+    f = v.arrow_map("b", "a")
+    assert f.source is z2 and f.target is z6 and f.matrix == arrow.matrix
+    with pytest.raises(ValueError, match="is 1x2, expected 1x1"):
+        QuiverRep(poset, {"b": z2, "a": z3},
+                  {("b", "a"): GroupMorphism.zero(FgAbGroup.free(2), z3)})
+    # an arrow on the point groups themselves is kept as it is
+    kept = GroupMorphism(z2, z6, IntMatrix.from_rows([[3]]))
+    assert QuiverRep(poset, {"b": z2, "a": z6}, {("b", "a"): kept}).arrow_map("b", "a") is kept
+
+
+def test_quiver_rep_rejects_stray_keys():
+    poset = sierpinski_poset()
+    z2 = zmod(2)
+    arrows = {("b", "a"): GroupMorphism.identity(z2)}
+    with pytest.raises(ValueError, match="'c', which is not a point"):
+        QuiverRep(poset, {"a": z2, "b": z2, "c": z2}, arrows)
+    with pytest.raises(ValueError, match=r"\('a', 'b'\), which is not a Hasse arrow"):
+        QuiverRep(poset, {"a": z2, "b": z2}, {**arrows, ("a", "b"): GroupMorphism.identity(z2)})
+
+
 def test_coherence_check_on_diamond():
     poset = diamond_poset()
     z = FgAbGroup.free(1)
@@ -863,3 +893,29 @@ def test_cochain_of_wrong_shape_is_a_value_error():
     cochain = ext.cochain_of_class(ext.zero_class())
     with pytest.raises(ValueError, match="does not live in the group"):
         ext.class_of_cochain([vec + [0] for vec in cochain])
+    # one entry per generator of P_n, no more and no fewer
+    with pytest.raises(ValueError, match=f"expected {len(cochain)}, one per summand"):
+        ext.class_of_cochain(cochain + [[5]])
+    ext2 = ExtPosetGroup(v, v, 2)
+    with pytest.raises(ValueError, match="0 parts given, expected 1"):
+        ext2.class_of_cochain([])
+
+
+def test_rep_direct_sum_maps():
+    rng = random.Random(29)
+    for poset in (sierpinski_poset(), chain_poset(3), diamond_poset()):
+        for n in (1, 2, 3):
+            reps = [random_rep(rng, poset) for _ in range(n)]
+            total, injs, projs = quiver.rep_direct_sum(reps)
+            ident = RepMorphism.identity(total)
+            acc = RepMorphism.zero(total, total)
+            for i, (r, inj, proj) in enumerate(zip(reps, injs, projs)):
+                # checked morphisms of representations: they commute with the arrows
+                assert inj.find_noncommuting_arrow() is None
+                assert proj.find_noncommuting_arrow() is None
+                for j, other in enumerate(injs):
+                    want = RepMorphism.identity(r) if i == j else RepMorphism.zero(reps[j], r)
+                    got = proj @ other
+                    assert all(got.maps[p].matrix == want.maps[p].matrix for p in poset.points)
+                acc = acc + inj @ proj
+            assert all(acc.maps[p].matrix == ident.maps[p].matrix for p in poset.points)

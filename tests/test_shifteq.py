@@ -80,6 +80,25 @@ def test_validate():
     validate_ck_matrix(IntMatrix.from_rows([[2]]))
 
 
+def test_bounds_out_of_range_are_value_errors():
+    a = IntMatrix.from_rows([[1, 1], [1, 0]])
+    b = IntMatrix.from_rows([[0, 1], [1, 1]])
+    for bounds in ({"max_lag": 0}, {"max_lag": -1}, {"max_entry": -1}, {"budget": -5}):
+        with pytest.raises(ValueError, match="bounds out of range"):
+            shift_equivalent(a, b, **bounds)
+        with pytest.raises(ValueError, match="bounds out of range"):
+            shift_equivalent(a, a, **bounds)
+
+
+def test_budget_zero_tries_no_candidate():
+    a = IntMatrix.from_rows([[1, 1], [1, 0]])
+    b = IntMatrix.from_rows([[0, 1], [1, 1]])
+    assert list(_coefficient_vectors(2, 8, 0)) == []
+    assert len(list(_coefficient_vectors(2, 8, 5))) == 5
+    assert shift_equivalent(a, b, budget=0).verdict == "unknown"
+    assert shift_equivalent(a, b, budget=1).verdict == "yes"
+
+
 def test_reflexive():
     a = IntMatrix.from_rows([[1, 1], [1, 0]])
     res = shift_equivalent(a, a)
