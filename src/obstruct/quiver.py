@@ -17,13 +17,18 @@ spaces an independent route through the bimodule resolution is an oracle.
 Hom(P, W) is the direct sum of W(x_g) over the generators g of P
 (`abelian.DirectSum`), so a cochain, one vector of W per generator, is a
 vector of that sum, and precomposing it with a map of projectives is
-applying one matrix, the differential of the Hom complex.
+applying one matrix, `_hom_differential`, whether W is a representation or
+a projective.
 
-A two-step extension 0 -> M1 -> Q1 -> Q0 -> M0 -> 0 has a class in
-Ext^2(M0, M1): `yoneda_class` lifts the identity of M0 along a projective
-resolution of M0, and the degree-two lift is a cocycle in M1.  `baer_sum`
-is the group law on such extensions, one pullback and one pushout: Q0 x_M0
-Q0' as a kernel on Q0 + Q0', and Q1 +_M1 Q1' as a cokernel on Q1 + Q1'.
+One comparison lift, `_lift`, lifts a map out of a projective resolution
+along an exact complex, one degree at a time, by that precomposition.  It
+has three users.  `yoneda_class` lifts the identity of M0 along a two-step
+extension 0 -> M1 -> Q1 -> Q0 -> M0 -> 0; the degree-two lift is a cocycle
+in M1, the class in Ext^2(M0, M1).  `transport_class` and `ext2_compatible`
+pull a class back along `chain_lift`, the lift of a module map into a
+second resolution.  `baer_sum` is the group law on two-step extensions,
+one pullback and one pushout: Q0 x_M0 Q0' as a kernel on Q0 + Q0', and
+Q1 +_M1 Q1' as a cokernel on Q1 + Q1'.
 """
 
 from __future__ import annotations
@@ -65,6 +70,31 @@ class ExactnessError(ValueError):
     """A sequence that must be exact is not; names the failing node."""
 
 
+def _keyed(given, keys, what, kind) -> dict:
+    """dict(given), with one `what` at each key in `keys` and nowhere else;
+    a ValueError names the missing or stray key, a stray one as no `kind`."""
+    out = dict(given)
+    for k in keys:
+        if k not in out:
+            raise ValueError(f"missing {what} at {k!r}")
+    if len(out) > len(keys):  # every key is there, so some entry is stray
+        stray = next(iter(out.keys() - set(keys)))
+        raise ValueError(f"{what} given at {stray!r}, which is not {kind}")
+    return out
+
+
+def _on_groups(f: GroupMorphism, src: FgAbGroup, tgt: FgAbGroup, what, key) -> GroupMorphism:
+    """f when it runs src -> tgt; else its matrix as a map src -> tgt, which
+    must have the right shape (ValueError naming the `what` at `key`) and be
+    well defined there (IllDefinedMorphism)."""
+    if f.source is src and f.target is tgt:
+        return f
+    if (f.matrix.rows, f.matrix.cols) != (tgt.ngens, src.ngens):
+        raise ValueError(f"{what} at {key!r} is {f.matrix.rows}x{f.matrix.cols}, "
+                         f"expected {tgt.ngens}x{src.ngens}")
+    return GroupMorphism(src, tgt, f.matrix)
+
+
 class QuiverRep:
     """Groups per point plus maps along Hasse arrows.
 
@@ -75,28 +105,12 @@ class QuiverRep:
 
     def __init__(self, poset: FinitePoset, groups, arrows, check=True):
         self.poset = poset
-        self.groups = dict(groups)
-        self.arrows = dict(arrows)
+        self.groups = _keyed(groups, poset.points, "group", "a point")
+        self.arrows = _keyed(arrows, poset.hasse_arrows, "arrow map", "a Hasse arrow")
         self._transports = {}  # (y, x) -> composite V_y -> V_x
-        for p in poset.points:
-            if p not in self.groups:
-                raise ValueError(f"missing group at point {p!r}")
-        for p in self.groups:
-            if p not in poset.index:
-                raise ValueError(f"group given at {p!r}, which is not a point")
-        hasse = set(poset.hasse_arrows)
-        for key in self.arrows:
-            if key not in hasse:
-                raise ValueError(f"arrow map given for {key!r}, which is not a Hasse arrow")
         for y, x in poset.hasse_arrows:
-            if (y, x) not in self.arrows:
-                raise ValueError(f"missing arrow map for {y!r} -> {x!r}")
-            f, src, tgt = self.arrows[(y, x)], self.groups[y], self.groups[x]
-            if f.source is not src or f.target is not tgt:
-                if (f.matrix.rows, f.matrix.cols) != (tgt.ngens, src.ngens):
-                    raise ValueError(f"arrow map for {y!r} -> {x!r} is {f.matrix.rows}x"
-                                     f"{f.matrix.cols}, expected {tgt.ngens}x{src.ngens}")
-                self.arrows[(y, x)] = GroupMorphism(src, tgt, f.matrix)
+            self.arrows[(y, x)] = _on_groups(self.arrows[(y, x)], self.groups[y], self.groups[x],
+                                             "arrow map", (y, x))
         if check:
             witness = self.check_coherence()
             if witness is not None:
@@ -109,33 +123,27 @@ class QuiverRep:
         """Composite map V_y -> V_x along any Hasse chain (x <= y), built
         once per pair; callers must not mutate it."""
         f = self._transports.get((y, x))
-        if f is not None:
-            return f
-        f = GroupMorphism.identity(self.groups[y])
-        if x != y:
-            chains = self.poset.downward_chains(y, x, cap=1)
+        if f is None:
+            chains = [[y]] if x == y else self.poset.downward_chains(y, x, cap=1)
             if not chains:
                 raise ValueError(f"{x!r} is not below {y!r}")
-            chain = chains[0]
-            for a, b in zip(chain, chain[1:]):
-                f = self.arrows[(a, b)] @ f
-        self._transports[(y, x)] = f
+            f = self._transports[(y, x)] = self._along(chains[0])
+        return f
+
+    def _along(self, chain) -> GroupMorphism:
+        """The composite of the arrow maps along a Hasse chain."""
+        f = GroupMorphism.identity(self.groups[chain[0]])
+        for a, b in zip(chain, chain[1:]):
+            f = self.arrows[(a, b)] @ f
         return f
 
     def check_coherence(self):
         """None if all chain composites agree, else the offending pair."""
         for y, x in self.poset.comparable_pairs():
             chains = self.poset.downward_chains(y, x)
-            if len(chains) < 2:
-                continue
-            composites = []
-            for chain in chains:
-                f = GroupMorphism.identity(self.groups[y])
-                for a, b in zip(chain, chain[1:]):
-                    f = self.arrows[(a, b)] @ f
-                composites.append(f)
-            for other in composites[1:]:
-                if not composites[0].equals(other):
+            if len(chains) > 1:
+                first, *rest = map(self._along, chains)
+                if not all(first.equals(f) for f in rest):
                     return (y, x)
         return None
 
@@ -148,13 +156,20 @@ class QuiverRep:
 
 
 class RepMorphism:
-    """A morphism of representations: one group map per point, commuting
-    with the arrow maps (verified unless trusted)."""
+    """A morphism of representations: one group map per point (one built on
+    other groups is rebuilt on the point groups, as in `QuiverRep`),
+    commuting with the arrow maps (verified unless trusted)."""
 
     def __init__(self, source: QuiverRep, target: QuiverRep, maps, trusted=False):
+        if source.poset is not target.poset and (
+                source.groups.keys() != target.groups.keys()
+                or set(source.poset.hasse_arrows) != set(target.poset.hasse_arrows)):
+            raise ValueError(f"{source!r} and {target!r} lie over different posets")
         self.source = source
         self.target = target
-        self.maps = dict(maps)
+        self.maps = _keyed(maps, source.poset.points, "map", "a point")
+        for p, f in self.maps.items():
+            self.maps[p] = _on_groups(f, source.groups[p], target.groups[p], "map", p)
         if not trusted:
             bad = self.find_noncommuting_arrow()
             if bad is not None:
@@ -343,9 +358,6 @@ class ProjIntoRep:
                 IntMatrix.from_columns(cols, rows=target.ngens), trusted=True)
         return f
 
-    def point_matrix(self, z) -> IntMatrix:
-        return self.point_morphism(z).matrix
-
     def is_surjective(self):
         return all(self.point_morphism(p).is_surjective() for p in self.source.poset.points)
 
@@ -530,17 +542,24 @@ def _hom_sum(p: ProjectiveRep, w: QuiverRep) -> DirectSum:
     return DirectSum([w.groups[x] for x in p.gen_points])
 
 
+def _matrices(w: QuiverRep):
+    """The transports of w as matrices, (y, x) -> W_y -> W_x."""
+    return lambda y, x: w.transport(y, x).matrix
+
+
 def _hom_differential(p_hi: ProjectiveRep, hi: DirectSum, p_lo: ProjectiveRep, lo: DirectSum,
-                      coeffs: IntMatrix, w: QuiverRep) -> IntMatrix:
-    """Matrix of Hom(P_lo, W) -> Hom(P_hi, W), psi |-> psi∘(coeffs map),
-    between their `_hom_sum`s lo and hi: precomposition of a cochain."""
+                      coeffs: IntMatrix, transport) -> IntMatrix:
+    """Matrix of Hom(P_lo, C) -> Hom(P_hi, C), psi |-> psi∘(coeffs map),
+    between their sums lo and hi (`_hom_sum`), transport(y, x) being the
+    matrix of C along x <= y: the one precomposition of a cochain, with
+    values in a representation or in a projective."""
     out = IntMatrix.zeros(hi.group.ngens, lo.group.ngens)
     for g_hi, x_hi in enumerate(p_hi.gen_points):
         for g_lo, x_lo in enumerate(p_lo.gen_points):
             c = coeffs.data[g_lo][g_hi]
             if c == 0:
                 continue
-            t = w.transport(x_lo, x_hi).matrix
+            t = transport(x_lo, x_hi)
             base = lo.offsets[g_lo]
             for i in range(t.rows):
                 row = out.data[hi.offsets[g_hi] + i]
@@ -568,11 +587,11 @@ class HomComplex:
         them.  Nothing is checked here: `cohomology_at` checks that the two
         differentials it reads compose to zero (`homology_at`)."""
         sums = [_hom_sum(res.projective_at(k), w) for k in range(low, degrees + 1)]
-        diffs = []
+        diffs, transport = [], _matrices(w)
         for i, k in enumerate(range(low, degrees)):
             lo, hi = sums[i], sums[i + 1]
             mat = _hom_differential(res.projective_at(k + 1), hi, res.projective_at(k), lo,
-                                    res.diff_coeffs(k + 1), w)
+                                    res.diff_coeffs(k + 1), transport)
             diffs.append(GroupMorphism(lo.group, hi.group, mat, trusted=True))
         return cls(res, w, sums, diffs, low)
 
@@ -667,30 +686,14 @@ def ext_poset_ups_oracle(v: QuiverRep, w: QuiverRep):
 
     # total complex generator bookkeeping: T0 = sum_x P(x) x F0_x,
     # T1 = sum_x P(x) x F1_x  +  sum_{y->x} P(x) x F0_y,
-    # T2 = sum_{y->x} P(x) x F1_y
-    t0_points, t0_slots = [], []
-    for x in poset.points:
-        for k in range(rank0[x]):
-            t0_points.append(x)
-            t0_slots.append(("pt", x, k))
-    t1_points, t1_slots = [], []
-    for x in poset.points:
-        for k in range(basis[x].cols):
-            t1_points.append(x)
-            t1_slots.append(("vert", x, k))
-    for y, x in arrows:
-        for k in range(rank0[y]):
-            t1_points.append(x)
-            t1_slots.append(("horiz", (y, x), k))
-    t2_points, t2_slots = [], []
-    for y, x in arrows:
-        for k in range(basis[y].cols):
-            t2_points.append(x)
-            t2_slots.append(("arrow", (y, x), k))
-
-    t0 = ProjectiveRep(poset, t0_points)
-    t1 = ProjectiveRep(poset, t1_points)
-    t2 = ProjectiveRep(poset, t2_points)
+    # T2 = sum_{y->x} P(x) x F1_y; a slot (kind, x or (y, x), k) sits at x
+    t0_slots = [("pt", x, k) for x in poset.points for k in range(rank0[x])]
+    t1_slots = ([("vert", x, k) for x in poset.points for k in range(basis[x].cols)]
+                + [("horiz", (y, x), k) for y, x in arrows for k in range(rank0[y])])
+    t2_slots = [("arrow", (y, x), k) for y, x in arrows for k in range(basis[y].cols)]
+    t0, t1, t2 = (ProjectiveRep(poset, [key if kind in ("pt", "vert") else key[1]
+                                        for kind, key, _ in slots])
+                  for slots in (t0_slots, t1_slots, t2_slots))
     idx0 = {s: i for i, s in enumerate(t0_slots)}
     idx1 = {s: i for i, s in enumerate(t1_slots)}
 
@@ -778,18 +781,18 @@ class Ext2Class:
         return all(c == 0 for c in self.coords)
 
 
-def _factor_at_points(points, targets, through, what):
-    """One u_i per generator with a @ u_i == targets[i] modulo `relations`,
-    where (a, relations) = through(points[i]); generators at the same point
-    share one solve.  Raises ExactArithmeticError(what) if one has none."""
-    at = {}
+def _factor_at_points(points, targets, at, what):
+    """One u_i per generator with at(x) u_i == targets[i] in the target
+    group of at(x), x = points[i]; generators at the same point share one
+    solve.  Raises ExactArithmeticError(what) if one has none."""
+    by_point = {}
     for i, x in enumerate(points):
-        at.setdefault(x, []).append(i)
+        by_point.setdefault(x, []).append(i)
     out = [None] * len(points)
-    for x, idx in at.items():
-        a, relations = through(x)
-        b = IntMatrix.from_columns([targets[i] for i in idx], rows=a.rows)
-        u = factor_through(a, b, relations)
+    for x, idx in by_point.items():
+        f = at(x)
+        b = IntMatrix.from_columns([targets[i] for i in idx], rows=f.target.ngens)
+        u = factor_through(f.matrix, b, f.target.relations)
         if u is None:
             raise ExactArithmeticError(what)
         for k, i in enumerate(idx):
@@ -797,24 +800,51 @@ def _factor_at_points(points, targets, through, what):
     return out
 
 
-def _through(mor: RepMorphism):
-    """The `through` of _factor_at_points for lifting along mor."""
-    return lambda x: (mor.maps[x].matrix, mor.maps[x].target.relations)
+def _shifted(lifts, points, at, rng):
+    """lifts moved by random elements of the kernel of at(x), one per
+    generator at x, to vary lift choices."""
+    bases = [at(x).preimage_lattice_basis() for x in points]
+    return [[a + c for a, c in zip(u, b.apply([rng.randint(-2, 2) for _ in range(b.cols)]))]
+            for u, b in zip(lifts, bases)]
 
 
-def _random_kernel_shift(mor: GroupMorphism, rng):
-    """A random element of ker(mor) to vary lift choices."""
-    b = mor.preimage_lattice_basis()
-    if b.cols == 0:
-        return [0] * mor.source.ngens
-    coeffs = [rng.randint(-2, 2) for _ in range(b.cols)]
-    return b.apply(coeffs)
+def _lift(res: ProjResolution, targets, stages, rng=None):
+    """The comparison theorem: phi_k: P_k -> C_k, one vector of C_k per
+    generator of P_k, lifting the map P_0 -> C_{-1} with values `targets`
+    along an exact complex ... -> C_1 -> C_0 -> C_{-1}, one degree at a time.
+
+    stages[k] = (at, transport): at(x) is C_k -> C_{k-1} at x, transport(y,
+    x) the matrix of C_k along x <= y.  at(x) phi_k = phi_{k-1}∘(P_k ->
+    P_{k-1}), the right side precomposed through `_hom_differential`.  An
+    rng moves every lift by random kernel elements (`_shifted`)."""
+    lifts = []
+    for k, (at, _) in enumerate(stages):
+        p = res.projective_at(k)
+        if k:
+            p_lo, (at_lo, transport_lo) = res.projective_at(k - 1), stages[k - 1]
+            lo, hi = (DirectSum([at_lo(x).source for x in q.gen_points]) for q in (p_lo, p))
+            pre = _hom_differential(p, hi, p_lo, lo, res.diff_coeffs(k), transport_lo)
+            targets = hi.split(pre.apply(lo.join(lifts[-1])))
+        phi = _factor_at_points(p.gen_points, targets, at,
+                                f"lift in degree {k} must exist by exactness")
+        if rng is not None:
+            phi = _shifted(phi, p.gen_points, at, rng)
+        lifts.append(phi)
+    return lifts
 
 
-def _shifted(lifts, points, mor: RepMorphism, rng):
-    """lifts moved by random kernel elements of mor, one per generator."""
-    return [[a + b for a, b in zip(u, _random_kernel_shift(mor.maps[x], rng))]
-            for u, x in zip(lifts, points)]
+def _require_over(name, group: ExtPosetGroup, m0: QuiverRep, m1: QuiverRep):
+    """ValueError naming the module of `group`, Ext(V, W), that is not m0
+    or m1 in the same coordinates, where the identity matrices are an
+    isomorphism of representations."""
+    for which, a, b in (("M0", group.v, m0), ("M1", group.w, m1)):
+        try:
+            same = a is b or RepMorphism(a, b, {p: GroupMorphism.identity(g)
+                                                for p, g in a.groups.items()}).is_iso()
+        except ValueError:  # another poset or shape, ill defined, or not commuting
+            same = False
+        if not same:
+            raise ValueError(f"the {which} of {name}, {a!r}, does not match {b!r}")
 
 
 def yoneda_class(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> Ext2Class:
@@ -822,116 +852,85 @@ def yoneda_class(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> 
 
     Lifts the identity of M0 through the extension against a projective
     resolution of M0; the middle terms need not be projective.  The class is
-    independent of the resolution and of all lift choices.
+    independent of the resolution and of all lift choices.  An `ambient`
+    over other modules than M0 and M1 is a ValueError.
     """
     ext.verify_exact()
+    if ambient is not None:
+        _require_over("the ambient group", ambient, ext.m0, ext.m1)
     return _yoneda_cocycle(ext, ambient, rng)
 
 
 def _yoneda_cocycle(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> Ext2Class:
-    """yoneda_class for an extension already checked by `verify_exact`.
+    """yoneda_class for an extension already checked by `verify_exact`: the
+    `_lift` of the augmentation along eps, d1 and d2, whose degree-two
+    lift is a cocycle in M1.
 
     A resolution with no P2 has no degree-two cochains, so the class is zero
     and no lift is made."""
     if ambient is None:
         ambient = ExtPosetGroup(ext.m0, ext.m1, 2, rng=rng)
     res = ambient.resolution
-    p0, p1, p2 = res.projective_at(0), res.projective_at(1), res.projective_at(2)
-    if not p2.num_gens:
+    if not res.projective_at(2).num_gens:
         return Ext2Class(ambient, ambient.zero_class())
-
-    # phi0: P0 -> Q0 lifting the augmentation through eps
-    phi0 = _factor_at_points(p0.gen_points, res.aug.vectors, _through(ext.eps),
-                             "augmentation must lift through a surjection")
-    if rng is not None:
-        phi0 = _shifted(phi0, p0.gen_points, ext.eps, rng)
-
-    # phi1: P1 -> Q1 with d1∘phi1 = phi0∘(P1 -> P0)
-    lo, hi = _hom_sum(p0, ext.q0), _hom_sum(p1, ext.q0)
-    pre = _hom_differential(p1, hi, p0, lo, res.diff_coeffs(1), ext.q0)
-    phi1 = _factor_at_points(p1.gen_points, hi.split(pre.apply(lo.join(phi0))),
-                             _through(ext.d1), "boundary must lift through the middle map")
-    if rng is not None:
-        phi1 = _shifted(phi1, p1.gen_points, ext.d1, rng)
-
-    # phi2: P2 -> M1 with d2∘phi2 = phi1∘(P2 -> P1); unique mod relations
-    lo, hi = _hom_sum(p1, ext.q1), _hom_sum(p2, ext.q1)
-    pre = _hom_differential(p2, hi, p1, lo, res.diff_coeffs(2), ext.q1)
-    phi2 = _factor_at_points(p2.gen_points, hi.split(pre.apply(lo.join(phi1))),
-                             _through(ext.d2), "cocycle value must exist by exactness")
-
-    coords = ambient.class_of_cochain(phi2)
-    return Ext2Class(ambient, coords)
+    stages = [(m.maps.__getitem__, _matrices(m.source)) for m in (ext.eps, ext.d1, ext.d2)]
+    phi = _lift(res, res.aug.vectors, stages, rng)
+    return Ext2Class(ambient, ambient.class_of_cochain(phi[2]))
 
 
-def chain_lift(f: RepMorphism, res_src: ProjResolution, res_tgt: ProjResolution, degrees=3):
-    """Coefficient matrices of a chain map res_src -> res_tgt lifting f."""
-    lifts = []
-    prev = None
-    for deg in range(degrees):
-        p_s = res_src.projective_at(deg)
-        p_t = res_tgt.projective_at(deg)
-        if deg == 0:
-            # aug_tgt(u) = f(aug_src(gen i)) at its point x
-            targets = [f.maps[x].matrix.apply(v)
-                       for x, v in zip(p_s.gen_points, res_src.aug.vectors)]
-            us = _factor_at_points(
-                p_s.gen_points, targets,
-                lambda x: (res_tgt.aug.point_matrix(x), f.target.groups[x].relations),
-                "chain lift in degree 0 must exist")
-        else:
-            # d_tgt(u) = prev ∘ d_src(gen i), a vector in P_tgt(deg-1) at x
-            pt_prev = res_tgt.projective_at(deg - 1)
-            moved = prev @ res_src.diff_coeffs(deg)
-            targets = [[moved.data[g][i] for g in pt_prev.indices_at(x)]
-                       for i, x in enumerate(p_s.gen_points)]
-            d_t = res_tgt.diff_coeffs(deg)
-            us = _factor_at_points(
-                p_s.gen_points, targets,
-                lambda x: (p_t.point_matrix_of_coeffs(d_t, pt_prev, x), None),
-                "chain lift must exist by exactness")
-        prev = _coeffs_of_vectors(p_t, p_s.gen_points, us)
-        lifts.append(prev)
-    return lifts
+def chain_lift(f: RepMorphism, res_src: ProjResolution, res_tgt: ProjResolution):
+    """Coefficient matrices, in degrees 0, 1 and 2, of a chain map
+    res_src -> res_tgt lifting f: the `_lift` of f∘aug along res_tgt."""
+    def stage(k):
+        p, prev = res_tgt.projective_at(k), res_tgt.projective_at(k - 1)
+
+        def at(x):
+            d = p.point_matrix_of_coeffs(res_tgt.diff_coeffs(k), prev, x)
+            return GroupMorphism(FgAbGroup.free(d.cols), FgAbGroup.free(d.rows), d, trusted=True)
+
+        return at, p.transport_matrix
+
+    p0 = res_src.projective_at(0)
+    targets = [f.maps[x].matrix.apply(v) for x, v in zip(p0.gen_points, res_src.aug.vectors)]
+    stages = [(res_tgt.aug.point_morphism, res_tgt.projective_at(0).transport_matrix),
+              stage(1), stage(2)]
+    return [_coeffs_of_vectors(res_tgt.projective_at(k), res_src.projective_at(k).gen_points, phi)
+            for k, phi in enumerate(_lift(res_src, targets, stages))]
+
+
+def _pullback(cls: Ext2Class, f: RepMorphism, ambient: ExtPosetGroup) -> tuple:
+    """Coordinates in `ambient`, a group over the source of f, of f^* cls:
+    the cocycle of cls precomposed with the degree-two `chain_lift` of f."""
+    src = cls.ambient
+    lift = chain_lift(f, ambient.resolution, src.resolution)[2]
+    pre = _hom_differential(ambient.resolution.projective_at(2), ambient.sum,
+                            src.resolution.projective_at(2), src.sum, lift, _matrices(ambient.w))
+    return ambient.data.coords(pre.apply(src.data.rep_of(cls.coords)))
 
 
 def transport_class(cls: Ext2Class, ambient_tgt: ExtPosetGroup) -> tuple:
-    """Coordinates of the same class against another resolution of M0."""
-    lifts = chain_lift(
-        RepMorphism.identity(cls.ambient.v), ambient_tgt.resolution, cls.ambient.resolution
-    )
-    return _pullback_cochain(cls, ambient_tgt, lifts)
-
-
-def _pullback_cochain(cls: Ext2Class, ambient_tgt: ExtPosetGroup, lifts):
-    """Pull a degree-2 cochain back along a chain map (lifts in coefficients)."""
-    src = cls.ambient
-    pre = _hom_differential(ambient_tgt.resolution.projective_at(2), ambient_tgt.sum,
-                            src.resolution.projective_at(2), src.sum, lifts[2], ambient_tgt.w)
-    return ambient_tgt.data.coords(pre.apply(src.data.rep_of(cls.coords)))
+    """Coordinates of the same class against another resolution of M0: the
+    pullback along the identity."""
+    return _pullback(cls, RepMorphism.identity(cls.ambient.v), ambient_tgt)
 
 
 def ext2_compatible(f: RepMorphism, c: Ext2Class, cprime: Ext2Class, g: RepMorphism) -> bool:
     """Does g_* c equal f^* c' in Ext^2(M0, M1')?
 
-    f: M0 -> M0', g: M1 -> M1', with c over (M0, M1) and c' over (M0', M1').
-    Every pair of classes is compatible when that group is trivial, and then
-    no chain map is lifted.
+    f: M0 -> M0', g: M1 -> M1', with c over (M0, M1) and c' over (M0', M1');
+    a class over other modules is a ValueError.  Every pair of classes is
+    compatible when that group is trivial, and then no chain map is lifted.
     """
-    if c.ambient.v is not f.source and c.ambient.v.poset is not f.source.poset:
-        raise ValueError("class c must live over the source of f")
+    _require_over("c", c.ambient, f.source, g.source)
+    _require_over("c'", cprime.ambient, f.target, g.target)
     ambient = ExtPosetGroup(f.source, g.target, 2, resolution=c.ambient.resolution)
     if ambient.group.is_trivial():
         return True
-    # push forward c along g at the cochain level
-    src_cochain = c.ambient.cochain_of_class(c.coords)
-    p2 = c.ambient.resolution.projective_at(2)
-    pushed = [g.maps[x].matrix.apply(vec) for vec, x in zip(src_cochain, p2.gen_points)]
-    lhs = ambient.class_of_cochain(pushed)
-    # pull back c' along the chain lift of f
-    lifts = chain_lift(f, c.ambient.resolution, cprime.ambient.resolution)
-    rhs = _pullback_cochain(cprime, ambient, lifts)
-    return lhs == rhs
+    # push c forward along g at the cochain level, pull c' back along f
+    points = c.ambient.resolution.projective_at(2).gen_points
+    pushed = [g.maps[x].matrix.apply(vec)
+              for vec, x in zip(c.ambient.cochain_of_class(c.coords), points)]
+    return ambient.class_of_cochain(pushed) == _pullback(cprime, f, ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -954,14 +953,11 @@ def rep_corestrict(f: RepMorphism, incl: RepMorphism) -> RepMorphism:
 def rep_descend(f: RepMorphism, proj: RepMorphism) -> RepMorphism:
     """g with g∘proj = f, for proj a cokernel projection killing ker(proj).
 
-    Cokernel groups share their generators with proj's source, so the same
-    matrices work; well-definedness is verified on construction.
+    Cokernel groups share their generators with proj's source, so f's maps
+    are g's, rebuilt on the cokernel groups, where `RepMorphism` checks that
+    they are well defined.
     """
-    maps = {
-        p: GroupMorphism(proj.target.groups[p], f.target.groups[p], f.maps[p].matrix)
-        for p in f.source.poset.points
-    }
-    return RepMorphism(proj.target, f.target, maps, trusted=True)
+    return RepMorphism(proj.target, f.target, f.maps, trusted=True)
 
 
 def baer_sum(e1: TwoExtension, e2: TwoExtension) -> TwoExtension:

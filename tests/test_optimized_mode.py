@@ -6,7 +6,10 @@ subprocess runs the first operations of each workload's seed-1 pool
 through `op.run` and `op.check` (bench/check.py raises `CheckFailed`, not
 `AssertionError`), and the digest of their full outcome records
 (`support.outcome_record`) must equal that of the same operations run in
-this process.
+this process.  Ext^2 is zero on every pool operation, so the same
+subprocess also compares the relabel pair of `NONZERO_DELTA`, whose
+obstruction class is nonzero and whose witness reaches the comparison
+lifts of `yoneda_class` and `ext2_compatible`.
 """
 
 import dataclasses
@@ -17,7 +20,9 @@ import sys
 
 import pytest
 
-from support import BENCH, ROOT, WORKLOADS, outcome_digest, pool_outcomes
+from obstruct.graphs import unit_compare, xk_invariant
+from obstruct.quiver import Ext2Class, ext2_compatible, yoneda_class
+from support import BENCH, ROOT, WORKLOADS, outcome_digest, outcome_record, pool_outcomes
 
 BENCH_MODULES = ("check", "gen", "workloads")
 OPS_PER_WORKLOAD = 40
@@ -46,6 +51,25 @@ def run_ops(seed=1, limit=OPS_PER_WORKLOAD):
     return digests
 
 
+def nonzero_delta_record():
+    """The outcome record of `unit_compare` on the relabel pair of
+    `NONZERO_DELTA`, checked by bench/check.py (ext2_compatible of the
+    witness against `yoneda_class` of the pulled sequence), with the classes
+    of both sequences and ext2_compatible of the witness against the pulled
+    class and the zero class.  Needs bench/ on sys.path."""
+    import check
+    from test_graphs import NONZERO_DELTA, graph, relabelled, witness_classes
+
+    e, h = graph(NONZERO_DELTA), relabelled(NONZERO_DELTA, (2, 0, 1))
+    out = unit_compare(e, h)
+    check.graph_outcome(e, h, out, unit=True, preserved=True)
+    f0, delta, pulled, f1 = witness_classes(e, h, out)
+    zero = Ext2Class(pulled.ambient, pulled.ambient.zero_class())
+    return {"outcome": outcome_record(out),
+            "classes": [list(yoneda_class(xk_invariant(g).sequence).coords) for g in (e, h)],
+            "compatible": [ext2_compatible(f0, delta, c, f1) for c in (pulled, zero)]}
+
+
 @pytest.fixture
 def bench_on_path(monkeypatch):
     """bench/ on sys.path, and its modules dropped again afterwards."""
@@ -59,15 +83,18 @@ def bench_on_path(monkeypatch):
 
 def test_bench_ops_under_python_O(bench_on_path):
     script = ("import json, sys\n"
-              "from test_optimized_mode import run_ops\n"
+              "from test_optimized_mode import nonzero_delta_record, run_ops\n"
               "if not sys.flags.optimize:\n"
               "    raise SystemExit('not running under -O')\n"
-              "print(json.dumps(run_ops()))\n")
+              "print(json.dumps([run_ops(), nonzero_delta_record()]))\n")
     path = [os.path.join(ROOT, "src"), BENCH, os.path.join(ROOT, "tests"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    optimized = json.loads(out.stdout.splitlines()[-1])
+    optimized, record = json.loads(out.stdout.splitlines()[-1])
     assert sorted(optimized) == list(WORKLOADS)
     assert optimized == run_ops()
+    assert record["outcome"]["verdict"] == "yes" and record["compatible"] == [True, False]
+    assert all(any(c) for c in record["classes"])
+    assert record == nonzero_delta_record()

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from math import gcd
 
@@ -27,6 +28,7 @@ from obstruct.quiver import (
     Ext2Class,
     ExtPosetGroup,
     ProjectiveRep,
+    ProjIntoRep,
     QuiverRep,
     RepMorphism,
     TwoExtension,
@@ -111,6 +113,31 @@ def test_quiver_rep_rejects_stray_keys():
         QuiverRep(poset, {"a": z2, "b": z2, "c": z2}, arrows)
     with pytest.raises(ValueError, match=r"\('a', 'b'\), which is not a Hasse arrow"):
         QuiverRep(poset, {"a": z2, "b": z2}, {**arrows, ("a", "b"): GroupMorphism.identity(z2)})
+
+
+def test_rep_morphism_checks_its_groups():
+    poset = point_poset()
+    z2, z3, z4 = zmod(2), zmod(3), zmod(4)
+    v, w, w4 = (QuiverRep(poset, {"*": g}, {}) for g in (z2, z3, z4))
+    # [[1]] is a map Z/3 -> Z/3, but not Z/2 -> Z/3, trusted or not
+    for trusted in (False, True):
+        with pytest.raises(IllDefinedMorphism):
+            RepMorphism(v, w, {"*": GroupMorphism(z3, z3, IntMatrix.from_rows([[1]]))}, trusted)
+    # one map per point, and none elsewhere, between modules over one poset
+    with pytest.raises(ValueError, match=r"missing map at '\*'"):
+        RepMorphism(v, w, {})
+    two = sierpinski_rep(z2, z2, IntMatrix.identity(1))
+    with pytest.raises(ValueError, match="lie over different posets"):
+        RepMorphism(v, two, {"*": GroupMorphism.identity(z2)})
+    zero = GroupMorphism.zero(z2, z3)
+    with pytest.raises(ValueError, match="'x', which is not a point"):
+        RepMorphism(v, w, {"*": zero, "x": zero})
+    with pytest.raises(ValueError, match=r"map at '\*' is 1x2, expected 1x1"):
+        RepMorphism(v, w, {"*": GroupMorphism.zero(FgAbGroup.free(2), z3)})
+    # [[2]] is well defined on Z/2 -> Z/4 too, and is rebuilt there
+    f = RepMorphism(v, w4, {"*": GroupMorphism(z4, z4, IntMatrix.from_rows([[2]]))}).maps["*"]
+    assert f.source is z2 and f.target is z4 and f.matrix == IntMatrix.from_rows([[2]])
+    assert RepMorphism(v, w, {"*": zero}).maps["*"] is zero
 
 
 def test_coherence_check_on_diamond():
@@ -401,28 +428,48 @@ def test_ext_window_matches_all_degrees():
 # --- chain lifts -------------------------------------------------------------------
 
 
-def _chain_lift_failures(f, res_s, res_t, lifts):
-    """(degree, point) of every square where the lift fails to commute:
-    aug' L_0 = f aug modulo the relations of f's target in degree 0, and
-    d'_k L_k = L_{k-1} d_k in degree k."""
+def _diff_at(res, k, x):
+    """P_k -> P_{k-1} of a resolution at x."""
+    return res.projective_at(k).point_matrix_of_coeffs(res.diff_coeffs(k), res.projective_at(k - 1), x)
 
-    def at(coeffs, src, i, tgt, j, x):
-        return src.projective_at(i).point_matrix_of_coeffs(coeffs, tgt.projective_at(j), x)
 
+def _lift_failures(res, top, maps, lifts):
+    """(degree, point) of every square of a comparison lift out of res that
+    fails to commute: at each point x, maps[k](x) L_k(x) = L_{k-1}(x) D_k(x)
+    modulo the relations of the target of the group map maps[k](x), where
+    L_k(x) = lifts[k](x), L_{-1}(x) = top(x) and D_k is P_k -> P_{k-1} of res
+    (D_0 the identity)."""
     failures = []
-    for x in f.source.poset.points:
-        l0 = at(lifts[0], res_s, 0, res_t, 0, x)
-        gap = res_t.aug.point_matrix(x) @ l0 - f.maps[x].matrix @ res_s.aug.point_matrix(x)
-        if not all(f.target.groups[x].contains_relation(c) for c in gap.columns()):
-            failures.append((0, x))
-        for k in range(1, len(lifts)):
-            d_s = at(res_s.diff_coeffs(k), res_s, k, res_s, k - 1, x)
-            d_t = at(res_t.diff_coeffs(k), res_t, k, res_t, k - 1, x)
-            l_k = at(lifts[k], res_s, k, res_t, k, x)
-            l_prev = at(lifts[k - 1], res_s, k - 1, res_t, k - 1, x)
-            if d_t @ l_k != l_prev @ d_s:
+    for x in res.module.poset.points:
+        prev = top(x)
+        for k, (at, lift) in enumerate(zip(maps, lifts)):
+            cur = lift(x)
+            gap = at(x).matrix @ cur - (prev if k == 0 else prev @ _diff_at(res, k, x))
+            if not all(at(x).target.contains_relation(c) for c in gap.columns()):
                 failures.append((k, x))
+            prev = cur
     return failures
+
+
+def _chain_lift_failures(f, res_s, res_t, lifts):
+    """`_lift_failures` of a chain lift of f: aug' L_0 = f aug modulo the
+    relations of f's target in degree 0, and d'_k L_k = L_{k-1} d_k in
+    degree k."""
+
+    def d_t(k):
+        def at(x):
+            d = _diff_at(res_t, k, x)
+            return GroupMorphism(FgAbGroup.free(d.cols), FgAbGroup.free(d.rows), d)
+
+        return at
+
+    def lift(k):
+        return lambda x: res_s.projective_at(k).point_matrix_of_coeffs(lifts[k], res_t.projective_at(k), x)
+
+    return _lift_failures(
+        res_s, lambda x: f.maps[x].matrix @ res_s.aug.point_morphism(x).matrix,
+        [res_t.aug.point_morphism] + [d_t(k) for k in range(1, len(lifts))],
+        [lift(k) for k in range(len(lifts))])
 
 
 def test_chain_lift_commutes_between_two_resolutions():
@@ -439,13 +486,18 @@ def test_chain_lift_commutes_between_two_resolutions():
                    ("l", "bot"): GroupMorphism(z4, z2, one),
                    ("r", "bot"): GroupMorphism(z2, z2, one)}),
     ]
-    for seed, v in enumerate(reps):
-        # f = 3 * id, a module map that is not the identity
-        f = RepMorphism(v, v, {x: GroupMorphism(g, g, IntMatrix.identity(g.ngens).scaled(3))
+    # f = 3 * id, a module map that is not the identity, and the pointwise
+    # reduction (Z/4 -> Z/2) -> (Z/2 -> Z/2), a map between two modules
+    maps = [RepMorphism(v, v, {x: GroupMorphism(g, g, IntMatrix.identity(g.ngens).scaled(3))
                                for x, g in v.groups.items()})
-        res_s = resolve_projective(v, 3)
-        res_t = resolve_projective(v, 3, rng=random.Random(seed))
-        assert res_s.diffs and res_s.fingerprint() != res_t.fingerprint()
+            for v in reps]
+    w = sierpinski_rep(z2, z2, one)
+    maps.append(RepMorphism(reps[0], w, {x: GroupMorphism(g, w.groups[x], one)
+                                         for x, g in reps[0].groups.items()}))
+    for seed, f in enumerate(maps):
+        res_s = resolve_projective(f.source, 3)
+        res_t = resolve_projective(f.target, 3, rng=random.Random(seed))
+        assert res_s.diffs and res_t.diffs and res_s.fingerprint() != res_t.fingerprint()
         lifts = chain_lift(f, res_s, res_t)
         assert _chain_lift_failures(f, res_s, res_t, lifts) == []
         tampered = [lifts[0], lifts[1].scaled(2)] + lifts[2:]
@@ -618,6 +670,34 @@ def test_generator_extension_class():
     assert cls0.is_zero()
 
 
+def test_yoneda_lifts_commute(monkeypatch):
+    # the lifts phi_0, phi_1, phi_2 of id_M0 along eps, d1 and d2, read
+    # from the one comparison lift
+    ext = cyclic_extension(2, 1)
+    real, seen = quiver._lift, []
+
+    def recorded(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(quiver, "_lift", recorded)
+    cls = yoneda_class(ext)
+    (phis,) = seen
+    res = cls.ambient.resolution
+    assert all(res.projective_at(k).num_gens for k in range(3))
+
+    def failures(phis):
+        def lift(k, c):
+            return lambda x: ProjIntoRep(res.projective_at(k), c, phis[k]).point_morphism(x).matrix
+
+        return _lift_failures(res, lambda x: res.aug.point_morphism(x).matrix,
+                              [m.maps.__getitem__ for m in (ext.eps, ext.d1, ext.d2)],
+                              [lift(k, c) for k, c in enumerate((ext.q0, ext.q1, ext.m1))])
+
+    assert failures(phis) == []
+    assert failures([phis[0], [[2 * a for a in u] for u in phis[1]], phis[2]])
+
+
 def test_yoneda_class_independent_of_choices(monkeypatch):
     ext = cyclic_extension(2, 1)
     base = yoneda_class(ext)
@@ -750,6 +830,51 @@ def test_ext2_compatible_zero_vs_nonzero():
     g = RepMorphism.identity(ext.m1)
     assert not ext2_compatible(f, zero_cls, cls, g)
     assert ext2_compatible(f, zero_cls, zero_cls, g)
+
+
+def test_mismatched_classes_are_value_errors():
+    # over one poset a < b: V = (Z/2 -> 0), V4 = (Z/4 -> 0), W = (Z --2--> Z)
+    # and W4 = (Z --4--> Z); Ext^2(V, W) = Ext^2(V4, W) = Ext^2(V, W4) = Z/2
+    poset, z, zero = sierpinski_poset(), FgAbGroup.free(1), zero_group()
+
+    def rep(vb, va, arrow):
+        return QuiverRep(poset, {"b": vb, "a": va}, {("b", "a"): GroupMorphism(vb, va, arrow)})
+
+    v, v4 = (rep(zmod(n), zero, IntMatrix.zeros(0, 1)) for n in (2, 4))
+    w, w4 = (rep(z, z, IntMatrix.from_rows([[n]])) for n in (2, 4))
+    c = {}
+    for m0, m1 in ((v, w), (v4, w), (v, w4)):
+        ambient = ext_poset(m0, m1, 2)
+        assert ambient.group.invariant_factors == [2]
+        c[m0, m1] = Ext2Class(ambient, (1,))
+    ident = {m: RepMorphism.identity(m) for m in (v, v4, w, w4)}
+    g = RepMorphism(w, w4, {"b": GroupMorphism(z, z, IntMatrix.from_rows([[1]])),
+                            "a": GroupMorphism(z, z, IntMatrix.from_rows([[2]]))})
+    for args, which, got, want in [
+        ((ident[v4], c[v, w], c[v4, w], ident[w]), "M0 of c", v, v4),
+        ((ident[v], c[v, w], c[v, w4], ident[w4]), "M1 of c", w, w4),
+        ((ident[v], c[v, w], c[v4, w], ident[w]), "M0 of c'", v4, v),
+        ((ident[v], c[v, w], c[v, w], g), "M1 of c'", w, w4),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"the {which}, {got!r}, does not match {want!r}")):
+            ext2_compatible(*args)
+    # a module built again, even over another poset object, in the same
+    # coordinates is the same module
+    again = sierpinski_rep(zmod(2), zero, IntMatrix.zeros(0, 1))
+    assert ext2_compatible(RepMorphism.identity(again), c[v, w], c[v, w], ident[w])
+    assert not ext2_compatible(ident[v], c[v, w], Ext2Class(c[v, w].ambient, (0,)), ident[w])
+
+    # yoneda_class against a group over other modules
+    ext = cyclic_extension(2, 1)
+    m1_4 = sierpinski_rep(zero, zmod(4), IntMatrix.zeros(1, 0))
+    for ambient, which, got, want in [
+        (ext_poset(v4, ext.m1, 2), "M0", v4, ext.m0),
+        (ext_poset(ext.m0, m1_4, 2), "M1", m1_4, ext.m1),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"the {which} of the ambient group, {got!r}, does not match {want!r}")):
+            yoneda_class(ext, ambient=ambient)
+    assert yoneda_class(ext, ambient=ext_poset(v, ext.m1, 2)).coords == yoneda_class(ext).coords
 
 
 def test_rep_iso_bounded_identity_and_mismatch():
