@@ -41,7 +41,6 @@ from .intlinalg import (
     cokernel_factors,
     determinant,
     factor_through,
-    kernel_basis,
     lattice_basis,
     smith_normal_form,
     unvec,
@@ -212,7 +211,7 @@ class GroupMorphism:
     construction unless `trusted=True`.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_image")
 
     def __init__(self, source, target, matrix, trusted=False):
         if matrix.rows != target.ngens or matrix.cols != source.ngens:
@@ -222,6 +221,7 @@ class GroupMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._image = None
         if not trusted:
             witness = self._find_violation()
             if witness is not None:
@@ -267,6 +267,20 @@ class GroupMorphism:
             self.target.contains_relation(self.matrix.column(j)) for j in range(self.matrix.cols)
         )
 
+    @property
+    def image_lattice(self) -> ColumnLattice:
+        """The image lattice I = im f + S, spanned by [matrix | target
+        relations].  Its one decomposition serves `is_surjective`,
+        `preimage_gens`, `lift` and `cokernel`."""
+        if self._image is None:
+            self._image = ColumnLattice(self.matrix.hstack(self.target.relations))
+        return self._image
+
+    def lift(self, b: IntMatrix):
+        """X with f X = b in the target (matrix @ X == b modulo the target
+        relations), or None when some column of b is not in the image."""
+        return self.image_lattice.factor(b, self.source.ngens)
+
     def preimage_gens(self) -> IntMatrix:
         """Generators (not a basis) of {x in Z^n_src : f(x) = 0 in target},
         the kernel as a lattice: the kernel of [matrix | target relations],
@@ -274,7 +288,7 @@ class GroupMorphism:
 
         Contains the source relation lattice whenever f is well defined.
         """
-        full = kernel_basis(self.matrix.hstack(self.target.relations))
+        full = self.image_lattice.snf.kernel_basis()
         return full.submatrix(range(self.source.ngens), range(full.cols))
 
     def preimage_lattice_basis(self) -> IntMatrix:
@@ -288,24 +302,32 @@ class GroupMorphism:
         return lattice_basis(gens)
 
     def kernel(self):
-        """(K, incl) with K presented on a basis of the preimage lattice."""
+        """(K, incl) with K presented on a basis B of the preimage lattice, by
+        the source relations in the coordinates of B.  Without source
+        relations, B's lattice is the image lattice of incl, which keeps the
+        decomposition of B made here."""
         b = self.preimage_lattice_basis()
-        rel = factor_through(b, self.source.relations)
+        lattice = ColumnLattice(b)
+        rel = lattice.factor(self.source.relations)
         if rel is None:
             raise ExactArithmeticError("source relations must lie in the kernel lattice")
         k = FgAbGroup(b.cols, rel)
         incl = GroupMorphism(k, self.source, b, trusted=True)
+        if not self.source.relations.cols:
+            incl._image = lattice
         return k, incl
 
     def cokernel(self):
-        """(C, proj) with C presented on the target generators."""
-        c = FgAbGroup(self.target.ngens, self.matrix.hstack(self.target.relations))
+        """(C, proj) with C presented on the target generators by the image
+        lattice, whose decomposition C takes as its own."""
+        c = FgAbGroup(self.target.ngens, self.image_lattice.gens)
+        c._snf = self.image_lattice.snf
         proj = GroupMorphism(self.target, c, IntMatrix.identity(self.target.ngens), trusted=True)
         return c, proj
 
     def is_surjective(self):
         """Every cokernel factor of the image lattice is 1."""
-        return all(d == 1 for d in cokernel_factors(self.matrix.hstack(self.target.relations)))
+        return all(d == 1 for d in self.image_lattice.snf.diagonal_padded(self.target.ngens))
 
     def is_injective(self):
         """The preimage lattice has the source's invariant factors (Hopfian
@@ -319,7 +341,9 @@ class GroupMorphism:
         return self.source.invariant_factors == self.target.invariant_factors and self.is_surjective()
 
     def inverse(self):
-        """Two-sided inverse morphism; raises if not an isomorphism."""
+        """Two-sided inverse morphism; raises if not an isomorphism.  Its
+        solve eliminates [M | R] for itself and keeps nothing: the caller
+        keeps the inverse, and [M | R] is read once."""
         mat = factor_through(self.matrix, IntMatrix.identity(self.target.ngens),
                              self.target.relations)
         if mat is None:
@@ -632,7 +656,7 @@ def eventual_image(phi: GroupMorphism):
             break
         h, embed, prev = h2, embed2, h2.order()
     # induced map on H: solve embed∘tau = phi∘embed
-    mat = factor_through(embed.matrix, phi.matrix @ embed.matrix, phi.target.relations)
+    mat = embed.lift(phi.matrix @ embed.matrix)
     if mat is None:
         raise ExactArithmeticError("endomorphism must preserve its eventual image")
     tau = GroupMorphism(h, h, mat)

@@ -98,14 +98,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import DirectSum, FgAbGroup, GroupMorphism
-from .intlinalg import (
-    ExactArithmeticError,
-    IntMatrix,
-    factor_through,
-    matrix_rank,
-    shares_eliminations,
-    smith_normal_form,
-)
+from .intlinalg import ExactArithmeticError, IntMatrix
 from .posets import FinitePoset
 from .quiver import (
     Ext2Class,
@@ -362,7 +355,6 @@ class XKInvariant:
             raise ExactArithmeticError("empty primitive ideal space")
 
     @cached_property
-    @shares_eliminations
     def _modules(self):
         """(xk0, xk1, sequence), with the sequence proved exact."""
         e, ideals = self.graph, self.ideals
@@ -389,9 +381,9 @@ class XKInvariant:
         xk0, proj = rep_cokernel(d)
         seq = TwoExtension(xk1, q, q, xk0, incl, d, proj)
         _check_exact(seq)
-        # cache every point group's Smith form while this scope still holds
-        # the eliminations of its relations, so later readers such as
-        # `iso_search` eliminate nothing again
+        # read every point group's Smith form here, so that later readers
+        # such as `iso_search` eliminate nothing: XK0's groups take the
+        # decompositions of d, and XK1's have empty relation matrices
         for rep in (xk0, xk1):
             for g in rep.groups.values():
                 g.snf
@@ -412,7 +404,6 @@ class XKInvariant:
         return self._modules[2]
 
     @cached_property
-    @shares_eliminations
     def delta(self) -> Ext2Class:
         # the module layer has proved the sequence exact
         seq = self.sequence
@@ -424,7 +415,6 @@ class XKInvariant:
         return Ext2Class(ambient, ambient.class_of_cochain(cocycle))
 
     @cached_property
-    @shares_eliminations
     def _unit(self):
         return _unit_class(self.graph, self.ideals, self.xk0)
 
@@ -480,9 +470,10 @@ def _check_exact(seq: TwoExtension):
       - XK0(p) is presented by exactly d and pi is the identity, so pi is
         onto and its kernel is im d.
 
-    `rep_kernel` has eliminated both d and B (to present XK1 on B), so
-    inside the construction's `shares_eliminations` scope the proof
-    eliminates nothing new.
+    rank(d) and the Smith diagonal of B are read from the decompositions
+    that the maps d and B keep of their matrices beside Q's zero relations
+    (`GroupMorphism.image_lattice`).  `rep_kernel` made both to present XK1
+    on B, so the proof eliminates nothing new.
     """
     for p in seq.m0.poset.points:
         q1, q0 = seq.q1.groups[p], seq.q0.groups[p]
@@ -491,7 +482,8 @@ def _check_exact(seq: TwoExtension):
             failure = "Q is not free"
         elif not (d @ b).is_zero():
             failure = "XK1 does not map into the kernel of d"
-        elif b.cols != q1.ngens - matrix_rank(d) or smith_normal_form(b).diag != [1] * b.cols:
+        elif (b.cols != q1.ngens - seq.d1.maps[p].image_lattice.snf.rank
+              or seq.d2.maps[p].image_lattice.snf.diag[:b.cols] != [1] * b.cols):
             failure = "XK1 does not map onto a basis of the kernel of d"
         elif not seq.m1.groups[p].relations.is_zero():
             failure = "XK1 has relations"
@@ -604,9 +596,10 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     relations = set(map(tuple, d.columns()))
     image = nat @ colim.relations
     exact = all(not any(c) or tuple(c) in relations for c in image.columns())
-    if not GroupMorphism(colim, k0, nat, trusted=exact).is_iso():
+    comparison = GroupMorphism(colim, k0, nat, trusted=exact)
+    if not comparison.is_iso():
         raise ExactArithmeticError("colimit of XK0 must map isomorphically onto K0")
-    xi = factor_through(nat, IntMatrix.from_columns([ones]), k0.relations)
+    xi = comparison.lift(IntMatrix.from_columns([ones]))
     if xi is None:
         raise ExactArithmeticError("unit must lift through the colimit comparison")
     lift = dict(zip(poset.points, points_sum.split(xi.column(0))))

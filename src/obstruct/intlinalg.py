@@ -14,30 +14,30 @@ caller first reads them.  So `matrix_rank`, `is_unimodular` and
 `cokernel_factors`, which read the invariant factors alone, build no
 transform, and `kernel_basis` builds V alone.
 
-A construction that rebuilds equal matrices as new objects (a differential
-stacked with empty relations, the same point map read along two routes)
-eliminates each distinct matrix once when it is decorated with
-`shares_eliminations`: while it runs, `smith_normal_form` looks the matrix
-up by content first.  Only whole constructions open such a scope (an
-invariant's layers, a resolution, an Ext group); bounded searches never do,
-because every candidate they test is a new matrix, so a memo there would
-only grow and hash.  Outside a scope nothing is kept.
+Every call of `smith_normal_form` eliminates, and no decomposition is
+looked up by content.  A decomposition is kept by the object that built its
+matrix, and whoever needs it again reads it there: a `ColumnLattice` keeps
+that of its generators, built on first read; an `abelian.FgAbGroup` that of
+its relations; an `abelian.GroupMorphism` that of its matrix beside the
+target relations, which its surjectivity test, preimage lattice, lifts and
+cokernel group all read.  A construction that needs one matrix twice holds
+on to its owner instead of building the matrix again.
 
 Every exact solve goes through one loop, `_factor`: with U a V = D it
 solves U b = D x' entry by entry on the diagonal, one column b at a time,
 and x = V x' solves a x = b.  Callers reach it as
-`factor_through(a, b, relations)`, which factors a map b through a modulo
-the column lattice of `relations` (the idiom of kernels, lifts and
-corestrictions), as `ColumnLattice.factor` against a lattice whose Smith
-normal form is already at hand, and as `solve` for a single vector.
+`ColumnLattice.factor`, which factors a map b through the lattice's
+generators (the idiom of kernels, lifts and corestrictions); as
+`factor_through(a, b, relations)` against a matrix used once; as
+`abelian.GroupMorphism.lift` modulo the target relations, against the
+morphism's own decomposition; and as `solve` for a single vector.
 
 Lattice equality is a Hopfian test.  Finitely generated abelian groups are
 Hopfian: a surjection between isomorphic ones is injective.  So if
 L' is inside L, both inside Z^n, and Z^n/L and Z^n/L' have the same
 invariant factors (`cokernel_factors`), the surjection Z^n/L' -> Z^n/L is
-an isomorphism and L = L'.  Two eliminations decide equality: the
-decomposition of L's generators gives both its cokernel factors and the
-containment solve, and no lattice basis is built.
+an isomorphism and L = L'.  `ColumnLattice.equals` reads both from the
+decompositions the two lattices keep, and builds no lattice basis.
 
 Conventions:
   * matrices act on column vectors; the column span of a matrix is called
@@ -52,8 +52,6 @@ Conventions:
 
 from __future__ import annotations
 
-import functools
-from contextvars import ContextVar
 from operator import index, mul
 
 __all__ = [
@@ -353,6 +351,12 @@ class SmithDecomposition:
         """First n diagonal entries, padding with zeros past min(rows, cols)."""
         return [self.diag[i] if i < len(self.diag) else 0 for i in range(n)]
 
+    def kernel_basis(self) -> IntMatrix:
+        """Basis of the integer kernel of `matrix`: the columns of V past the
+        rank."""
+        n = self.matrix.cols
+        return IntMatrix.from_columns([self.V.column(j) for j in range(self.rank, n)], rows=n)
+
 
 def _identity_rows(n):
     rows = [[0] * n for _ in range(n)]
@@ -376,52 +380,15 @@ def _find_pivot(block):
     return best
 
 
-# Content of a matrix -> its decomposition, while a construction decorated
-# with `shares_eliminations` runs; None outside every such construction.
-_eliminations = ContextVar("eliminations", default=None)
-
-
-def shares_eliminations(fn):
-    """Run fn with one elimination per distinct matrix.
-
-    The outermost decorated call opens a memo of decompositions keyed on
-    matrix content, nested decorated calls join it, and it is dropped when
-    the outermost call returns or raises.  Sharing is sound because the
-    elimination is deterministic on content and no caller mutates a
-    decomposition; callers read `matrix` only for its shape.
-    """
-    @functools.wraps(fn)
-    def scoped(*args, **kwargs):
-        if _eliminations.get() is not None:
-            return fn(*args, **kwargs)
-        token = _eliminations.set({})
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _eliminations.reset(token)
-
-    return scoped
-
-
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with minimal-absolute-value pivoting.
 
     Pivot choice: smallest |entry| among the remaining block, ties broken by
     lowest row then lowest column.  This keeps intermediate entries small and
-    makes the output deterministic for a fixed input.
-
-    Inside a `shares_eliminations` construction a matrix equal to one already
-    eliminated there gets that decomposition back; elsewhere every call
+    makes the output deterministic for a fixed input.  Every call
     eliminates.
     """
-    memo = _eliminations.get()
-    if memo is None:
-        return _eliminate(a)
-    key = (a.cols, tuple(map(tuple, a.data)))
-    s = memo.get(key)
-    if s is None:
-        s = memo[key] = _eliminate(a)
-    return s
+    return _eliminate(a)
 
 
 def _eliminate(a: IntMatrix) -> SmithDecomposition:
@@ -505,9 +472,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     The returned lattice is saturated (the kernel of an integer matrix
     always is).
     """
-    s = smith_normal_form(a)
-    cols = [s.V.column(j) for j in range(s.rank, a.cols)]
-    return IntMatrix.from_columns(cols, rows=a.cols)
+    return smith_normal_form(a).kernel_basis()
 
 
 def _factor(s: SmithDecomposition, columns):
@@ -545,19 +510,25 @@ def factor_through(a: IntMatrix, b: IntMatrix, relations: IntMatrix = None):
     Solves [a | relations] @ Y == b and keeps the first a.cols rows of Y;
     None when some column of b does not factor.
     """
-    stacked = a if relations is None else a.hstack(relations)
-    x = ColumnLattice(stacked).factor(b)
-    return None if x is None else IntMatrix._wrap(a.cols, b.cols, x.data[:a.cols])
+    return ColumnLattice(a if relations is None else a.hstack(relations)).factor(b, a.cols)
 
 
 class ColumnLattice:
-    """Column span of an integer matrix with membership and exact solves."""
+    """Column span of an integer matrix with membership, exact solves and
+    equality.  The generators are eliminated on the first read of `snf`, and
+    only then."""
 
-    __slots__ = ("gens", "snf")
+    __slots__ = ("gens", "_snf")
 
     def __init__(self, gens: IntMatrix):
         self.gens = gens
-        self.snf = smith_normal_form(gens)
+        self._snf = None
+
+    @property
+    def snf(self) -> SmithDecomposition:
+        if self._snf is None:
+            self._snf = smith_normal_form(self.gens)
+        return self._snf
 
     def contains(self, v) -> bool:
         return _factor(self.snf, [v]) is not None
@@ -565,13 +536,23 @@ class ColumnLattice:
     def solve(self, v):
         return solve(self.gens, v, snf=self.snf)
 
-    def factor(self, b: IntMatrix):
-        """X with gens @ X == b, or None if some column of b is outside."""
+    def factor(self, b: IntMatrix, rows=None):
+        """X with gens @ X == b, or None if some column of b is outside; only
+        the first `rows` rows of X, when given."""
         xs = _factor(self.snf, b.transpose().data)
         if xs is None:
             return None
-        rows = [[sum(map(mul, v, x)) for x in xs] for v in self.snf.V.data]
-        return IntMatrix._wrap(self.gens.cols, b.cols, rows)
+        v = self.snf.V.data[:rows]
+        return IntMatrix._wrap(len(v), b.cols, [[sum(map(mul, r, x)) for x in xs] for r in v])
+
+    def equals(self, other: "ColumnLattice") -> bool:
+        """Do the two lattices coincide?  Hopfian test: the same cokernel
+        factors, and the generators of `other` inside this lattice."""
+        n = self.gens.rows
+        if other.gens.rows != n:
+            raise ValueError("ambient dimension mismatch")
+        return (self.snf.diagonal_padded(n) == other.snf.diagonal_padded(n)
+                and _factor(self.snf, other.gens.transpose().data) is not None)
 
     def basis(self) -> IntMatrix:
         """A lattice basis: d_i * (Uinv column i) over the nonzero diagonal."""
@@ -601,16 +582,8 @@ def cokernel_factors(a: IntMatrix) -> list:
 
 
 def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    """Do two generating matrices span the same column lattice?
-
-    Hopfian test: equal cokernel factors, and b factors through a, both
-    read from one decomposition of a.
-    """
-    if a.rows != b.rows:
-        raise ValueError("ambient dimension mismatch")
-    s = smith_normal_form(a)
-    return (s.diagonal_padded(a.rows) == cokernel_factors(b)
-            and _factor(s, b.transpose().data) is not None)
+    """Do two generating matrices span the same column lattice?"""
+    return ColumnLattice(a).equals(ColumnLattice(b))
 
 
 def matrix_rank(a: IntMatrix) -> int:

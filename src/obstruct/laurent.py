@@ -47,7 +47,6 @@ from .intlinalg import (
     kernel_basis,
     lattice_basis,
     matrix_power,
-    shares_eliminations,
 )
 
 __all__ = [
@@ -395,7 +394,6 @@ class PresExtResult:
 # ---------------------------------------------------------------------------
 
 
-@shares_eliminations
 def ext2_block(p, q) -> Ext2Block:
     """Ext^2_R(P, Q) for one parity block of graded modules."""
     if isinstance(p, RModulePres):
@@ -419,7 +417,7 @@ def ext2_block(p, q) -> Ext2Block:
         h, embed, tau = eventual_image(shift_endo)
         pull = ext1_induced(p.x, None, e, e)
         # restrict the x_P pullback to the eventual image
-        mat = factor_through(embed.matrix, pull.matrix @ embed.matrix, shift_endo.source.relations)
+        mat = embed.lift(pull.matrix @ embed.matrix)
         if mat is None:
             raise ExactArithmeticError("x-pullback must preserve the eventual image")
         pull_h = GroupMorphism(h, h, mat)

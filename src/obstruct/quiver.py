@@ -34,6 +34,7 @@ Q1 +_M1 Q1' as a cokernel on Q1 + Q1'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .abelian import (
     DirectSum,
@@ -48,13 +49,12 @@ from .abelian import (
     resolution_lift,
 )
 from .intlinalg import (
+    ColumnLattice,
     ExactArithmeticError,
     IntMatrix,
-    factor_through,
     kernel_basis,
     lattice_basis,
     lattices_equal,
-    shares_eliminations,
 )
 from .posets import FinitePoset, is_unique_path_space
 
@@ -228,7 +228,7 @@ def rep_kernel(f: RepMorphism):
         incls[p] = incl
     arrows = {}
     for y, x in poset.hasse_arrows:
-        mat = factor_through(incls[x].matrix, f.source.arrow_map(y, x).matrix @ incls[y].matrix)
+        mat = incls[x].lift(f.source.arrow_map(y, x).matrix @ incls[y].matrix)
         if mat is None:
             raise ExactArithmeticError("arrow must map kernel into kernel")
         arrows[(y, x)] = GroupMorphism(groups[y], groups[x], mat)
@@ -341,7 +341,7 @@ class ProjIntoRep:
     target: QuiverRep
     vectors: list  # vectors[i] lives in Z^(target group at gen_points[i])
     # z -> point_morphism(z), built once, so the cover check and the
-    # resolution read one morphism
+    # resolution read one morphism and its one decomposition
     _point_morphisms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def point_morphism(self, z) -> GroupMorphism:
@@ -454,29 +454,32 @@ def _coeffs_of_vectors(target: ProjectiveRep, points, vectors) -> IntMatrix:
     return coeffs
 
 
-def _syzygy_cover(prev: ProjectiveRep, bases, rng):
-    """(P, vectors): the `minimal_cover` of the syzygy with basis bases[z] in
-    the coordinates of prev(z), whose arrows are prev's transports in those
-    coordinates, built from no representation; generator i maps to
-    vectors[i], a vector of prev at P.gen_points[i]."""
+def _syzygy_cover(prev: ProjectiveRep, lattices, rng):
+    """(P, vectors): the `minimal_cover` of the syzygy spanned by the basis
+    lattices[z].gens in the coordinates of prev(z), whose arrows are prev's
+    transports in those coordinates, built from no representation;
+    generator i maps to vectors[i], a vector of prev at P.gen_points[i]."""
     def arrow(y, x):
-        mat = factor_through(bases[x], prev.transport_matrix(y, x) @ bases[y])
+        mat = lattices[x].factor(prev.transport_matrix(y, x) @ lattices[y].gens)
         if mat is None:
             raise ExactArithmeticError("transport must preserve the syzygy lattice")
         return mat
 
-    gens = _cover_generators(prev.poset, lambda x: IntMatrix.zeros(bases[x].cols, 0), arrow, rng)
+    gens = _cover_generators(prev.poset, lambda x: IntMatrix.zeros(lattices[x].gens.cols, 0),
+                             arrow, rng)
     return (ProjectiveRep(prev.poset, [x for x, _ in gens]),
-            [bases[x].apply(u) for x, u in gens])
+            [lattices[x].gens.apply(u) for x, u in gens])
 
 
-@shares_eliminations
 def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
     """Iterated syzygies to the requested length (stops early at completion).
 
     A syzygy is a basis B_z per point, in the coordinates of the previous
-    projective at z.  The point matrix D_z of its cover is checked to span
-    the lattice of B_z at every point, and ker D_z is the next syzygy.
+    projective at z, kept as one `ColumnLattice` that its cover and the
+    check below read.  The point matrix D_z of the cover is checked to span
+    the lattice of B_z at every point, and ker D_z is the next syzygy.  A
+    D_z equal to B_z (a projective syzygy is covered by the identity) spans
+    it, and its kernel is zero since B_z is a basis: nothing is eliminated.
     """
     p0, aug = minimal_cover(v, rng)
     projectives = [p0]
@@ -485,16 +488,21 @@ def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
     bases = {z: aug.point_morphism(z).preimage_lattice_basis() for z in v.poset.points}
     while len(projectives) <= length and any(b.cols for b in bases.values()):
         prev = projectives[-1]
-        p_next, vectors = _syzygy_cover(prev, bases, rng)
+        lattices = {z: ColumnLattice(b) for z, b in bases.items()}
+        p_next, vectors = _syzygy_cover(prev, lattices, rng)
         d = _coeffs_of_vectors(prev, p_next.gen_points, vectors)
         diffs.append(d)
         projectives.append(p_next)
         kernels = {}
         for z in v.poset.points:
             dz = p_next.point_matrix_of_coeffs(d, prev, z)
-            if not lattices_equal(bases[z], dz):
+            if dz == bases[z]:
+                kernels[z] = IntMatrix.zeros(dz.cols, 0)
+                continue
+            image = ColumnLattice(dz)
+            if not lattices[z].equals(image):
                 raise ExactArithmeticError("cover must be surjective")
-            kernels[z] = kernel_basis(dz)
+            kernels[z] = image.snf.kernel_basis()
         bases = kernels
     complete = not any(b.cols for b in bases.values())
     return ProjResolution(v, projectives, aug, diffs, complete)
@@ -616,7 +624,6 @@ class ExtPosetGroup:
     n + 1.
     """
 
-    @shares_eliminations
     def __init__(self, v: QuiverRep, w: QuiverRep, n: int, resolution=None, rng=None):
         self.v = v
         self.w = w
@@ -792,7 +799,7 @@ def _factor_at_points(points, targets, at, what):
     for x, idx in by_point.items():
         f = at(x)
         b = IntMatrix.from_columns([targets[i] for i in idx], rows=f.target.ngens)
-        u = factor_through(f.matrix, b, f.target.relations)
+        u = f.lift(b)
         if u is None:
             raise ExactArithmeticError(what)
         for k, i in enumerate(idx):
@@ -880,10 +887,13 @@ def _yoneda_cocycle(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) 
 
 def chain_lift(f: RepMorphism, res_src: ProjResolution, res_tgt: ProjResolution):
     """Coefficient matrices, in degrees 0, 1 and 2, of a chain map
-    res_src -> res_tgt lifting f: the `_lift` of f∘aug along res_tgt."""
+    res_src -> res_tgt lifting f: the `_lift` of f∘aug along res_tgt.  Each
+    stage builds its map at a point once, so the lift and its sizes read
+    one morphism and one decomposition."""
     def stage(k):
         p, prev = res_tgt.projective_at(k), res_tgt.projective_at(k - 1)
 
+        @cache
         def at(x):
             d = p.point_matrix_of_coeffs(res_tgt.diff_coeffs(k), prev, x)
             return GroupMorphism(FgAbGroup.free(d.cols), FgAbGroup.free(d.rows), d, trusted=True)
@@ -943,7 +953,7 @@ def rep_corestrict(f: RepMorphism, incl: RepMorphism) -> RepMorphism:
     maps = {}
     for p in f.source.poset.points:
         m = incl.maps[p]
-        mat = factor_through(m.matrix, f.maps[p].matrix, m.target.relations)
+        mat = m.lift(f.maps[p].matrix)
         if mat is None:
             raise ExactArithmeticError("corestriction must exist")
         maps[p] = GroupMorphism(f.source.groups[p], incl.source.groups[p], mat)

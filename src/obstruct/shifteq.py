@@ -90,7 +90,6 @@ from .intlinalg import (
     adjugate,
     charpoly,
     determinant,
-    factor_through,
     kernel_basis,
     matrix_power,
     matrix_rank,
@@ -170,7 +169,7 @@ def _eventual_invariant_general(a: IntMatrix, poly):
     shift = GroupMorphism(c, c, at)  # A^t commutes with p(A^t)
     tors, embed = torsion_subgroup(c)
     # restrict the shift to the torsion subgroup
-    mat = factor_through(embed.matrix, shift.matrix @ embed.matrix, c.relations)
+    mat = embed.lift(shift.matrix @ embed.matrix)
     if mat is None:
         raise ExactArithmeticError("shift must preserve torsion")
     shift_t = GroupMorphism(tors, tors, mat)

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obstruct import intlinalg
 from obstruct.abelian import (
     DiagramHom,
     DirectSum,
@@ -28,7 +29,7 @@ from obstruct.intlinalg import IntMatrix, lattice_basis, lattices_equal, matrix_
 
 from support import induced_map
 
-from test_intlinalg import spans_equal
+from test_intlinalg import counter, spans_equal
 
 
 # --- independent oracles -----------------------------------------------------
@@ -591,6 +592,21 @@ def test_preimage_basis_with_dependent_relations():
     b = f.preimage_lattice_basis()
     assert b.cols == matrix_rank(b) == 1
     assert lattices_equal(b, IntMatrix.from_rows([[2]]))
+
+
+def test_a_morphism_eliminates_its_image_lattice_once(monkeypatch):
+    # (Z/2)^2 -> Z/4 + Z/6: surjectivity, the preimage lattice and the
+    # cokernel group all read the one decomposition of [M | R], which the
+    # cokernel group keeps as the Smith form of its own relations
+    source = FgAbGroup(2, IntMatrix.from_rows([[2, 0], [0, 2]]))
+    target = FgAbGroup(2, IntMatrix.from_rows([[4, 0], [0, 6]]))
+    f = GroupMorphism(source, target, IntMatrix.from_rows([[2, 0], [3, 3]]))
+    eliminated = counter(monkeypatch, intlinalg, "_eliminate")
+    surjective, kernel = f.is_surjective(), f.preimage_gens()
+    c, _ = f.cokernel()
+    assert c.invariant_factors == [6] and len(eliminated) == 1
+    assert c.snf.matrix is c.relations
+    assert not surjective and spans_equal(kernel, IntMatrix.from_rows([[2, 0], [0, 2]]))
 
 
 # --- the bounded isomorphism search --------------------------------------------

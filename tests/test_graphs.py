@@ -40,6 +40,7 @@ from obstruct.quiver import (
     yoneda_class,
 )
 
+from test_intlinalg import counter
 from test_quiver import cyclic_extension, rep_diagram
 
 
@@ -168,19 +169,6 @@ def test_xk_invariant_checks_exactness_once(monkeypatch):
     break_cokernel(monkeypatch)
     with pytest.raises(ExactArithmeticError, match="internal exactness failure"):
         xk_invariant(cuntz_graph(3))
-
-
-def counter(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that counts its calls."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 def break_cokernel(monkeypatch):
@@ -761,8 +749,7 @@ def witness_classes(e1, e2, out):
     inv1, inv2 = xk_invariant(e1), xk_invariant(e2)
     sigma, poset = out.poset_iso, inv1.ideals.poset
     m0, m1 = _pull_rep(inv2.xk0, sigma, poset), _pull_rep(inv2.xk1, sigma, poset)
-    f0, f1 = (RepMorphism(s, t, {p: GroupMorphism(s.groups[p], t.groups[p], w.maps[p].matrix)
-                                 for p in poset.points})
+    f0, f1 = (RepMorphism(s, t, w.maps)
               for s, t, w in zip((inv1.xk0, inv1.xk1), (m0, m1), out.module_iso))
     return f0, inv1.delta, _pull_class(inv2.delta, sigma, m0, m1), f1
 
@@ -824,6 +811,17 @@ def test_ext2_compatible_lifts_a_chain_map_only_for_nonzero_ext2(monkeypatch):
         f0, f1 = RepMorphism.identity(inv.xk0), RepMorphism.identity(inv.xk1)
         assert ext2_compatible(f0, inv.delta, inv.delta, f1)
         assert len(lifts) == expected
+
+
+def test_chain_lift_builds_each_stage_map_once(monkeypatch):
+    # the lift reads the map of a stage at a point for its solve, its sizes
+    # and its kernel; one morphism per (degree, point) serves every read
+    inv = xk_invariant(graph(NONZERO_DELTA))
+    f0, f1 = RepMorphism.identity(inv.xk0), RepMorphism.identity(inv.xk1)
+    built = counter(monkeypatch, ProjectiveRep, "point_matrix_of_coeffs")
+    assert ext2_compatible(f0, inv.delta, inv.delta, f1)
+    stages = {(id(p), id(target), z) for p, _, target, z in built}
+    assert len(built) == len(stages) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from obstruct import intlinalg
 from obstruct.abelian import FgAbGroup, GroupMorphism
 from obstruct.intlinalg import (
     ColumnLattice,
-    ExactArithmeticError,
     IntMatrix,
     adjugate,
     charpoly,
@@ -209,81 +208,17 @@ def test_transforms_are_built_only_when_read(monkeypatch):
     assert built == [3, 3, 3]
 
 
-def counted_eliminations(monkeypatch):
-    """Replace the elimination by a wrapper that records, per call, whether
-    a shared-elimination scope was open."""
+def counter(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
     calls = []
-    real = intlinalg._eliminate
+    original = getattr(owner, name)
 
-    def counted(a):
-        calls.append(intlinalg._eliminations.get() is not None)
-        return real(a)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(intlinalg, "_eliminate", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
-
-
-@intlinalg.shares_eliminations
-def eliminate_twice(rows):
-    """Two equal matrices built separately, each decomposed."""
-    return smith_normal_form(IntMatrix.from_rows(rows)), smith_normal_form(IntMatrix.from_rows(rows))
-
-
-def test_a_scope_eliminates_equal_matrices_once(monkeypatch):
-    calls = counted_eliminations(monkeypatch)
-    s, t = eliminate_twice([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-    assert s is t and calls == [True]
-    assert s.diag == [2, 6, 12]
-
-    @intlinalg.shares_eliminations
-    def empty_shapes():
-        # no rows: the column count alone tells the matrices apart
-        return smith_normal_form(IntMatrix.zeros(0, 2)), smith_normal_form(IntMatrix.zeros(0, 3))
-
-    s, t = empty_shapes()
-    assert s is not t and (s.matrix.cols, t.matrix.cols) == (2, 3) and calls == [True] * 3
-
-
-def test_no_memo_outside_a_scope(monkeypatch):
-    calls = counted_eliminations(monkeypatch)
-    a = IntMatrix.from_rows([[2, 4], [6, 8]])
-    s, t = smith_normal_form(a), smith_normal_form(a)
-    assert s is not t and s.diag == t.diag and calls == [False, False]
-
-
-def test_a_scope_closes_after_return_and_after_raise(monkeypatch):
-    calls = counted_eliminations(monkeypatch)
-    rows = [[2, 4], [6, 8]]
-    s, _ = eliminate_twice(rows)
-    assert intlinalg._eliminations.get() is None
-    t, _ = eliminate_twice(rows)
-    assert t is not s and calls == [True, True]
-
-    @intlinalg.shares_eliminations
-    def fails():
-        smith_normal_form(IntMatrix.from_rows(rows))
-        raise ExactArithmeticError("broken identity")
-
-    with pytest.raises(ExactArithmeticError):
-        fails()
-    assert intlinalg._eliminations.get() is None
-    assert smith_normal_form(IntMatrix.from_rows(rows)) is not t
-    assert calls == [True, True, True, False]
-
-
-def test_nested_scopes_share_one_memo(monkeypatch):
-    calls = counted_eliminations(monkeypatch)
-    rows = [[3, 1], [1, 3]]
-    inner = intlinalg.shares_eliminations(lambda: smith_normal_form(IntMatrix.from_rows(rows)))
-
-    @intlinalg.shares_eliminations
-    def outer():
-        first = inner()
-        return first, inner(), smith_normal_form(IntMatrix.from_rows(rows))
-
-    first, second, third = outer()
-    assert first is second is third and calls == [True]
-    assert intlinalg._eliminations.get() is None
 
 
 def test_kernel_basis():

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from obstruct import quiver
+from obstruct import intlinalg, quiver
 from obstruct.abelian import (
     DiagramHom,
     FgAbGroup,
@@ -49,7 +49,7 @@ from obstruct.quiver import (
 )
 
 from test_abelian import random_group, random_morphism
-from test_intlinalg import counted_eliminations
+from test_intlinalg import counter
 
 
 def sierpinski_rep(vb, va, arrow_matrix):
@@ -936,15 +936,20 @@ def test_rep_iso_rejecting_accept_is_unknown_with_free_part():
     assert rep_iso_bounded_multi([v], [v], bound=2, accept=lambda family: False).verdict == "unknown"
 
 
-def test_iso_search_runs_outside_every_shared_elimination_scope(monkeypatch):
-    # every candidate of the walk is a new matrix, so a memo of eliminations
-    # would only grow there: End((Z/2)^2 + (Z/4)^2) has 2^20 elements
-    g = _presented([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]])
-    v = QuiverRep(point_poset(), {"*": g}, {})
-    scoped = counted_eliminations(monkeypatch)
-    out = rep_iso_bounded_multi([v], [v], budget=200, accept=lambda family: False)
-    assert out.verdict == "unknown"
-    assert scoped and not any(scoped)
+def test_iso_search_eliminates_nothing_per_candidate(monkeypatch):
+    # the walk decides each candidate in closed form, so on
+    # End((Z/2)^2 + (Z/4)^2), which has 2^20 elements, it eliminates as many
+    # matrices at budget 20 as at budget 200
+    eliminated = counter(monkeypatch, intlinalg, "_eliminate")
+    counts = []
+    for budget in (20, 200):
+        g = _presented([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]])
+        v = QuiverRep(point_poset(), {"*": g}, {})
+        eliminated.clear()
+        out = rep_iso_bounded_multi([v], [v], budget=budget, accept=lambda family: False)
+        assert out.verdict == "unknown"
+        counts.append(len(eliminated))
+    assert counts[0] == counts[1] > 0
 
 
 def _presented(relation_rows):
