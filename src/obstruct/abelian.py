@@ -535,13 +535,16 @@ class Ext1Group:
     0 -> Z^r --B--> Z^n -> V -> 0, where B is a basis of V's relation lattice.
 
     A cocycle is a map Z^r -> W, stored as a (target.ngens x r) matrix;
-    coboundaries are precompositions N @ B of maps Z^n -> W.
+    coboundaries are precompositions N @ B of maps Z^n -> W.  `res_lattice`
+    is the `ColumnLattice` of B, eliminated on first read, that every
+    resolution lift into this resolution solves through.
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
         self.source = source
         self.target = target
         self.res = lattice_basis(source.relations)  # n x r, injective
+        self.res_lattice = ColumnLattice(self.res)
         n, m = source.ngens, target.ngens
         r = self.res.cols
         ambient = DirectSum([target] * r).group
@@ -572,13 +575,14 @@ def ext1_z(v: FgAbGroup, w: FgAbGroup) -> Ext1Group:
     return Ext1Group(v, w)
 
 
-def resolution_lift(f: GroupMorphism, res_src: IntMatrix, res_tgt: IntMatrix) -> IntMatrix:
+def resolution_lift(f: GroupMorphism, res_src: IntMatrix, res_tgt: ColumnLattice) -> IntMatrix:
     """Chain lift F^1(src) -> F^1(tgt) of f over the generator-level lift.
 
-    Solves res_tgt @ f1 = f.matrix @ res_src column by column; unique since
-    res_tgt is injective, hence strictly functorial.
+    Solves B @ f1 = f.matrix @ res_src column by column through the lattice
+    of the target resolution basis B (`res_tgt.gens`); unique since B is
+    injective, hence strictly functorial.
     """
-    lift = factor_through(res_tgt, f.matrix @ res_src)
+    lift = res_tgt.factor(f.matrix @ res_src)
     if lift is None:
         raise ExactArithmeticError("resolution lift must exist for a well-defined morphism")
     return lift
@@ -609,7 +613,7 @@ def ext1_induced(pre: GroupMorphism | None, post: GroupMorphism | None,
     """
     lift = None
     if pre is not None:
-        lift = resolution_lift(pre, etgt.res, esrc.res)
+        lift = resolution_lift(pre, etgt.res, esrc.res_lattice)
     images = []
     for c in esrc.basis:
         m = c

@@ -51,6 +51,8 @@ obstruction class.  The verdict is tri-state:
   yes      a poset isomorphism and a graded module isomorphism (f0, f1) over
            it with f1_* delta = f0^* delta' (and f0 carrying the unit class to
            the unit class, for unit_compare), checked by exact arithmetic;
+           when XK1 = 0 both classes lie in Ext^2(XK0, 0) = 0, so the class
+           condition holds and delta is not read;
   no       layer 'poset': the primitive ideal posets are not isomorphic;
            layer 'module': for every sigma the groups differ at some point,
            or both Hom groups are finite, were enumerated whole and hold no
@@ -77,7 +79,8 @@ first reads it, cheapest layer first:
            nothing beyond this layer;
   class    the unit class (unit_compare only) and delta, built at the first
            candidate isomorphism that reaches them; the unit class is tested
-           first, so delta is built only once a candidate preserves the unit.
+           first, so delta is built only once a candidate preserves the unit,
+           and only when XK1 != 0 (Ext^2 into the zero module is zero).
            The unit is kept as a lift through colim XK0 -> K0, one vector per
            point, made once per invariant (`_unit_class`); a candidate pushes
            it through f0 into the vertex coordinates of K0' and compares
@@ -673,8 +676,9 @@ def compare_graph_invariants(e1: DirectedGraph, e2: DirectedGraph,
 
     Each layer of an invariant is built when the verdict first reads it: a
     poset `no` builds the ideal posets only, a module `no` adds XK0, XK1 and
-    the exactness check of their sequence, and delta is built only for a
-    candidate isomorphism.  The unit class is never built here."""
+    the exactness check of their sequence, and delta is read only for a
+    candidate isomorphism, and only when XK1 != 0.  The unit class is never
+    built here."""
     return _compare(XKInvariant(e1), XKInvariant(e2), bound, budget, unit=False)
 
 
@@ -702,8 +706,9 @@ def _compare(inv1: XKInvariant, inv2: XKInvariant, bound, budget, unit) -> Compa
             # family is an isomorphism at every point, so f1 carries
             # Ext^2(XK0, XK1) = 0 onto Ext^2(XK0, XK1'), the group in which
             # ext2_compatible compares the classes: it would answer True
-            # without reading either one, so delta' is not built
-            if inv1.delta.ambient.group.is_trivial():
+            # without reading either one, so delta' is not built.  Ext into
+            # the zero module vanishes, so delta is read only when XK1 != 0
+            if inv1.xk1.is_zero() or inv1.delta.ambient.group.is_trivial():
                 return True
             if delta2 is None:
                 delta2 = _pull_class(inv2.delta, sigma, xk0, xk1)

@@ -9,10 +9,14 @@ intermediate step.
 
 There is one elimination, `smith_normal_form`.  It runs on the matrix alone
 and records its elementary operations; the diagonal and rank are kept at
-once, and U with U^-1, or V, are built by replaying the record only when a
-caller first reads them.  So `matrix_rank`, `is_unimodular` and
+once, and U, U^-1 and V are each built by replaying the record only when a
+caller first reads that one.  So `matrix_rank`, `is_unimodular` and
 `cokernel_factors`, which read the invariant factors alone, build no
-transform, and `kernel_basis` builds V alone.
+transform, a solve builds U and V, a lattice basis U^-1 alone, and
+`kernel_basis` builds V alone.  Structural zeros cost nothing: a matrix
+with no rows or no columns is not eliminated at all (its diagonal is empty
+and its transforms are identities), and the kernel of a matrix of full
+column rank is read off the rank, with no V.
 
 Every call of `smith_normal_form` eliminates, and no decomposition is
 looked up by content.  A decomposition is kept by the object that built its
@@ -277,11 +281,13 @@ class SmithDecomposition:
 
     `smith_normal_form` eliminates on A alone and records its elementary
     operations.  `diag` (padded with zeros to min(rows, cols)) and `rank`
-    are kept at once; U together with U^-1, and V, are built on first read
-    by replaying the recorded row or column operations on an identity, and
-    D is built from `diag` on each read.  A caller that needs only the
-    invariant factors builds no transform.  V^-1 is never built: no caller
-    needs coordinates with respect to the columns of V.
+    are kept at once; U, U^-1 and V are each built on its own first read by
+    replaying the recorded row or column operations on an identity, and D
+    is built from `diag` on each read.  The row record is dropped once both
+    U and U^-1 exist, the column record once V does.  A caller that needs
+    only the invariant factors builds no transform, and `kernel_basis` of a
+    matrix of full column rank builds none either.  V^-1 is never built: no
+    caller needs coordinates with respect to the columns of V.
     """
 
     __slots__ = ("matrix", "diag", "rank", "_row_ops", "_col_ops", "_U", "_Uinv", "_V")
@@ -297,13 +303,37 @@ class SmithDecomposition:
     @property
     def U(self):
         if self._U is None:
-            self._build_row_transforms()
+            m = self.matrix.rows
+            U = _identity_rows(m)
+            for r, s, q in self._row_ops:
+                if s is None:
+                    U[r] = [-x for x in U[r]]
+                elif q is None:
+                    U[r], U[s] = U[s], U[r]
+                else:
+                    U[r] = [x - q * y for x, y in zip(U[r], U[s])]
+            self._U = IntMatrix._wrap(m, m, U)
+            if self._Uinv is not None:
+                self._row_ops = None
         return self._U
 
     @property
     def Uinv(self):
         if self._Uinv is None:
-            self._build_row_transforms()
+            # U^-1 is held transposed, so the inverse of each row operation
+            # on U, a column operation on U^-1, also rewrites whole rows
+            m = self.matrix.rows
+            Uinv_t = _identity_rows(m)  # row i is column i of U^-1
+            for r, s, q in self._row_ops:
+                if s is None:
+                    Uinv_t[r] = [-x for x in Uinv_t[r]]
+                elif q is None:
+                    Uinv_t[r], Uinv_t[s] = Uinv_t[s], Uinv_t[r]
+                else:
+                    Uinv_t[s] = [x + q * y for x, y in zip(Uinv_t[s], Uinv_t[r])]
+            self._Uinv = IntMatrix._wrap(m, m, [list(c) for c in zip(*Uinv_t)])
+            if self._U is not None:
+                self._row_ops = None
         return self._Uinv
 
     @property
@@ -327,34 +357,16 @@ class SmithDecomposition:
             D.data[i][i] = d
         return D
 
-    def _build_row_transforms(self):
-        # U^-1 is held transposed, so the inverse of each row operation on U,
-        # a column operation on U^-1, also rewrites whole rows
-        m = self.matrix.rows
-        U = _identity_rows(m)
-        Uinv_t = _identity_rows(m)  # row i is column i of U^-1
-        for r, s, q in self._row_ops:
-            if s is None:
-                U[r] = [-x for x in U[r]]
-                Uinv_t[r] = [-x for x in Uinv_t[r]]
-            elif q is None:
-                U[r], U[s] = U[s], U[r]
-                Uinv_t[r], Uinv_t[s] = Uinv_t[s], Uinv_t[r]
-            else:
-                U[r] = [x - q * y for x, y in zip(U[r], U[s])]
-                Uinv_t[s] = [x + q * y for x, y in zip(Uinv_t[s], Uinv_t[r])]
-        self._row_ops = None
-        self._U = IntMatrix._wrap(m, m, U)
-        self._Uinv = IntMatrix._wrap(m, m, [list(c) for c in zip(*Uinv_t)])
-
     def diagonal_padded(self, n):
         """First n diagonal entries, padding with zeros past min(rows, cols)."""
         return [self.diag[i] if i < len(self.diag) else 0 for i in range(n)]
 
     def kernel_basis(self) -> IntMatrix:
         """Basis of the integer kernel of `matrix`: the columns of V past the
-        rank."""
+        rank (none, and V is not built, at full column rank)."""
         n = self.matrix.cols
+        if self.rank == n:
+            return IntMatrix.zeros(n, 0)
         return IntMatrix.from_columns([self.V.column(j) for j in range(self.rank, n)], rows=n)
 
 
@@ -399,8 +411,12 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
     operation in absolute indices: (r, s, q) for
     row_r -= q * row_s, (r, s, None) for a swap of rows r and s and
     (r, None, None) for a sign flip of row r; (c, d, q) for
-    col_c -= q * col_d and (c, d, None) for a swap of columns.
+    col_c -= q * col_d and (c, d, None) for a swap of columns.  A matrix
+    with no rows or no columns has nothing to eliminate: its diagonal and
+    records are empty, and its block is not copied.
     """
+    if not (a.rows and a.cols):
+        return SmithDecomposition(a, [], (), ())
     block = [row[:] for row in a.data]
     diag = []
     row_ops = []
@@ -678,7 +694,12 @@ def determinant(a: IntMatrix) -> int:
 
 
 def matrix_power(a: IntMatrix, k: int) -> IntMatrix:
-    """a**k for a square matrix and k >= 0, by repeated squaring."""
+    """a**k for a square matrix and k >= 0, by repeated squaring; any other
+    matrix or exponent is a ValueError."""
+    if a.rows != a.cols:
+        raise ValueError(f"matrix power needs a square matrix, got {a.rows}x{a.cols}")
+    if k < 0:
+        raise ValueError(f"matrix power needs an exponent k >= 0, got {k}")
     out = IntMatrix.identity(a.rows)
     base = a
     while k:

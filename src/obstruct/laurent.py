@@ -40,6 +40,7 @@ from .abelian import (
     resolution_lift,
 )
 from .intlinalg import (
+    ColumnLattice,
     ExactArithmeticError,
     IntMatrix,
     factor_through,
@@ -174,7 +175,7 @@ def _phi_on_hom(v: RModuleFg, w: RModuleFg, h: HomGroup) -> GroupMorphism:
 
 def _phi_on_ext(v: RModuleFg, w: RModuleFg, e: Ext1Group) -> GroupMorphism:
     """c |-> x_W c - c x1 on Ext^1_Z(V, W) cocycles, x1 the resolution lift."""
-    x1 = resolution_lift(v.x, e.res, e.res)
+    x1 = resolution_lift(v.x, e.res, e.res_lattice)
     images = [e.coords(w.x.matrix @ c - c @ x1) for c in e.basis]
     return canonical_morphism(e.group, e.group, images)
 
@@ -202,7 +203,7 @@ class TotalComplex:
         b = lattice_basis(v.group.relations)
         r = b.cols
         x0 = v.x.matrix
-        x1 = resolution_lift(v.x, b, b) if r else IntMatrix.zeros(0, 0)
+        x1 = resolution_lift(v.x, b, ColumnLattice(b)) if r else IntMatrix.zeros(0, 0)
         mxw = w.x.matrix
         c0 = DirectSum([w.group] * n).group
         c1 = DirectSum([w.group] * (n + r)).group
@@ -508,7 +509,7 @@ def _induced_class_coords(post: GroupMorphism | None, pre_map: GroupMorphism | N
         return tgt_block.zero_class()
     m = src_block.cocycle_of_class(coords)
     if pre_map is not None:
-        lift = resolution_lift(pre_map, tgt_block.ext_e.res, src_block.ext_e.res)
+        lift = resolution_lift(pre_map, tgt_block.ext_e.res, src_block.ext_e.res_lattice)
         m = m @ lift
     if post is not None:
         m = post.matrix @ m

@@ -689,7 +689,8 @@ def ext_poset_ups_oracle(v: QuiverRep, w: QuiverRep):
 
     # lifts of the arrow maps to the free resolutions
     lift0 = {(y, x): v.arrow_map(y, x).matrix for y, x in arrows}
-    lift1 = {(y, x): resolution_lift(v.arrow_map(y, x), basis[y], basis[x]) for y, x in arrows}
+    lift1 = {(y, x): resolution_lift(v.arrow_map(y, x), basis[y], ColumnLattice(basis[x]))
+             for y, x in arrows}
 
     # total complex generator bookkeeping: T0 = sum_x P(x) x F0_x,
     # T1 = sum_x P(x) x F1_x  +  sum_{y->x} P(x) x F0_y,

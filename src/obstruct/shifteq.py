@@ -117,6 +117,10 @@ class ShiftEqResult:
 
 
 def verify_shift_equivalence(a, b, r, s, lag):
+    """Do R A = B R, S B = A S, R S = B^lag and S R = A^lag hold?  A lag
+    below 1 is a ValueError, as it is for `shift_equivalent`."""
+    if lag < 1:
+        raise ValueError(f"lag out of range: {lag} (at least 1)")
     return (
         r @ a == b @ r
         and s @ b == a @ s

@@ -1,9 +1,15 @@
-"""Caps on the eliminations of three fixed constructions.
+"""Caps on the eliminations and transform replays of three fixed
+constructions.
 
 Every call of `smith_normal_form` eliminates, and a decomposition is kept by
 the object that built its matrix.  A change that builds one of them again
-shows here as a higher count, before any benchmark sees it.  The caps are
-the counts of the current code; lower them when a change eliminates less."""
+shows here as a higher elimination count, before any benchmark sees it.
+U, U^-1 and V are each replayed from the record on their own first read,
+and a matrix with no rows or no columns, or the kernel of a matrix of full
+column rank, replays nothing; a change that loses one of these exits shows
+as a higher count of identities built (`intlinalg._identity_rows`, which
+every replay starts from).  The caps are the counts of the current code;
+lower them when a change does less work."""
 
 import random
 
@@ -20,19 +26,31 @@ from test_laurent import fg, zmod
 from test_quiver import presented_rep
 
 CAPS = {"xk module layer and delta": 20, "ext_poset": 29, "count_liftings": 12}
+REPLAY_CAPS = {"xk module layer and delta": 15, "ext_poset": 31, "count_liftings": 15}
 
 
-def test_fixed_constructions_stay_within_their_elimination_counts(monkeypatch):
+def counts_of(monkeypatch, name):
+    """Calls of intlinalg.`name` made by each fixed construction, built fresh."""
     inv = XKInvariant(graph(NONZERO_DELTA))
     v = presented_rep(random.Random(26), diamond_poset())  # Ext^2(v, v) = Z/3
     m = GradedRModule(even=ck_module(IntMatrix.from_rows([[4]])).even, odd=fg(zmod(3)))
-    eliminated = counter(monkeypatch, intlinalg, "_eliminate")
+    calls = counter(monkeypatch, intlinalg, name)
     counts, results = {}, {}
-    for name, build in [("xk module layer and delta", lambda: inv.delta.coords),
+    for what, build in [("xk module layer and delta", lambda: inv.delta.coords),
                         ("ext_poset", lambda: ext_poset(v, v, 2).group.invariant_factors),
                         ("count_liftings", lambda: count_liftings(m))]:
-        eliminated.clear()
-        results[name] = build()
-        counts[name] = len(eliminated)
+        calls.clear()
+        results[what] = build()
+        counts[what] = len(calls)
     assert list(results.values()) == [(1,), [3], 3]
+    return counts
+
+
+def test_fixed_constructions_stay_within_their_elimination_counts(monkeypatch):
+    counts = counts_of(monkeypatch, "_eliminate")
     assert all(counts[name] <= cap for name, cap in CAPS.items()), counts
+
+
+def test_fixed_constructions_stay_within_their_replay_counts(monkeypatch):
+    counts = counts_of(monkeypatch, "_identity_rows")
+    assert all(counts[name] <= cap for name, cap in REPLAY_CAPS.items()), counts

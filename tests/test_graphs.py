@@ -781,6 +781,11 @@ def test_delta_prime_is_built_only_when_ext2_can_be_nonzero(monkeypatch):
     rows = TORSION_GRAPHS[3]
     out = unit_compare(graph(rows), relabelled(rows, (2, 0, 1)))
     assert out.verdict == "yes"
+    assert builds == [] and pulls == []  # XK1 = 0, so Ext^2 = 0 without delta
+
+    rows = [[2, 1], [1, 2]]  # XK1 = Z at the single point, Ext^2 = 0
+    out = unit_compare(graph(rows), relabelled(rows, (1, 0)))
+    assert out.verdict == "yes"
     assert len(builds) == 1 and pulls == []  # delta alone, found trivial
 
     builds.clear()

@@ -186,26 +186,39 @@ def test_transforms_are_built_only_when_read(monkeypatch):
     group = FgAbGroup(3, a)
     z6 = FgAbGroup.cyclic(6)
     unit = GroupMorphism(z6, z6, IntMatrix.from_rows([[5]]), trusted=True)
-    built = []
-    real = intlinalg._identity_rows
-
-    def counted(n):
-        built.append(n)
-        return real(n)
-
-    monkeypatch.setattr(intlinalg, "_identity_rows", counted)
+    built = counter(monkeypatch, intlinalg, "_identity_rows")
     assert group.invariant_factors == [0, 0]
     assert matrix_rank(a) == 1
     assert cokernel_factors(a) == [1, 0, 0]
     assert unit.is_iso()
     assert built == []
     k = kernel_basis(a)
-    assert k.cols == 2 and built == [3]  # V alone
+    assert k.cols == 2 and built == [(3,)]  # V alone
     s = smith_normal_form(a.hstack(a))
     s.Uinv
-    assert built == [3, 3, 3]  # U with U^-1
+    assert built == [(3,), (3,)]  # U^-1 alone
+    s.U
+    assert built == [(3,), (3,), (3,)]  # then U
     s.U, s.Uinv, s.D
-    assert built == [3, 3, 3]
+    assert built == [(3,), (3,), (3,)]
+
+
+def test_structural_zeros_replay_nothing(monkeypatch):
+    eye = {n: IntMatrix.identity(n) for n in (0, 3)}
+    built = counter(monkeypatch, intlinalg, "_identity_rows")
+    # full column rank: the kernel is read off the rank, with no V
+    k = kernel_basis(IntMatrix.from_rows([[2, 1], [1, 1]]))
+    assert (k.rows, k.cols) == (2, 0) and built == []
+    # no columns or no rows: nothing to eliminate, identity transforms
+    for rows, cols in ((3, 0), (0, 3)):
+        s = smith_normal_form(IntMatrix.zeros(rows, cols))
+        assert s.diag == [] and s.rank == 0 and built == []
+        assert s.Uinv == eye[rows] and len(built) == 1
+        assert s.U == eye[rows] and len(built) == 2
+        assert s.V == eye[cols] and len(built) == 3
+        s.U, s.Uinv, s.V
+        assert len(built) == 3
+        built.clear()
 
 
 def counter(monkeypatch, owner, name):
@@ -497,6 +510,15 @@ def test_matrix_power():
     assert matrix_power(a, 10) == IntMatrix.from_rows([[89, 55], [55, 34]])  # Fibonacci
     b = IntMatrix.from_rows([[2, -1, 0], [1, 3, 1], [0, 0, -2]])
     assert matrix_power(b, 5) == b @ b @ b @ b @ b
+
+
+def test_matrix_power_rejects_a_negative_exponent_and_a_non_square_matrix():
+    a = IntMatrix.from_rows([[1, 1], [1, 0]])
+    with pytest.raises(ValueError, match="k >= 0"):
+        matrix_power(a, -1)
+    for k in (0, 1, 2):
+        with pytest.raises(ValueError, match="square"):
+            matrix_power(IntMatrix.from_rows([[1, 2, 3]]), k)
 
 
 def test_matrix_text_roundtrip():

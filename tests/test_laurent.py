@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from obstruct import laurent
+from obstruct import intlinalg, laurent
 from obstruct.abelian import (
     DiagramHom,
     FgAbGroup,
@@ -28,6 +28,7 @@ from obstruct.laurent import (
 
 from support import six_term_maps
 from test_abelian import random_group, randomized_equivalent_presentation
+from test_intlinalg import counter
 
 
 def fg(group, xmat=None):
@@ -402,6 +403,27 @@ def test_pair_iso_reuses_the_parity_blocks_of_one_module(monkeypatch):
         assert len(builds) == expected
     assert [o.verdict for o in outs] == ["yes", "yes"]
     assert [f.matrix for f in outs[0].witness] == [f.matrix for f in outs[1].witness]
+
+
+def test_pair_iso_eliminates_nothing_per_candidate(monkeypatch):
+    # Hom_R(even) = End((Z/2)^2) is finite, and the identity, tried first,
+    # does not match the classes.  Each candidate lifts through the
+    # resolution basis of one block, whose Ext1Group keeps its decomposition
+    g = FgAbGroup.from_invariant_factors([2, 2])
+    eliminated = counter(monkeypatch, intlinalg, "_eliminate")
+    transports = counter(monkeypatch, laurent, "_induced_class_coords")
+    counts = []
+    for budget, verdict in ((1, "unknown"), (16, "yes")):
+        m = GradedRModule(even=fg(g), odd=fg(zmod(2)))
+        zero_oe = tuple(0 for _ in ext2_block(m.odd, m.even).group.invariant_factors)
+        eliminated.clear()
+        transports.clear()
+        out = pair_iso(PairDelta(m, (1, 0), zero_oe), PairDelta(m, (0, 1), zero_oe), budget=budget)
+        assert out.verdict == verdict
+        counts.append((len(transports), len(eliminated)))
+    (one, once), (several, total) = counts
+    assert one == 2 and several > 4  # one candidate, then more than two
+    assert total == once
 
 
 def test_pair_iso_distinct_classes_trivial_automorphisms():

@@ -90,6 +90,15 @@ def test_bounds_out_of_range_are_value_errors():
             shift_equivalent(a, a, **bounds)
 
 
+def test_verify_rejects_a_lag_below_one():
+    a = IntMatrix.from_rows([[1, 1], [1, 0]])
+    eye = IntMatrix.identity(2)
+    assert verify_shift_equivalence(a, a, eye, a, 1)
+    for lag in (0, -1):  # (I, I) would pass every equation at lag 0
+        with pytest.raises(ValueError, match="lag out of range"):
+            verify_shift_equivalence(a, a, eye, eye, lag)
+
+
 def test_budget_zero_tries_no_candidate():
     a = IntMatrix.from_rows([[1, 1], [1, 0]])
     b = IntMatrix.from_rows([[0, 1], [1, 1]])
