@@ -7,7 +7,8 @@ into cyclic factors is a derived view (via the cached Smith normal form of
 the relations).
 
 Hom and Ext^1 carry explicit representing bases (morphisms, respectively
-cocycles against a fixed free resolution), so a map between them, such as
+cocycles against the free resolution the source group owns), so a map
+between them, such as
 the one `ext1_induced` builds from a pair of morphisms, is computed on the
 nose in canonical coordinates (`canonical_morphism`) rather than up to
 isomorphism.
@@ -38,9 +39,9 @@ from .intlinalg import (
     ColumnLattice,
     ExactArithmeticError,
     IntMatrix,
+    _factor,
     cokernel_factors,
     determinant,
-    factor_through,
     lattice_basis,
     smith_normal_form,
     unvec,
@@ -149,18 +150,7 @@ class FgAbGroup:
 
     def contains_relation(self, vec) -> bool:
         """Is the vector zero in the group (i.e. in the relation lattice)?"""
-        if not any(vec):
-            return True
-        s = self.snf
-        y = s.U.apply(vec)
-        diag = self._diag_padded()
-        for i in range(self.ngens):
-            if diag[i] == 0:
-                if y[i] != 0:
-                    return False
-            elif y[i] % diag[i] != 0:
-                return False
-        return True
+        return not any(vec) or _factor(self.snf, [vec]) is not None
 
     def canon_coords(self, vec):
         """Coordinates of the class of vec in the canonical cyclic decomposition."""
@@ -340,19 +330,6 @@ class GroupMorphism:
         factors is injective (Hopfian test)."""
         return self.source.invariant_factors == self.target.invariant_factors and self.is_surjective()
 
-    def inverse(self):
-        """Two-sided inverse morphism; raises if not an isomorphism.  Its
-        solve eliminates [M | R] for itself and keeps nothing: the caller
-        keeps the inverse, and [M | R] is read once."""
-        mat = factor_through(self.matrix, IntMatrix.identity(self.target.ngens),
-                             self.target.relations)
-        if mat is None:
-            raise ValueError("morphism is not surjective")
-        inv = GroupMorphism(self.target, self.source, mat)
-        if not (inv @ self).equals(GroupMorphism.identity(self.source)):
-            raise ValueError("morphism is not injective")
-        return inv
-
     def __repr__(self):
         return f"GroupMorphism({self.source.describe()} -> {self.target.describe()})"
 
@@ -531,20 +508,18 @@ class HomGroup:
 
 
 class Ext1Group:
-    """Ext^1_Z(V, W) as cocycles against the free resolution
-    0 -> Z^r --B--> Z^n -> V -> 0, where B is a basis of V's relation lattice.
+    """Ext^1_Z(V, W) as cocycles against V's own free resolution
+    0 -> Z^r --B--> Z^n -> V -> 0, B = `V.snf.image_basis()`.
 
     A cocycle is a map Z^r -> W, stored as a (target.ngens x r) matrix;
-    coboundaries are precompositions N @ B of maps Z^n -> W.  `res_lattice`
-    is the `ColumnLattice` of B, eliminated on first read, that every
-    resolution lift into this resolution solves through.
+    coboundaries are precompositions N @ B of maps Z^n -> W.  A resolution
+    lift into this resolution solves through `V.snf` (`resolution_lift`).
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
         self.source = source
         self.target = target
-        self.res = lattice_basis(source.relations)  # n x r, injective
-        self.res_lattice = ColumnLattice(self.res)
+        self.res = source.snf.image_basis()  # n x r, injective
         n, m = source.ngens, target.ngens
         r = self.res.cols
         ambient = DirectSum([target] * r).group
@@ -575,14 +550,15 @@ def ext1_z(v: FgAbGroup, w: FgAbGroup) -> Ext1Group:
     return Ext1Group(v, w)
 
 
-def resolution_lift(f: GroupMorphism, res_src: IntMatrix, res_tgt: ColumnLattice) -> IntMatrix:
-    """Chain lift F^1(src) -> F^1(tgt) of f over the generator-level lift.
+def resolution_lift(f: GroupMorphism) -> IntMatrix:
+    """Chain lift F^1(src) -> F^1(tgt) of f over the generator-level lift,
+    between the free resolutions the two groups own (B = `snf.image_basis()`).
 
-    Solves B @ f1 = f.matrix @ res_src column by column through the lattice
-    of the target resolution basis B (`res_tgt.gens`); unique since B is
+    Solves B_tgt @ f1 = f.matrix @ B_src through the target's own Smith
+    form (`image_coords`), so neither B is eliminated; unique since B_tgt is
     injective, hence strictly functorial.
     """
-    lift = res_tgt.factor(f.matrix @ res_src)
+    lift = f.target.snf.image_coords(f.matrix @ f.source.snf.image_basis())
     if lift is None:
         raise ExactArithmeticError("resolution lift must exist for a well-defined morphism")
     return lift
@@ -613,7 +589,7 @@ def ext1_induced(pre: GroupMorphism | None, post: GroupMorphism | None,
     """
     lift = None
     if pre is not None:
-        lift = resolution_lift(pre, etgt.res, esrc.res_lattice)
+        lift = resolution_lift(pre)
     images = []
     for c in esrc.basis:
         m = c
@@ -668,12 +644,13 @@ def eventual_image(phi: GroupMorphism):
 
 
 def torsion_subgroup(g: FgAbGroup):
-    """(T, embed) for the torsion subgroup of g."""
-    sat = ColumnLattice(g.relations).saturation_basis()
-    rel = factor_through(sat, g.relations)
-    if rel is None:
-        raise ExactArithmeticError("relations must lie in their saturation")
-    t = FgAbGroup(sat.cols, rel)
+    """(T, embed) for the torsion subgroup of g, off g's Smith form U R V = D:
+    the saturation of the relation lattice, spanned by the first `rank`
+    columns of U^-1, with relations the first `rank` rows of U R."""
+    s = g.snf
+    sat = s.Uinv.submatrix(range(g.ngens), range(s.rank))
+    rel = (s.U @ g.relations).submatrix(range(s.rank), range(g.relations.cols))
+    t = FgAbGroup(s.rank, rel)
     embed = GroupMorphism(t, g, sat, trusted=True)
     return t, embed
 

@@ -164,7 +164,12 @@ class DirectedGraph:
 
     @classmethod
     def from_adjacency(cls, a: IntMatrix, labels=None):
+        """a[i][j] edges from vertex i to j; a square, one label per row."""
+        if a.rows != a.cols:
+            raise ValueError(f"adjacency matrix must be square, got {a.rows}x{a.cols}")
         labels = labels if labels is not None else [f"v{i}" for i in range(a.rows)]
+        if len(labels) != a.rows:
+            raise ValueError(f"{len(labels)} labels given for a {a.rows}x{a.cols} matrix")
         edges = []
         for i in range(a.rows):
             for j in range(a.cols):

@@ -22,16 +22,22 @@ Every call of `smith_normal_form` eliminates, and no decomposition is
 looked up by content.  A decomposition is kept by the object that built its
 matrix, and whoever needs it again reads it there: a `ColumnLattice` keeps
 that of its generators, built on first read; an `abelian.FgAbGroup` that of
-its relations; an `abelian.GroupMorphism` that of its matrix beside the
-target relations, which its surjectivity test, preimage lattice, lifts and
-cokernel group all read.  A construction that needs one matrix twice holds
-on to its owner instead of building the matrix again.
+its relations, and with it the group's free resolution
+0 -> Z^r --B--> Z^n -> V -> 0 (B is its `image_basis`), which resolution
+lifts, Ext^1_Z, the torsion subgroup and the x-action test read there; an
+`abelian.GroupMorphism` that of its matrix beside the target relations,
+which its surjectivity test, preimage lattice, lifts and cokernel group all
+read.  A construction that needs one matrix twice holds on to its owner
+instead of building the matrix again.
 
 Every exact solve goes through one loop, `_factor`: with U a V = D it
 solves U b = D x' entry by entry on the diagonal, one column b at a time,
 and x = V x' solves a x = b.  Callers reach it as
 `ColumnLattice.factor`, which factors a map b through the lattice's
 generators (the idiom of kernels, lifts and corestrictions); as
+`SmithDecomposition.image_coords` against `image_basis`, so a map into a
+group's free resolution is solved through the group's own decomposition;
+as `abelian.FgAbGroup.contains_relation` for membership in relations; as
 `factor_through(a, b, relations)` against a matrix used once; as
 `abelian.GroupMorphism.lift` modulo the target relations, against the
 morphism's own decomposition; and as `solve` for a single vector.
@@ -369,6 +375,21 @@ class SmithDecomposition:
             return IntMatrix.zeros(n, 0)
         return IntMatrix.from_columns([self.V.column(j) for j in range(self.rank, n)], rows=n)
 
+    def image_basis(self) -> IntMatrix:
+        """A basis of the column lattice: d_i * (column i of U^-1) over the
+        nonzero diagonal; B of 0 -> Z^rank --B--> Z^rows -> coker -> 0."""
+        return IntMatrix.from_columns(
+            [[self.diag[i] * e for e in self.Uinv.column(i)] for i in range(self.rank)],
+            rows=self.matrix.rows)
+
+    def image_coords(self, b: IntMatrix):
+        """The unique X with image_basis() @ X == b, or None if some column
+        of b is outside the lattice: the first `rank` rows of D x' == U b."""
+        xs = _factor(self, b.transpose().data)
+        if xs is None:
+            return None
+        return IntMatrix._wrap(self.rank, b.cols, [[x[i] for x in xs] for i in range(self.rank)])
+
 
 def _identity_rows(n):
     rows = [[0] * n for _ in range(n)]
@@ -570,25 +591,9 @@ class ColumnLattice:
         return (self.snf.diagonal_padded(n) == other.snf.diagonal_padded(n)
                 and _factor(self.snf, other.gens.transpose().data) is not None)
 
-    def basis(self) -> IntMatrix:
-        """A lattice basis: d_i * (Uinv column i) over the nonzero diagonal."""
-        s = self.snf
-        cols = []
-        for i, d in enumerate(s.diag):
-            if d != 0:
-                col = s.Uinv.column(i)
-                cols.append([d * e for e in col])
-        return IntMatrix.from_columns(cols, rows=self.gens.rows)
-
-    def saturation_basis(self) -> IntMatrix:
-        """Basis of {v : k*v in lattice for some k != 0}."""
-        s = self.snf
-        cols = [s.Uinv.column(i) for i in range(s.rank)]
-        return IntMatrix.from_columns(cols, rows=self.gens.rows)
-
 
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
-    return ColumnLattice(gens).basis()
+    return smith_normal_form(gens).image_basis()
 
 
 def cokernel_factors(a: IntMatrix) -> list:

@@ -30,6 +30,9 @@ from .abelian import (
     HomGroup,
     SearchOutcome,
     SubquotientData,
+    _automorphism_blocks,
+    _canonical_matrix,
+    _is_automorphism,
     canonical_morphism,
     eventual_image,
     ext1_induced,
@@ -40,13 +43,11 @@ from .abelian import (
     resolution_lift,
 )
 from .intlinalg import (
-    ColumnLattice,
     ExactArithmeticError,
     IntMatrix,
     factor_through,
     is_unimodular,
     kernel_basis,
-    lattice_basis,
     matrix_power,
 )
 
@@ -67,9 +68,10 @@ class UnsupportedShape(ValueError):
 
 
 class RModuleFg:
-    """A Z-finitely-generated R-module: group plus automorphism x."""
+    """A Z-finitely-generated R-module: group plus automorphism x, checked
+    in closed form on its canonical matrix (`abelian._is_automorphism`)."""
 
-    __slots__ = ("group", "x", "x_inv")
+    __slots__ = ("group", "x")
 
     def __init__(self, group: FgAbGroup, x: GroupMorphism):
         if x.source is not group or x.target is not group:
@@ -78,12 +80,11 @@ class RModuleFg:
             # an action defined on another presentation: rebuilt on `group`,
             # where it must be well defined (IllDefinedMorphism otherwise)
             x = GroupMorphism(group, group, x.matrix)
+        blocks = _automorphism_blocks(group.invariant_factors)
+        if not _is_automorphism(_canonical_matrix(x), *blocks):
+            raise UnsupportedShape("x-action is not invertible")
         self.group = group
         self.x = x
-        try:
-            self.x_inv = x.inverse()
-        except ValueError as exc:
-            raise UnsupportedShape(f"x-action is not invertible: {exc}") from exc
 
     @classmethod
     def zero(cls):
@@ -175,7 +176,7 @@ def _phi_on_hom(v: RModuleFg, w: RModuleFg, h: HomGroup) -> GroupMorphism:
 
 def _phi_on_ext(v: RModuleFg, w: RModuleFg, e: Ext1Group) -> GroupMorphism:
     """c |-> x_W c - c x1 on Ext^1_Z(V, W) cocycles, x1 the resolution lift."""
-    x1 = resolution_lift(v.x, e.res, e.res_lattice)
+    x1 = resolution_lift(v.x)
     images = [e.coords(w.x.matrix @ c - c @ x1) for c in e.basis]
     return canonical_morphism(e.group, e.group, images)
 
@@ -185,7 +186,7 @@ class TotalComplex:
     """Hom_R(P_*, W) for the length-two free R-resolution of a fg module V.
 
     Degrees: C0 = Hom(F0, W), C1 = Hom(F0, W) + Hom(F1, W), C2 = Hom(F1, W);
-    F1 --B--> F0 is a free Z-presentation of V.
+    F1 --B--> F0 is the free Z-resolution V's group owns.
     """
 
     v: RModuleFg
@@ -200,10 +201,10 @@ class TotalComplex:
     @classmethod
     def build(cls, v: RModuleFg, w: RModuleFg):
         n, m = v.group.ngens, w.group.ngens
-        b = lattice_basis(v.group.relations)
+        b = v.group.snf.image_basis()
         r = b.cols
         x0 = v.x.matrix
-        x1 = resolution_lift(v.x, b, ColumnLattice(b)) if r else IntMatrix.zeros(0, 0)
+        x1 = resolution_lift(v.x)
         mxw = w.x.matrix
         c0 = DirectSum([w.group] * n).group
         c1 = DirectSum([w.group] * (n + r)).group
@@ -481,7 +482,8 @@ class PairDelta:
     """A graded module with an odd-degree obstruction class.
 
     The class is stored by its coordinates in the two parity blocks
-    Ext^2_R(even, odd) and Ext^2_R(odd, even).
+    Ext^2_R(even, odd) and Ext^2_R(odd, even), in [0, d) for a factor Z/d
+    (so a class is zero iff its coordinates are) and any integer for Z.
     """
 
     module: GradedRModule
@@ -495,11 +497,15 @@ class PairDelta:
                 ext2_block(self.module.even, self.module.odd),
                 ext2_block(self.module.odd, self.module.even),
             )
-        beo, boe = self.blocks
-        if len(self.delta_eo) != len(beo.group.invariant_factors):
-            raise ValueError("even->odd class has wrong coordinate length")
-        if len(self.delta_oe) != len(boe.group.invariant_factors):
-            raise ValueError("odd->even class has wrong coordinate length")
+        for name, coords, block in (("even->odd", self.delta_eo, self.blocks[0]),
+                                    ("odd->even", self.delta_oe, self.blocks[1])):
+            factors = block.group.invariant_factors
+            if len(coords) != len(factors):
+                raise ValueError(f"{name} class has wrong coordinate length")
+            for i, (c, d) in enumerate(zip(coords, factors)):
+                if d and not 0 <= c < d:
+                    raise ValueError(f"{name} class coordinate {c} of factor {i} (Z/{d}) "
+                                     f"is outside [0, {d})")
 
 
 def _induced_class_coords(post: GroupMorphism | None, pre_map: GroupMorphism | None,
@@ -509,7 +515,7 @@ def _induced_class_coords(post: GroupMorphism | None, pre_map: GroupMorphism | N
         return tgt_block.zero_class()
     m = src_block.cocycle_of_class(coords)
     if pre_map is not None:
-        lift = resolution_lift(pre_map, tgt_block.ext_e.res, src_block.ext_e.res_lattice)
+        lift = resolution_lift(pre_map)
         m = m @ lift
     if post is not None:
         m = post.matrix @ m

@@ -53,7 +53,6 @@ from .intlinalg import (
     ExactArithmeticError,
     IntMatrix,
     kernel_basis,
-    lattice_basis,
     lattices_equal,
 )
 from .posets import FinitePoset, is_unique_path_space
@@ -682,15 +681,14 @@ def ext_poset_ups_oracle(v: QuiverRep, w: QuiverRep):
     if not ups:
         raise ValueError(f"not a unique path space: {witness}")
 
-    # free Z-resolutions of each entry group
+    # the free Z-resolutions the entry groups own
     rank0 = {x: v.groups[x].ngens for x in poset.points}
-    basis = {x: lattice_basis(v.groups[x].relations) for x in poset.points}
+    basis = {x: v.groups[x].snf.image_basis() for x in poset.points}
     arrows = poset.hasse_arrows
 
     # lifts of the arrow maps to the free resolutions
     lift0 = {(y, x): v.arrow_map(y, x).matrix for y, x in arrows}
-    lift1 = {(y, x): resolution_lift(v.arrow_map(y, x), basis[y], ColumnLattice(basis[x]))
-             for y, x in arrows}
+    lift1 = {(y, x): resolution_lift(v.arrow_map(y, x)) for y, x in arrows}
 
     # total complex generator bookkeeping: T0 = sum_x P(x) x F0_x,
     # T1 = sum_x P(x) x F1_x  +  sum_{y->x} P(x) x F0_y,

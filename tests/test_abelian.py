@@ -20,12 +20,13 @@ from obstruct.abelian import (
     image_subgroup,
     is_exact_at,
     iso_search,
+    resolution_lift,
     _automorphism_blocks,
     _hom_slots,
     _is_automorphism,
     torsion_subgroup,
 )
-from obstruct.intlinalg import IntMatrix, lattice_basis, lattices_equal, matrix_rank
+from obstruct.intlinalg import ColumnLattice, IntMatrix, lattice_basis, lattices_equal, matrix_rank
 
 from support import induced_map
 
@@ -184,11 +185,16 @@ def test_iso_groups():
 
 
 def test_inverse():
+    # an isomorphism's inverse is its lift of the identity, solved through
+    # the morphism's own decomposition; a non-surjection lifts nothing
     g = FgAbGroup.cyclic(5)
     f = GroupMorphism(g, g, IntMatrix.from_rows([[2]]))
-    inv = f.inverse()
+    assert f.is_iso()
+    inv = GroupMorphism(g, g, f.lift(IntMatrix.identity(1)))
     assert (inv @ f).equals(GroupMorphism.identity(g))
     assert (f @ inv).equals(GroupMorphism.identity(g))
+    z = FgAbGroup.free(1)
+    assert GroupMorphism(z, z, IntMatrix.from_rows([[2]])).lift(IntMatrix.identity(1)) is None
 
 
 # --- hom and ext -------------------------------------------------------------
@@ -471,6 +477,61 @@ def test_torsion_subgroup():
     t, embed = torsion_subgroup(g)
     assert t.invariant_factors == [4]
     assert embed._find_violation() is None
+
+
+def test_torsion_subgroup_of_random_groups():
+    # T embeds, with the torsion factors of g, and its image is all of the
+    # torsion: the cokernel g / T is free of g's rank
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(0, 3)
+        g = FgAbGroup(n, random_relations(rng, n))
+        t, embed = torsion_subgroup(g)
+        assert embed._find_violation() is None
+        assert embed.is_injective()
+        assert t.invariant_factors == [d for d in g.invariant_factors if d]
+        assert embed.cokernel()[0].invariant_factors == [0] * g.rank
+
+
+def random_relations(rng, n):
+    """An n-row relation matrix: none, or a few random columns, often with
+    a column dependent on the others and a zero column among them."""
+    cols = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    if cols and rng.random() < 0.4:
+        a, b = rng.choice(cols), rng.choice(cols)
+        p, q = rng.randint(-2, 2), rng.randint(-2, 2)
+        cols.append([p * x + q * y for x, y in zip(a, b)])
+    if cols and rng.random() < 0.3:
+        cols.insert(rng.randrange(len(cols) + 1), [0] * n)
+    return IntMatrix.from_columns(cols, rows=n)
+
+
+def test_resolution_lift_matches_the_lattice_route():
+    # random f: V -> W, V's relations drawn inside the preimage lattice of a
+    # random matrix, so f is well defined; the lift solves
+    # B(W) X = f B(V) exactly and equals the solve through a lattice built
+    # on the two resolution bases
+    rng = random.Random(43)
+    seen = {"no relations": 0, "zero column": 0, "dependent columns": 0}
+    for _ in range(300):
+        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        w = FgAbGroup(m, random_relations(rng, m))
+        mat = IntMatrix(m, n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        pre = GroupMorphism(FgAbGroup.free(n), w, mat, trusted=True).preimage_gens()
+        rel = pre @ random_relations(rng, pre.cols) if rng.random() < 0.8 else IntMatrix.zeros(n, 0)
+        if rel.cols and rng.random() < 0.3:
+            rel = rel.hstack(IntMatrix.zeros(n, 1))
+        v = FgAbGroup(n, rel)
+        f = GroupMorphism(v, w, mat)
+        lift = resolution_lift(f)
+        assert w.snf.image_basis() @ lift == mat @ v.snf.image_basis()
+        route = ColumnLattice(lattice_basis(w.relations)).factor(mat @ lattice_basis(rel))
+        assert lift == route
+        for g in (v, w):
+            seen["no relations"] += not g.relations.cols
+            seen["zero column"] += any(not any(c) for c in g.relations.columns())
+            seen["dependent columns"] += g.snf.rank < g.relations.cols
+    assert min(seen.values()) >= 30, seen
 
 
 def is_iso_by_definition(f):

@@ -1,4 +1,4 @@
-"""Caps on the eliminations and transform replays of three fixed
+"""Caps on the eliminations and transform replays of four fixed
 constructions.
 
 Every call of `smith_normal_form` eliminates, and a decomposition is kept by
@@ -14,9 +14,10 @@ lower them when a change does less work."""
 import random
 
 from obstruct import intlinalg
+from obstruct.abelian import FgAbGroup
 from obstruct.graphs import XKInvariant
 from obstruct.intlinalg import IntMatrix
-from obstruct.laurent import GradedRModule, ck_module, count_liftings
+from obstruct.laurent import GradedRModule, ck_module, count_liftings, ext_r_fg
 from obstruct.posets import diamond_poset
 from obstruct.quiver import ext_poset
 
@@ -25,8 +26,9 @@ from test_intlinalg import counter
 from test_laurent import fg, zmod
 from test_quiver import presented_rep
 
-CAPS = {"xk module layer and delta": 20, "ext_poset": 29, "count_liftings": 12}
-REPLAY_CAPS = {"xk module layer and delta": 15, "ext_poset": 31, "count_liftings": 15}
+CAPS = {"xk module layer and delta": 20, "ext_poset": 29, "count_liftings": 10, "ext_r_fg": 14}
+REPLAY_CAPS = {"xk module layer and delta": 15, "ext_poset": 31, "count_liftings": 12,
+               "ext_r_fg": 24}
 
 
 def counts_of(monkeypatch, name):
@@ -34,15 +36,19 @@ def counts_of(monkeypatch, name):
     inv = XKInvariant(graph(NONZERO_DELTA))
     v = presented_rep(random.Random(26), diamond_poset())  # Ext^2(v, v) = Z/3
     m = GradedRModule(even=ck_module(IntMatrix.from_rows([[4]])).even, odd=fg(zmod(3)))
+    # Ext^2_R = Z/2 + Z/2: the total complex and the x-action on Ext^1_Z
+    a = fg(FgAbGroup.from_invariant_factors([2, 4]), IntMatrix.from_rows([[1, 1], [0, 1]]))
+    b = fg(zmod(6), IntMatrix.from_rows([[5]]))
     calls = counter(monkeypatch, intlinalg, name)
     counts, results = {}, {}
     for what, build in [("xk module layer and delta", lambda: inv.delta.coords),
                         ("ext_poset", lambda: ext_poset(v, v, 2).group.invariant_factors),
-                        ("count_liftings", lambda: count_liftings(m))]:
+                        ("count_liftings", lambda: count_liftings(m)),
+                        ("ext_r_fg", lambda: ext_r_fg(a, b).ext2_r.invariant_factors)]:
         calls.clear()
         results[what] = build()
         counts[what] = len(calls)
-    assert list(results.values()) == [(1,), [3], 3]
+    assert list(results.values()) == [(1,), [3], 3, [2, 2]]
     return counts
 
 

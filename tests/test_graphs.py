@@ -116,6 +116,17 @@ def test_an_edge_naming_an_unknown_vertex_is_a_named_error():
         DirectedGraph(["u", "v"], [("u", "v"), ("v", "w", 2)])
 
 
+def test_from_adjacency_rejects_a_non_square_matrix_or_a_wrong_label_count():
+    with pytest.raises(ValueError, match="must be square, got 2x3"):
+        DirectedGraph.from_adjacency(IntMatrix.from_rows([[0, 1, 0], [1, 0, 1]]))
+    square = IntMatrix.from_rows([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="1 labels given for a 2x2 matrix"):
+        DirectedGraph.from_adjacency(square, labels=["u"])
+    with pytest.raises(ValueError, match="3 labels given"):
+        DirectedGraph.from_adjacency(square, labels=["u", "v", "w"])
+    assert DirectedGraph.from_adjacency(square, labels=["u", "v"]).targets("u") == ["v"]
+
+
 def test_empty_graph_is_a_named_error():
     e = DirectedGraph([], [])
     with pytest.raises(ExactArithmeticError, match="empty primitive ideal space"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obstruct import intlinalg
-from obstruct.abelian import FgAbGroup, GroupMorphism
+from obstruct.abelian import FgAbGroup, GroupMorphism, torsion_subgroup
 from obstruct.intlinalg import (
     ColumnLattice,
     IntMatrix,
@@ -322,7 +322,7 @@ def test_lattice_membership_and_basis():
     assert lat.contains([0, 6])
     assert not lat.contains([1, 0])
     assert not lat.contains([0, 3])
-    b = lat.basis()
+    b = lat.snf.image_basis()
     assert lattices_equal(b, g)
     assert b.cols == matrix_rank(g)
 
@@ -377,9 +377,51 @@ def test_lattices_equal_matches_mutual_containment():
 
 
 def test_saturation():
+    # the torsion subgroup of Z^2 / <(2, 4)> is the saturation <(1, 2)> of
+    # the relation lattice modulo it, read off the group's own Smith form
     g = IntMatrix.from_rows([[2], [4]])
-    sat = ColumnLattice(g).saturation_basis()
-    assert lattices_equal(sat, IntMatrix.from_rows([[1], [2]]))
+    t, embed = torsion_subgroup(FgAbGroup(2, g))
+    assert lattices_equal(embed.matrix, IntMatrix.from_rows([[1], [2]]))
+    assert t.invariant_factors == [2]
+
+
+def test_image_basis_and_coords_of_random_matrices():
+    # image_basis spans the column lattice with full column rank, and
+    # image_coords solves in it exactly, or answers None for a column
+    # outside the lattice (the lattice plus a vector it does not contain)
+    rng = random.Random(31)
+    outside = 0
+    for _ in range(300):
+        n, k = rng.randint(0, 4), rng.randint(0, 4)
+        a = random_matrix(rng, n, k)
+        s = smith_normal_form(a)
+        b = s.image_basis()
+        assert b.cols == s.rank == matrix_rank(a)
+        assert lattices_equal(b, a)
+        c = random_matrix(rng, k, rng.randint(0, 3))
+        x = s.image_coords(a @ c)
+        assert b @ x == a @ c
+        v = [rng.randint(-3, 3) for _ in range(n)]
+        got = s.image_coords(IntMatrix.from_columns([v], rows=n))
+        if ColumnLattice(a).contains(v):
+            assert b @ got == IntMatrix.from_columns([v], rows=n)
+        else:
+            assert got is None
+            outside += 1
+    assert outside >= 100
+
+
+def test_image_coords_is_none_outside_the_lattice():
+    s = smith_normal_form(IntMatrix.from_rows([[2, 4], [0, 6]]))
+    assert s.image_coords(IntMatrix.from_rows([[1], [0]])) is None
+    assert s.image_coords(IntMatrix.from_rows([[2, 0], [0, 3]])) is None
+    x = s.image_coords(IntMatrix.from_rows([[2, 4], [0, 6]]))
+    assert s.image_basis() @ x == IntMatrix.from_rows([[2, 4], [0, 6]])
+    # no columns: the lattice is zero, and only zero lies in it
+    empty = smith_normal_form(IntMatrix.zeros(2, 0))
+    assert empty.image_basis() == IntMatrix.zeros(2, 0)
+    assert empty.image_coords(IntMatrix.zeros(2, 3)) == IntMatrix.zeros(0, 3)
+    assert empty.image_coords(IntMatrix.from_rows([[0], [1]])) is None
 
 
 def test_lattice_basis_of_redundant_generators():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from obstruct.abelian import (
 )
 from obstruct.intlinalg import IntMatrix
 from obstruct.laurent import (
+    Ext2Block,
     GradedRModule,
     PairDelta,
     RModuleFg,
@@ -57,12 +59,56 @@ def test_x_action_built_on_another_group_is_rebuilt_on_the_module_group():
         RModuleFg(z, GroupMorphism(z2, z2, IntMatrix.from_rows([[3]])))
     v = RModuleFg(z2, GroupMorphism(z, z, IntMatrix.from_rows([[3]])))
     assert v.x.source is z2 and v.x.target is z2
-    assert v.x_inv.source is z2
     # the swap of Z^2 does not respect the relation (2, 0) of Z/2 + Z
     g = FgAbGroup(2, IntMatrix.from_rows([[2], [0]]))
     free2 = FgAbGroup.free(2)
     with pytest.raises(IllDefinedMorphism):
         RModuleFg(g, GroupMorphism(free2, free2, IntMatrix.from_rows([[0, 1], [1, 0]])))
+
+
+def bijective_by_enumeration(g, mat):
+    """Does the endomorphism mat of the finite group g hit every element?"""
+    images = {g.canon_coords(mat.apply(g.from_canon(c))) for c in g.elements()}
+    return len(images) == g.order()
+
+
+def test_x_action_check_matches_brute_force_bijectivity():
+    # every endomorphism matrix (entries mod the exponent) of a few small
+    # finite groups, one presented with a unit factor and one not in
+    # canonical form; the closed-form check accepts exactly the bijections
+    groups = [(FgAbGroup.from_invariant_factors([2, 4]), 4),
+              (FgAbGroup.from_invariant_factors([3, 3]), 3),
+              (FgAbGroup(2, IntMatrix.from_rows([[2, 0], [0, 3]])), 6),
+              (FgAbGroup(2, IntMatrix.from_rows([[2, 2], [0, 4]])), 4)]
+    for g, exponent in groups:
+        seen = {True: 0, False: 0}
+        for entries in itertools.product(range(exponent), repeat=4):
+            mat = IntMatrix(2, 2, [list(entries[:2]), list(entries[2:])])
+            try:
+                x = GroupMorphism(g, g, mat)
+            except IllDefinedMorphism:
+                continue
+            bijective = bijective_by_enumeration(g, mat)
+            try:
+                RModuleFg(g, x)
+                accepted = True
+            except UnsupportedShape:
+                accepted = False
+            assert accepted == bijective, (g, mat)
+            seen[bijective] += 1
+        assert min(seen.values()) >= 4, (g, seen)
+
+
+def test_x_action_check_on_z2_is_unit_determinant():
+    z2 = FgAbGroup.free(2)
+    for entries in itertools.product(range(-2, 3), repeat=4):
+        mat = IntMatrix(2, 2, [list(entries[:2]), list(entries[2:])])
+        try:
+            RModuleFg(z2, GroupMorphism(z2, z2, mat))
+            accepted = True
+        except UnsupportedShape:
+            accepted = False
+        assert accepted == (abs(intlinalg.determinant(mat)) == 1), mat
 
 
 def test_canonical_shape_detection():
@@ -360,6 +406,20 @@ def test_pair_iso_zero_vs_nonzero_delta():
     p2 = PairDelta(m, (1,), (0,))
     out = pair_iso(p1, p2)
     assert out.verdict == "no"
+
+
+def test_pair_delta_rejects_unreduced_class_coordinates():
+    # (2,) is the zero class of Ext^2 = Z/2; accepted, pair_iso would read
+    # it as nonzero and answer `no` against (0,)
+    m = GradedRModule(even=fg(zmod(2)), odd=fg(zmod(2)))
+    with pytest.raises(ValueError, match=r"even->odd class coordinate 2 of factor 0 \(Z/2\)"):
+        PairDelta(m, (2,), (0,))
+    with pytest.raises(ValueError, match=r"odd->even class coordinate -1 of factor 0 \(Z/2\)"):
+        PairDelta(m, (0,), (-1,))
+    assert pair_iso(PairDelta(m, (0,), (0,)), PairDelta(m, (0,), (0,))).verdict == "yes"
+    # a free factor takes any integer
+    blocks = (Ext2Block("fg", FgAbGroup.free(1)), Ext2Block.zero())
+    assert PairDelta(m, (-5,), (), blocks=blocks).delta_eo == (-5,)
 
 
 def test_pair_iso_self_is_yes():
