@@ -27,6 +27,10 @@ P = {x : f x in S} (which contains R):
     factors (Z^n/R -> Z^n/P is onto, and the groups are Hopfian);
   * f then g is exact iff g f = 0 (so I lies in P) and Z^m/I, Z^m/P have
     the same invariant factors.
+
+Every subquotient ker(g)/im(f), a kernel included, is built by `homology_at`:
+on a basis of the preimage lattice of g, or, with no g or g into the zero
+group, as the cokernel of f, which reads f's image lattice and solves nothing.
 """
 
 from __future__ import annotations
@@ -292,20 +296,16 @@ class GroupMorphism:
         return lattice_basis(gens)
 
     def kernel(self):
-        """(K, incl) with K presented on a basis B of the preimage lattice, by
-        the source relations in the coordinates of B.  Without source
-        relations, B's lattice is the image lattice of incl, which keeps the
-        decomposition of B made here."""
-        b = self.preimage_lattice_basis()
-        lattice = ColumnLattice(b)
-        rel = lattice.factor(self.source.relations)
-        if rel is None:
-            raise ExactArithmeticError("source relations must lie in the kernel lattice")
-        k = FgAbGroup(b.cols, rel)
-        incl = GroupMorphism(k, self.source, b, trusted=True)
+        """(K, incl) for K = `homology_at(None, self)`: the source itself into
+        the zero group, else presented on a basis of the preimage lattice,
+        which, without source relations, is incl's image lattice."""
+        h = homology_at(None, self)
+        if h.rep is None:
+            return self.source, GroupMorphism.identity(self.source)
+        incl = GroupMorphism(h.group, self.source, h.rep, trusted=True)
         if not self.source.relations.cols:
-            incl._image = lattice
-        return k, incl
+            incl._image = h._rep_lattice
+        return h.group, incl
 
     def cokernel(self):
         """(C, proj) with C presented on the target generators by the image
@@ -354,25 +354,25 @@ def is_exact_at(f: GroupMorphism, g: GroupMorphism) -> bool:
 class SubquotientData:
     """ker(g)/im(f) at the middle of A --f--> B --g--> C, with coordinates.
 
-    `group` is presented on a basis of the kernel-of-g lattice in B's
-    generator coordinates; `rep` maps its generators to those ambient
-    vectors.  `coords` sends an ambient vector representing a class (it must
-    be killed by g) to canonical coordinates of that class.
+    `group` is presented on B's own generators when `rep` is None, else on
+    a basis of the kernel-of-g lattice, which `rep` maps to those vectors
+    of B.  `coords` sends a vector of B representing a class (it must be
+    killed by g) to canonical coordinates of that class.
     """
 
     group: FgAbGroup
-    ambient: FgAbGroup
-    rep: IntMatrix
-    _rep_lattice: ColumnLattice
+    rep: IntMatrix | None = None
+    _rep_lattice: ColumnLattice | None = None
 
     def coords(self, ambient_vec):
-        c = self._rep_lattice.solve(ambient_vec)
+        c = ambient_vec if self.rep is None else self._rep_lattice.solve(ambient_vec)
         if c is None:
             raise ValueError("vector does not represent a class (not killed by the outgoing map)")
         return self.group.canon_coords(c)
 
     def rep_of(self, coords):
-        return self.rep.apply(self.group.from_canon(coords))
+        x = self.group.from_canon(coords)
+        return x if self.rep is None else self.rep.apply(x)
 
     @property
     def basis_reps(self):
@@ -385,36 +385,29 @@ class SubquotientData:
         return out
 
 
-def homology_at(f: GroupMorphism | None, g: GroupMorphism | None, middle=None) -> SubquotientData:
+def homology_at(f: GroupMorphism | None, g: GroupMorphism | None) -> SubquotientData:
     """Homology ker(g)/im(f) of a two-step complex of presented groups.
 
-    Either map may be None (treated as zero).  Requires g(f(x)) = 0 in C for
-    all x, and raises ExactArithmeticError otherwise.
+    Either map may be None (treated as zero), not both.  With g None or into
+    the zero group, the result is coker f on [f | R] (the middle group when
+    f is None too), with no lattice built; else it is presented on a basis
+    of g's preimage lattice.  Requires g f = 0, else ExactArithmeticError.
     """
-    if middle is not None:
-        mid = middle
-    elif g is not None:
-        mid = g.source
-    elif f is not None:
-        mid = f.target
-    else:
-        raise ValueError("need at least one map or an explicit middle group")
-    if g is not None:
-        if f is not None:
-            if not (g @ f).is_zero():
-                raise ExactArithmeticError("not a complex: g∘f != 0")
-        b = g.preimage_lattice_basis()
-    else:
-        b = IntMatrix.identity(mid.ngens)
+    if f is None and g is None:
+        raise ValueError("need at least one map to know the middle group")
+    if g is None or not g.target.ngens:
+        return SubquotientData(g.source if f is None else f.cokernel()[0])
+    if f is not None and not (g @ f).is_zero():
+        raise ExactArithmeticError("not a complex: g∘f != 0")
+    b = g.preimage_lattice_basis()
     blat = ColumnLattice(b)
     image = blat.factor(f.matrix) if f is not None else IntMatrix.zeros(b.cols, 0)
     if image is None:
         raise ExactArithmeticError("image of f must lie in the kernel lattice of g")
-    rel = blat.factor(mid.relations)
+    rel = blat.factor(g.source.relations)
     if rel is None:
         raise ExactArithmeticError("middle relations must lie in the kernel lattice of g")
-    group = FgAbGroup(b.cols, image.hstack(rel))
-    return SubquotientData(group, mid, b, blat)
+    return SubquotientData(FgAbGroup(b.cols, image.hstack(rel)), b, blat)
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +471,11 @@ class HomGroup:
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
         self.source = source
         self.target = target
-        n, m = source.ngens, target.ngens
-        ambient = DirectSum([target] * n).group
-        if source.relations.cols:
-            # N |-> N @ R_V lands in W^(#relations); vec form is kron(R^T, I)
-            gmat = source.relations.transpose().kron(IntMatrix.identity(m))
-            g = GroupMorphism(ambient, DirectSum([target] * source.relations.cols).group, gmat,
-                              trusted=True)
-        else:
-            g = None
-        self.data = homology_at(None, g, middle=ambient)
+        # N |-> N @ R_V lands in W^(#relations); vec form is kron(R^T, I)
+        gmat = source.relations.transpose().kron(IntMatrix.identity(target.ngens))
+        g = GroupMorphism(DirectSum([target] * source.ngens).group,
+                          DirectSum([target] * source.relations.cols).group, gmat, trusted=True)
+        self.data = homology_at(None, g)
         self.group = self.data.group
 
     @property
@@ -520,15 +508,10 @@ class Ext1Group:
         self.source = source
         self.target = target
         self.res = source.snf.image_basis()  # n x r, injective
-        n, m = source.ngens, target.ngens
-        r = self.res.cols
-        ambient = DirectSum([target] * r).group
-        if n:
-            fmat = self.res.transpose().kron(IntMatrix.identity(m))
-            f = GroupMorphism(DirectSum([target] * n).group, ambient, fmat, trusted=True)
-        else:
-            f = None
-        self.data = homology_at(f, None, middle=ambient)
+        fmat = self.res.transpose().kron(IntMatrix.identity(target.ngens))
+        f = GroupMorphism(DirectSum([target] * source.ngens).group,
+                          DirectSum([target] * self.res.cols).group, fmat, trusted=True)
+        self.data = homology_at(f, None)
         self.group = self.data.group
 
     @property

@@ -264,17 +264,23 @@ class IntMatrix:
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln for ln in text.strip().splitlines()]
+        """The matrix `to_text` writes, of any shape."""
+        lines = text.strip().splitlines()
         if not lines:
             raise ValueError("empty matrix text")
         head = lines[0].split()
         if len(head) != 2:
             raise ValueError(f"bad matrix header {lines[0]!r}")
         rows, cols = int(head[0]), int(head[1])
-        if len(lines) != rows + 1:
-            raise ValueError(f"expected {rows} entry rows, got {len(lines) - 1}")
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative dimension in matrix header {lines[0]!r}")
+        body = lines[1:]
+        if not cols:  # the entry rows are blank, and strip() drops them
+            body += [""] * (rows - len(body))
+        if len(body) != rows:
+            raise ValueError(f"expected {rows} entry rows, got {len(body)}")
         data = []
-        for ln in lines[1:]:
+        for ln in body:
             entries = [int(tok) for tok in ln.split()]
             if len(entries) != cols:
                 raise ValueError(f"expected {cols} entries in row {ln!r}")

@@ -222,12 +222,6 @@ class TotalComplex:
             raise ExactArithmeticError("total complex differentials must compose to zero")
         return cls(v, w, b, c0, c1, c2, d0, d1)
 
-    def cohomology(self):
-        h0 = homology_at(None, self.d0)
-        h1 = homology_at(self.d0, self.d1)
-        h2 = homology_at(self.d1, None)
-        return h0, h1, h2
-
 
 class Ext2Block:
     """Ext^2_R(P, Q) for one parity block, with class arithmetic when available.
@@ -320,9 +314,8 @@ def ext_r_fg(v: RModuleFg, w: RModuleFg) -> ExtRTriple:
 
 def ext_r_resolution(v: RModuleFg, w: RModuleFg):
     """Oracle route: H^0, H^1, H^2 of the explicit length-two resolution."""
-    total = TotalComplex.build(v, w)
-    h0, h1, h2 = total.cohomology()
-    return h0.group, h1.group, h2.group
+    t = TotalComplex.build(v, w)
+    return tuple(homology_at(f, g).group for f, g in [(None, t.d0), (t.d0, t.d1), (t.d1, None)])
 
 
 # ---------------------------------------------------------------------------

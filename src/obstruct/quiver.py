@@ -154,16 +154,22 @@ class QuiverRep:
         return f"QuiverRep({shape})"
 
 
+def _require_one_poset(v: QuiverRep, w: QuiverRep):
+    """ValueError naming v and w unless they lie over one poset: the same
+    object, or posets with equal points and Hasse arrows."""
+    if v.poset is not w.poset and (
+            v.groups.keys() != w.groups.keys()
+            or set(v.poset.hasse_arrows) != set(w.poset.hasse_arrows)):
+        raise ValueError(f"{v!r} and {w!r} lie over different posets")
+
+
 class RepMorphism:
     """A morphism of representations: one group map per point (one built on
     other groups is rebuilt on the point groups, as in `QuiverRep`),
     commuting with the arrow maps (verified unless trusted)."""
 
     def __init__(self, source: QuiverRep, target: QuiverRep, maps, trusted=False):
-        if source.poset is not target.poset and (
-                source.groups.keys() != target.groups.keys()
-                or set(source.poset.hasse_arrows) != set(target.poset.hasse_arrows)):
-            raise ValueError(f"{source!r} and {target!r} lie over different posets")
+        _require_one_poset(source, target)
         self.source = source
         self.target = target
         self.maps = _keyed(maps, source.poset.points, "map", "a point")
@@ -603,13 +609,19 @@ class HomComplex:
         return cls(res, w, sums, diffs, low)
 
     def cohomology_at(self, n) -> SubquotientData:
-        """H^n, read from degrees n - 1, n and n + 1 of the window."""
+        """H^n, read from degrees n - 1, n and n + 1 of the window; at its
+        top only when Hom(P_{n+1}, W) = 0, the resolution complete with no
+        P_{n+1}."""
         i = n - self.low
         if i < 0 or (i == 0 and self.low > 0):
             raise ValueError(f"H^{n} reads degrees below the window, which starts at {self.low}")
-        f = self.diffs[i - 1] if i >= 1 else None
-        g = self.diffs[i] if i < len(self.diffs) else None
-        return homology_at(f, g, middle=self.sums[i].group)
+        top = len(self.diffs)
+        res = self.resolution
+        if i > top or (i == top and not (res.complete and n >= res.length)):
+            raise ValueError(f"H^{n} reads degrees above the window, which ends at {self.low + top}")
+        f = self.diffs[i - 1] if i else None
+        g = self.diffs[i] if i < top else GroupMorphism.zero(self.sums[i].group, FgAbGroup.trivial())
+        return homology_at(f, g)
 
 
 class ExtPosetGroup:
@@ -624,6 +636,7 @@ class ExtPosetGroup:
     """
 
     def __init__(self, v: QuiverRep, w: QuiverRep, n: int, resolution=None, rng=None):
+        _require_one_poset(v, w)
         self.v = v
         self.w = w
         self.n = n

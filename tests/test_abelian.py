@@ -458,6 +458,102 @@ def test_homology_at_simple():
     assert h.coords([2]) == (0,)
 
 
+def lattice_route(f, g, middle):
+    """ker(g)/im(f) as `homology_at` presented it with an explicit middle
+    group: solved in a lattice on a basis B of g's preimage lattice, or on
+    the identity without g; (group, coords, rep_of)."""
+    b = g.preimage_lattice_basis() if g is not None else IntMatrix.identity(middle.ngens)
+    lat = ColumnLattice(b)
+    image = lat.factor(f.matrix) if f is not None else IntMatrix.zeros(b.cols, 0)
+    group = FgAbGroup(b.cols, image.hstack(lat.factor(middle.relations)))
+    return group, lambda v: group.canon_coords(lat.solve(v)), lambda c: b.apply(group.from_canon(c))
+
+
+def random_complex(rng):
+    """(f, g, middle) of a random complex A --f--> B --g--> C: relations of
+    B and C with dependent and zero columns (`random_relations`), g a
+    random map or one into the zero group, f a map into ker g whose
+    source relations lie in its preimage lattice; g or f None at times."""
+    n = rng.randint(0, 3)
+    b = FgAbGroup(n, random_relations(rng, n))
+    kind = rng.randrange(4)
+    if kind == 0:
+        g = None
+    elif kind == 1:
+        g = GroupMorphism.zero(b, FgAbGroup.trivial())
+    else:
+        m = rng.randint(1, 3)
+        g = random_morphism(rng, b, FgAbGroup(m, random_relations(rng, m)))
+    if g is not None and rng.random() < 0.3:
+        return None, g, b
+    kb = g.preimage_lattice_basis() if g is not None else IntMatrix.identity(n)
+    k = rng.randint(0, 3)
+    mat = kb @ IntMatrix(kb.cols, k, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(kb.cols)])
+    pre = GroupMorphism(FgAbGroup.free(k), b, mat, trusted=True).preimage_gens()
+    return GroupMorphism(FgAbGroup(k, pre @ random_relations(rng, pre.cols)), b, mat), g, b
+
+
+def test_homology_at_matches_the_lattice_route():
+    # a missing outgoing map, or one into the zero group, gives the cokernel
+    # of f with no lattice built; otherwise the group is solved on g's
+    # preimage basis as before: relations, coordinates and representatives
+    # are those of the lattice route
+    rng = random.Random(29)
+    seen = {"g None": 0, "g into 0": 0, "f None": 0, "both": 0}
+    for _ in range(400):
+        f, g, middle = random_complex(rng)
+        h = homology_at(f, g)
+        group, coords, rep_of = lattice_route(f, g, middle)
+        assert (h.group.ngens, h.group.relations) == (group.ngens, group.relations)
+        k = len(group.invariant_factors)
+        assert h.basis_reps == [rep_of(tuple(int(i == l) for i in range(k))) for l in range(k)]
+        for _ in range(3):
+            c = tuple(rng.randint(0, d - 1) if d else rng.randint(-3, 3)
+                      for d in group.invariant_factors)
+            assert h.rep_of(c) == rep_of(c)
+            if g is None or not g.target.ngens:  # every vector of B is a cycle
+                v = [x + rng.randint(-2, 2) for x in h.rep_of(c)]
+            else:  # the representative moved by boundaries and relations
+                gens = middle.relations if f is None else f.matrix.hstack(middle.relations)
+                moved = gens.apply([rng.randint(-2, 2) for _ in range(gens.cols)])
+                v = [x + y for x, y in zip(h.rep_of(c), moved)]
+                assert h.coords(v) == c
+            assert h.coords(v) == coords(v)
+        if g is None or not g.target.ngens:
+            assert h._rep_lattice is None and h.rep is None
+        seen["g None" if g is None else "f None" if f is None
+             else "g into 0" if not g.target.ngens else "both"] += 1
+    assert min(seen.values()) >= 50, seen
+    with pytest.raises(ValueError, match="at least one map"):
+        homology_at(None, None)
+
+
+def test_kernel_matches_the_lattice_route():
+    # the kernel is the subquotient homology_at(None, f): presented on a
+    # basis of f's preimage lattice, or, into the zero group, the source
+    # itself with its identity
+    rng = random.Random(30)
+    into_zero = 0
+    for _ in range(200):
+        v = FgAbGroup(n := rng.randint(0, 3), random_relations(rng, n))
+        if rng.random() < 0.25:
+            f = GroupMorphism.zero(v, FgAbGroup.trivial())
+        else:
+            m = rng.randint(1, 3)
+            f = random_morphism(rng, v, FgAbGroup(m, random_relations(rng, m)))
+        k, incl = f.kernel()
+        group, _, _ = lattice_route(None, f, v)
+        b = f.preimage_lattice_basis()
+        assert (k.ngens, k.relations, incl.matrix) == (group.ngens, group.relations, b)
+        assert incl.source is k and incl.target is v
+        if not f.target.ngens:
+            assert k is v and incl.matrix == IntMatrix.identity(n)
+            into_zero += 1
+        elif not v.relations.cols:
+            assert incl._image.gens is incl.matrix
+    assert into_zero >= 30
+
+
 def test_image_subgroup_and_eventual_image():
     g = FgAbGroup.cyclic(8)
     f = GroupMorphism(g, g, IntMatrix.from_rows([[2]]))

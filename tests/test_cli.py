@@ -68,6 +68,10 @@ def test_shift_eq_rejects_unsupported_input(tmp_path):
     assert out.stderr.startswith("obstruct: error:")
     missing = run_cli("shift-eq", tmp_path / "missing.txt", FIXTURES / "golden_b.txt")
     assert missing.returncode == 2 and "missing.txt" in missing.stderr
+    negative = tmp_path / "negative.txt"
+    negative.write_text("0 -2\n")
+    out = run_cli("shift-eq", negative, FIXTURES / "golden_b.txt")
+    assert out.returncode == 2 and "negative dimension in matrix header '0 -2'" in out.stderr
 
 
 def test_shift_eq_rejects_bounds_out_of_range():

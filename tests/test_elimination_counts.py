@@ -26,9 +26,9 @@ from test_intlinalg import counter
 from test_laurent import fg, zmod
 from test_quiver import presented_rep
 
-CAPS = {"xk module layer and delta": 20, "ext_poset": 29, "count_liftings": 10, "ext_r_fg": 14}
-REPLAY_CAPS = {"xk module layer and delta": 15, "ext_poset": 31, "count_liftings": 12,
-               "ext_r_fg": 24}
+CAPS = {"xk module layer and delta": 17, "ext_poset": 26, "count_liftings": 9, "ext_r_fg": 12}
+REPLAY_CAPS = {"xk module layer and delta": 13, "ext_poset": 29, "count_liftings": 10,
+               "ext_r_fg": 20}
 
 
 def counts_of(monkeypatch, name):

@@ -570,7 +570,21 @@ def test_matrix_text_roundtrip():
     assert IntMatrix.from_text(text).to_text() == text
 
 
+def test_matrix_text_roundtrip_of_every_shape():
+    # an r x 0 matrix, the relations of a free group, writes r blank rows
+    for rows, cols in [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3)]:
+        a = IntMatrix(rows, cols, [[3 * i - j for j in range(cols)] for i in range(rows)])
+        text = a.to_text()
+        assert IntMatrix.from_text(text) == a
+        assert IntMatrix.from_text(text + "\n").to_text() == text
+
+
 def test_matrix_text_errors():
+    for header in ("0 -2", "-1 0", "-2 -2"):
+        with pytest.raises(ValueError, match=f"negative dimension in matrix header '{header}'"):
+            IntMatrix.from_text(header)
+    with pytest.raises(ValueError, match="expected 0 entries"):
+        IntMatrix.from_text("2 0\n1")
     with pytest.raises(ValueError):
         IntMatrix.from_text("")
     with pytest.raises(ValueError):

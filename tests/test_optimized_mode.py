@@ -10,6 +10,11 @@ this process.  Ext^2 is zero on every pool operation, so the same
 subprocess also compares the relabel pair of `NONZERO_DELTA`, whose
 obstruction class is nonzero and whose witness reaches the comparison
 lifts of `yoneda_class` and `ext2_compatible`.
+
+The digests of the first 120 operations of each seed-1 pool are also
+pinned to constants, so that a change to the code which moves any outcome
+(a group's presentation, a basis representative, a witness) fails here.  A
+change that moves outcomes on purpose updates the constants and says why.
 """
 
 import dataclasses
@@ -26,6 +31,12 @@ from support import BENCH, ROOT, WORKLOADS, outcome_digest, outcome_record, pool
 
 BENCH_MODULES = ("check", "gen", "workloads")
 OPS_PER_WORKLOAD = 40
+PINNED_OPS = 120
+PINNED_DIGESTS = {
+    "ext-algebra": "cb13671cb4d69f58fed6b64cd7ce4e0a875f6761a8a82cc4489d3601cca5cf66",
+    "graph-pairs": "7cb86824894fb074c718b2b706122a8a556fe926969f1ce543206e1528aa618c",
+    "shift-eq": "07e40646f7d2e792b39d60ccf388534ebac991ca2ade7548dfc990047fa3b89a",
+}
 
 
 def run_ops(seed=1, limit=OPS_PER_WORKLOAD):
@@ -98,3 +109,10 @@ def test_bench_ops_under_python_O(bench_on_path):
     assert record["outcome"]["verdict"] == "yes" and record["compatible"] == [True, False]
     assert all(any(c) for c in record["classes"])
     assert record == nonzero_delta_record()
+
+
+def test_pool_outcomes_keep_their_pinned_digests(bench_on_path):
+    assert sorted(PINNED_DIGESTS) == list(WORKLOADS)
+    for name, digest in PINNED_DIGESTS.items():
+        outcomes = (out for _, out in pool_outcomes(name, 1, PINNED_OPS))
+        assert outcome_digest(outcomes) == digest, name

@@ -425,6 +425,59 @@ def test_ext_window_matches_all_degrees():
         ext_poset(v, w, 2).complex.cohomology_at(1)
 
 
+def rep_on(poset, group, points):
+    """`group` at the given points, a convex set, with identity arrows
+    inside it and zero elsewhere."""
+    zero = FgAbGroup.trivial()
+    groups = {p: group if p in points else zero for p in poset.points}
+    arrows = {(y, x): GroupMorphism(groups[y], groups[x],
+                                    IntMatrix.identity(group.ngens) if y in points and x in points
+                                    else IntMatrix.zeros(groups[x].ngens, groups[y].ngens))
+              for y, x in poset.hasse_arrows}
+    return QuiverRep(poset, groups, arrows)
+
+
+def test_cohomology_at_the_top_of_a_window_needs_the_next_projective():
+    # p0 < p1 < p2, p3 < p4: v = Z/2 at p4 has a resolution of length 3, so
+    # H^2 of Ext^1's window (degrees 0..2) would ignore the d^2 it never
+    # built, and read Z/3 where Ext^2 = 0
+    poset = FinitePoset([f"p{i}" for i in range(5)],
+                        [("p0", "p1"), ("p1", "p2"), ("p1", "p3"), ("p2", "p4"), ("p3", "p4")])
+    v = rep_on(poset, FgAbGroup.cyclic(2), ["p4"])
+    w = rep_on(poset, FgAbGroup.cyclic(3), ["p0", "p1", "p2"])
+    ext2 = ext_poset(v, w, 2)
+    assert ext2.group.is_trivial() and ext2.resolution.length == 3
+    with pytest.raises(ValueError, match="above the window, which ends at 2"):
+        ext_poset(v, w, 1).complex.cohomology_at(2)
+    with pytest.raises(ValueError, match="above the window, which ends at 3"):
+        ext2.complex.cohomology_at(4)
+    # past a complete resolution Hom(P_{n+1}, W) is zero, and the top reads
+    rng = random.Random(16)
+    for _ in range(6):
+        a, b = random_rep(rng, chain_poset(3)), random_rep(rng, chain_poset(3))
+        res = resolve_projective(a, 2)
+        assert res.complete and res.length <= 2
+        top = quiver.HomComplex.build(res, b, 2).cohomology_at(2).group
+        assert top.invariant_factors == ext_poset(a, b, 2).group.invariant_factors
+
+
+def test_ext_between_modules_over_different_posets_is_rejected():
+    # a < b against b < a: the same labels, opposite Hasse arrows; and
+    # other labels altogether
+    z2 = FgAbGroup.cyclic(2)
+    v = rep_on(sierpinski_poset(), z2, ["a", "b"])
+    w = rep_on(FinitePoset(["a", "b"], [("b", "a")]), z2, ["a", "b"])
+    u = rep_on(chain_poset(2), z2, ["c0", "c1"])
+    for n in range(3):
+        for a, b in ((v, w), (w, v), (v, u)):
+            with pytest.raises(ValueError, match="lie over different posets") as exc:
+                ext_poset(a, b, n)
+            assert repr(a) in str(exc.value) and repr(b) in str(exc.value)
+    # one poset given twice, as two equal objects, is one poset
+    twin = rep_on(sierpinski_poset(), z2, ["a", "b"])
+    assert ext_poset(v, twin, 0).group.invariant_factors == [2]
+
+
 # --- chain lifts -------------------------------------------------------------------
 
 
