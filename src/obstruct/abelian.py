@@ -40,14 +40,15 @@ import math
 from dataclasses import dataclass
 
 from .intlinalg import (
-    ColumnLattice,
     ExactArithmeticError,
     IntMatrix,
+    SmithDecomposition,
     _factor,
     cokernel_factors,
     determinant,
     lattice_basis,
     smith_normal_form,
+    solve,
     unvec,
     vec,
 )
@@ -262,12 +263,12 @@ class GroupMorphism:
         )
 
     @property
-    def image_lattice(self) -> ColumnLattice:
-        """The image lattice I = im f + S, spanned by [matrix | target
-        relations].  Its one decomposition serves `is_surjective`,
+    def image_lattice(self) -> SmithDecomposition:
+        """The image lattice I = im f + S: the decomposition of [matrix |
+        target relations], built on first read.  It serves `is_surjective`,
         `preimage_gens`, `lift` and `cokernel`."""
         if self._image is None:
-            self._image = ColumnLattice(self.matrix.hstack(self.target.relations))
+            self._image = smith_normal_form(self.matrix.hstack(self.target.relations))
         return self._image
 
     def lift(self, b: IntMatrix):
@@ -282,7 +283,7 @@ class GroupMorphism:
 
         Contains the source relation lattice whenever f is well defined.
         """
-        full = self.image_lattice.snf.kernel_basis()
+        full = self.image_lattice.kernel_basis()
         return full.submatrix(range(self.source.ngens), range(full.cols))
 
     def preimage_lattice_basis(self) -> IntMatrix:
@@ -300,24 +301,24 @@ class GroupMorphism:
         the zero group, else presented on a basis of the preimage lattice,
         which, without source relations, is incl's image lattice."""
         h = homology_at(None, self)
-        if h.rep is None:
+        if h.basis is None:
             return self.source, GroupMorphism.identity(self.source)
-        incl = GroupMorphism(h.group, self.source, h.rep, trusted=True)
+        incl = GroupMorphism(h.group, self.source, h.basis.matrix, trusted=True)
         if not self.source.relations.cols:
-            incl._image = h._rep_lattice
+            incl._image = h.basis
         return h.group, incl
 
     def cokernel(self):
         """(C, proj) with C presented on the target generators by the image
         lattice, whose decomposition C takes as its own."""
-        c = FgAbGroup(self.target.ngens, self.image_lattice.gens)
-        c._snf = self.image_lattice.snf
+        c = FgAbGroup(self.target.ngens, self.image_lattice.matrix)
+        c._snf = self.image_lattice
         proj = GroupMorphism(self.target, c, IntMatrix.identity(self.target.ngens), trusted=True)
         return c, proj
 
     def is_surjective(self):
         """Every cokernel factor of the image lattice is 1."""
-        return all(d == 1 for d in self.image_lattice.snf.diagonal_padded(self.target.ngens))
+        return all(d == 1 for d in self.image_lattice.diagonal_padded(self.target.ngens))
 
     def is_injective(self):
         """The preimage lattice has the source's invariant factors (Hopfian
@@ -354,25 +355,26 @@ def is_exact_at(f: GroupMorphism, g: GroupMorphism) -> bool:
 class SubquotientData:
     """ker(g)/im(f) at the middle of A --f--> B --g--> C, with coordinates.
 
-    `group` is presented on B's own generators when `rep` is None, else on
-    a basis of the kernel-of-g lattice, which `rep` maps to those vectors
-    of B.  `coords` sends a vector of B representing a class (it must be
-    killed by g) to canonical coordinates of that class.
+    `group` is presented on B's own generators when `basis` is None, else
+    on a basis of the kernel-of-g lattice: the columns of `basis.matrix`,
+    vectors of B, whose decomposition solves for coordinates.  `coords`
+    sends a vector of B representing a class (it must be killed by g) to
+    canonical coordinates of that class.
     """
 
     group: FgAbGroup
-    rep: IntMatrix | None = None
-    _rep_lattice: ColumnLattice | None = None
+    basis: SmithDecomposition | None = None
 
     def coords(self, ambient_vec):
-        c = ambient_vec if self.rep is None else self._rep_lattice.solve(ambient_vec)
+        b = self.basis
+        c = ambient_vec if b is None else solve(b.matrix, ambient_vec, snf=b)
         if c is None:
             raise ValueError("vector does not represent a class (not killed by the outgoing map)")
         return self.group.canon_coords(c)
 
     def rep_of(self, coords):
         x = self.group.from_canon(coords)
-        return x if self.rep is None else self.rep.apply(x)
+        return x if self.basis is None else self.basis.matrix.apply(x)
 
     @property
     def basis_reps(self):
@@ -399,15 +401,15 @@ def homology_at(f: GroupMorphism | None, g: GroupMorphism | None) -> Subquotient
         return SubquotientData(g.source if f is None else f.cokernel()[0])
     if f is not None and not (g @ f).is_zero():
         raise ExactArithmeticError("not a complex: g∘f != 0")
-    b = g.preimage_lattice_basis()
-    blat = ColumnLattice(b)
-    image = blat.factor(f.matrix) if f is not None else IntMatrix.zeros(b.cols, 0)
+    basis = smith_normal_form(g.preimage_lattice_basis())
+    k = basis.matrix.cols
+    image = basis.factor(f.matrix) if f is not None else IntMatrix.zeros(k, 0)
     if image is None:
         raise ExactArithmeticError("image of f must lie in the kernel lattice of g")
-    rel = blat.factor(g.source.relations)
+    rel = basis.factor(g.source.relations)
     if rel is None:
         raise ExactArithmeticError("middle relations must lie in the kernel lattice of g")
-    return SubquotientData(FgAbGroup(b.cols, image.hstack(rel)), b, blat)
+    return SubquotientData(FgAbGroup(k, image.hstack(rel)), basis)
 
 
 # ---------------------------------------------------------------------------

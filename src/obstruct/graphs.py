@@ -490,8 +490,8 @@ def _check_exact(seq: TwoExtension):
             failure = "Q is not free"
         elif not (d @ b).is_zero():
             failure = "XK1 does not map into the kernel of d"
-        elif (b.cols != q1.ngens - seq.d1.maps[p].image_lattice.snf.rank
-              or seq.d2.maps[p].image_lattice.snf.diag[:b.cols] != [1] * b.cols):
+        elif (b.cols != q1.ngens - seq.d1.maps[p].image_lattice.rank
+              or seq.d2.maps[p].image_lattice.diag[:b.cols] != [1] * b.cols):
             failure = "XK1 does not map onto a basis of the kernel of d"
         elif not seq.m1.groups[p].relations.is_zero():
             failure = "XK1 has relations"

@@ -19,10 +19,10 @@ and its transforms are identities), and the kernel of a matrix of full
 column rank is read off the rank, with no V.
 
 Every call of `smith_normal_form` eliminates, and no decomposition is
-looked up by content.  A decomposition is kept by the object that built its
-matrix, and whoever needs it again reads it there: a `ColumnLattice` keeps
-that of its generators, built on first read; an `abelian.FgAbGroup` that of
-its relations, and with it the group's free resolution
+looked up by content.  A decomposition is the one lattice object, the
+column lattice of its matrix.  It is kept by the object that built the
+matrix, and whoever needs it again reads it there: an `abelian.FgAbGroup`
+keeps that of its relations, and with it the group's free resolution
 0 -> Z^r --B--> Z^n -> V -> 0 (B is its `image_basis`), which resolution
 lifts, Ext^1_Z, the torsion subgroup and the x-action test read there; an
 `abelian.GroupMorphism` that of its matrix beside the target relations,
@@ -33,8 +33,8 @@ instead of building the matrix again.
 Every exact solve goes through one loop, `_factor`: with U a V = D it
 solves U b = D x' entry by entry on the diagonal, one column b at a time,
 and x = V x' solves a x = b.  Callers reach it as
-`ColumnLattice.factor`, which factors a map b through the lattice's
-generators (the idiom of kernels, lifts and corestrictions); as
+`SmithDecomposition.factor`, which factors a map b through the columns of
+the matrix (the idiom of kernels, lifts and corestrictions); as
 `SmithDecomposition.image_coords` against `image_basis`, so a map into a
 group's free resolution is solved through the group's own decomposition;
 as `abelian.FgAbGroup.contains_relation` for membership in relations; as
@@ -46,8 +46,8 @@ Lattice equality is a Hopfian test.  Finitely generated abelian groups are
 Hopfian: a surjection between isomorphic ones is injective.  So if
 L' is inside L, both inside Z^n, and Z^n/L and Z^n/L' have the same
 invariant factors (`cokernel_factors`), the surjection Z^n/L' -> Z^n/L is
-an isomorphism and L = L'.  `ColumnLattice.equals` reads both from the
-decompositions the two lattices keep, and builds no lattice basis.
+an isomorphism and L = L'.  `SmithDecomposition.equals` reads both from
+the two decompositions, and builds no lattice basis.
 
 Conventions:
   * matrices act on column vectors; the column span of a matrix is called
@@ -85,6 +85,8 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows, cols, data):
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative dimension in a {rows}x{cols} shape")
         if len(data) != rows:
             raise ValueError(f"expected {rows} rows, got {len(data)}")
         for r in data:
@@ -115,10 +117,14 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative dimension in a {rows}x{cols} shape")
         return cls._wrap(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
+        if n < 0:
+            raise ValueError(f"negative dimension: identity of size {n}")
         return cls._wrap(n, n, _identity_rows(n))
 
     @classmethod
@@ -396,6 +402,25 @@ class SmithDecomposition:
             return None
         return IntMatrix._wrap(self.rank, b.cols, [[x[i] for x in xs] for i in range(self.rank)])
 
+    def factor(self, b: IntMatrix, rows=None):
+        """X with matrix @ X == b, or None if some column of b is outside;
+        only the first `rows` rows of X, when given."""
+        xs = _factor(self, b.transpose().data)
+        if xs is None:
+            return None
+        v = self.V.data[:rows]
+        return IntMatrix._wrap(len(v), b.cols, [[sum(map(mul, r, x)) for x in xs] for r in v])
+
+    def equals(self, other: "SmithDecomposition") -> bool:
+        """Do the column lattices of the two matrices coincide?  Hopfian
+        test: the same cokernel factors, and the columns of `other` inside
+        this lattice."""
+        n = self.matrix.rows
+        if other.matrix.rows != n:
+            raise ValueError("ambient dimension mismatch")
+        return (self.diagonal_padded(n) == other.diagonal_padded(n)
+                and _factor(self, other.matrix.transpose().data) is not None)
+
 
 def _identity_rows(n):
     rows = [[0] * n for _ in range(n)]
@@ -553,49 +578,7 @@ def factor_through(a: IntMatrix, b: IntMatrix, relations: IntMatrix = None):
     Solves [a | relations] @ Y == b and keeps the first a.cols rows of Y;
     None when some column of b does not factor.
     """
-    return ColumnLattice(a if relations is None else a.hstack(relations)).factor(b, a.cols)
-
-
-class ColumnLattice:
-    """Column span of an integer matrix with membership, exact solves and
-    equality.  The generators are eliminated on the first read of `snf`, and
-    only then."""
-
-    __slots__ = ("gens", "_snf")
-
-    def __init__(self, gens: IntMatrix):
-        self.gens = gens
-        self._snf = None
-
-    @property
-    def snf(self) -> SmithDecomposition:
-        if self._snf is None:
-            self._snf = smith_normal_form(self.gens)
-        return self._snf
-
-    def contains(self, v) -> bool:
-        return _factor(self.snf, [v]) is not None
-
-    def solve(self, v):
-        return solve(self.gens, v, snf=self.snf)
-
-    def factor(self, b: IntMatrix, rows=None):
-        """X with gens @ X == b, or None if some column of b is outside; only
-        the first `rows` rows of X, when given."""
-        xs = _factor(self.snf, b.transpose().data)
-        if xs is None:
-            return None
-        v = self.snf.V.data[:rows]
-        return IntMatrix._wrap(len(v), b.cols, [[sum(map(mul, r, x)) for x in xs] for r in v])
-
-    def equals(self, other: "ColumnLattice") -> bool:
-        """Do the two lattices coincide?  Hopfian test: the same cokernel
-        factors, and the generators of `other` inside this lattice."""
-        n = self.gens.rows
-        if other.gens.rows != n:
-            raise ValueError("ambient dimension mismatch")
-        return (self.snf.diagonal_padded(n) == other.snf.diagonal_padded(n)
-                and _factor(self.snf, other.gens.transpose().data) is not None)
+    return smith_normal_form(a if relations is None else a.hstack(relations)).factor(b, a.cols)
 
 
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
@@ -610,7 +593,7 @@ def cokernel_factors(a: IntMatrix) -> list:
 
 def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
     """Do two generating matrices span the same column lattice?"""
-    return ColumnLattice(a).equals(ColumnLattice(b))
+    return smith_normal_form(a).equals(smith_normal_form(b))
 
 
 def matrix_rank(a: IntMatrix) -> int:

@@ -185,16 +185,14 @@ def _phi_on_ext(v: RModuleFg, w: RModuleFg, e: Ext1Group) -> GroupMorphism:
 class TotalComplex:
     """Hom_R(P_*, W) for the length-two free R-resolution of a fg module V.
 
-    Degrees: C0 = Hom(F0, W), C1 = Hom(F0, W) + Hom(F1, W), C2 = Hom(F1, W);
+    Degrees, the groups d0 and d1 carry: C0 = Hom(F0, W),
+    C1 = Hom(F0, W) + Hom(F1, W), C2 = Hom(F1, W);
     F1 --B--> F0 is the free Z-resolution V's group owns.
     """
 
     v: RModuleFg
     w: RModuleFg
     res: IntMatrix
-    c0: FgAbGroup
-    c1: FgAbGroup
-    c2: FgAbGroup
     d0: GroupMorphism
     d1: GroupMorphism
 
@@ -220,7 +218,7 @@ class TotalComplex:
         d1 = GroupMorphism(c1, c2, left.hstack(right), trusted=True)
         if not (d1 @ d0).matrix.is_zero():
             raise ExactArithmeticError("total complex differentials must compose to zero")
-        return cls(v, w, b, c0, c1, c2, d0, d1)
+        return cls(v, w, b, d0, d1)
 
 
 class Ext2Block:
@@ -335,19 +333,16 @@ def ext_r_pres(m: RModulePres, w):
     """(Hom_R, Ext^1_R, Ext^2_R) for a canonical presentation source.
 
     Ext^2_R is structurally zero (length-one free resolution).  For an fg
-    target the other two are returned as FgAbGroups with representative
-    vectors; for a canonical-presentation target they are returned as
-    R-module presentations computed through the level-wise colimit: Hom as
+    target the other two are returned as FgAbGroups; for a
+    canonical-presentation target they are returned as R-module
+    presentations computed through the level-wise colimit: Hom as
     coker(x*I - T), Ext^1 with one constant relation per torsion factor.
     """
     t = m.require_canonical()
     n = t.rows
     if isinstance(w, RModuleFg):
         rho = _pres_operator_on_fg(t, w)
-        hom, hom_incl = rho.kernel()
-        ext1, ext1_proj = rho.cokernel()
-        return PresExtResult(hom=hom, ext1=ext1, ext2=Ext2Block.zero(),
-                             hom_incl=hom_incl, ext1_proj=ext1_proj)
+        return PresExtResult(hom=rho.kernel()[0], ext1=rho.cokernel()[0], ext2=Ext2Block.zero())
     if isinstance(w, RModulePres):
         s = w.require_canonical()
         ssize = s.rows
@@ -380,8 +375,6 @@ class PresExtResult:
     hom: object
     ext1: object
     ext2: Ext2Block
-    hom_incl: GroupMorphism | None = None
-    ext1_proj: GroupMorphism | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,11 @@ from .abelian import (
     resolution_lift,
 )
 from .intlinalg import (
-    ColumnLattice,
     ExactArithmeticError,
     IntMatrix,
     kernel_basis,
     lattices_equal,
+    smith_normal_form,
 )
 from .posets import FinitePoset, is_unique_path_space
 
@@ -459,32 +459,33 @@ def _coeffs_of_vectors(target: ProjectiveRep, points, vectors) -> IntMatrix:
     return coeffs
 
 
-def _syzygy_cover(prev: ProjectiveRep, lattices, rng):
+def _syzygy_cover(prev: ProjectiveRep, bases, lattice, rng):
     """(P, vectors): the `minimal_cover` of the syzygy spanned by the basis
-    lattices[z].gens in the coordinates of prev(z), whose arrows are prev's
-    transports in those coordinates, built from no representation;
-    generator i maps to vectors[i], a vector of prev at P.gen_points[i]."""
+    bases[z] in the coordinates of prev(z), whose arrows are prev's
+    transports solved in lattice(z), the decomposition of bases[z], built
+    from no representation; generator i maps to vectors[i], a vector of
+    prev at P.gen_points[i]."""
     def arrow(y, x):
-        mat = lattices[x].factor(prev.transport_matrix(y, x) @ lattices[y].gens)
+        mat = lattice(x).factor(prev.transport_matrix(y, x) @ bases[y])
         if mat is None:
             raise ExactArithmeticError("transport must preserve the syzygy lattice")
         return mat
 
-    gens = _cover_generators(prev.poset, lambda x: IntMatrix.zeros(lattices[x].gens.cols, 0),
-                             arrow, rng)
+    gens = _cover_generators(prev.poset, lambda x: IntMatrix.zeros(bases[x].cols, 0), arrow, rng)
     return (ProjectiveRep(prev.poset, [x for x, _ in gens]),
-            [lattices[x].gens.apply(u) for x, u in gens])
+            [bases[x].apply(u) for x, u in gens])
 
 
 def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
     """Iterated syzygies to the requested length (stops early at completion).
 
     A syzygy is a basis B_z per point, in the coordinates of the previous
-    projective at z, kept as one `ColumnLattice` that its cover and the
-    check below read.  The point matrix D_z of the cover is checked to span
-    the lattice of B_z at every point, and ker D_z is the next syzygy.  A
-    D_z equal to B_z (a projective syzygy is covered by the identity) spans
-    it, and its kernel is zero since B_z is a basis: nothing is eliminated.
+    projective at z.  Its decomposition, which its cover and the check
+    below read, is built on first read (about half are never read).  The
+    point matrix D_z of the cover is checked to span the lattice of B_z at
+    every point, and ker D_z is the next syzygy.  A D_z equal to B_z (a
+    projective syzygy is covered by the identity) spans it, and its kernel
+    is zero since B_z is a basis: nothing is eliminated.
     """
     p0, aug = minimal_cover(v, rng)
     projectives = [p0]
@@ -493,8 +494,8 @@ def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
     bases = {z: aug.point_morphism(z).preimage_lattice_basis() for z in v.poset.points}
     while len(projectives) <= length and any(b.cols for b in bases.values()):
         prev = projectives[-1]
-        lattices = {z: ColumnLattice(b) for z, b in bases.items()}
-        p_next, vectors = _syzygy_cover(prev, lattices, rng)
+        lattice = cache(lambda z: smith_normal_form(bases[z]))
+        p_next, vectors = _syzygy_cover(prev, bases, lattice, rng)
         d = _coeffs_of_vectors(prev, p_next.gen_points, vectors)
         diffs.append(d)
         projectives.append(p_next)
@@ -504,10 +505,10 @@ def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
             if dz == bases[z]:
                 kernels[z] = IntMatrix.zeros(dz.cols, 0)
                 continue
-            image = ColumnLattice(dz)
-            if not lattices[z].equals(image):
+            image = smith_normal_form(dz)
+            if not lattice(z).equals(image):
                 raise ExactArithmeticError("cover must be surjective")
-            kernels[z] = image.snf.kernel_basis()
+            kernels[z] = image.kernel_basis()
         bases = kernels
     complete = not any(b.cols for b in bases.values())
     return ProjResolution(v, projectives, aug, diffs, complete)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from obstruct import intlinalg
 from obstruct.abelian import FgAbGroup, GroupMorphism, torsion_subgroup
 from obstruct.intlinalg import (
-    ColumnLattice,
     IntMatrix,
     adjugate,
     charpoly,
@@ -241,9 +240,9 @@ def test_kernel_basis():
     for j in range(k.cols):
         assert a.apply(k.column(j)) == [0]
     # spanning: [2,-1,0] and [3,0,-1] must lie in the kernel lattice
-    lat = ColumnLattice(k)
-    assert lat.contains([2, -1, 0])
-    assert lat.contains([3, 0, -1])
+    lat = smith_normal_form(k)
+    assert inside(lat, [2, -1, 0])
+    assert inside(lat, [3, 0, -1])
 
 
 def test_solve():
@@ -315,23 +314,61 @@ def test_factor_through_empty_shapes():
     assert factor_through(IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 2)) == IntMatrix.zeros(3, 2)
 
 
+def inside(s, v):
+    """Is the vector v in the column lattice of the decomposition s?"""
+    return s.factor(IntMatrix.from_columns([v], rows=s.matrix.rows)) is not None
+
+
 def test_lattice_membership_and_basis():
     g = IntMatrix.from_rows([[2, 4], [0, 6]])
-    lat = ColumnLattice(g)
-    assert lat.contains([2, 0])
-    assert lat.contains([0, 6])
-    assert not lat.contains([1, 0])
-    assert not lat.contains([0, 3])
-    b = lat.snf.image_basis()
+    lat = smith_normal_form(g)
+    assert inside(lat, [2, 0])
+    assert inside(lat, [0, 6])
+    assert not inside(lat, [1, 0])
+    assert not inside(lat, [0, 3])
+    b = lat.image_basis()
     assert lattices_equal(b, g)
     assert b.cols == matrix_rank(g)
 
 
+def test_lattice_factor_keeps_the_first_rows():
+    # [a | r] X == b: `rows` keeps the rows of X on a's columns alone, and
+    # they are the first rows of the full solution
+    s = smith_normal_form(IntMatrix.from_rows([[2, 0, 1], [0, 3, 1]]))
+    b = IntMatrix.from_rows([[5, 2], [4, 0]])
+    full = s.factor(b)
+    assert s.matrix @ full == b
+    assert s.factor(b, 2) == full.submatrix([0, 1], [0, 1])
+    assert s.factor(b, 0) == IntMatrix.zeros(0, 2)
+
+
+def test_lattice_factor_is_none_outside_the_lattice():
+    s = smith_normal_form(IntMatrix.from_rows([[2, 4], [0, 6]]))
+    assert s.factor(IntMatrix.from_rows([[2, 1], [0, 0]])) is None
+    assert s.factor(IntMatrix.from_rows([[2, 1], [0, 0]]), 1) is None
+    assert s.factor(IntMatrix.from_rows([[2], [6]])) is not None
+    # the zero lattice holds zero alone
+    zero = smith_normal_form(IntMatrix.zeros(2, 0))
+    assert zero.factor(IntMatrix.zeros(2, 1)) == IntMatrix.zeros(0, 1)
+    assert zero.factor(IntMatrix.from_rows([[0], [1]])) is None
+
+
+def test_lattice_equals_needs_one_ambient_dimension():
+    a = smith_normal_form(IntMatrix.identity(2))
+    b = smith_normal_form(IntMatrix.identity(3))
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        a.equals(b)
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        b.equals(a)
+    assert a.equals(smith_normal_form(IntMatrix.from_rows([[1, 1], [0, 1]])))
+
+
 def spans_equal(a, b):
     """Reference route for lattice equality: each lattice contains the
-    other's generators."""
-    la, lb = ColumnLattice(a), ColumnLattice(b)
-    return all(lb.contains(c) for c in a.columns()) and all(la.contains(c) for c in b.columns())
+    other's generators, one exact solve per generator."""
+    sa, sb = smith_normal_form(a), smith_normal_form(b)
+    return (all(solve(b, c, snf=sb) is not None for c in a.columns())
+            and all(solve(a, c, snf=sa) is not None for c in b.columns()))
 
 
 def random_matrix(rng, rows, cols, entry=3):
@@ -403,7 +440,7 @@ def test_image_basis_and_coords_of_random_matrices():
         assert b @ x == a @ c
         v = [rng.randint(-3, 3) for _ in range(n)]
         got = s.image_coords(IntMatrix.from_columns([v], rows=n))
-        if ColumnLattice(a).contains(v):
+        if solve(a, v) is not None:
             assert b @ got == IntMatrix.from_columns([v], rows=n)
         else:
             assert got is None
@@ -577,6 +614,21 @@ def test_matrix_text_roundtrip_of_every_shape():
         text = a.to_text()
         assert IntMatrix.from_text(text) == a
         assert IntMatrix.from_text(text + "\n").to_text() == text
+
+
+def test_negative_dimensions_are_rejected():
+    # each names the bad dimension instead of building a malformed shape
+    for build, match in [(lambda: IntMatrix.zeros(2, -1), "2x-1"),
+                         (lambda: IntMatrix.zeros(-3, 0), "-3x0"),
+                         (lambda: IntMatrix.identity(-2), "size -2"),
+                         (lambda: IntMatrix.from_columns([], rows=-1), "-1x0"),
+                         (lambda: IntMatrix(0, -1, []), "0x-1"),
+                         (lambda: IntMatrix(-1, 0, []), "-1x0"),
+                         (lambda: FgAbGroup.free(-2), "-2x0")]:
+        with pytest.raises(ValueError, match=f"negative dimension.*{match}"):
+            build()
+    assert IntMatrix.zeros(0, 0) == IntMatrix.identity(0) == IntMatrix.from_columns([], rows=0)
+    assert FgAbGroup.free(0).is_trivial()
 
 
 def test_matrix_text_errors():

@@ -1,6 +1,7 @@
-"""Every module-level function or class of the package is declared or read.
+"""Every module-level function or class, and every dataclass field, of the
+package is declared or read.
 
-An `ast` scan of `src/obstruct`, with three rules:
+An `ast` scan of `src/obstruct`, with four rules:
 
 * a private function or class (name starting with `_`) must be read
   somewhere in the package, as a bare name or as an attribute
@@ -11,10 +12,14 @@ An `ast` scan of `src/obstruct`, with three rules:
   be read in the package outside its own definition;
 * every module that defines a function or class has an `__all__`, and
   each of its entries is a function, class or assignment of that module,
-  not an import.
+  not an import;
+* every field of a dataclass of the package is loaded as an attribute
+  somewhere in `src/`, `tests/` or `bench/`.  Only the fields in
+  `READ_BY_NAME` are exempt.
 
-Reads from the tests do not count, so a helper only the tests call shows
-up here; such helpers live in `tests/support.py`."""
+For functions and classes reads from the tests do not count, so a helper
+only the tests call shows up here; such helpers live in
+`tests/support.py`."""
 
 import ast
 import pathlib
@@ -22,7 +27,10 @@ import pathlib
 import obstruct
 
 PACKAGE = pathlib.Path(obstruct.__file__).parent
+ROOT = PACKAGE.parent.parent
 ALLOWED = {"shifteq._eventual_invariant_general"}
+# fields read only by name, through getattr in tests/support.py's outcome record
+READ_BY_NAME = {"abelian.SearchOutcome.reason", "graphs.CompareOutcome.reason"}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -95,6 +103,35 @@ def _undefined_exports(trees):
     return sorted(missing)
 
 
+def _is_dataclass(node):
+    """Is the class `node` decorated with `dataclass`, called or not, by
+    bare name or as `dataclasses.dataclass`?"""
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(dec, "id", None) == "dataclass" or getattr(dec, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields(trees, readers):
+    """Sorted `module.Class.field` of the annotated fields of the module-level
+    dataclasses of `trees` that no tree of `readers` loads as an attribute.
+    A string naming a field, as getattr takes it, is not a read."""
+    read = set()
+    for tree in readers:
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return sorted(
+        f"{module}.{node.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    )
+
+
 def test_scanner_flags_an_unread_private():
     trees = {
         "a": ast.parse("def _called():\n    pass\n"
@@ -147,6 +184,24 @@ def test_scanner_flags_an_undefined_export():
     assert _undefined_exports(trees) == ["a.g", "a.gone", "b.__all__"]
 
 
+def test_scanner_flags_an_unread_dataclass_field():
+    trees = {
+        "a": ast.parse("import dataclasses\n"
+                       "from dataclasses import dataclass, field\n"
+                       "@dataclass\nclass A:\n    read: int\n    unread: int = 0\n"
+                       "@dataclasses.dataclass(frozen=True)\nclass B:\n"
+                       "    stored: int\n    by_name: int = field(default=0)\n"
+                       "class Plain:\n    annotated: int\n"),
+    }
+    readers = [ast.parse("x = A(1).read\n"
+                         "b = B(1)\n"
+                         "b.stored = 2\n"
+                         "y = getattr(b, 'by_name'), 'unread'\n")]
+    # a store, a getattr by name and a string literal are not reads, and a
+    # class that is not a dataclass has no fields to check
+    assert _unread_fields(trees, readers) == ["a.A.unread", "a.B.by_name", "a.B.stored"]
+
+
 def _package_trees():
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
@@ -164,3 +219,11 @@ def test_every_public_name_is_declared_or_read():
 
 def test_every_declared_name_is_defined():
     assert _undefined_exports(_package_trees()) == []
+
+
+def test_every_dataclass_field_is_read():
+    readers = [ast.parse(path.read_text(), str(path))
+               for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(readers) > 20
+    assert set(_unread_fields(_package_trees(), readers)) == READ_BY_NAME

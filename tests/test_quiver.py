@@ -381,8 +381,8 @@ def test_syzygy_cover_must_be_surjective(monkeypatch):
     assert resolve_projective(v, 3).length == 2
     cover = quiver._syzygy_cover
 
-    def dropping_one(prev, bases, rng):
-        p, vectors = cover(prev, bases, rng)
+    def dropping_one(prev, bases, lattice, rng):
+        p, vectors = cover(prev, bases, lattice, rng)
         return ProjectiveRep(p.poset, p.gen_points[1:]), vectors[1:]
 
     monkeypatch.setattr(quiver, "_syzygy_cover", dropping_one)
