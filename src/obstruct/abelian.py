@@ -433,7 +433,7 @@ class DirectSum:
         for g in self.summands:
             self.offsets.append(n)
             n += g.ngens
-        rel = IntMatrix.block_diag([g.relations for g in self.summands], rows=n, cols=0)
+        rel = IntMatrix.block_diag([g.relations for g in self.summands])
         self.group = FgAbGroup(n, rel)
 
     def split(self, vec):

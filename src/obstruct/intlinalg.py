@@ -34,11 +34,11 @@ Every exact solve goes through one loop, `_factor`: with U a V = D it
 solves U b = D x' entry by entry on the diagonal, one column b at a time,
 and x = V x' solves a x = b.  Callers reach it as
 `SmithDecomposition.factor`, which factors a map b through the columns of
-the matrix (the idiom of kernels, lifts and corestrictions); as
+the matrix (the idiom of kernels, lifts and corestrictions; on [a | R],
+`factor(b, a.cols)` factors b through a modulo the lattice of R); as
 `SmithDecomposition.image_coords` against `image_basis`, so a map into a
 group's free resolution is solved through the group's own decomposition;
 as `abelian.FgAbGroup.contains_relation` for membership in relations; as
-`factor_through(a, b, relations)` against a matrix used once; as
 `abelian.GroupMorphism.lift` modulo the target relations, against the
 morphism's own decomposition; and as `solve` for a single vector.
 
@@ -243,9 +243,11 @@ class IntMatrix:
         return IntMatrix._wrap(rows, cols, out)
 
     @staticmethod
-    def block_diag(blocks, rows=0, cols=0):
-        total_r = sum(b.rows for b in blocks) or rows
-        total_c = sum(b.cols for b in blocks) or cols
+    def block_diag(blocks):
+        """The blocks down the diagonal: sum of their rows by sum of their
+        columns, 0x0 for no blocks."""
+        total_r = sum(b.rows for b in blocks)
+        total_c = sum(b.cols for b in blocks)
         out = [[0] * total_c for _ in range(total_r)]
         r0 = c0 = 0
         for b in blocks:
@@ -570,15 +572,6 @@ def solve(a: IntMatrix, b, snf=None):
     s = snf if snf is not None else smith_normal_form(a)
     x = _factor(s, [b])
     return None if x is None else s.V.apply(x[0])
-
-
-def factor_through(a: IntMatrix, b: IntMatrix, relations: IntMatrix = None):
-    """X with a @ X == b modulo the column lattice of `relations`, or None.
-
-    Solves [a | relations] @ Y == b and keeps the first a.cols rows of Y;
-    None when some column of b does not factor.
-    """
-    return smith_normal_form(a if relations is None else a.hstack(relations)).factor(b, a.cols)
 
 
 def lattice_basis(gens: IntMatrix) -> IntMatrix:

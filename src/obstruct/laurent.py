@@ -45,10 +45,10 @@ from .abelian import (
 from .intlinalg import (
     ExactArithmeticError,
     IntMatrix,
-    factor_through,
     is_unimodular,
     kernel_basis,
     matrix_power,
+    smith_normal_form,
 )
 
 __all__ = [
@@ -353,7 +353,7 @@ def ext_r_pres(m: RModulePres, w):
         # Hom: colimit of the stable kernel of theta under the level shift a1
         stable = matrix_power(a1, dim) @ theta
         kb = kernel_basis(stable)
-        shift = factor_through(kb, a1 @ kb)
+        shift = smith_normal_form(kb).factor(a1 @ kb)
         if shift is None:
             raise ExactArithmeticError("level shift must preserve the stable kernel")
         hom = RModulePres(shift)

@@ -278,8 +278,7 @@ def rep_direct_sum(reps):
     arrows = {}
     for y, x in poset.hasse_arrows:
         src, tgt = sums[y].group, sums[x].group
-        mat = IntMatrix.block_diag([r.arrow_map(y, x).matrix for r in reps],
-                                   rows=tgt.ngens, cols=src.ngens)
+        mat = IntMatrix.block_diag([r.arrow_map(y, x).matrix for r in reps])
         arrows[(y, x)] = GroupMorphism(src, tgt, mat, trusted=True)
     total = QuiverRep(poset, {p: s.group for p, s in sums.items()}, arrows, check=False)
     injs = [RepMorphism(r, total, {p: s.injection(i) for p, s in sums.items()}, trusted=True)
@@ -367,11 +366,10 @@ class ProjIntoRep:
         return all(self.point_morphism(p).is_surjective() for p in self.source.poset.points)
 
 
-def _cover_generators(poset: FinitePoset, relations, arrow, rng):
+def _cover_generators(poset: FinitePoset, relations, arrow):
     """(point, vector) per cover generator of the module with Z^n/relations(x)
     at x and arrows arrow(y, x): canonical lifts of generators modulo the
-    covering arrows' images; an rng may add one redundant generator per point
-    and shuffles the order."""
+    covering arrows' images, point by point in the poset's order."""
     gens = []
     for x in poset.points:
         stacked = relations(x)
@@ -381,22 +379,19 @@ def _cover_generators(poset: FinitePoset, relations, arrow, rng):
         quotient = FgAbGroup(stacked.rows, stacked)
         for pos in quotient.canon_positions:
             gens.append((x, quotient.snf.Uinv.column(pos)))
-        if rng is not None and stacked.rows and rng.random() < 0.4:
-            gens.append((x, [rng.randint(-2, 2) for _ in range(stacked.rows)]))
-    if rng is not None:
-        rng.shuffle(gens)
     return gens
 
 
-def minimal_cover(v: QuiverRep, rng=None):
+def minimal_cover(v: QuiverRep):
     """(P, phi) with P projective and phi: P -> V surjective.
 
     Generators are those of `_cover_generators`, so covers of projectives
-    are isomorphisms.  An optional rng shuffles generator order and may add
-    redundant generators (used by resolution-independence tests).
+    are isomorphisms, and the cover of a module is one fixed choice: the
+    Ext groups read from it do not depend on that choice, and a class only
+    in its coordinates (`transport_class`).
     """
     gens = _cover_generators(v.poset, lambda x: v.groups[x].relations,
-                             lambda y, x: v.arrow_map(y, x).matrix, rng)
+                             lambda y, x: v.arrow_map(y, x).matrix)
     p = ProjectiveRep(v.poset, [x for x, _ in gens])
     phi = ProjIntoRep(p, v, [u for _, u in gens])
     if not phi.is_surjective():
@@ -459,7 +454,7 @@ def _coeffs_of_vectors(target: ProjectiveRep, points, vectors) -> IntMatrix:
     return coeffs
 
 
-def _syzygy_cover(prev: ProjectiveRep, bases, lattice, rng):
+def _syzygy_cover(prev: ProjectiveRep, bases, lattice):
     """(P, vectors): the `minimal_cover` of the syzygy spanned by the basis
     bases[z] in the coordinates of prev(z), whose arrows are prev's
     transports solved in lattice(z), the decomposition of bases[z], built
@@ -471,12 +466,12 @@ def _syzygy_cover(prev: ProjectiveRep, bases, lattice, rng):
             raise ExactArithmeticError("transport must preserve the syzygy lattice")
         return mat
 
-    gens = _cover_generators(prev.poset, lambda x: IntMatrix.zeros(bases[x].cols, 0), arrow, rng)
+    gens = _cover_generators(prev.poset, lambda x: IntMatrix.zeros(bases[x].cols, 0), arrow)
     return (ProjectiveRep(prev.poset, [x for x, _ in gens]),
             [bases[x].apply(u) for x, u in gens])
 
 
-def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
+def resolve_projective(v: QuiverRep, length: int) -> ProjResolution:
     """Iterated syzygies to the requested length (stops early at completion).
 
     A syzygy is a basis B_z per point, in the coordinates of the previous
@@ -487,7 +482,7 @@ def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
     projective syzygy is covered by the identity) spans it, and its kernel
     is zero since B_z is a basis: nothing is eliminated.
     """
-    p0, aug = minimal_cover(v, rng)
+    p0, aug = minimal_cover(v)
     projectives = [p0]
     diffs = []
     # first syzygy: preimage lattice of the augmentation, pointwise
@@ -495,7 +490,7 @@ def resolve_projective(v: QuiverRep, length: int, rng=None) -> ProjResolution:
     while len(projectives) <= length and any(b.cols for b in bases.values()):
         prev = projectives[-1]
         lattice = cache(lambda z: smith_normal_form(bases[z]))
-        p_next, vectors = _syzygy_cover(prev, bases, lattice, rng)
+        p_next, vectors = _syzygy_cover(prev, bases, lattice)
         d = _coeffs_of_vectors(prev, p_next.gen_points, vectors)
         diffs.append(d)
         projectives.append(p_next)
@@ -636,13 +631,13 @@ class ExtPosetGroup:
     n + 1.
     """
 
-    def __init__(self, v: QuiverRep, w: QuiverRep, n: int, resolution=None, rng=None):
+    def __init__(self, v: QuiverRep, w: QuiverRep, n: int, resolution=None):
         _require_one_poset(v, w)
         self.v = v
         self.w = w
         self.n = n
         if resolution is None:
-            resolution = resolve_projective(v, n + 1, rng)
+            resolution = resolve_projective(v, n + 1)
         self.resolution = resolution
         self.complex = HomComplex.build(resolution, w, n + 1, low=max(n - 1, 0))
         self.sum = self.complex.sums[n - self.complex.low]
@@ -820,23 +815,16 @@ def _factor_at_points(points, targets, at, what):
     return out
 
 
-def _shifted(lifts, points, at, rng):
-    """lifts moved by random elements of the kernel of at(x), one per
-    generator at x, to vary lift choices."""
-    bases = [at(x).preimage_lattice_basis() for x in points]
-    return [[a + c for a, c in zip(u, b.apply([rng.randint(-2, 2) for _ in range(b.cols)]))]
-            for u, b in zip(lifts, bases)]
-
-
-def _lift(res: ProjResolution, targets, stages, rng=None):
+def _lift(res: ProjResolution, targets, stages):
     """The comparison theorem: phi_k: P_k -> C_k, one vector of C_k per
     generator of P_k, lifting the map P_0 -> C_{-1} with values `targets`
     along an exact complex ... -> C_1 -> C_0 -> C_{-1}, one degree at a time.
 
     stages[k] = (at, transport): at(x) is C_k -> C_{k-1} at x, transport(y,
     x) the matrix of C_k along x <= y.  at(x) phi_k = phi_{k-1}∘(P_k ->
-    P_{k-1}), the right side precomposed through `_hom_differential`.  An
-    rng moves every lift by random kernel elements (`_shifted`)."""
+    P_{k-1}), the right side precomposed through `_hom_differential`.  Each
+    lift is the one `_factor_at_points` returns; any other choice differs by
+    a chain homotopy, which changes no class read from the lift."""
     lifts = []
     for k, (at, _) in enumerate(stages):
         p = res.projective_at(k)
@@ -845,11 +833,8 @@ def _lift(res: ProjResolution, targets, stages, rng=None):
             lo, hi = (DirectSum([at_lo(x).source for x in q.gen_points]) for q in (p_lo, p))
             pre = _hom_differential(p, hi, p_lo, lo, res.diff_coeffs(k), transport_lo)
             targets = hi.split(pre.apply(lo.join(lifts[-1])))
-        phi = _factor_at_points(p.gen_points, targets, at,
-                                f"lift in degree {k} must exist by exactness")
-        if rng is not None:
-            phi = _shifted(phi, p.gen_points, at, rng)
-        lifts.append(phi)
+        lifts.append(_factor_at_points(p.gen_points, targets, at,
+                                       f"lift in degree {k} must exist by exactness"))
     return lifts
 
 
@@ -867,21 +852,23 @@ def _require_over(name, group: ExtPosetGroup, m0: QuiverRep, m1: QuiverRep):
             raise ValueError(f"the {which} of {name}, {a!r}, does not match {b!r}")
 
 
-def yoneda_class(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> Ext2Class:
+def yoneda_class(ext: TwoExtension, ambient: ExtPosetGroup = None) -> Ext2Class:
     """Class of a two-step extension in Ext^2(M0, M1).
 
-    Lifts the identity of M0 through the extension against a projective
-    resolution of M0; the middle terms need not be projective.  The class is
-    independent of the resolution and of all lift choices.  An `ambient`
+    Lifts the identity of M0 through the extension against the resolution
+    of `ambient`, or of `ExtPosetGroup(M0, M1, 2)` when none is given; the
+    middle terms need not be projective.  The lifts are one fixed choice;
+    the class does not depend on it, and against another resolution it is
+    the same class in other coordinates (`transport_class`).  An `ambient`
     over other modules than M0 and M1 is a ValueError.
     """
     ext.verify_exact()
     if ambient is not None:
         _require_over("the ambient group", ambient, ext.m0, ext.m1)
-    return _yoneda_cocycle(ext, ambient, rng)
+    return _yoneda_cocycle(ext, ambient)
 
 
-def _yoneda_cocycle(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) -> Ext2Class:
+def _yoneda_cocycle(ext: TwoExtension, ambient: ExtPosetGroup = None) -> Ext2Class:
     """yoneda_class for an extension already checked by `verify_exact`: the
     `_lift` of the augmentation along eps, d1 and d2, whose degree-two
     lift is a cocycle in M1.
@@ -889,12 +876,12 @@ def _yoneda_cocycle(ext: TwoExtension, ambient: ExtPosetGroup = None, rng=None) 
     A resolution with no P2 has no degree-two cochains, so the class is zero
     and no lift is made."""
     if ambient is None:
-        ambient = ExtPosetGroup(ext.m0, ext.m1, 2, rng=rng)
+        ambient = ExtPosetGroup(ext.m0, ext.m1, 2)
     res = ambient.resolution
     if not res.projective_at(2).num_gens:
         return Ext2Class(ambient, ambient.zero_class())
     stages = [(m.maps.__getitem__, _matrices(m.source)) for m in (ext.eps, ext.d1, ext.d2)]
-    phi = _lift(res, res.aug.vectors, stages, rng)
+    phi = _lift(res, res.aug.vectors, stages)
     return Ext2Class(ambient, ambient.class_of_cochain(phi[2]))
 
 

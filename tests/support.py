@@ -5,6 +5,9 @@
 * `verify_bimodule_resolution`: the marked-path resolution of the
   incidence algebra of a unique path space, checked exact by integer
   linear algebra (an oracle for the UPS route);
+* `perturbed_resolution`: a non-minimal resolution built from a given
+  one, so that Ext groups and Yoneda classes can be checked independent
+  of the resolution;
 * `outcome_record` and `outcome_digest`: everything a benchmark
   operation's outcome carries, so that two versions of the code can be
   compared output for output.  Run as a script,
@@ -32,7 +35,7 @@ if __name__ == "__main__":  # the package and bench/ of this checkout
 from obstruct.abelian import FgAbGroup, GroupMorphism, canonical_morphism, ext1_induced, ext1_z, hom_z
 from obstruct.intlinalg import IntMatrix, kernel_basis, lattices_equal, matrix_rank, unvec, vec
 from obstruct.posets import FinitePoset, is_unique_path_space
-from obstruct.quiver import ExtPosetGroup, RepMorphism
+from obstruct.quiver import ExtPosetGroup, ProjectiveRep, ProjIntoRep, ProjResolution, RepMorphism
 
 
 def _hom_induced(pre, post, hsrc, htgt):
@@ -165,6 +168,60 @@ def verify_bimodule_resolution(x: FinitePoset) -> BimoduleResolutionReport:
         left_map_rank=matrix_rank(lam),
         exact=surjective and middle_exact and injective,
     )
+
+
+def perturbed_resolution(res: ProjResolution, rng) -> ProjResolution:
+    """Another resolution of res.module, built from `res`.
+
+    Twice, a contractible summand P(x) --id--> P(x) is added in
+    degrees k + 1 and k (k past the last projective only when `res` is
+    complete), and P_k is then changed by the automorphism sending the new
+    generator e to e + sum c_g g over the generators g at points above x,
+    the c_g random: d(P_{k+1}) is composed with it and d(P_k) with its
+    inverse, so in degree 0 e maps to a random element of V(x).  Last, the
+    generators of every degree are permuted at random.  The differentials
+    and the augmentation vectors follow each step, so the result is exact
+    again, and longer by one when a summand lands past the end.
+    """
+    v = res.module
+    poset = v.poset
+    points = [list(p.gen_points) for p in res.projectives]
+    diffs = list(res.diffs)  # diffs[k]: coefficient matrix of P_{k+1} -> P_k
+    aug = [list(u) for u in res.aug.vectors]
+    for _ in range(2):
+        k = rng.randrange(len(points) - (not res.complete))
+        x = rng.choice(poset.points)
+        if k + 1 == len(points):
+            points.append([])
+            diffs.append(IntMatrix.zeros(len(points[k]), 0))
+        n = len(points[k])
+        points[k].append(x)
+        points[k + 1].append(x)
+        diffs[k] = IntMatrix.block_diag([diffs[k], IntMatrix.identity(1)])
+        if k + 1 < len(diffs):
+            diffs[k + 1] = diffs[k + 1].vstack(IntMatrix.zeros(1, diffs[k + 1].cols))
+        # the automorphism a of P_k, a(e) = e + sum c_g g, and a^-1(e) = e - sum c_g g
+        a, a_inv = IntMatrix.identity(n + 1), IntMatrix.identity(n + 1)
+        for g, p in enumerate(points[k][:n]):
+            if poset.leq(x, p):
+                c = rng.randint(-2, 2)
+                a.data[g][n], a_inv.data[g][n] = c, -c
+        diffs[k] = a @ diffs[k]
+        if k:
+            diffs[k - 1] = diffs[k - 1].hstack(IntMatrix.zeros(diffs[k - 1].rows, 1)) @ a_inv
+        else:
+            e = [0] * v.groups[x].ngens
+            for g, u in enumerate(aug):
+                c = a_inv.data[g][n]
+                if c:
+                    e = [s + c * t for s, t in zip(e, v.transport(points[0][g], x).matrix.apply(u))]
+            aug.append(e)
+    perms = [rng.sample(range(len(p)), len(p)) for p in points]
+    points = [[p[i] for i in perm] for p, perm in zip(points, perms)]
+    diffs = [d.submatrix(perms[k], perms[k + 1]) for k, d in enumerate(diffs)]
+    projectives = [ProjectiveRep(poset, p) for p in points]
+    return ProjResolution(v, projectives, ProjIntoRep(projectives[0], v, [aug[i] for i in perms[0]]),
+                          diffs, res.complete)
 
 
 # ---------------------------------------------------------------------------

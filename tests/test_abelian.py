@@ -28,10 +28,10 @@ from obstruct.abelian import (
 )
 from obstruct.intlinalg import (
     IntMatrix,
-    factor_through,
     lattice_basis,
     lattices_equal,
     matrix_rank,
+    smith_normal_form,
     solve,
 )
 
@@ -468,8 +468,9 @@ def lattice_route(f, g, middle):
     group: solved in a lattice on a basis B of g's preimage lattice, or on
     the identity without g; (group, coords, rep_of)."""
     b = g.preimage_lattice_basis() if g is not None else IntMatrix.identity(middle.ngens)
-    image = factor_through(b, f.matrix) if f is not None else IntMatrix.zeros(b.cols, 0)
-    group = FgAbGroup(b.cols, image.hstack(factor_through(b, middle.relations)))
+    s = smith_normal_form(b)
+    image = s.factor(f.matrix) if f is not None else IntMatrix.zeros(b.cols, 0)
+    group = FgAbGroup(b.cols, image.hstack(s.factor(middle.relations)))
     return group, lambda v: group.canon_coords(solve(b, v)), lambda c: b.apply(group.from_canon(c))
 
 
@@ -625,7 +626,7 @@ def test_resolution_lift_matches_the_lattice_route():
         f = GroupMorphism(v, w, mat)
         lift = resolution_lift(f)
         assert w.snf.image_basis() @ lift == mat @ v.snf.image_basis()
-        route = factor_through(lattice_basis(w.relations), mat @ lattice_basis(rel))
+        route = smith_normal_form(lattice_basis(w.relations)).factor(mat @ lattice_basis(rel))
         assert lift == route
         for g in (v, w):
             seen["no relations"] += not g.relations.cols

@@ -23,7 +23,7 @@ from obstruct.graphs import (
     unit_compare,
     xk_invariant,
 )
-from obstruct.intlinalg import ExactArithmeticError, IntMatrix, factor_through
+from obstruct.intlinalg import ExactArithmeticError, IntMatrix, smith_normal_form
 from obstruct.posets import FinitePoset
 from obstruct.quiver import (
     Ext2Class,
@@ -1037,7 +1037,7 @@ def colimit_unit(inv):
     for p in inv.xk0.poset.points:
         nat = nat.hstack(graphs._restriction_matrix(e, sets[p], e.vertices))
     assert GroupMorphism(colim, k0, nat).is_iso()
-    xi = factor_through(nat, IntMatrix.from_columns([[1] * n]), k0.relations)
+    xi = smith_normal_form(nat.hstack(k0.relations)).factor(IntMatrix.from_columns([[1] * n]), nat.cols)
     return colim, s, colim.canon_coords(xi.column(0))
 
 

@@ -11,7 +11,6 @@ from obstruct.intlinalg import (
     charpoly,
     cokernel_factors,
     determinant,
-    factor_through,
     is_unimodular,
     kernel_basis,
     lattice_basis,
@@ -280,7 +279,7 @@ def test_factor_through_matches_column_solves(m, n, k, c, seed):
     for relations in (None, rel):
         stacked = a if relations is None else a.hstack(relations)
         sols = [solve(stacked, col) for col in cols]
-        x = factor_through(a, b, relations)
+        x = smith_normal_form(stacked).factor(b, n)
         if any(z is None for z in sols):
             assert x is None
             continue
@@ -292,26 +291,30 @@ def test_factor_through_matches_column_solves(m, n, k, c, seed):
 def test_factor_through_one_failing_column():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
     b = IntMatrix.from_rows([[4, 2, 1], [3, 0, 0]])
-    assert factor_through(a, b) is None
-    assert factor_through(a, b.submatrix([0, 1], [0, 1])) == IntMatrix.from_rows([[2, 1], [1, 0]])
+    s = smith_normal_form(a)
+    assert s.factor(b) is None
+    assert s.factor(b.submatrix([0, 1], [0, 1])) == IntMatrix.from_rows([[2, 1], [1, 0]])
     # modulo the relation e_1 the third column factors too
-    x = factor_through(a, b, IntMatrix.from_rows([[1], [0]]))
+    x = smith_normal_form(a.hstack(IntMatrix.from_rows([[1], [0]]))).factor(b, a.cols)
     assert x is not None and x.rows == 2 and x.cols == 3
     assert (a @ x).data[1] == b.data[1]
 
 
 def test_factor_through_empty_shapes():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert factor_through(a, IntMatrix.zeros(2, 0)) == IntMatrix.zeros(2, 0)
-    assert factor_through(a, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 1)) == IntMatrix.zeros(2, 0)
+    assert smith_normal_form(a).factor(IntMatrix.zeros(2, 0)) == IntMatrix.zeros(2, 0)
+    with_rel = smith_normal_form(a.hstack(IntMatrix.zeros(2, 1)))
+    assert with_rel.factor(IntMatrix.zeros(2, 0), a.cols) == IntMatrix.zeros(2, 0)
     # a with no columns: only zero columns factor
-    assert factor_through(IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 3)) == IntMatrix.zeros(0, 3)
-    assert factor_through(IntMatrix.zeros(2, 0), IntMatrix.from_rows([[0], [1]])) is None
+    empty = smith_normal_form(IntMatrix.zeros(2, 0))
+    assert empty.factor(IntMatrix.zeros(2, 3)) == IntMatrix.zeros(0, 3)
+    assert empty.factor(IntMatrix.from_rows([[0], [1]])) is None
     # ... unless the relations absorb them
-    x = factor_through(IntMatrix.zeros(2, 0), IntMatrix.from_rows([[0], [1]]), IntMatrix.identity(2))
+    absorbing = smith_normal_form(IntMatrix.zeros(2, 0).hstack(IntMatrix.identity(2)))
+    x = absorbing.factor(IntMatrix.from_rows([[0], [1]]), 0)
     assert x == IntMatrix.zeros(0, 1)
     # no rows: everything factors, through zero
-    assert factor_through(IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 2)) == IntMatrix.zeros(3, 2)
+    assert smith_normal_form(IntMatrix.zeros(0, 3)).factor(IntMatrix.zeros(0, 2)) == IntMatrix.zeros(3, 2)
 
 
 def inside(s, v):
@@ -675,6 +678,13 @@ def test_derived_matrices_share_no_rows():
     block = IntMatrix.block_diag([a, b])
     block.data[0][0] = 9
     assert a.data[0][0] == 1
+
+
+def test_block_diag_shape_is_the_sum_of_the_blocks():
+    assert IntMatrix.block_diag([]) == IntMatrix.zeros(0, 0)
+    assert IntMatrix.block_diag([IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 3)]) == IntMatrix.zeros(2, 3)
+    a, b = IntMatrix.from_rows([[1, 2]]), IntMatrix.from_rows([[3], [4]])
+    assert IntMatrix.block_diag([a, b]) == IntMatrix.from_rows([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
 
 
 def test_kron():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from dataclasses import replace
@@ -48,6 +49,7 @@ from obstruct.quiver import (
     yoneda_class,
 )
 
+from support import perturbed_resolution
 from test_abelian import random_group, random_morphism
 from test_intlinalg import counter
 
@@ -302,10 +304,13 @@ def test_resolution_length_at_most_2_on_ups():
 
 
 def test_randomized_resolutions_also_exact():
-    rng = random.Random(11)
+    # non-minimal resolutions, with redundant generators and shuffled
+    # orders, are exact
     v = sierpinski_rep(zmod(4), zmod(2), IntMatrix.from_rows([[1]]))
+    base = resolve_projective(v, 3)
     for seed in range(5):
-        res = resolve_projective(v, 3, rng=random.Random(seed))
+        res = perturbed_resolution(base, random.Random(seed))
+        assert res.fingerprint() != base.fingerprint()
         verify_resolution(res)
 
 
@@ -344,20 +349,63 @@ def sweep_posets(rng, count):
     return [diamond_poset() if k % 4 == 0 else random_poset(rng, 4 + k % 3) for k in range(count)]
 
 
-def test_resolutions_exact_on_general_posets():
-    # non-UPS posets, relations that need not be independent, and the rng
-    # route with its redundant generators and shuffles
+def general_sweep():
+    """(module, resolution to length 4) for the 160 presented modules of
+    the general-poset sweep."""
     rng = random.Random(41)
+    modules = [presented_rep(rng, poset) for poset in sweep_posets(rng, 160)]
+    return [(v, resolve_projective(v, 4)) for v in modules]
+
+
+def test_resolutions_exact_on_general_posets():
+    # non-UPS posets, relations that need not be independent, and
+    # perturbed resolutions with redundant generators and shuffles
     non_ups = deep = 0
-    for seed, poset in enumerate(sweep_posets(rng, 160)):
-        non_ups += not is_unique_path_space(poset)[0]
-        v = presented_rep(rng, poset)
-        res = resolve_projective(v, 4)
+    for seed, (v, res) in enumerate(general_sweep()):
+        non_ups += not is_unique_path_space(v.poset)[0]
         verify_resolution(res)
         deep += res.length >= 2
-        verify_resolution(resolve_projective(v, 4, rng=random.Random(seed)))
+        verify_resolution(perturbed_resolution(res, random.Random(seed)))
     # enough traffic through covers of syzygies that are themselves kernels
     assert non_ups >= 40 and deep >= 15, (non_ups, deep)
+
+
+def resolution_extension(res):
+    """0 -> K -> P_1 -> P_0 -> V -> 0 read off a resolution of V, with K
+    the kernel of P_1 -> P_0."""
+    p0, p1 = projective_rep(res.projective_at(0)), projective_rep(res.projective_at(1))
+    d1 = RepMorphism(p1, p0, {z: GroupMorphism(p1.groups[z], p0.groups[z], _diff_at(res, 1, z))
+                              for z in res.module.poset.points})
+    eps = RepMorphism(p0, res.module, {z: res.aug.point_morphism(z) for z in res.module.poset.points})
+    k, d2 = rep_kernel(d1)
+    return TwoExtension(k, p1, p0, res.module, d2, d1, eps)
+
+
+def test_ext_and_classes_independent_of_the_resolution_on_general_posets():
+    # Ext^0..2(V, V) against a perturbed resolution has the invariant
+    # factors of `ext_poset`, and the class of 0 -> K -> P_1 -> P_0 -> V -> 0
+    # computed against it transports to the class against the minimal one
+    nonzero = 0
+    for seed, (v, res) in enumerate(general_sweep()):
+        other = perturbed_resolution(res, random.Random(seed))
+        for n in range(3):
+            assert (ExtPosetGroup(v, v, n, resolution=other).group.invariant_factors
+                    == ext_poset(v, v, n).group.invariant_factors), (seed, n)
+        ext = resolution_extension(res)
+        base = yoneda_class(ext)
+        cls = yoneda_class(ext, ambient=ExtPosetGroup(ext.m0, ext.m1, 2, resolution=other))
+        assert transport_class(cls, base.ambient) == base.coords, seed
+        assert transport_class(base, cls.ambient) == cls.coords, seed
+        nonzero += not base.is_zero()
+    assert nonzero >= 15, nonzero
+
+
+def test_resolutions_of_the_sweep_are_pinned():
+    # every cover order and differential of the sweep, as one hash
+    h = hashlib.sha256()
+    for _, res in general_sweep():
+        h.update(res.fingerprint().encode())
+    assert h.hexdigest() == "888cf6f11b44ef9989dd4bd0a2b650424b25b1508095ba5651c4fa239c96c955"
 
 
 def test_ext_matches_ups_oracle_on_random_posets():
@@ -381,8 +429,8 @@ def test_syzygy_cover_must_be_surjective(monkeypatch):
     assert resolve_projective(v, 3).length == 2
     cover = quiver._syzygy_cover
 
-    def dropping_one(prev, bases, lattice, rng):
-        p, vectors = cover(prev, bases, lattice, rng)
+    def dropping_one(prev, bases, lattice):
+        p, vectors = cover(prev, bases, lattice)
         return ProjectiveRep(p.poset, p.gen_points[1:]), vectors[1:]
 
     monkeypatch.setattr(quiver, "_syzygy_cover", dropping_one)
@@ -549,7 +597,7 @@ def test_chain_lift_commutes_between_two_resolutions():
                                          for x, g in reps[0].groups.items()}))
     for seed, f in enumerate(maps):
         res_s = resolve_projective(f.source, 3)
-        res_t = resolve_projective(f.target, 3, rng=random.Random(seed))
+        res_t = perturbed_resolution(resolve_projective(f.target, 3), random.Random(seed))
         assert res_s.diffs and res_t.diffs and res_s.fingerprint() != res_t.fingerprint()
         lifts = chain_lift(f, res_s, res_t)
         assert _chain_lift_failures(f, res_s, res_t, lifts) == []
@@ -754,28 +802,32 @@ def test_yoneda_lifts_commute(monkeypatch):
 def test_yoneda_class_independent_of_choices(monkeypatch):
     ext = cyclic_extension(2, 1)
     base = yoneda_class(ext)
-    # one resolution, randomized lift choices: count the lifts that move
-    real, moved = quiver._shifted, [0]
-
-    def shifted(lifts, *args):
-        out = real(lifts, *args)
-        moved[0] += out != lifts
-        return out
-
-    monkeypatch.setattr(quiver, "_shifted", shifted)
-    for seed in range(6):
-        moved[0] = 0
-        other = yoneda_class(ext, ambient=base.ambient, rng=random.Random(seed))
-        assert moved[0] > 0
-        assert other.provenance == base.provenance
-        assert other.coords == base.coords
     # randomized resolutions: transport the class and compare
     for seed in range(4):
         rng = random.Random(100 + seed)
-        ambient2 = ExtPosetGroup(ext.m0, ext.m1, 2, rng=rng)
-        cls2 = yoneda_class(ext, ambient=ambient2)
-        transported = transport_class(cls2, base.ambient)
-        assert transported == base.coords
+        res2 = perturbed_resolution(base.ambient.resolution, rng)
+        cls2 = yoneda_class(ext, ambient=ExtPosetGroup(ext.m0, ext.m1, 2, resolution=res2))
+        assert cls2.provenance != base.provenance
+        assert transport_class(cls2, base.ambient) == base.coords
+    # one resolution, randomized lift choices: each lift moved by a random
+    # kernel element of at(x); count the solves whose lifts move
+    real, moved, rng = quiver._factor_at_points, [0], random.Random(6)
+
+    def shifted(points, targets, at, what):
+        lifts = real(points, targets, at, what)
+        bases = [at(x).preimage_lattice_basis() for x in points]
+        out = [[a + c for a, c in zip(u, b.apply([rng.randint(-2, 2) for _ in range(b.cols)]))]
+               for u, b in zip(lifts, bases)]
+        moved[0] += out != lifts
+        return out
+
+    monkeypatch.setattr(quiver, "_factor_at_points", shifted)
+    for _ in range(6):
+        moved[0] = 0
+        other = yoneda_class(ext, ambient=base.ambient)
+        assert moved[0] > 0
+        assert other.provenance == base.provenance
+        assert other.coords == base.coords
 
 
 def test_yoneda_baer_sum_additivity(monkeypatch):
