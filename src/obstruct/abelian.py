@@ -167,7 +167,10 @@ class FgAbGroup:
         return tuple(out)
 
     def from_canon(self, coords):
-        """A generator-basis representative of the given canonical coordinates."""
+        """A generator-basis representative of canonical coordinates, one per factor."""
+        if len(coords) != len(self.canon_positions):
+            raise ValueError(f"{len(coords)} coordinates given for {self.describe()}, "
+                             f"which has {len(self.canon_positions)} invariant factors")
         y = [0] * self.ngens
         for c, i in zip(coords, self.canon_positions):
             y[i] = c
@@ -309,12 +312,9 @@ class GroupMorphism:
         return h.group, incl
 
     def cokernel(self):
-        """(C, proj) with C presented on the target generators by the image
-        lattice, whose decomposition C takes as its own."""
-        c = FgAbGroup(self.target.ngens, self.image_lattice.matrix)
-        c._snf = self.image_lattice
-        proj = GroupMorphism(self.target, c, IntMatrix.identity(self.target.ngens), trusted=True)
-        return c, proj
+        """(C, proj) for C = `homology_at(self, None)`; proj is the identity matrix."""
+        c = homology_at(self, None).group
+        return c, GroupMorphism(self.target, c, IntMatrix.identity(self.target.ngens), trusted=True)
 
     def is_surjective(self):
         """Every cokernel factor of the image lattice is 1."""
@@ -391,14 +391,18 @@ def homology_at(f: GroupMorphism | None, g: GroupMorphism | None) -> Subquotient
     """Homology ker(g)/im(f) of a two-step complex of presented groups.
 
     Either map may be None (treated as zero), not both.  With g None or into
-    the zero group, the result is coker f on [f | R] (the middle group when
-    f is None too), with no lattice built; else it is presented on a basis
+    the zero group, it is coker f on [f | R], which owns f's image lattice
+    (the middle group when f is None too); else it is presented on a basis
     of g's preimage lattice.  Requires g f = 0, else ExactArithmeticError.
     """
     if f is None and g is None:
         raise ValueError("need at least one map to know the middle group")
     if g is None or not g.target.ngens:
-        return SubquotientData(g.source if f is None else f.cokernel()[0])
+        if f is None:
+            return SubquotientData(g.source)
+        c = FgAbGroup(f.target.ngens, f.image_lattice.matrix)
+        c._snf = f.image_lattice
+        return SubquotientData(c)
     if f is not None and not (g @ f).is_zero():
         raise ExactArithmeticError("not a complex: g∘f != 0")
     basis = smith_normal_form(g.preimage_lattice_basis())

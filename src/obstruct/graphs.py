@@ -159,8 +159,6 @@ class DirectedGraph:
             except KeyError as exc:
                 raise ValueError(f"edge {e!r} names an unknown vertex {exc.args[0]!r}") from None
         self.adjacency = IntMatrix.from_rows(adj) if n else IntMatrix.zeros(0, 0)
-        self._targets = {v: [w for j, w in enumerate(self.vertices) if adj[i][j] > 0]
-                         for i, v in enumerate(self.vertices)}
 
     @classmethod
     def from_adjacency(cls, a: IntMatrix, labels=None):
@@ -181,7 +179,7 @@ class DirectedGraph:
         return sum(self.adjacency.data[self.index[v]])
 
     def targets(self, v):
-        return self._targets[v]
+        return [w for w, m in zip(self.vertices, self.adjacency.data[self.index[v]]) if m > 0]
 
     def __repr__(self):
         return f"DirectedGraph({self.vertices}, edges={sum(sum(r) for r in self.adjacency.data)})"

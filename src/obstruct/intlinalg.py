@@ -151,9 +151,6 @@ class IntMatrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.data})"
 

@@ -154,13 +154,10 @@ class RModulePres:
 
 @dataclass
 class GradedRModule:
-    """Z/2-graded module; suspension swaps the parts."""
+    """Z/2-graded module: an even and an odd part."""
 
     even: object  # RModuleFg | RModulePres
     odd: object
-
-    def suspend(self):
-        return GradedRModule(even=self.odd, odd=self.even)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +279,6 @@ class ExtRTriple:
     total: TotalComplex
     ext1_r_data: SubquotientData
     ext2: Ext2Block
-
-    @property
-    def ext_e(self) -> Ext1Group:
-        return self.ext2.ext_e
-
-    @property
-    def phi_e(self) -> GroupMorphism:
-        return self.ext2.phi
 
     @property
     def ext1_r(self):

@@ -12,13 +12,11 @@ explicit length-one projective bimodule resolution.
 
 from __future__ import annotations
 
-import itertools
-
 from .intlinalg import ExactArithmeticError
 
 __all__ = [
     "FinitePoset", "is_unique_path_space", "point_poset", "sierpinski_poset", "chain_poset",
-    "antichain_poset", "diamond_poset", "all_posets_up_to_iso",
+    "antichain_poset", "diamond_poset",
 ]
 
 
@@ -184,7 +182,7 @@ def is_unique_path_space(x: FinitePoset):
 
 
 # ---------------------------------------------------------------------------
-# Standard small posets and exhaustive enumeration
+# Standard small posets
 # ---------------------------------------------------------------------------
 
 
@@ -213,38 +211,3 @@ def diamond_poset():
         [("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")],
     )
 
-
-def all_posets_up_to_iso(n):
-    """All isomorphism classes of posets on n points.
-
-    Every finite poset admits a linear extension, so it suffices to
-    enumerate strict relations contained in the natural order on 0..n-1,
-    filter for transitivity, and deduplicate by canonical relabeling.
-    """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen = set()
-    out = []
-    for bits in itertools.product([0, 1], repeat=len(pairs)):
-        rel = {p for p, b in zip(pairs, bits) if b}
-        if not _transitive(rel):
-            continue
-        canon = _canonical_relation(rel, n)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(FinitePoset(list(range(n)), [(i, j) for i, j in rel]))
-    return out
-
-
-def _transitive(rel):
-    return all((a, d) in rel for (a, b) in rel for (c, d) in rel if b == c)
-
-
-def _canonical_relation(rel, n):
-    best = None
-    for perm in itertools.permutations(range(n)):
-        mapped = frozenset((perm[a], perm[b]) for a, b in rel)
-        key = tuple(sorted(mapped))
-        if best is None or key < best:
-            best = key
-    return best

@@ -81,20 +81,21 @@ def six_term_maps(t):
     conn = canonical_morphism(t.hom_h.group, t.ext1_r, images)
 
     # restriction Ext^1_R -> Ext^1_Z: class of (psi, chi) |-> class of chi
-    images = [t.ext_e.coords(unvec(amb[n * m:], m, r)) for amb in t.ext1_r_data.basis_reps]
-    res = canonical_morphism(t.ext1_r, t.ext_e.group, images)
+    ext_e = t.ext2.ext_e
+    images = [ext_e.coords(unvec(amb[n * m:], m, r)) for amb in t.ext1_r_data.basis_reps]
+    res = canonical_morphism(t.ext1_r, ext_e.group, images)
 
     # projection Ext^1_Z -> Ext^2_R
-    ke = len(t.ext_e.group.invariant_factors)
+    ke = len(ext_e.group.invariant_factors)
     images = [t.ext2.coker.coords([1 if i == j else 0 for i in range(ke)]) for j in range(ke)]
-    proj = canonical_morphism(t.ext_e.group, t.ext2.group, images)
+    proj = canonical_morphism(ext_e.group, t.ext2.group, images)
 
     return {
         "hom_incl": t.hom_r_incl,
         "phi_h": t.phi_h,
         "connecting": conn,
         "restriction": res,
-        "phi_e": t.phi_e,
+        "phi_e": t.ext2.phi,
         "projection": proj,
     }
 

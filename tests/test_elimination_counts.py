@@ -27,8 +27,8 @@ from test_laurent import fg, zmod
 from test_quiver import presented_rep
 
 CAPS = {"xk module layer and delta": 17, "ext_poset": 26, "count_liftings": 9, "ext_r_fg": 12}
-REPLAY_CAPS = {"xk module layer and delta": 13, "ext_poset": 29, "count_liftings": 10,
-               "ext_r_fg": 20}
+REPLAY_CAPS = {"xk module layer and delta": 12, "ext_poset": 28, "count_liftings": 9,
+               "ext_r_fg": 18}
 
 
 def counts_of(monkeypatch, name):

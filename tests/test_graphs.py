@@ -818,6 +818,21 @@ def test_a_witness_against_the_zero_class_is_still_rejected(monkeypatch):
     assert out.verdict == "unknown"
 
 
+def test_ext2_coordinates_of_the_wrong_length_are_a_named_error():
+    # Ext^2 = Z/2, so (1, 7) and () name no class; neither may be cut or padded to one
+    inv = xk_invariant(graph(NONZERO_DELTA))
+    amb = inv.delta.ambient
+    f0, f1 = RepMorphism.identity(inv.xk0), RepMorphism.identity(inv.xk1)
+    for coords in ((1, 7), ()):
+        bad = Ext2Class(amb, coords)
+        error = f"{len(coords)} coordinates given for Z/2, which has 1 invariant factors"
+        for run in (lambda: ext2_compatible(f0, inv.delta, bad, f1),
+                    lambda: ext2_compatible(f0, bad, inv.delta, f1),
+                    lambda: transport_class(bad, amb)):
+            with pytest.raises(ValueError, match=error):
+                run()
+
+
 def test_ext2_compatible_lifts_a_chain_map_only_for_nonzero_ext2(monkeypatch):
     lifts = counter(monkeypatch, quiver, "chain_lift")
     for rows, expected in ((TORSION_GRAPHS[3], 0), (NONZERO_DELTA, 1)):

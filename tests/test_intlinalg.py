@@ -634,6 +634,12 @@ def test_negative_dimensions_are_rejected():
     assert FgAbGroup.free(0).is_trivial()
 
 
+def test_a_matrix_has_no_hash():
+    # builders write an IntMatrix's data in place, so a hash could go stale
+    with pytest.raises(TypeError):
+        hash(IntMatrix.identity(2))
+
+
 def test_matrix_text_errors():
     for header in ("0 -2", "-1 0", "-2 -2"):
         with pytest.raises(ValueError, match=f"negative dimension in matrix header '{header}'"):

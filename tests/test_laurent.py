@@ -144,13 +144,6 @@ def test_pres_is_zero_exactly_when_shift_is_nilpotent():
         RModulePres(IntMatrix.from_rows([[5]]), IntMatrix.from_rows([[3]])).is_zero()
 
 
-def test_suspend_and_parity():
-    m = GradedRModule(even=fg(zmod(2)), odd=RModuleFg.zero())
-    s = m.suspend()
-    assert s.even.is_zero() and s.odd.group.invariant_factors == [2]
-    assert s.suspend().even is m.even and s.suspend().odd is m.odd
-
-
 # --- ext over R, fg case -------------------------------------------------------
 
 
@@ -159,7 +152,7 @@ def test_ext_r_identity_action_z2():
     t = ext_r_fg(v, v)
     assert t.ext2_r.invariant_factors == [2]
     # identity-action law: Ext^2_R(V,W) = Ext^1_Z(V,W)
-    assert t.ext2_r.invariant_factors == t.ext_e.group.invariant_factors
+    assert t.ext2_r.invariant_factors == t.ext2.ext_e.group.invariant_factors
 
 
 def test_ext_r_trivial_action_on_Z():

@@ -1,7 +1,7 @@
 """Every module-level function or class, and every dataclass field, of the
 package is declared or read.
 
-An `ast` scan of `src/obstruct`, with four rules:
+An `ast` scan of `src/obstruct`, with five rules:
 
 * a private function or class (name starting with `_`) must be read
   somewhere in the package, as a bare name or as an attribute
@@ -13,6 +13,9 @@ An `ast` scan of `src/obstruct`, with four rules:
 * every module that defines a function or class has an `__all__`, and
   each of its entries is a function, class or assignment of that module,
   not an import;
+* an `__all__` entry that no file under `src/` or `bench/` reads outside
+  its own definition is in `PUBLIC_ONLY`, with the reason it is public.
+  A name that the SPANS of `bench/tracer.py` wrap counts as read;
 * every field of a dataclass of the package is loaded as an attribute
   somewhere in `src/`, `tests/` or `bench/`.  Only the fields in
   `READ_BY_NAME` are exempt.
@@ -31,6 +34,16 @@ ROOT = PACKAGE.parent.parent
 ALLOWED = {"shifteq._eventual_invariant_general"}
 # fields read only by name, through getattr in tests/support.py's outcome record
 READ_BY_NAME = {"abelian.SearchOutcome.reason", "graphs.CompareOutcome.reason"}
+# declared names that only the tests call, with why each stays public
+PUBLIC_ONLY = {
+    "laurent.ext_r_pres": "Hom, Ext^1 and Ext^2 over Z[x, 1/x] for a canonical presentation",
+    "posets.point_poset": "the one-point space, on which Ext^2 over Z vanishes",
+    "posets.chain_poset": "the totally ordered spaces, unique path spaces of any length",
+    "posets.antichain_poset": "the discrete spaces, whose incidence algebra is a product of Z",
+    "posets.diamond_poset": "the smallest poset that is not a unique path space",
+    "quiver.transport_class": "one Ext^2 class read against another resolution",
+    "quiver.baer_sum": "the group law of Ext^2 on two-step extensions",
+}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -101,6 +114,28 @@ def _undefined_exports(trees):
                 defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
         missing.extend(f"{module}.{name}" for name in declared if name not in defined)
     return sorted(missing)
+
+
+def _spanned(node):
+    """The names a `SPANS = [(span, module, "name" or "Class.method"), ...]`
+    statement wraps, as bench/tracer.py lists them; else none."""
+    if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS" for t in node.targets):
+        return {target.split(".")[0] for _, _, target in ast.literal_eval(node.value)}
+    return set()
+
+
+def _public_only(trees, readers):
+    """Sorted `module.name` of the `__all__` entries of `trees` ({module:
+    tree}) that no module-level statement of `readers` loads, other than
+    the name's own definition, or wraps through SPANS."""
+    statements = [(node, _names_read(node) | _spanned(node)) for tree in readers for node in tree.body]
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _declared(tree) or ()
+        if not any(name in read for node, read in statements
+                   if not (isinstance(node, DEFS) and node.name == name and node in tree.body))
+    )
 
 
 def _is_dataclass(node):
@@ -184,6 +219,28 @@ def test_scanner_flags_an_undefined_export():
     assert _undefined_exports(trees) == ["a.g", "a.gone", "b.__all__"]
 
 
+def test_scanner_flags_a_declared_name_only_its_definition_reads():
+    trees = {
+        "a": ast.parse("__all__ = ['used', 'spanned', 'Spanned', 'recursive', 'unread']\n"
+                       "def used():\n    pass\n"
+                       "def spanned():\n    pass\n"
+                       "class Spanned:\n    def method(self):\n        pass\n"
+                       "def recursive(n):\n    return recursive(n - 1)\n"
+                       "def unread():\n    return 'unread'\n"),
+        "b": ast.parse("__all__ = ['stored']\n"
+                       "def stored():\n    pass\n"),
+    }
+    readers = [*trees.values(),
+               ast.parse("from a import used, unread\n"
+                         "import b\n"
+                         "b.stored = used()\n"),
+               ast.parse("SPANS = [('a.spanned', 'a', 'spanned'),\n"
+                         "         ('a.method', 'a', 'Spanned.method')]\n")]
+    # an import, a string, an attribute store and the name's own
+    # definition are not reads; a SPANS entry is
+    assert _public_only(trees, readers) == ["a.recursive", "a.unread", "b.stored"]
+
+
 def test_scanner_flags_an_unread_dataclass_field():
     trees = {
         "a": ast.parse("import dataclasses\n"
@@ -219,6 +276,14 @@ def test_every_public_name_is_declared_or_read():
 
 def test_every_declared_name_is_defined():
     assert _undefined_exports(_package_trees()) == []
+
+
+def test_every_declared_name_is_read_or_listed():
+    trees = _package_trees()
+    readers = [*trees.values(), *(ast.parse(path.read_text(), str(path))
+                                  for path in sorted((ROOT / "bench").rglob("*.py")))]
+    assert len(readers) > len(trees)
+    assert _public_only(trees, readers) == sorted(PUBLIC_ONLY)
 
 
 def test_every_dataclass_field_is_read():
