@@ -141,7 +141,8 @@ class IntMatrix:
         return cls(n, len(columns), [[c[i] for c in columns] for i in range(n)])
 
     def copy(self):
-        return IntMatrix(self.rows, self.cols, self.data)
+        """A fresh matrix with the same entries, sharing no row list."""
+        return IntMatrix._wrap(self.rows, self.cols, [r[:] for r in self.data])
 
     def __eq__(self, other):
         return (
@@ -625,23 +626,37 @@ def adjugate(a: IntMatrix) -> IntMatrix:
 
 
 def _faddeev_leverrier(a: IntMatrix, what):
-    """(charpoly coefficients, M_n): M_1 = I, M_(k+1) = A M_k + c_(n-k) I."""
+    """(charpoly coefficients, M_n): M_1 = I, M_(k+1) = A M_k + c_(n-k) I.
+
+    Each step builds one matrix, the product A M_k (for M_1 = I, a copy of
+    A), reads c_(n-k) off its trace and adds it to the diagonal in place to
+    make M_(k+1): n - 1 products in all, and no identity past M_1.
+    """
     n = a.rows
     if a.cols != n:
         raise ValueError(f"{what} needs a square matrix")
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    M = last = IntMatrix.identity(n)
+    last = IntMatrix.identity(n)
+    am = a.copy()
     for k in range(1, n + 1):
-        last = M
-        AM = a @ M
-        tr = sum(AM.data[i][i] for i in range(n))
+        tr = sum(am.data[i][i] for i in range(n))
         if tr % k:
             raise ExactArithmeticError("Faddeev-LeVerrier division must be exact")
         c = -(tr // k)
         coeffs[n - k] = c
-        M = AM + IntMatrix.identity(n).scaled(c)
+        if k < n:
+            last = _add_to_diagonal(am, c)
+            am = a @ last
     return coeffs, last
+
+
+def _add_to_diagonal(m: IntMatrix, c) -> IntMatrix:
+    """m + c I, written into the diagonal of m itself: only for a square
+    matrix the caller has just built and no one else holds."""
+    for i, row in enumerate(m.data):
+        row[i] += c
+    return m
 
 
 def determinant(a: IntMatrix) -> int:
@@ -678,26 +693,36 @@ def determinant(a: IntMatrix) -> int:
 
 
 def matrix_power(a: IntMatrix, k: int) -> IntMatrix:
-    """a**k for a square matrix and k >= 0, by repeated squaring; any other
-    matrix or exponent is a ValueError."""
+    """a**k for a square matrix and k >= 0, always a fresh matrix; any
+    other matrix or exponent is a ValueError.
+
+    k = 0 builds the identity and k = 1 a copy of a.  Otherwise the copy is
+    squared once per bit of k below its top bit and multiplied by a after
+    each square whose bit is set: bit_length(k) + popcount(k) - 2
+    products, none for k = 1 and four for k = 10.
+    """
     if a.rows != a.cols:
         raise ValueError(f"matrix power needs a square matrix, got {a.rows}x{a.cols}")
     if k < 0:
         raise ValueError(f"matrix power needs an exponent k >= 0, got {k}")
-    out = IntMatrix.identity(a.rows)
-    base = a
-    while k:
-        if k & 1:
-            out = out @ base
-        base = base @ base
-        k >>= 1
+    if k == 0:
+        return IntMatrix.identity(a.rows)
+    out = a.copy()
+    for bit in bin(k)[3:]:
+        out = out @ out
+        if bit == "1":
+            out = out @ a
     return out
 
 
 def poly_eval_matrix(coeffs, a: IntMatrix) -> IntMatrix:
-    """Evaluate sum c_k x^k at a square matrix (Horner)."""
+    """Evaluate sum c_k x^k at a square matrix (Horner), each c_k added to
+    the diagonal of the fresh product in place; a non-square matrix is a
+    ValueError."""
     n = a.rows
+    if a.cols != n:
+        raise ValueError("polynomial evaluation needs a square matrix")
     out = IntMatrix.zeros(n, n)
     for c in reversed(coeffs):
-        out = out @ a + IntMatrix.identity(n).scaled(c)
+        out = _add_to_diagonal(out @ a, c)
     return out

@@ -331,7 +331,8 @@ def ext_r_pres(m: RModulePres, w):
     n = t.rows
     if isinstance(w, RModuleFg):
         rho = _pres_operator_on_fg(t, w)
-        return PresExtResult(hom=rho.kernel()[0], ext1=rho.cokernel()[0], ext2=Ext2Block.zero())
+        return PresExtResult(hom=rho.kernel()[0], ext1=homology_at(rho, None).group,
+                             ext2=Ext2Block.zero())
     if isinstance(w, RModulePres):
         s = w.require_canonical()
         ssize = s.rows
@@ -399,8 +400,7 @@ def ext2_block(p, q) -> Ext2Block:
             raise ExactArithmeticError("x-pullback must preserve the eventual image")
         pull_h = GroupMorphism(h, h, mat)
         phi = tau - pull_h
-        coker, _ = phi.cokernel()
-        return Ext2Block("colimit", coker)
+        return Ext2Block("colimit", homology_at(phi, None).group)
     raise UnsupportedShape(f"unsupported target {q!r}")
 
 

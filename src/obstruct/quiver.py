@@ -673,8 +673,7 @@ def sierpinski_ext2(phi: GroupMorphism, psi: GroupMorphism) -> FgAbGroup:
     representations with arrow maps phi (source) and psi (target), the group
     is Ext^1_Z(ker(phi), coker(psi))."""
     k, _ = phi.kernel()
-    c, _ = psi.cokernel()
-    return ext1_z(k, c).group
+    return ext1_z(k, homology_at(psi, None).group).group
 
 
 # ---------------------------------------------------------------------------

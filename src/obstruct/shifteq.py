@@ -28,9 +28,10 @@ nonsingular, so S = R^-1 B^l is the only rational solution of R S = B^l,
 and it is a witness: R A = B R gives A = R^-1 B R, hence
 S R = R^-1 B^l R = A^l and S B = R^-1 B^(l+1) = A S.  So a lag-l witness
 with this R exists iff det R divides every entry of adj(R) B^l, and the
-quotient is the S the lattice solve would return.  adj(R) is built once per candidate and the
-powers B^l once per call; the basis S_1..S_p and the lattice solve serve
-only singular A and unequal sizes.
+quotient is the S the lattice solve would return.  adj(R) is built once
+per candidate, and the powers B^l once per call, extended one factor at a
+time, up to the lag reached; the basis S_1..S_p and the lattice solve
+serve only singular A and unequal sizes.
 
 The search is staged around the invariant battery below.  A pair with a
 verified witness is shift equivalent, so no invariant can separate it;
@@ -82,11 +83,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
+from operator import mul
 
 from .abelian import FgAbGroup, GroupMorphism, eventual_image, torsion_subgroup
 from .intlinalg import (
     ExactArithmeticError,
     IntMatrix,
+    _add_to_diagonal,
     adjugate,
     charpoly,
     determinant,
@@ -142,7 +145,7 @@ def _eventual_invariant(a: IntMatrix, k):
     gauge module, in closed form (module docstring)."""
     if k == 0:
         return [], 0
-    diag = smith_normal_form(a - IntMatrix.identity(a.rows).scaled(k)).diag
+    diag = smith_normal_form(_add_to_diagonal(a.copy(), -k)).diag
     torsion = []
     for d in diag:
         if d > 1:
@@ -237,13 +240,16 @@ def _solve_for_s(r, s_basis, targets):
         yield lag, None if c is None else _combination(c, s_basis, n, m)
 
 
-def _solve_by_adjugate(r, det_r, b_powers):
-    """_solve_for_s for a nonsingular square R: S = adj(R) B^lag / det R
-    when det R divides every entry, else None (module docstring).
-    b_powers[lag - 1] is B^lag."""
+def _solve_by_adjugate(r, det_r, b_powers, max_lag):
+    """_solve_for_s for a nonsingular square R, for lag = 1..max_lag: S =
+    adj(R) B^lag / det R when det R divides every entry, else None (module
+    docstring).  b_powers is the running list [B, B^2, ...] of the call,
+    extended by one factor of B when a lag first needs its power."""
     adj = adjugate(r)
-    for lag, power in enumerate(b_powers, start=1):
-        t = adj @ power
+    for lag in range(1, max_lag + 1):
+        if lag > len(b_powers):
+            b_powers.append(b_powers[-1] @ b_powers[0])
+        t = adj @ b_powers[lag - 1]
         if any(e % det_r for row in t.data for e in row):
             yield lag, None
         else:
@@ -251,12 +257,14 @@ def _solve_by_adjugate(r, det_r, b_powers):
 
 
 def _combination(coeffs, basis, rows, cols):
-    """sum c_k * basis_k as a rows x cols matrix."""
-    out = IntMatrix.zeros(rows, cols)
-    for c, mat in zip(coeffs, basis):
-        if c:
-            out = out + mat.scaled(c)
-    return out
+    """sum c_k * basis_k as a rows x cols matrix, built in one pass over the
+    entries, from the terms with c_k != 0."""
+    terms = [(c, mat.data) for c, mat in zip(coeffs, basis) if c]
+    if not terms:
+        return IntMatrix.zeros(rows, cols)
+    cs, mats = zip(*terms)
+    return IntMatrix._wrap(rows, cols, [[sum(map(mul, cs, entries)) for entries in zip(*row)]
+                                        for row in zip(*mats)])
 
 
 def _l1_sphere(count, weight, cap):
@@ -322,12 +330,11 @@ def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=
     det_bound = det_a ** max_lag
     if det_a:
         b_powers = [b]
-        for _ in range(max_lag - 1):
-            b_powers.append(b_powers[-1] @ b)
     else:
         s_basis = _intertwiner_basis(b, a)  # S B = A S, S is n x m
-        targets, pa, pb = [], IntMatrix.identity(n), IntMatrix.identity(m)
-        for _ in range(max_lag):
+        pa, pb = a, b
+        targets = [vec(b) + vec(a)]
+        for _ in range(max_lag - 1):
             pa, pb = pa @ a, pb @ b
             targets.append(vec(pb) + vec(pa))
 
@@ -338,7 +345,7 @@ def shift_equivalent(a: IntMatrix, b: IntMatrix, max_lag=6, max_entry=8, budget=
                 det_r = determinant(r)
                 if det_r == 0 or det_bound % det_r:
                     continue
-                solutions = _solve_by_adjugate(r, det_r, b_powers)
+                solutions = _solve_by_adjugate(r, det_r, b_powers, max_lag)
             else:
                 solutions = _solve_for_s(r, s_basis, targets)
             for lag, s in solutions:

@@ -27,7 +27,7 @@ from test_laurent import fg, zmod
 from test_quiver import presented_rep
 
 CAPS = {"xk module layer and delta": 17, "ext_poset": 26, "count_liftings": 9, "ext_r_fg": 12}
-REPLAY_CAPS = {"xk module layer and delta": 12, "ext_poset": 28, "count_liftings": 9,
+REPLAY_CAPS = {"xk module layer and delta": 12, "ext_poset": 28, "count_liftings": 8,
                "ext_r_fg": 18}
 
 

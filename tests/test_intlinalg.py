@@ -603,6 +603,41 @@ def test_matrix_power_rejects_a_negative_exponent_and_a_non_square_matrix():
             matrix_power(IntMatrix.from_rows([[1, 2, 3]]), k)
 
 
+def naive_power(a, k):
+    out = IntMatrix.identity(a.rows)
+    for _ in range(k):
+        out = out @ a
+    return out
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_charpoly_adjugate_and_powers_leave_their_input_alone(n):
+    # the kernels write into the diagonals of the products they build and
+    # start powers from a copy of A: no result may share a row list with A
+    a = shaped_square(n, "random", 83 + n)
+    before = [row[:] for row in a.data]
+    coeffs = charpoly(a)
+    results = [adjugate(a)] + [matrix_power(a, k) for k in range(6)]
+    assert a.data == before
+    assert results[1:] == [naive_power(a, k) for k in range(6)]
+    assert not any(r is s for res in results for r in res.data for s in a.data)
+    for res in results:
+        for row in res.data:
+            row[:] = [x + 1 for x in row]
+    assert a.data == before and charpoly(a) == coeffs
+
+
+def test_poly_eval_matrix_rejects_a_non_square_matrix():
+    for coeffs in ([], [3], [0, 1], [6, -5, 1]):
+        for shape in ((2, 3), (3, 2), (0, 1)):
+            with pytest.raises(ValueError, match="needs a square matrix"):
+                poly_eval_matrix(coeffs, IntMatrix.zeros(*shape))
+    a = IntMatrix.from_rows([[2, 1], [0, 3]])
+    assert poly_eval_matrix([], a) == IntMatrix.zeros(2, 2)
+    assert poly_eval_matrix([3], a) == IntMatrix.identity(2).scaled(3)
+    assert poly_eval_matrix([1, -2, 1], a) == naive_power(a, 2) - a.scaled(2) + IntMatrix.identity(2)
+
+
 def test_matrix_text_roundtrip():
     a = IntMatrix.from_rows([[1, -2], [30, 4]])
     text = a.to_text()

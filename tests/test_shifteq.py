@@ -526,7 +526,7 @@ def adjugate_sweep(seed=53, max_lag=4):
             det_r = determinant(r)
             if det_r == 0:
                 continue
-            by_adjugate = list(shifteq._solve_by_adjugate(r, det_r, powers(b, max_lag)))
+            by_adjugate = list(shifteq._solve_by_adjugate(r, det_r, [b], max_lag))
             if by_adjugate != list(_solve_for_s(r, s_basis, targets)):
                 mismatches.append((a, b, r))
             candidates += 1
@@ -540,6 +540,24 @@ def test_adjugate_route_matches_the_lattice_solve():
     candidates, solvable, mismatches = adjugate_sweep()
     assert not mismatches
     assert candidates >= 300 and solvable >= 40
+
+
+def test_combination_matches_the_naive_sum():
+    rng = random.Random(67)
+    for rows, cols, count in [(2, 2, 3), (3, 2, 4), (2, 3, 1), (3, 3, 5), (0, 2, 2), (2, 0, 2),
+                              (2, 2, 0)]:
+        basis = [IntMatrix(rows, cols, [[rng.randint(-9, 9) for _ in range(cols)]
+                                        for _ in range(rows)]) for _ in range(count)]
+        draws = [[0] * count, [1] + [0] * (count - 1)] if count else [[]]
+        draws += [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(count)]
+                  for _ in range(20)]
+        for coeffs in draws:
+            naive = IntMatrix.zeros(rows, cols)
+            for c, mat in zip(coeffs, basis):
+                naive = naive + mat.scaled(c)
+            out = _combination(coeffs, basis, rows, cols)
+            assert out == naive, (rows, cols, coeffs)
+            assert not any(r is s for mat in basis for r in out.data for s in mat.data)
 
 
 # Pairs whose first verifying candidate lies beyond the short search: at
