@@ -817,6 +817,22 @@ class DiagramHom:
         return order is not None and order <= budget
 
 
+class _ZeroHom:
+    """Hom(V, W) of a piece whose groups are zero at every point, on both
+    sides: one element, the family of zero maps, which are isomorphisms.
+    It needs no constraint system, no kernel and no canonical matrices."""
+
+    def __init__(self, points):
+        self.points = points
+
+    def isomorphisms(self, bound, budget):
+        if budget >= 1:
+            yield {k: GroupMorphism.zero(v, w) for k, (v, w) in self.points.items()}
+
+    def enumerable(self, budget) -> bool:
+        return budget >= 1
+
+
 def iso_search(pieces, bound, budget, accept=None) -> SearchOutcome:
     """Bounded search for an isomorphism of diagrams of groups.
 
@@ -831,12 +847,18 @@ def iso_search(pieces, bound, budget, accept=None) -> SearchOutcome:
     different invariant factors, or when no family was approved and every
     piece's Hom group is finite with at most `budget` elements, so it was
     enumerated whole (from any start, the same set); otherwise 'unknown'.
+
+    A piece whose groups are zero at every point, on both sides, has one
+    family, the zero maps (`_ZeroHom`): it is enumerated whole when `budget`
+    is at least 1, and builds no `DiagramHom`.
     """
     for points, _ in pieces:
         for k, (v, w) in points.items():
             if v.invariant_factors != w.invariant_factors:
                 return SearchOutcome("no", reason=f"groups differ at point {k!r}")
-    homs = [DiagramHom(points, arrows) for points, arrows in pieces]
+    # W has V's factors at every point, so V alone tells a zero piece
+    homs = [DiagramHom(points, arrows) if any(v.invariant_factors for v, _ in points.values())
+            else _ZeroHom(points) for points, arrows in pieces]
     first, *rest = [h.isomorphisms(bound, budget) for h in homs]
     rest = [list(isos) for isos in rest]
     if all(rest):

@@ -85,6 +85,12 @@ first reads it, cheapest layer first:
            point, made once per invariant (`_unit_class`); a candidate pushes
            it through f0 into the vertex coordinates of K0' and compares
            canonical coordinates there, with no map between colimits.
+           The lift is written down, not solved for.  The natural map hits
+           e_v for every vertex v in some H_x, so it is onto iff the rows of
+           I - A^t at the other vertices span their own coordinates: only
+           those rows are eliminated, none when every vertex is covered.  A
+           y with (I - A^t) y = 1 on those rows (y = 0 when there are none)
+           makes 1 - (I - A^t) y a lift, one vertex at a time.
            The second invariant's delta' is built, and pulled through sigma,
            only when Ext^2(XK0, XK1) is nonzero: a candidate is an
            isomorphism at every point, so when that group is zero so is
@@ -101,7 +107,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import DirectSum, FgAbGroup, GroupMorphism
-from .intlinalg import ExactArithmeticError, IntMatrix
+from .intlinalg import ExactArithmeticError, IntMatrix, smith_normal_form, solve
 from .posets import FinitePoset
 from .quiver import (
     Ext2Class,
@@ -493,7 +499,7 @@ def _check_exact(seq: TwoExtension):
             failure = "XK1 does not map onto a basis of the kernel of d"
         elif not seq.m1.groups[p].relations.is_zero():
             failure = "XK1 has relations"
-        elif seq.m0.groups[p].relations != d or pi != IntMatrix.identity(q0.ngens):
+        elif seq.m0.groups[p].relations != d or not pi.is_identity():
             failure = "XK0 is not the cokernel of d"
         else:
             continue
@@ -550,13 +556,20 @@ def xk_invariant(e: DirectedGraph) -> XKInvariant:
 def _colimit_of_rep(rep: QuiverRep):
     """(colim, s): the colimit over the poset, coker(sum over arrows y -> x
     of (in_x a - in_y)), presented on s, the `DirectSum` of the point groups
-    in point order."""
-    points = rep.poset.points
-    s = DirectSum([rep.groups[p] for p in points])
-    rel = s.group.relations
-    for y, x in rep.poset.hasse_arrows:
-        in_y, in_x = (s.injection(rep.poset.index[p]).matrix for p in (y, x))
-        rel = rel.hstack(in_x @ rep.arrow_map(y, x).matrix - in_y)
+    in point order.  The relation of an arrow y -> x at generator j of y is
+    column j of a in x's block minus e_j in y's block."""
+    poset = rep.poset
+    s = DirectSum([rep.groups[p] for p in poset.points])
+    cols = []
+    for y, x in poset.hasse_arrows:
+        a = rep.arrow_map(y, x).matrix
+        oy, ox = s.offsets[poset.index[y]], s.offsets[poset.index[x]]
+        for j in range(a.cols):
+            c = [0] * s.group.ngens
+            c[ox:ox + a.rows] = a.column(j)
+            c[oy + j] -= 1
+            cols.append(c)
+    rel = s.group.relations.hstack(IntMatrix.from_columns(cols, rows=s.group.ngens))
     return FgAbGroup(s.group.ngens, rel), s
 
 
@@ -568,15 +581,27 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
     modulo I - A^t.
 
     K0 of the whole algebra is the colimit of XK0 over the ideal poset (real
-    rank zero from Condition (K)); the natural map sends the x-block
+    rank zero from Condition (K)); the natural map nat sends the x-block
     Z^(H_x) into Z^n by inclusion, and it must be an isomorphism for the
     lift to name one class.  The arrows of XK0 run from smaller vertex sets
     to larger ones, so a least point x0 is terminal in the diagram and
     colim XK0 = XK0(x0); when H_x0 is every vertex and XK0(x0) is presented
     by I - A^t itself, the natural map is the identity, K0 is XK0(x0) (so
     I - A^t is not eliminated again) and the lift is the all-ones vector at
-    x0.  Otherwise the colimit is presented on the sum of the point groups,
-    the natural map is checked an isomorphism, and the lift is solved for.
+    x0.
+
+    Otherwise the colimit is presented on the sum of the point groups, and
+    nat is an isomorphism when the colimit has K0's invariant factors and
+    nat is onto (Hopfian test).  With N the vertices in no H_x, nat is onto
+    iff the rows N of I - A^t span Z^N.  Proof: nat hits e_v for every
+    vertex v outside N, and Z^n modulo those e_v is Z^N, onto which
+    I - A^t maps by its rows N.  So only those rows are eliminated, and
+    nothing when N is empty.  The lift is then written down: with y such
+    that (I - A^t) y is 1 on N (y = 0 when N is empty), r = 1 - (I - A^t) y
+    vanishes on N, and r_v placed on v's coordinate in the first block that
+    holds v gives a vector of the point sum that nat sends to r, which is 1
+    modulo I - A^t.  Since nat is an isomorphism, every lift names the one
+    unit class.
     """
     n = len(e.vertices)
     d = IntMatrix.identity(n) - e.adjacency.transpose()
@@ -592,24 +617,43 @@ def _unit_class(e: DirectedGraph, ideals: IdealPoset, xk0: QuiverRep):
         return k0, k0.canon_coords(ones), {x0: ones}
     k0 = FgAbGroup(n, d)
     colim, points_sum = _colimit_of_rep(xk0)
-    nat = IntMatrix.zeros(n, 0)
-    for p in poset.points:
-        nat = nat.hstack(_restriction_matrix(e, ideals.vertex_sets[p], e.vertices))
+    # the vertex of each generator of the point sum, which nat sends to e_v
+    slots = [i for p in poset.points for i in sorted(e.index[v] for v in ideals.vertex_sets[p])]
     # nat is well defined when it sends each relation of the colimit to 0 or
     # to a relation of K0 (a point relation of XK0 is a column of I - A^t on
     # a hereditary set, an arrow relation a difference of two inclusions of
-    # one vertex); otherwise the lattice test decides
+    # one vertex); otherwise the lattice test decides.  nat times the
+    # relations adds each row of the relations into the row of its vertex
+    image = [[0] * colim.relations.cols for _ in range(n)]
+    for v, row in zip(slots, colim.relations.data):
+        image[v] = [a + b for a, b in zip(image[v], row)]
     relations = set(map(tuple, d.columns()))
-    image = nat @ colim.relations
-    exact = all(not any(c) or tuple(c) in relations for c in image.columns())
-    comparison = GroupMorphism(colim, k0, nat, trusted=exact)
-    if not comparison.is_iso():
+    if not all(not any(c) or c in relations for c in zip(*image)):
+        nat = IntMatrix.from_columns([[int(i == v) for i in range(n)] for v in slots], rows=n)
+        GroupMorphism(colim, k0, nat)  # IllDefinedMorphism unless well defined
+    y = _solve_uncovered(d, sorted(set(range(n)) - set(slots)))
+    if colim.invariant_factors != k0.invariant_factors or y is None:
         raise ExactArithmeticError("colimit of XK0 must map isomorphically onto K0")
-    xi = comparison.lift(IntMatrix.from_columns([ones]))
-    if xi is None:
-        raise ExactArithmeticError("unit must lift through the colimit comparison")
-    lift = dict(zip(poset.points, points_sum.split(xi.column(0))))
-    return k0, k0.canon_coords(ones), lift
+    r = [1 - x for x in d.apply(y)]
+    xi = [0] * len(slots)
+    for v in set(slots):
+        xi[slots.index(v)] = r[v]
+    return k0, k0.canon_coords(ones), dict(zip(poset.points, points_sum.split(xi)))
+
+
+def _solve_uncovered(d: IntMatrix, uncovered):
+    """y with (d y)_v = 1 at every v in `uncovered`, or None when the rows
+    `uncovered` of d do not span their own coordinates, i.e. when [nat | d]
+    does not span Z^n for nat hitting e_v at every other v.  Those rows are
+    eliminated once, and not at all when `uncovered` is empty (y = 0); when
+    they span, every right-hand side solves."""
+    if not uncovered:
+        return [0] * d.cols
+    rows = d.submatrix(uncovered, range(d.cols))
+    snf = smith_normal_form(rows)
+    if snf.diag != [1] * len(uncovered):
+        return None
+    return solve(rows, [1] * len(uncovered), snf)
 
 
 def unit_image_under(witnesses, inv1: XKInvariant, inv2: XKInvariant, sigma):
@@ -627,6 +671,8 @@ def unit_image_under(witnesses, inv1: XKInvariant, inv2: XKInvariant, sigma):
     e2, sets2 = inv2.graph, inv2.ideals.vertex_sets
     image = [0] * len(e2.vertices)
     for p, xi in inv1._unit[2].items():
+        if not any(xi):
+            continue
         verts = sorted(e2.index[v] for v in sets2[sigma[p]])
         for i, c in zip(verts, f0.maps[p].matrix.apply(xi)):
             image[i] += c

@@ -158,6 +158,12 @@ class IntMatrix:
     def is_zero(self):
         return all(all(e == 0 for e in r) for r in self.data)
 
+    def is_identity(self):
+        """Square with ones on the diagonal and zeros elsewhere; builds no
+        identity to compare with."""
+        return self.rows == self.cols and all(
+            e == int(i == j) for i, r in enumerate(self.data) for j, e in enumerate(r))
+
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 

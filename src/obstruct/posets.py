@@ -56,7 +56,7 @@ class FinitePoset:
                         f"not antisymmetric: {self.points[i]} and {self.points[j]}"
                     )
         self._leq = rel
-        self._hasse = self._compute_hasse()
+        self._hasse = tuple(self._compute_hasse())
 
     def _compute_hasse(self):
         n = len(self.points)
@@ -78,8 +78,8 @@ class FinitePoset:
 
     @property
     def hasse_arrows(self):
-        """Arrows (y, x) with y covering x."""
-        return list(self._hasse)
+        """Arrows (y, x) with y covering x, as one stored tuple."""
+        return self._hasse
 
     def up_set(self, x):
         """Minimal open set of x: all y with x <= y."""
@@ -167,7 +167,7 @@ class FinitePoset:
         return out
 
     def __repr__(self):
-        return f"FinitePoset({self.points}, arrows={self._hasse})"
+        return f"FinitePoset({self.points}, arrows={list(self._hasse)})"
 
 
 def is_unique_path_space(x: FinitePoset):

@@ -369,16 +369,24 @@ class ProjIntoRep:
 def _cover_generators(poset: FinitePoset, relations, arrow):
     """(point, vector) per cover generator of the module with Z^n/relations(x)
     at x and arrows arrow(y, x): canonical lifts of generators modulo the
-    covering arrows' images, point by point in the poset's order."""
+    covering arrows' images, point by point in the poset's order.  An
+    incoming arrow that is an identity covers the whole point, which then
+    has no generators and is not eliminated."""
+    incoming = {x: [] for x in poset.points}
+    for y, x in poset.hasse_arrows:
+        incoming[x].append(y)
     gens = []
     for x in poset.points:
         stacked = relations(x)
-        for y, xx in poset.hasse_arrows:
-            if xx == x:
-                stacked = stacked.hstack(arrow(y, x))
-        quotient = FgAbGroup(stacked.rows, stacked)
-        for pos in quotient.canon_positions:
-            gens.append((x, quotient.snf.Uinv.column(pos)))
+        for y in incoming[x]:
+            a = arrow(y, x)
+            if a.is_identity():
+                break
+            stacked = stacked.hstack(a)
+        else:
+            quotient = FgAbGroup(stacked.rows, stacked)
+            for pos in quotient.canon_positions:
+                gens.append((x, quotient.snf.Uinv.column(pos)))
     return gens
 
 
@@ -459,9 +467,13 @@ def _syzygy_cover(prev: ProjectiveRep, bases, lattice):
     bases[z] in the coordinates of prev(z), whose arrows are prev's
     transports solved in lattice(z), the decomposition of bases[z], built
     from no representation; generator i maps to vectors[i], a vector of
-    prev at P.gen_points[i]."""
+    prev at P.gen_points[i].  Into a point x whose basis is the identity
+    the solve is the transported basis itself, and lattice(x) is not read."""
     def arrow(y, x):
-        mat = lattice(x).factor(prev.transport_matrix(y, x) @ bases[y])
+        moved = prev.transport_matrix(y, x) @ bases[y]
+        if bases[x].is_identity():
+            return moved
+        mat = lattice(x).factor(moved)
         if mat is None:
             raise ExactArithmeticError("transport must preserve the syzygy lattice")
         return mat
@@ -480,7 +492,9 @@ def resolve_projective(v: QuiverRep, length: int) -> ProjResolution:
     point matrix D_z of the cover is checked to span the lattice of B_z at
     every point, and ker D_z is the next syzygy.  A D_z equal to B_z (a
     projective syzygy is covered by the identity) spans it, and its kernel
-    is zero since B_z is a basis: nothing is eliminated.
+    is zero since B_z is a basis: nothing is eliminated.  A B_z that is the
+    identity spans all of Z^m, which D_z spans iff its Smith diagonal is
+    all ones, so the lattice of B_z is not eliminated for the check.
     """
     p0, aug = minimal_cover(v)
     projectives = [p0]
@@ -501,7 +515,11 @@ def resolve_projective(v: QuiverRep, length: int) -> ProjResolution:
                 kernels[z] = IntMatrix.zeros(dz.cols, 0)
                 continue
             image = smith_normal_form(dz)
-            if not lattice(z).equals(image):
+            if bases[z].is_identity():
+                spans = image.diagonal_padded(dz.rows) == [1] * dz.rows
+            else:
+                spans = lattice(z).equals(image)
+            if not spans:
                 raise ExactArithmeticError("cover must be surjective")
             kernels[z] = image.kernel_basis()
         bases = kernels

@@ -785,6 +785,33 @@ def test_iso_search_starts_at_the_identity():
     assert family[0].equals(GroupMorphism.identity(g))
 
 
+def test_zero_piece_is_the_one_family_of_zero_maps(monkeypatch):
+    # a piece whose groups are zero at every point, on generators with unit
+    # relations, beside a piece with Z/4 at one point: the search answers
+    # as DiagramHom does on the same pieces, and the zero piece alone
+    # eliminates nothing
+    z1, z2, z0 = FgAbGroup.cyclic(1), FgAbGroup(2, IntMatrix.identity(2)), FgAbGroup.trivial()
+    b = GroupMorphism(z2, z1, IntMatrix.from_rows([[1, 1]]))
+    zero = ({0: (z1, z2), 1: (z0, z1)}, [(0, 1, GroupMorphism.zero(z1, z0), b)])
+    g = FgAbGroup.cyclic(4)
+    nonzero = ({0: (g, g)}, [])
+    for group in (z1, z2, z0, g):
+        group.invariant_factors
+    eliminated = counter(monkeypatch, intlinalg, "_eliminate")
+    assert iso_search([zero], bound=1, budget=1).verdict == "yes"
+    assert eliminated == []
+    for pieces in ([nonzero, zero], [zero, nonzero]):
+        homs = [DiagramHom(*piece) for piece in pieces]
+        out = iso_search(pieces, bound=1, budget=10)
+        assert out.verdict == "yes"
+        for got, want in zip(out.witness, (next(h.isomorphisms(1, 10)) for h in homs)):
+            assert {k: f.matrix for k, f in got.items()} == {k: f.matrix for k, f in want.items()}
+        assert iso_search(pieces, 1, 10, accept=lambda family: False).verdict == "no"
+        assert all(h.enumerable(10) for h in homs)
+        assert iso_search(pieces, bound=1, budget=0).verdict == "unknown"
+        assert not any(h.enumerable(0) for h in homs)
+
+
 def _is_bijective(m, factors):
     """Is the reduced canonical matrix m a bijection of Z/d_1 + ... ?"""
     elements = list(itertools.product(*(range(d) for d in factors)))

@@ -1,4 +1,4 @@
-"""Caps on the eliminations and transform replays of four fixed
+"""Caps on the eliminations and transform replays of six fixed
 constructions.
 
 Every call of `smith_normal_form` eliminates, and a decomposition is kept by
@@ -21,14 +21,16 @@ from obstruct.laurent import GradedRModule, ck_module, count_liftings, ext_r_fg
 from obstruct.posets import diamond_poset
 from obstruct.quiver import ext_poset
 
-from test_graphs import NONZERO_DELTA, graph
+from test_graphs import NONZERO_DELTA, TWO_MINIMA, graph
 from test_intlinalg import counter
 from test_laurent import fg, zmod
 from test_quiver import presented_rep
 
-CAPS = {"xk module layer and delta": 17, "ext_poset": 26, "count_liftings": 9, "ext_r_fg": 12}
-REPLAY_CAPS = {"xk module layer and delta": 12, "ext_poset": 28, "count_liftings": 8,
-               "ext_r_fg": 18}
+CAPS = {"xk module layer and delta": 17, "ext_poset": 21, "count_liftings": 9, "ext_r_fg": 12,
+        "unit class on two minimal points": 2, "unit class, a vertex in no H_x": 3}
+REPLAY_CAPS = {"xk module layer and delta": 10, "ext_poset": 28, "count_liftings": 8,
+               "ext_r_fg": 18, "unit class on two minimal points": 2,
+               "unit class, a vertex in no H_x": 4}
 
 
 def counts_of(monkeypatch, name):
@@ -39,16 +41,23 @@ def counts_of(monkeypatch, name):
     # Ext^2_R = Z/2 + Z/2: the total complex and the x-action on Ext^1_Z
     a = fg(FgAbGroup.from_invariant_factors([2, 4]), IntMatrix.from_rows([[1, 1], [0, 1]]))
     b = fg(zmod(6), IntMatrix.from_rows([[5]]))
+    # no least point, so the unit class takes the colimit route: every
+    # vertex lies in some H_x, or v0 of TWO_MINIMA lies in none; the module
+    # layer is built before counting
+    covered, uncovered = XKInvariant(graph([[2, 0], [0, 3]])), XKInvariant(graph(TWO_MINIMA))
+    covered.xk0, uncovered.xk0
     calls = counter(monkeypatch, intlinalg, name)
     counts, results = {}, {}
     for what, build in [("xk module layer and delta", lambda: inv.delta.coords),
                         ("ext_poset", lambda: ext_poset(v, v, 2).group.invariant_factors),
                         ("count_liftings", lambda: count_liftings(m)),
-                        ("ext_r_fg", lambda: ext_r_fg(a, b).ext2_r.invariant_factors)]:
+                        ("ext_r_fg", lambda: ext_r_fg(a, b).ext2_r.invariant_factors),
+                        ("unit class on two minimal points", lambda: covered.unit),
+                        ("unit class, a vertex in no H_x", lambda: uncovered.unit)]:
         calls.clear()
         results[what] = build()
         counts[what] = len(calls)
-    assert list(results.values()) == [(1,), [3], 3, [2, 2]]
+    assert list(results.values()) == [(1,), [3], 3, [2, 2], (1,), (2,)]
     return counts
 
 

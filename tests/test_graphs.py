@@ -1119,6 +1119,45 @@ def test_unit_class_agrees_with_the_colimit_route(monkeypatch):
     assert {s[0] for s in seen if s[2]} == {True, False}
 
 
+def test_onto_read_from_the_uncovered_rows():
+    # [nat | d] spans Z^n, nat hitting e_v at the covered vertices, iff the
+    # rows of d at the other vertices span their own coordinates; then
+    # (d y)_v = 1 there
+    rng = random.Random(34)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        d = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        covered = [v for v in range(n) if rng.random() < 0.5]
+        uncovered = [v for v in range(n) if v not in covered]
+        nat = IntMatrix.from_columns([[int(i == v) for i in range(n)] for v in covered], rows=n)
+        onto = smith_normal_form(nat.hstack(d)).diag == [1] * n
+        y = graphs._solve_uncovered(d, uncovered)
+        assert (y is not None) == onto
+        if onto:
+            assert [d.apply(y)[v] for v in uncovered] == [1] * len(uncovered)
+        seen.add((onto, bool(uncovered)))
+    assert seen == {(True, True), (False, True), (True, False)}
+
+
+def test_written_unit_lift_maps_to_the_unit():
+    # the lift is written down, not solved for: nat sends it to the
+    # all-ones vector modulo I - A^t, with and without uncovered vertices
+    kinds = []
+    for e in admissible_graphs(31, 60):
+        inv = XKInvariant(e)
+        if has_least_point(inv):
+            continue
+        k0, _, lift = graphs._unit_class(e, inv.ideals, inv.xk0)
+        image = [0] * len(e.vertices)
+        for p, xi in lift.items():
+            for i, c in zip(sorted(e.index[v] for v in inv.ideals.vertex_sets[p]), xi):
+                image[i] += c
+        assert k0.contains_relation([x - 1 for x in image])
+        kinds.append(set().union(*inv.ideals.vertex_sets.values()) != set(e.vertices))
+    assert len(kinds) >= 20 and set(kinds) == {True, False}
+
+
 def tampered_unit_classes():
     """Unit classes built from a wrong XK0 or a wrong least point; each must
     raise.  Names start with "unit"."""
